@@ -10,10 +10,31 @@ import argparse
 import sys
 
 from .channels import NoiseModel
-from .emit import emit, to_csv, to_json, to_svg
+from .emit import emit, render
 from .figures import FIGURE_NAMES, ConfigError, NumericalError, SweepConfig, run_figure
 
-_RENDER = {"csv": to_csv, "json": to_json, "svg": to_svg}
+
+def _labels(text: str) -> tuple:
+    return tuple(r.strip() for r in text.split(",") if r.strip())
+
+
+# Every option: its config-file key (the flag is --key with dashes), the
+# SweepConfig field it sets (None for output options), the parser applied to
+# flag and file values alike, the flag's help text and its choices.
+_OPTIONS = (
+    ("kappa", "kappa", float, "target reflectance", None),
+    ("nb", "n_b", float, "background mean photon number", None),
+    ("ns_min", "sweep_min", float, "sweep lower edge (N_S, or kappa for fig5a)", None),
+    ("ns_max", "sweep_max", float, "sweep upper edge", None),
+    ("points", "points", int, "sweep point count", None),
+    ("modes", "m_modes", float, "number of mode pairs M", None),
+    ("noise", "noise", NoiseModel, "background noise convention",
+     ["constant", "nonconstant"]),
+    ("receivers", "receivers", _labels, "comma-separated curve label subset", None),
+    ("format", None, str, None, ["csv", "json", "svg"]),
+    ("out", None, str, "output path (default: stdout)", None),
+)
+_PARSERS = {key: parse for key, _, parse, _, _ in _OPTIONS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,17 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     fig = sub.add_parser("figure", help="run a figure preset")
     fig.add_argument("name", choices=FIGURE_NAMES, help="figure preset")
-    fig.add_argument("--kappa", type=float, help="target reflectance")
-    fig.add_argument("--nb", type=float, help="background mean photon number")
-    fig.add_argument("--ns-min", type=float, help="sweep lower edge (N_S, or kappa for fig5a)")
-    fig.add_argument("--ns-max", type=float, help="sweep upper edge")
-    fig.add_argument("--points", type=int, help="sweep point count")
-    fig.add_argument("--modes", type=float, help="number of mode pairs M")
-    fig.add_argument("--noise", choices=["constant", "nonconstant"],
-                     help="background noise convention")
-    fig.add_argument("--receivers", help="comma-separated curve label subset")
-    fig.add_argument("--format", dest="fmt", choices=["csv", "json", "svg"])
-    fig.add_argument("--out", help="output path (default: stdout)")
+    for key, _, _, help_text, choices in _OPTIONS:
+        fig.add_argument("--" + key.replace("_", "-"), help=help_text, choices=choices)
     fig.add_argument("--config", help="key=value option file (flags win)")
     return parser
 
@@ -56,84 +68,36 @@ def _read_config_file(path: str) -> dict:
     return opts
 
 
-_FILE_KEYS = {
-    "kappa": float, "nb": float, "ns_min": float, "ns_max": float,
-    "points": int, "modes": float, "noise": str, "receivers": str,
-    "format": str, "out": str,
-}
-
-
-def _merge(args: argparse.Namespace) -> dict:
-    merged = {}
-    if args.config:
-        raw = _read_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _FILE_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                merged[key] = _FILE_KEYS[key](value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    flag_map = {
-        "kappa": args.kappa, "nb": args.nb, "ns_min": args.ns_min,
-        "ns_max": args.ns_max, "points": args.points, "modes": args.modes,
-        "noise": args.noise, "receivers": args.receivers,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            merged[key] = value
-    if args.out is not None:
-        merged["out"] = args.out
-    if args.fmt is not None:
-        merged["format"] = args.fmt
-    return merged
-
-
-def _sweep_config(name: str, merged: dict) -> SweepConfig:
-    noise = merged.get("noise")
-    if isinstance(noise, str):
+def _options(args: argparse.Namespace) -> dict:
+    """Parsed option values from the config file, overridden by the flags given."""
+    raw = _read_config_file(args.config) if args.config else {}
+    raw.update((key, getattr(args, key)) for key in _PARSERS
+               if getattr(args, key) is not None)
+    opts = {}
+    for key, value in raw.items():
+        if key not in _PARSERS:  # only file keys can be unknown
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            noise = NoiseModel(noise)
+            opts[key] = _PARSERS[key](value)
         except ValueError as exc:
-            raise ConfigError(f"unknown noise model {merged['noise']!r}") from exc
-    receivers = merged.get("receivers") or ""
-    receivers = tuple(r.strip() for r in receivers.split(",") if r.strip()) \
-        if isinstance(receivers, str) else tuple(receivers)
-    kwargs = dict(figure=name)
-    if "kappa" in merged:
-        kwargs["kappa"] = merged["kappa"]
-    if "nb" in merged:
-        kwargs["n_b"] = merged["nb"]
-    if "modes" in merged:
-        kwargs["m_modes"] = merged["modes"]
-    if "ns_min" in merged:
-        kwargs["sweep_min"] = merged["ns_min"]
-    if "ns_max" in merged:
-        kwargs["sweep_max"] = merged["ns_max"]
-    if "points" in merged:
-        kwargs["points"] = merged["points"]
-    if noise is not None:
-        kwargs["noise"] = noise
-    if receivers:
-        kwargs["receivers"] = receivers
-    return SweepConfig(**kwargs)
+            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+    return opts
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        merged = _merge(args)
-        config = _sweep_config(args.name, merged)
+        opts = _options(args)
+        config = SweepConfig(figure=args.name, **{
+            field: opts[key] for key, field, _, _, _ in _OPTIONS
+            if field is not None and key in opts})
         curves = run_figure(config)
-        fmt = merged.get("format", "csv")
-        out = merged.get("out")
+        fmt = opts.get("format", "csv")
+        out = opts.get("out")
         if out:
             emit(curves, fmt, out)
         else:
-            if fmt not in _RENDER:
-                raise ConfigError(f"unknown format {fmt!r}")
-            sys.stdout.write(_RENDER[fmt](curves))
+            sys.stdout.write(render(curves, fmt))
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

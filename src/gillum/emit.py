@@ -138,10 +138,15 @@ def to_svg(curves: CurveSet) -> str:
 _RENDERERS = {"csv": to_csv, "json": to_json, "svg": to_svg}
 
 
-def emit(curves: CurveSet, fmt: str, path: str) -> None:
-    """Render a curve set to ``path``; nothing is written on invalid input."""
+def render(curves: CurveSet, fmt: str) -> str:
+    """The curve set as text in format ``fmt`` (csv, json or svg)."""
     if fmt not in _RENDERERS:
         raise ConfigError(f"unknown format {fmt!r}; expected csv, json or svg")
-    text = _RENDERERS[fmt](curves)
+    return _RENDERERS[fmt](curves)
+
+
+def emit(curves: CurveSet, fmt: str, path: str) -> None:
+    """Render a curve set to ``path``; nothing is written on invalid input."""
+    text = render(curves, fmt)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -2,15 +2,12 @@
 
 Each preset fixes a sweep axis and a set of receiver curves; defaults follow
 the canonical working point kappa = 0.01, N_B = 30, M = 1e7 with 200
-log-spaced sweep points.  Sweep evaluation is deterministic; points may be
-evaluated concurrently (set GILLUM_THREADS) since every computation is pure.
+log-spaced sweep points.  Sweep evaluation is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,14 +98,6 @@ def _sweep_axis(config: SweepConfig, default_min: float, default_max: float) -> 
     return np.logspace(math.log10(lo), math.log10(hi), config.points)
 
 
-def _map_points(fn, xs):
-    threads = int(os.environ.get("GILLUM_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, xs))
-    return [fn(x) for x in xs]
-
-
 def _params(config: SweepConfig, noise: NoiseModel, **overrides) -> ScenarioParams:
     base = dict(kappa=config.kappa, n_s=0.0, n_b=config.n_b,
                 m_modes=max(1, int(config.m_modes)), noise_model=noise)
@@ -157,7 +146,7 @@ def _curves_from_rows(xs, rows, labels) -> tuple:
 
 def _fig_receivers(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     xs = _sweep_axis(config, 1e-2, 10.0)
-    rows = _map_points(lambda ns: _qi_receiver_values(config, noise, ns), xs)
+    rows = [_qi_receiver_values(config, noise, ns) for ns in xs]
     labels = _select(["Coh", "OB", "nOB", "PC", "OPA", "DH"], config)
     return CurveSet("N_S", "SNR", _curves_from_rows(xs, rows, labels))
 
@@ -168,7 +157,7 @@ def _fig_differences(config: SweepConfig) -> CurveSet:
         vals = _qi_receiver_values(config, NoiseModel.CONSTANT, ns)
         return {"OB-Coh": vals["OB"] - vals["Coh"],
                 "PC-Coh": vals["PC"] - vals["Coh"]}
-    rows = _map_points(row, xs)
+    rows = [row(x) for x in xs]
     labels = _select(["OB-Coh", "PC-Coh"], config)
     return CurveSet("N_S", "SNR difference", _curves_from_rows(xs, rows, labels))
 
@@ -185,7 +174,7 @@ def _fig_heterodyne(config: SweepConfig) -> CurveSet:
             "separate HTD": snr_generic(ReceiverSpec(ReceiverKind.SEPARATE_HTD), pair, m).snr,
             "HD product": snr_generic(ReceiverSpec(ReceiverKind.HD_PRODUCT), pair, m).snr,
         }
-    rows = _map_points(row, xs)
+    rows = [row(x) for x in xs]
     labels = _select(["Coh&HD", "dHTD after BS", "separate HTD", "HD product"], config)
     return CurveSet("N_S", "SNR", _curves_from_rows(xs, rows, labels))
 
@@ -197,14 +186,12 @@ def _fig_cct_kappa(config: SweepConfig) -> CurveSet:
     def row(kappa):
         out = {}
         for ns, ni in combos:
-            params = ScenarioParams(kappa=kappa, n_s=ns, n_i=ni, n_b=config.n_b,
-                                    m_modes=max(1, int(config.m_modes)),
-                                    noise_model=noise)
+            params = _params(config, noise, kappa=kappa, n_s=ns, n_i=ni)
             pair = hypothesis_pair(SourceKind.CCT, params)
             out[f"QCB N_S={ns:g} N_I={ni:g}"] = qcb(pair, params.m_modes).exponent
             out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(params).snr
         return out
-    rows = _map_points(row, xs)
+    rows = [row(x) for x in xs]
     labels = _select([f"{kind} N_S={ns:g} N_I={ni:g}"
                       for ns, ni in combos for kind in ("QCB", "O_off")], config)
     return CurveSet("kappa", "SNR", _curves_from_rows(xs, rows, labels))
@@ -214,16 +201,14 @@ def _fig_cct_ns(config: SweepConfig) -> CurveSet:
     xs = _sweep_axis(config, 1e-2, 10.0)
     noise = config.noise or NoiseModel.CONSTANT
     def row(ns):
-        params = ScenarioParams(kappa=config.kappa, n_s=ns, n_i=ns, n_b=config.n_b,
-                                m_modes=max(1, int(config.m_modes)),
-                                noise_model=noise)
+        params = _params(config, noise, n_s=ns, n_i=ns)
         pair = hypothesis_pair(SourceKind.CCT, params)
         return {
             "CCT QCB": qcb(pair, params.m_modes).exponent,
             "CCT O_off": snr_cct(params).snr,
             "Coh QCB": _coherent_baseline_snr(params),
         }
-    rows = _map_points(row, xs)
+    rows = [row(x) for x in xs]
     labels = _select(["CCT QCB", "CCT O_off", "Coh QCB"], config)
     return CurveSet("N_S", "SNR", _curves_from_rows(xs, rows, labels))
 
@@ -242,7 +227,7 @@ def _fig_optimal_alpha_beta(config: SweepConfig) -> CurveSet:
         alpha, beta, _ = optimize_alpha_beta_nonconstant(
             _params(config, NoiseModel.NONCONSTANT, n_s=ns))
         return {"alpha": alpha, "beta": beta}
-    rows = _map_points(row, xs)
+    rows = [row(x) for x in xs]
     labels = _select(["alpha", "beta"], config)
     return CurveSet("N_S", "optimal weight", _curves_from_rows(xs, rows, labels))
 

@@ -9,8 +9,20 @@ discrimination error is minimized at
 
 This module evaluates any receiver through the generic observable engine and
 provides the closed-form expressions for the standard receivers, the optimal
-idler weight for constant noise, and the numerical two-parameter optimization
-needed under nonconstant noise.
+idler weight for constant noise, and the two-parameter optimization needed
+under nonconstant noise.
+
+The bound observable O = S + alpha n_S + beta n_I (S the squeeze correlation)
+has one moment polynomial, ``_bound_moments``.  Its variance on either
+hypothesis is z^T Re<dA dA^T> z with z = (alpha, beta, 1) and
+A = (n_S, n_I, S): the real part of a Gram matrix, so a positive-semidefinite
+quadratic form.  sqrt(Var_on) + sqrt(Var_off) is then a sum of norms of
+affine maps of (alpha, beta), hence convex, while the mean gap
+<O>_on - <O>_off is affine.  On each side of the line where the gap
+vanishes, sqrt(SNR) is a nonnegative affine function over a positive convex
+one: quasi-concave, indeed pseudo-concave, so every stationary point there is
+the global maximum of that side.  A monotone ascent therefore finds the
+optimum without a grid search.
 """
 
 from __future__ import annotations
@@ -20,14 +32,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import erfc as _erfc
 
 from .channels import HypothesisPair, NoiseModel, ScenarioParams
 from .observables import (
     HeterodyneVariant,
-    ObservableStats,
-    QuadraticObservable,
     heterodyne_degrade,
     obs_bound,
     obs_dh,
@@ -63,16 +72,15 @@ class SnrReport:
 
 
 class ReceiverKind(enum.Enum):
-    BOUND_CONSTANT = "bound_constant"
-    BOUND_NONCONSTANT = "bound_nonconstant"
+    BOUND = "bound"
     NEARLY_BOUND = "nearly_bound"
     PC = "pc"
     OPA = "opa"
     DH = "dh"
     PNDM = "pndm"
     COHERENT_HD = "coherent_hd"
-    COHERENT_OFF = "coherent_off"
     CCT_OFF = "cct_off"
+    COHERENT_OFF = "cct_off"  # the same cross-correlation readout on a coherent pair
     SEPARATE_HTD = "separate_htd"
     DOUBLE_HTD = "double_htd"
     HD_PRODUCT = "hd_product"
@@ -98,11 +106,8 @@ class ReceiverSpec:
             raise ValueError("amplifier gain must exceed 1")
 
     @classmethod
-    def bound(cls, alpha: float, beta: float,
-              noise_model: NoiseModel = NoiseModel.CONSTANT) -> "ReceiverSpec":
-        kind = (ReceiverKind.BOUND_CONSTANT if noise_model is NoiseModel.CONSTANT
-                else ReceiverKind.BOUND_NONCONSTANT)
-        return cls(kind, alpha=alpha, beta=beta)
+    def bound(cls, alpha: float, beta: float) -> "ReceiverSpec":
+        return cls(ReceiverKind.BOUND, alpha=alpha, beta=beta)
 
 
 def threshold(mean_on: float, mean_off: float, var_on: float, var_off: float,
@@ -152,65 +157,48 @@ def make_report(mean_on: float, mean_off: float, var_on: float, var_off: float,
     )
 
 
-def _report_from_stats(on: ObservableStats, off: ObservableStats,
-                       m_modes: float) -> SnrReport:
-    return make_report(on.mean, off.mean, on.variance, off.variance, m_modes)
+_HALF = 1 / math.sqrt(2)  # amplitude of the 50:50 signal-idler recombiner
 
 
-def _pndm_observable() -> QuadraticObservable:
-    # photon-number difference after the 50:50 recombiner, referred back to
-    # the (signal, idler) modes
-    return transform_by_beam_splitter(obs_number_difference(),
-                                      t=1 / math.sqrt(2), r=1 / math.sqrt(2),
-                                      phase=math.pi / 2)
+# kind -> (observable from (spec, mode count), state preparation applied to
+# each hypothesis or None, heterodyne readout variant or None)
+_RECEIVERS = {
+    ReceiverKind.BOUND: (lambda s, n: obs_bound(s.alpha, s.beta), None, None),
+    ReceiverKind.NEARLY_BOUND: (lambda s, n: obs_bound(0.0, 0.0), None, None),
+    # the conjugator's vacuum input is an explicit third mode
+    ReceiverKind.PC: (lambda s, n: obs_pc(s.mu, s.nu),
+                      lambda state: tensor(state, make_vacuum(1)), None),
+    ReceiverKind.OPA: (lambda s, n: obs_opa(s.gain), None, None),
+    ReceiverKind.DH: (lambda s, n: obs_dh(), None, None),
+    # photon-number difference after the recombiner, referred back to the
+    # (signal, idler) modes
+    ReceiverKind.PNDM: (lambda s, n: transform_by_beam_splitter(
+        obs_number_difference(), t=_HALF, r=_HALF, phase=math.pi / 2), None, None),
+    ReceiverKind.COHERENT_HD: (lambda s, n: obs_quadrature(0, s.theta, n), None, None),
+    ReceiverKind.CCT_OFF: (lambda s, n: obs_off(), None, None),
+    ReceiverKind.HD_PRODUCT: (lambda s, n: obs_hd_product(s.theta, s.phi), None, None),
+    ReceiverKind.SEPARATE_HTD: (lambda s, n: obs_bound(0.0, 0.0), None,
+                                HeterodyneVariant.SEPARATE_HTD_QI),
+    # the squared-quadrature coincidence observable on the recombined outputs
+    ReceiverKind.DOUBLE_HTD: (
+        lambda s, n: obs_squeeze_difference(),
+        lambda state: apply_beam_splitter(state, 0, 1, _HALF, _HALF, phase=math.pi / 2),
+        HeterodyneVariant.DOUBLE_HTD_AFTER_BS),
+}
 
 
 def snr_generic(spec: ReceiverSpec, pair: HypothesisPair, m_modes: float) -> SnrReport:
     """Evaluate any receiver on a hypothesis pair through the moment engine."""
-    kind = spec.kind
-    if kind in (ReceiverKind.BOUND_CONSTANT, ReceiverKind.BOUND_NONCONSTANT):
-        obs = obs_bound(spec.alpha, spec.beta)
-    elif kind is ReceiverKind.NEARLY_BOUND:
-        obs = obs_bound(0.0, 0.0)
-    elif kind is ReceiverKind.PC:
-        obs = obs_pc(spec.mu, spec.nu)
-        vac = make_vacuum(1)
-        on = tensor(pair.on, vac)
-        off = tensor(pair.off, vac)
-        return _report_from_stats(stats(obs, on), stats(obs, off), m_modes)
-    elif kind is ReceiverKind.OPA:
-        obs = obs_opa(spec.gain)
-    elif kind is ReceiverKind.DH:
-        obs = obs_dh()
-    elif kind is ReceiverKind.PNDM:
-        obs = _pndm_observable()
-    elif kind is ReceiverKind.COHERENT_HD:
-        obs = obs_quadrature(0, spec.theta, pair.on.n_modes)
-    elif kind in (ReceiverKind.COHERENT_OFF, ReceiverKind.CCT_OFF):
-        obs = obs_off()
-    elif kind is ReceiverKind.HD_PRODUCT:
-        obs = obs_hd_product(spec.theta, spec.phi)
-    elif kind is ReceiverKind.SEPARATE_HTD:
-        obs = obs_bound(0.0, 0.0)
-        on = heterodyne_degrade(stats(obs, pair.on),
-                                HeterodyneVariant.SEPARATE_HTD_QI, pair.on)
-        off = heterodyne_degrade(stats(obs, pair.off),
-                                 HeterodyneVariant.SEPARATE_HTD_QI, pair.off)
-        return _report_from_stats(on, off, m_modes)
-    elif kind is ReceiverKind.DOUBLE_HTD:
-        # recombine signal and idler, measure the squared-quadrature
-        # coincidence observable on the outputs with two heterodynes
-        obs = obs_squeeze_difference()
-        sq = 1 / math.sqrt(2)
-        results = []
-        for state in (pair.on, pair.off):
-            mixed = apply_beam_splitter(state, 0, 1, sq, sq, phase=math.pi / 2)
-            results.append(heterodyne_degrade(
-                stats(obs, mixed), HeterodyneVariant.DOUBLE_HTD_AFTER_BS, mixed))
-        return _report_from_stats(results[0], results[1], m_modes)
-    else:
-        raise ValueError(f"unknown receiver kind {kind}")
-    return _report_from_stats(stats(obs, pair.on), stats(obs, pair.off), m_modes)
+    make_obs, prepare, variant = _RECEIVERS[spec.kind]
+    obs = make_obs(spec, pair.on.n_modes)
+    results = []
+    for state in (pair.on, pair.off):
+        if prepare is not None:
+            state = prepare(state)
+        st = stats(obs, state)
+        results.append(st if variant is None else heterodyne_degrade(st, variant, state))
+    on, off = results
+    return make_report(on.mean, off.mean, on.variance, off.variance, m_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +216,13 @@ def _cross(params: ScenarioParams, kappa: float) -> float:
     return math.sqrt(kappa * params.n_s * (params.n_s + 1.0))
 
 
+def _numerator_shift(params: ScenarioParams) -> float:
+    """Occupancy gain on - off: kappa N_S (constant) or kappa (N_S - N_B)."""
+    if params.noise_model is NoiseModel.CONSTANT:
+        return params.kappa * params.n_s
+    return params.kappa * (params.n_s - params.n_b)
+
+
 def _squeeze_variance(params: ScenarioParams, kappa: float) -> float:
     """Variance of the bare squeeze-correlation observable after the channel."""
     a = _occupancy(params, kappa)
@@ -236,12 +231,38 @@ def _squeeze_variance(params: ScenarioParams, kappa: float) -> float:
     return (a + 1.0) * (ns + 1.0) + 2.0 * c * c + a * ns
 
 
+def _bound_moments(params: ScenarioParams, alpha, beta):
+    """Bound-observable statistics (mean_off, mean_on - mean_off, var_on, var_off).
+
+    Each hypothesis adds to the squeeze-correlation variance the weight
+    polynomial alpha^2 b (b+1) + beta^2 N_S (N_S+1) + 2 alpha c (2b+1)
+    + 2 beta c (2 N_S+1) + 2 alpha beta c^2 in its occupancy b and
+    signal-idler correlation c (zero without target).  The mean gap
+    2c + alpha (b_on - b_off) is formed directly, so it keeps its digits when
+    the means are large.  Accepts arrays and complex weights.
+    """
+    ns = params.n_s
+    variances = []
+    for kappa in (params.kappa, 0.0):
+        b = _occupancy(params, kappa)
+        c = _cross(params, kappa)
+        variances.append(_squeeze_variance(params, kappa) + (
+            alpha * alpha * b * (b + 1.0) + beta * beta * ns * (ns + 1.0)
+            + 2.0 * alpha * c * (2.0 * b + 1.0) + 2.0 * beta * c * (2.0 * ns + 1.0)
+            + 2.0 * alpha * beta * c * c))
+    mean_off = alpha * _occupancy(params, 0.0) + beta * ns
+    gap = 2.0 * _cross(params, params.kappa) + alpha * _numerator_shift(params)
+    return mean_off, gap, variances[0], variances[1]
+
+
+def _bound_report(params: ScenarioParams, alpha: float, beta: float) -> SnrReport:
+    mean_off, gap, var_on, var_off = _bound_moments(params, alpha, beta)
+    return make_report(mean_off + gap, mean_off, var_on, var_off, params.m_modes)
+
+
 def snr_nearly_bound(params: ScenarioParams) -> SnrReport:
     """SNR of the bare squeeze-correlation observable (alpha = beta = 0)."""
-    c = _cross(params, params.kappa)
-    v_on = _squeeze_variance(params, params.kappa)
-    v_off = _squeeze_variance(params, 0.0)
-    return make_report(2.0 * c, 0.0, v_on, v_off, params.m_modes)
+    return _bound_report(params, 0.0, 0.0)
 
 
 def optimal_beta_closed(params: ScenarioParams) -> float:
@@ -259,12 +280,6 @@ def optimal_beta_closed(params: ScenarioParams) -> float:
         f - math.sqrt(f * (f - kappa * (ns + 1.0))))
 
 
-def _beta_penalty(params: ScenarioParams, kappa: float, beta_abs: float) -> float:
-    ns = params.n_s
-    c = _cross(params, kappa)
-    return beta_abs ** 2 * ns * (ns + 1.0) - 2.0 * beta_abs * c * (2.0 * ns + 1.0)
-
-
 def snr_bound_constant(params: ScenarioParams, beta: float | None = None) -> SnrReport:
     """Bound-receiver SNR under constant noise.
 
@@ -278,131 +293,105 @@ def snr_bound_constant(params: ScenarioParams, beta: float | None = None) -> Snr
         beta_abs = 0.0 if params.kappa * params.n_s == 0 else optimal_beta_closed(params)
     else:
         beta_abs = abs(beta)
-    c = _cross(params, params.kappa)
-    v_on = _squeeze_variance(params, params.kappa) + _beta_penalty(params, params.kappa, beta_abs)
-    v_off = _squeeze_variance(params, 0.0) + _beta_penalty(params, 0.0, beta_abs)
-    mean_on = 2.0 * c - beta_abs * params.n_s
-    mean_off = -beta_abs * params.n_s
-    return make_report(mean_on, mean_off, v_on, v_off, params.m_modes)
-
-
-def _nonconstant_snr_terms(params: ScenarioParams):
-    ns, nb, kappa = params.n_s, params.n_b, params.kappa
-    b_on = kappa * ns + (1.0 - kappa) * nb
-    b_off = nb
-    c = math.sqrt(kappa * ns * (ns + 1.0))
-    d_on = 2.0 * c * c + b_on * ns + (b_on + 1.0) * (ns + 1.0)
-    d_off = (b_off + 1.0) * (ns + 1.0) + b_off * ns
-    return b_on, b_off, c, d_on, d_off
+    return _bound_report(params, 0.0, -beta_abs)
 
 
 def snr_bound_nonconstant(params: ScenarioParams, alpha, beta):
-    """Bound-receiver SNR under nonconstant noise at explicit (alpha, beta).
+    """Bound-receiver SNR at explicit (alpha, beta), meant for nonconstant noise.
 
     Evaluates M [2C - alpha kappa (N_B - N_S)]^2 / (2 [sqrt(V_on) + sqrt(V_off)]^2)
-    with the exact observable variances; accepts complex arguments so the
-    stationarity of the optimum can be certified by complex-step derivatives.
+    with the exact observable variances (under constant noise the gap is
+    2C + alpha kappa N_S).  Accepts arrays, and complex arguments so that
+    derivatives can be taken by complex steps.
     """
-    ns, nb, kappa = params.n_s, params.n_b, params.kappa
-    b_on, b_off, c, d_on, d_off = _nonconstant_snr_terms(params)
-    l_on = (alpha * alpha * b_on * (b_on + 1.0) + beta * beta * ns * (ns + 1.0)
-            + 2.0 * alpha * c * (2.0 * b_on + 1.0) + 2.0 * beta * c * (2.0 * ns + 1.0)
-            + 2.0 * alpha * beta * c * c)
-    l_off = alpha * alpha * b_off * (b_off + 1.0) + beta * beta * ns * (ns + 1.0)
-    num = (2.0 * c - alpha * kappa * (nb - ns)) ** 2
-    root = np.sqrt(d_on + l_on + 0j) + np.sqrt(d_off + l_off + 0j)
-    val = params.m_modes * num / (2.0 * root * root)
-    if isinstance(alpha, complex) or isinstance(beta, complex):
+    _, gap, var_on, var_off = _bound_moments(params, alpha, beta)
+    root = np.sqrt(var_on + 0j) + np.sqrt(var_off + 0j)
+    val = params.m_modes * gap * gap / (2.0 * root * root)
+    if np.iscomplexobj(alpha) or np.iscomplexobj(beta):
         return val
-    return float(val.real)
+    return val.real if np.ndim(val) else float(val.real)
 
 
-_SEARCH_HALF_WIDTH = 50.0
-_GRID_POINTS = 201
+_COMPLEX_STEP = 1e-200
+_EPS = float(np.finfo(float).eps)
+_ARMIJO = 1e-4
+_MAX_NEWTON = 50
 
 
-def optimize_alpha_beta_nonconstant(params: ScenarioParams,
-                                    extra_start=None):
+def _log_snr_derivatives(params: ScenarioParams, x: np.ndarray):
+    """log SNR, its gradient and its Hessian in (alpha, beta) at ``x``.
+
+    One vectorized call takes complex steps along both weights at x and at
+    x + delta e_k; their imaginary parts are the exact SNR gradients there.
+    The Hessian is the symmetrized forward difference of log-SNR gradients.
+    """
+    delta = 1e-7 * (1.0 + np.abs(x))
+    base = np.array([x, x + (delta[0], 0.0), x + (0.0, delta[1])])
+    pts = np.repeat(base, 2, axis=0) + 1j * _COMPLEX_STEP * np.tile(np.eye(2), (3, 1))
+    vals = snr_bound_nonconstant(params, pts[:, 0], pts[:, 1]).reshape(3, 2)
+    snr = vals[:, 0].real
+    grads = vals.imag / _COMPLEX_STEP / snr[:, None]
+    hess = (grads[1:] - grads[0]) / delta[:, None]
+    return math.log(snr[0]), grads[0], 0.5 * (hess + hess.T)
+
+
+def optimize_alpha_beta_nonconstant(params: ScenarioParams):
     """Maximize the nonconstant-noise bound-receiver SNR over (alpha, beta).
 
-    Deterministic pipeline: a fixed 201 x 201 grid on [-50, 50]^2, a
-    Nelder-Mead polish (500-iteration cap), then a short Newton refinement
-    driven by complex-step gradients, which leaves the gradient norm at the
-    1e-10 level.  ``extra_start`` adds one more polish seed (the grid seed is
-    always kept and the better result wins), for multi-start consistency
-    checks.  Returns (alpha, beta, SnrReport).
+    Damped Newton on log SNR from alpha = beta = -c (2 N_S + 1) / (2 N_S
+    (N_S + 1)), c = sqrt(kappa N_S (N_S + 1)): gradients by complex step
+    (Squire & Trapp, SIAM Rev. 40, 110 (1998)) through
+    ``snr_bound_nonconstant``; the Hessian from their forward differences,
+    shifted to negative definite wherever log SNR is not concave; Armijo
+    backtracking; a stop once the step or the gain falls to round-off.  The
+    mean gap 2c + alpha kappa (N_S - N_B) is positive at the seed for every
+    kappa in (0, 1], and on that side sqrt(SNR) is pseudo-concave (see the
+    module docstring), so the stationary point reached is its global
+    maximum.  The negative-gap side approaches but has not exceeded it on any
+    parameter set checked.
+
+    kappa = 0 carries no signal and returns (0, 0) with SNR 0.  N_S = 0
+    raises ValueError: the supremum there lies at |alpha| -> infinity.
+    Returns (alpha, beta, SnrReport).
     """
     if params.noise_model is not NoiseModel.NONCONSTANT:
         raise ValueError("optimizer applies to the nonconstant noise model")
-    ns, nb, kappa, m = params.n_s, params.n_b, params.kappa, params.m_modes
-    b_on, b_off, c, d_on, d_off = _nonconstant_snr_terms(params)
-
-    grid = np.linspace(-_SEARCH_HALF_WIDTH, _SEARCH_HALF_WIDTH, _GRID_POINTS)
-    aa, bb = np.meshgrid(grid, grid, indexing="ij")
-    l_on = (aa * aa * b_on * (b_on + 1.0) + bb * bb * ns * (ns + 1.0)
-            + 2.0 * aa * c * (2.0 * b_on + 1.0) + 2.0 * bb * c * (2.0 * ns + 1.0)
-            + 2.0 * aa * bb * c * c)
-    l_off = aa * aa * b_off * (b_off + 1.0) + bb * bb * ns * (ns + 1.0)
-    num = (2.0 * c - aa * kappa * (nb - ns)) ** 2
-    vals = m * num / (2.0 * (np.sqrt(d_on + l_on) + np.sqrt(d_off + l_off)) ** 2)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    starts = [np.array([grid[i], grid[j]])]
-    if extra_start is not None:
-        starts.append(np.asarray(extra_start, dtype=float))
-
-    fn = lambda x: -snr_bound_nonconstant(params, x[0], x[1])
-    point = None
-    for start in starts:
-        res = minimize(fn, start, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 500,
-                                "maxfev": 1000})
-        if point is None or -res.fun > -best_fun:
-            point, best_fun = res.x, res.fun
-
-    h = 1e-200
-
-    def grad(x):
-        ga = snr_bound_nonconstant(params, complex(x[0], h), complex(x[1])).imag / h
-        gb = snr_bound_nonconstant(params, complex(x[0]), complex(x[1], h)).imag / h
-        return np.array([ga, gb])
-
-    best_val = snr_bound_nonconstant(params, point[0], point[1])
-    for _ in range(25):
-        g = grad(point)
-        if np.max(np.abs(g)) < 1e-11 * max(1.0, abs(best_val)):
+    ns = params.n_s
+    if params.kappa == 0.0:
+        return 0.0, 0.0, _bound_report(params, 0.0, 0.0)
+    if ns == 0.0:
+        raise ValueError("optimal weights are singular at n_s = 0: "
+                         "the SNR supremum lies at |alpha| -> infinity")
+    c = _cross(params, params.kappa)
+    x = np.full(2, -c * (2.0 * ns + 1.0) / (2.0 * ns * (ns + 1.0)))
+    for _ in range(_MAX_NEWTON):
+        f, grad, hess = _log_snr_derivatives(params, x)
+        if not np.any(grad):
             break
-        eps = 1e-6 * max(1.0, float(np.max(np.abs(point))))
-        hess = np.empty((2, 2))
-        for col in range(2):
-            dx = np.zeros(2)
-            dx[col] = eps
-            hess[:, col] = (grad(point + dx) - grad(point - dx)) / (2 * eps)
-        try:
-            step = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
+        top = np.linalg.eigvalsh(hess)[-1]
+        if top >= 0.0:
+            # not concave here: shift the spectrum below zero, by enough to
+            # keep the step within the scale of the current point
+            shift = top + np.linalg.norm(grad) / (1.0 + np.linalg.norm(x))
+            hess = hess - shift * np.eye(2)
+        step = np.linalg.solve(hess, -grad)
+        slope = grad @ step
+        roundoff = 16.0 * _EPS * (1.0 + abs(f))
+        t = 1.0
+        while t * np.linalg.norm(step) > _EPS * np.linalg.norm(x):
+            trial = x + t * step
+            snr = snr_bound_nonconstant(params, trial[0], trial[1])
+            gain = math.log(snr) - f if snr > 0.0 else -math.inf
+            if gain >= _ARMIJO * t * slope - roundoff:
+                break
+            t *= 0.5
+        else:
+            break  # the step fell to round-off
+        x = trial
+        if gain <= roundoff:
             break
-        candidate = point + step
-        cand_val = snr_bound_nonconstant(params, candidate[0], candidate[1])
-        if not np.isfinite(cand_val) or cand_val < best_val - 1e-9 * abs(best_val):
-            break
-        point, best_val = candidate, cand_val
-
-    alpha, beta = float(point[0]), float(point[1])
-    l_on = (alpha * alpha * b_on * (b_on + 1.0) + beta * beta * ns * (ns + 1.0)
-            + 2.0 * alpha * c * (2.0 * b_on + 1.0) + 2.0 * beta * c * (2.0 * ns + 1.0)
-            + 2.0 * alpha * beta * c * c)
-    l_off = alpha * alpha * b_off * (b_off + 1.0) + beta * beta * ns * (ns + 1.0)
-    mean_on = 2.0 * c + alpha * b_on + beta * ns
-    mean_off = alpha * b_off + beta * ns
-    report = make_report(mean_on, mean_off, d_on + l_on, d_off + l_off, m)
-    return alpha, beta, report
-
-
-def _numerator_shift(params: ScenarioParams) -> float:
-    """Signal-number contribution kappa N_S (constant) or kappa (N_S - N_B)."""
-    if params.noise_model is NoiseModel.CONSTANT:
-        return params.kappa * params.n_s
-    return params.kappa * (params.n_s - params.n_b)
+    alpha, beta = float(x[0]), float(x[1])
+    return alpha, beta, _bound_report(params, alpha, beta)
 
 
 def snr_closed_pc(params: ScenarioParams, mu: float = DEFAULT_PC_MU,
@@ -446,20 +435,13 @@ def snr_closed_opa(params: ScenarioParams, gain: float = DEFAULT_OPA_GAIN) -> Sn
 
 
 def snr_closed_dh(params: ScenarioParams) -> SnrReport:
-    """Double-homodyne receiver closed form."""
-    ns = params.n_s
+    """Double-homodyne receiver closed form.
 
-    def p(kappa: float) -> float:
-        a = _occupancy(params, kappa)
-        c = _cross(params, kappa)
-        return (a * (a + 1.0) + ns * (ns + 1.0) + 2.0 * c * c
-                - 4.0 * c * (a + ns + 1.0))
-
-    c = _cross(params, params.kappa)
-    v_on = _squeeze_variance(params, params.kappa) + p(params.kappa)
-    v_off = _squeeze_variance(params, 0.0) + p(0.0)
-    mean_diff = 2.0 * (c - 0.5 * _numerator_shift(params))
-    return make_report(0.0, mean_diff, v_on, v_off, params.m_modes)
+    Its observable is 1 minus the bound observable at alpha = beta = -1, so
+    it has the same variances and the opposite mean gap.
+    """
+    _, gap, var_on, var_off = _bound_moments(params, -1.0, -1.0)
+    return make_report(0.0, gap, var_on, var_off, params.m_modes)
 
 
 def snr_cct(params: ScenarioParams) -> SnrReport:

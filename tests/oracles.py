@@ -395,3 +395,29 @@ def golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
             d = a + inv_phi * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+# ---------------------------------------------------------------------------
+# optimization
+# ---------------------------------------------------------------------------
+
+def nelder_mead_max(fn, starts, max_evals: int = 2000) -> float:
+    """Largest positive value of fn(a, b) found by Nelder-Mead from each start.
+
+    A derivative-free local search on log fn, run from several starts so it
+    can reach maxima a single descent would miss; it shares no seed, step
+    rule or derivative with the library's solver.
+    """
+    from scipy.optimize import minimize
+
+    def objective(x):
+        val = fn(x[0], x[1])
+        return -math.log(val) if val > 0 else math.inf
+
+    best = math.inf
+    for start in starts:
+        res = minimize(objective, np.asarray(start, dtype=float), method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-15,
+                                "maxiter": max_evals, "maxfev": max_evals})
+        best = min(best, res.fun)
+    return math.exp(-best)

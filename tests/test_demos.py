@@ -1,0 +1,24 @@
+"""Every demo script runs to completion against the current public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_all_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # run from an empty directory: demo 02 writes its SVG into the cwd
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert res.returncode == 0, res.stderr

@@ -167,14 +167,9 @@ def test_emitters_deterministic():
     assert to_svg(a) == to_svg(b)
 
 
-def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "gillum.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True)
 
 
 def test_cli_csv_stdout():
@@ -212,14 +207,6 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     # flags win over the file
     res2 = run_cli("figure", "s1", "--config", str(cfg), "--points", "3")
     assert len(json.loads(res2.stdout)["curves"][0]["points"]) == 3
-
-
-def test_cli_threads_env_matches_serial():
-    serial = run_cli("figure", "fig4", "--points", "6")
-    threaded = run_cli("figure", "fig4", "--points", "6",
-                       env={"GILLUM_THREADS": "4"})
-    assert serial.returncode == threaded.returncode == 0
-    assert serial.stdout == threaded.stdout
 
 
 def test_cli_rejects_out_of_range_parameters():

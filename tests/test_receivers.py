@@ -244,18 +244,63 @@ def test_optimizer_multistart_consistency():
     from scipy.optimize import minimize
 
     p = params_for(0.01, 0.01, model=NoiseModel.NONCONSTANT)
-    alpha, beta, rep = optimize_alpha_beta_nonconstant(p)
+    _, _, rep = optimize_alpha_beta_nonconstant(p)
     for corner in ((-50.0, -50.0), (-50.0, 50.0), (50.0, -50.0), (50.0, 50.0)):
-        # restarting the pipeline with a corner polish seed changes nothing
-        a2, b2, rep2 = optimize_alpha_beta_nonconstant(p, extra_start=corner)
-        assert abs(a2 - alpha) < 1e-6 and abs(b2 - beta) < 1e-6
-        assert abs(rep2.snr - rep.snr) <= 1e-6 * rep.snr
-        # and a bare local search from the corner never finds anything better
+        # a bare local search from the corner never finds anything better
         res = minimize(lambda x: -snr_bound_nonconstant(p, x[0], x[1]),
                        corner, method="Nelder-Mead",
                        options={"xatol": 1e-13, "fatol": 1e-14,
                                 "maxiter": 5000, "maxfev": 10000})
         assert -res.fun <= rep.snr * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    ((1e-3, 1e-2, 1.0), (0.1, 10.0, 100.0)),   # the presets' (kappa, N_S, N_B)
+    ((1e-6, 1e-8, 1e-3), (1.0, 1e3, 1e3)),     # far outside the working point
+])
+def test_optimizer_reaches_multistart_oracle(lo, hi):
+    starts = [(sa * s, sb * s) for s in (1.0, 1e3) for sa in (-1, 1) for sb in (-1, 1)]
+    rng = np.random.default_rng(2024)
+    for k, ns, nb in 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size=(7, 3)):
+        p = params_for(k, ns, nb, model=NoiseModel.NONCONSTANT)
+        rep = optimize_alpha_beta_nonconstant(p)[2]
+        best = orc.nelder_mead_max(lambda a, b: snr_bound_nonconstant(p, a, b), starts)
+        assert rep.snr >= best * (1 - 1e-9), (k, ns, nb)
+
+
+def test_optimizer_finds_optimum_outside_a_bounded_box():
+    # the optimal weights grow like N_S^(-1/2); here they sit near -1.6e3
+    p = params_for(0.1, 1e-8, model=NoiseModel.NONCONSTANT)
+    alpha, beta, rep = optimize_alpha_beta_nonconstant(p)
+    assert -1.7e3 < alpha < -1.5e3 and -1.7e3 < beta < -1.5e3
+    h = 1e-200
+    ga = snr_bound_nonconstant(p, complex(alpha, h), complex(beta)).imag / h
+    gb = snr_bound_nonconstant(p, complex(alpha), complex(beta, h)).imag / h
+    assert max(abs(ga * alpha), abs(gb * beta)) < 1e-10 * rep.snr
+    assert rep.snr > snr_nearly_bound(p).snr
+
+
+def test_optimizer_degenerate_inputs():
+    # no target: every weight gives SNR 0, and the solver reports the origin
+    alpha, beta, rep = optimize_alpha_beta_nonconstant(
+        params_for(0.0, 0.5, model=NoiseModel.NONCONSTANT))
+    assert (alpha, beta, rep.snr, rep.p_err) == (0.0, 0.0, 0.0, 0.5)
+    # no signal: the SNR supremum lies at |alpha| -> infinity
+    with pytest.raises(ValueError):
+        optimize_alpha_beta_nonconstant(params_for(0.01, 0.0, model=NoiseModel.NONCONSTANT))
+
+
+def test_bound_nonconstant_matches_engine():
+    rng = np.random.default_rng(8)
+    for k, ns, nb in GRID:
+        p = params_for(k, ns, nb, model=NoiseModel.NONCONSTANT)
+        pair = hypothesis_pair(SourceKind.TMSV, p)
+        weights = rng.uniform(-3.0, 3.0, size=(2, 3))
+        batch = snr_bound_nonconstant(p, weights[0], weights[1])
+        for (a, b), value in zip(weights.T, batch):
+            generic = snr_generic(ReceiverSpec.bound(a, b), pair, M).snr
+            assert abs(value - generic) <= 1e-9 * max(1.0, generic)
+            assert abs(value - snr_bound_nonconstant(p, a, b)) <= 1e-14 * value
 
 
 def test_dh_is_closest_receiver_under_nonconstant_low_signal():
