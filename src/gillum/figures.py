@@ -90,14 +90,6 @@ class SweepConfig:
                 raise ConfigError("sweep range must be positive and ordered")
 
 
-def _sweep_axis(config: SweepConfig, default_min: float, default_max: float) -> np.ndarray:
-    lo = config.sweep_min if config.sweep_min is not None else default_min
-    hi = config.sweep_max if config.sweep_max is not None else default_max
-    if not (0 < lo < hi):
-        raise ConfigError("sweep range must be positive and ordered")
-    return np.logspace(math.log10(lo), math.log10(hi), config.points)
-
-
 def _params(config: SweepConfig, noise: NoiseModel, **overrides) -> ScenarioParams:
     base = dict(kappa=config.kappa, n_s=0.0, n_b=config.n_b,
                 m_modes=max(1, int(config.m_modes)), noise_model=noise)
@@ -137,33 +129,32 @@ def _select(labels, config: SweepConfig):
     return [l for l in labels if l in config.receivers]
 
 
-def _curves_from_rows(xs, rows, labels) -> tuple:
-    return tuple(
-        Curve(label, np.asarray(xs, dtype=float),
-              np.array([row[label] for row in rows], dtype=float))
-        for label in labels)
+def _sweep(config: SweepConfig, default_min: float, default_max: float, row) -> tuple:
+    """One curve per selected key of ``row``, evaluated on the log-spaced axis."""
+    lo = config.sweep_min if config.sweep_min is not None else default_min
+    hi = config.sweep_max if config.sweep_max is not None else default_max
+    if not (0 < lo < hi):
+        raise ConfigError("sweep range must be positive and ordered")
+    xs = np.logspace(math.log10(lo), math.log10(hi), config.points)
+    rows = [row(x) for x in xs]
+    return tuple(Curve(label, xs, np.array([r[label] for r in rows], dtype=float))
+                 for label in _select(rows[0], config))
 
 
 def _fig_receivers(config: SweepConfig, noise: NoiseModel) -> CurveSet:
-    xs = _sweep_axis(config, 1e-2, 10.0)
-    rows = [_qi_receiver_values(config, noise, ns) for ns in xs]
-    labels = _select(["Coh", "OB", "nOB", "PC", "OPA", "DH"], config)
-    return CurveSet("N_S", "SNR", _curves_from_rows(xs, rows, labels))
+    return CurveSet("N_S", "SNR", _sweep(
+        config, 1e-2, 10.0, lambda ns: _qi_receiver_values(config, noise, ns)))
 
 
 def _fig_differences(config: SweepConfig) -> CurveSet:
-    xs = _sweep_axis(config, 1e-2, 10.0)
     def row(ns):
         vals = _qi_receiver_values(config, NoiseModel.CONSTANT, ns)
         return {"OB-Coh": vals["OB"] - vals["Coh"],
                 "PC-Coh": vals["PC"] - vals["Coh"]}
-    rows = [row(x) for x in xs]
-    labels = _select(["OB-Coh", "PC-Coh"], config)
-    return CurveSet("N_S", "SNR difference", _curves_from_rows(xs, rows, labels))
+    return CurveSet("N_S", "SNR difference", _sweep(config, 1e-2, 10.0, row))
 
 
 def _fig_heterodyne(config: SweepConfig) -> CurveSet:
-    xs = _sweep_axis(config, 1e-2, 10.0)
     def row(ns):
         params = _params(config, NoiseModel.CONSTANT, n_s=ns)
         pair = hypothesis_pair(SourceKind.TMSV, params)
@@ -174,31 +165,23 @@ def _fig_heterodyne(config: SweepConfig) -> CurveSet:
             "separate HTD": snr_generic(ReceiverSpec(ReceiverKind.SEPARATE_HTD), pair, m).snr,
             "HD product": snr_generic(ReceiverSpec(ReceiverKind.HD_PRODUCT), pair, m).snr,
         }
-    rows = [row(x) for x in xs]
-    labels = _select(["Coh&HD", "dHTD after BS", "separate HTD", "HD product"], config)
-    return CurveSet("N_S", "SNR", _curves_from_rows(xs, rows, labels))
+    return CurveSet("N_S", "SNR", _sweep(config, 1e-2, 10.0, row))
 
 
 def _fig_cct_kappa(config: SweepConfig) -> CurveSet:
-    xs = _sweep_axis(config, 1e-3, 0.1)
     noise = config.noise or NoiseModel.CONSTANT
-    combos = [(1.0, 1.0), (1.0, 2.0)]
     def row(kappa):
         out = {}
-        for ns, ni in combos:
+        for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
             params = _params(config, noise, kappa=kappa, n_s=ns, n_i=ni)
             pair = hypothesis_pair(SourceKind.CCT, params)
             out[f"QCB N_S={ns:g} N_I={ni:g}"] = qcb(pair, params.m_modes).exponent
             out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(params).snr
         return out
-    rows = [row(x) for x in xs]
-    labels = _select([f"{kind} N_S={ns:g} N_I={ni:g}"
-                      for ns, ni in combos for kind in ("QCB", "O_off")], config)
-    return CurveSet("kappa", "SNR", _curves_from_rows(xs, rows, labels))
+    return CurveSet("kappa", "SNR", _sweep(config, 1e-3, 0.1, row))
 
 
 def _fig_cct_ns(config: SweepConfig) -> CurveSet:
-    xs = _sweep_axis(config, 1e-2, 10.0)
     noise = config.noise or NoiseModel.CONSTANT
     def row(ns):
         params = _params(config, noise, n_s=ns, n_i=ns)
@@ -208,28 +191,21 @@ def _fig_cct_ns(config: SweepConfig) -> CurveSet:
             "CCT O_off": snr_cct(params).snr,
             "Coh QCB": _coherent_baseline_snr(params),
         }
-    rows = [row(x) for x in xs]
-    labels = _select(["CCT QCB", "CCT O_off", "Coh QCB"], config)
-    return CurveSet("N_S", "SNR", _curves_from_rows(xs, rows, labels))
+    return CurveSet("N_S", "SNR", _sweep(config, 1e-2, 10.0, row))
 
 
 def _fig_optimal_beta(config: SweepConfig) -> CurveSet:
-    xs = _sweep_axis(config, 1e-2, 10.0)
-    ys = [optimal_beta_closed(_params(config, NoiseModel.CONSTANT, n_s=ns))
-          for ns in xs]
-    return CurveSet("N_S", "|beta|",
-                    (Curve("|beta|", np.asarray(xs), np.array(ys)),))
+    def row(ns):
+        return {"|beta|": optimal_beta_closed(_params(config, NoiseModel.CONSTANT, n_s=ns))}
+    return CurveSet("N_S", "|beta|", _sweep(config, 1e-2, 10.0, row))
 
 
 def _fig_optimal_alpha_beta(config: SweepConfig) -> CurveSet:
-    xs = _sweep_axis(config, 1e-2, 10.0)
     def row(ns):
         alpha, beta, _ = optimize_alpha_beta_nonconstant(
             _params(config, NoiseModel.NONCONSTANT, n_s=ns))
         return {"alpha": alpha, "beta": beta}
-    rows = [row(x) for x in xs]
-    labels = _select(["alpha", "beta"], config)
-    return CurveSet("N_S", "optimal weight", _curves_from_rows(xs, rows, labels))
+    return CurveSet("N_S", "optimal weight", _sweep(config, 1e-2, 10.0, row))
 
 
 _BUILDERS = {

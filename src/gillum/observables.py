@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState
+from .states import GaussianState, beam_splitter_matrix
 
 _COEFF_TOL = 1e-12
 _IMAG_TOL = 1e-10
@@ -258,20 +258,8 @@ def transform_by_beam_splitter(obs: QuadraticObservable, t: float, r: float,
     the photon-number difference maps to minus the cross-correlation
     observable.
     """
-    if abs(t * t + r * r - 1.0) > 1e-12:
-        raise ValueError("beam splitter requires t^2 + r^2 = 1")
     n = obs.n_modes
-    w = np.eye(2 * n, dtype=complex)
-    cdag_i = -1j * np.exp(-1j * phase) * r
-    cdag_j = -1j * np.exp(1j * phase) * r
-    w[n + mode_i, n + mode_i] = t
-    w[n + mode_i, n + mode_j] = cdag_i
-    w[n + mode_j, n + mode_j] = t
-    w[n + mode_j, n + mode_i] = cdag_j
-    w[mode_i, mode_i] = t
-    w[mode_i, mode_j] = cdag_i.conjugate()
-    w[mode_j, mode_j] = t
-    w[mode_j, mode_i] = cdag_j.conjugate()
+    w = beam_splitter_matrix(n, mode_i, mode_j, t, r, phase)
     k = w.T @ obs.coefficient_matrix() @ w
     lvec = w.T @ obs.linear_vector()
     return _normal_order(n, k, lvec, obs.c0)

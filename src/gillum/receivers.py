@@ -143,12 +143,18 @@ def p_err_exponential_bound(snr: float) -> float:
 def make_report(mean_on: float, mean_off: float, var_on: float, var_off: float,
                 m_modes: float) -> SnrReport:
     """Assemble an SnrReport from per-mode statistics."""
+    return _report(mean_on, mean_off, mean_on - mean_off, var_on, var_off, m_modes)
+
+
+def _report(mean_on: float, mean_off: float, gap: float, var_on: float,
+            var_off: float, m_modes: float) -> SnrReport:
+    """make_report with the SNR taken from ``gap`` = mean_on - mean_off,
+    for callers that form the gap without cancellation."""
     s_on = math.sqrt(max(var_on, 0.0))
     s_off = math.sqrt(max(var_off, 0.0))
-    diff = mean_on - mean_off
     denom = 2.0 * (s_on + s_off) ** 2
-    snr = m_modes * diff * diff / denom if denom > 0 else (
-        0.0 if diff == 0 else math.inf)
+    snr = m_modes * gap * gap / denom if denom > 0 else (
+        0.0 if gap == 0 else math.inf)
     return SnrReport(
         mean_on=mean_on, mean_off=mean_off, var_on=var_on, var_off=var_off,
         m_modes=m_modes, snr=snr,
@@ -257,7 +263,7 @@ def _bound_moments(params: ScenarioParams, alpha, beta):
 
 def _bound_report(params: ScenarioParams, alpha: float, beta: float) -> SnrReport:
     mean_off, gap, var_on, var_off = _bound_moments(params, alpha, beta)
-    return make_report(mean_off + gap, mean_off, var_on, var_off, params.m_modes)
+    return _report(mean_off + gap, mean_off, gap, var_on, var_off, params.m_modes)
 
 
 def snr_nearly_bound(params: ScenarioParams) -> SnrReport:

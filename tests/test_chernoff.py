@@ -1,7 +1,11 @@
 """Williamson decomposition and quantum Chernoff bounds vs analytic oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+import oracles as orc
 
 from gillum import (
     HypothesisPair,
@@ -74,6 +78,53 @@ def test_coherent_illumination_exponent_matches_closed_form():
                 closed = coherent_qcb_closed(p)
                 assert abs(num.exponent / closed.exponent - 1) < 1e-8
                 assert abs(num.s_star - 0.5) < 1e-4
+
+
+def test_coherent_closed_form_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    for kappa in np.logspace(-8, np.log10(0.5), 9):
+        for n_s, n_b in ((0.01, 30.0), (1.0, 1.0), (10.0, 100.0)):
+            p = ScenarioParams(kappa=float(kappa), n_s=n_s, n_b=n_b, m_modes=10**7)
+            with mp.workdps(40):
+                ref = p.m_modes * mp.mpf(p.kappa) * n_s * (
+                    mp.sqrt(mp.mpf(n_b) + 1) - mp.sqrt(n_b)) ** 2
+            assert abs(coherent_qcb_closed(p).exponent / float(ref) - 1) < 1e-14
+
+
+def test_qcb_matches_mp_oracle():
+    # fig5a-, fig5b- and fig3-type pairs at three (N_B, kappa) settings.  Q is
+    # a double within ~1e-7 of 1 at the weakest of them, so the bound is on
+    # the per-copy exponent 1 - Q in units of round-off of Q: 16 units is
+    # 2e-8 relative once the per-copy exponent exceeds 1.8e-7.
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    m = 10**7
+    for n_b, kappa in ((30.0, 0.01), (1.0, 1e-3), (100.0, 0.1)):
+        cases = [(SourceKind.CCT, ScenarioParams(
+                     kappa=float(10 ** rng.uniform(-3, -1)), n_s=1.0, n_i=n_i,
+                     n_b=n_b, m_modes=m)) for n_i in (1.0, 2.0)]
+        n_s = float(10 ** rng.uniform(-2, 1))
+        cases.append((SourceKind.CCT, ScenarioParams(
+            kappa=kappa, n_s=n_s, n_i=n_s, n_b=n_b, m_modes=m)))
+        cases.append((SourceKind.COHERENT, ScenarioParams(
+            kappa=kappa, n_s=float(10 ** rng.uniform(-2, 1)), n_b=n_b, m_modes=m,
+            noise_model=NoiseModel.NONCONSTANT)))
+        for source, p in cases:
+            pair = hypothesis_pair(source, p)
+            ref = orc.chernoff_exponent_mp(pair, m)
+            assert abs(qcb(pair, m).exponent - ref) / m <= 16 * np.finfo(float).eps, p
+
+
+def test_qcb_pure_modes_raise_no_runtime_warning():
+    p = ScenarioParams(kappa=0.05, n_s=0.8, n_b=2.5)
+    pair = hypothesis_pair(SourceKind.TMSV, p)
+    padded = HypothesisPair(on=tensor(pair.on, make_vacuum(1)),
+                            off=tensor(pair.off, make_vacuum(1)))
+    coherent = HypothesisPair(on=make_coherent(0.3 + 0.2j), off=make_coherent(-0.1j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        qcb(padded, 1)
+        qcb(coherent, 1)
 
 
 def test_coherent_bound_high_noise_limit():

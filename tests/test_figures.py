@@ -190,8 +190,9 @@ def test_cli_writes_files(tmp_path):
 
 def test_cli_exit_codes(tmp_path):
     assert run_cli("figure", "fig1", "--points", "1").returncode == 2
-    assert run_cli("figure", "fig1", "--receivers", "XX",
-                   "--points", "4").returncode == 2
+    for figure in ("fig1", "s1"):
+        assert run_cli("figure", figure, "--receivers", "XX",
+                       "--points", "4").returncode == 2
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("nonsense\n")
     assert run_cli("figure", "fig1", "--config", str(bad_cfg)).returncode == 2
