@@ -2,7 +2,11 @@
 
 The probe's signal mode mixes with an environment thermal mode on a beam
 splitter whose reflectance toward the receiver is the target reflectance
-kappa.  Two background conventions are supported:
+kappa.  With the environment traced out this is the lossy thermal map of
+the covariance, V -> X V X^T + Y, where X scales the signal mode by
+sqrt(kappa) and Y is the environment's thermal contribution weighted by
+1 - kappa; ``apply_target`` applies it entrywise to the signal slots.  Two
+background conventions are supported:
 
 * ``CONSTANT``: the environment is prepared with mean ``n_b / (1 - kappa)``
   so the received thermal contribution is ``n_b`` independent of kappa.
@@ -20,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, apply_beam_splitter, make_cct, make_coherent, \
-    make_thermal, make_tmsv, tensor
+from .states import GaussianState, make_cct, make_coherent, make_tmsv, tensor
 
 
 class NoiseModel(enum.Enum):
@@ -72,12 +75,16 @@ def apply_target(state: GaussianState, signal_mode: int, params: ScenarioParams,
                  present: bool) -> GaussianState:
     """Send one mode of ``state`` through the target channel.
 
-    The signal mode is mixed on a beam splitter with an environment thermal
-    mode (mean set by the noise model) and the environment output is traced
-    out.  ``present=False`` always uses reflectance zero with environment
-    mean ``n_b``.
+    The signal mode a becomes sqrt(kappa) a + sqrt(1 - kappa) e with e an
+    environment thermal mode (mean set by the noise model) that is traced
+    out: the signal's two ``u`` slots of the mean and of every covariance
+    row and column scale by sqrt(kappa), and the environment adds
+    (1 - kappa)(N_env + 1) to its <a a^dag> entry and (1 - kappa) N_env to
+    its <a^dag a> entry.  ``present=False`` always uses reflectance zero with
+    environment mean ``n_b``.
     """
-    if not 0 <= signal_mode < state.n_modes:
+    n = state.n_modes
+    if not 0 <= signal_mode < n:
         raise ValueError("signal mode out of range")
     if present:
         kappa = params.kappa
@@ -92,11 +99,12 @@ def apply_target(state: GaussianState, signal_mode: int, params: ScenarioParams,
     else:
         kappa = 0.0
         env_mean = params.n_b
-    joined = tensor(state, make_thermal(env_mean))
-    env = state.n_modes
-    mixed = apply_beam_splitter(joined, signal_mode, env,
-                                t=np.sqrt(kappa), r=np.sqrt(1.0 - kappa))
-    return mixed.reduced(range(state.n_modes))
+    x = np.ones(2 * n)
+    x[[signal_mode, n + signal_mode]] = np.sqrt(kappa)
+    cov = state.cov * np.outer(x, x)
+    cov[signal_mode, signal_mode] += (1.0 - kappa) * (env_mean + 1.0)
+    cov[n + signal_mode, n + signal_mode] += (1.0 - kappa) * env_mean
+    return GaussianState(x * state.mean, cov)
 
 
 def _source_state(source: SourceKind, params: ScenarioParams) -> GaussianState:

@@ -264,22 +264,25 @@ def apply_beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
 
 
 def make_cct(n_s: float, n_i: float) -> GaussianState:
-    """Correlated two-mode thermal state made by splitting one thermal beam.
+    """Correlated two-mode thermal state, as made by splitting one thermal beam.
 
-    A thermal state of mean ``n_s + n_i`` is split so the output modes carry
-    means exactly ``n_s`` and ``n_i`` with a real cross correlation
-    ``<a_S^dag a_I> = sqrt(n_s n_i)``.  The degenerate zero-power case returns
-    the two-mode vacuum.
+    The modes carry means exactly ``n_s`` and ``n_i`` with a real cross
+    correlation ``<a_S^dag a_I> = sqrt(n_s n_i)`` and no squeeze
+    correlations; zero power gives the two-mode vacuum.
     """
     if n_s < 0 or n_i < 0:
         raise ValueError("mode mean photon numbers must be >= 0")
-    total = n_s + n_i
-    if total == 0:
-        return make_vacuum(2)
-    src = tensor(make_thermal(total), make_vacuum(1))
-    t = np.sqrt(n_s / total)
-    r = np.sqrt(n_i / total)
-    return apply_beam_splitter(src, 0, 1, t, r, phase=np.pi / 2)
+    c = np.sqrt(n_s * n_i)
+    cov = np.array(
+        [
+            [n_s + 1, c, 0, 0],
+            [c, n_i + 1, 0, 0],
+            [0, 0, n_s, c],
+            [0, 0, c, n_i],
+        ],
+        dtype=complex,
+    )
+    return GaussianState(np.zeros(4, dtype=complex), cov)
 
 
 def to_quadrature(state: GaussianState) -> QuadratureState:

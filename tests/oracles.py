@@ -13,7 +13,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from gillum import GaussianState, QuadraticObservable
+from gillum import (GaussianState, NoiseModel, QuadraticObservable, apply_beam_splitter,
+                    make_thermal, tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,21 @@ def fock_stats(obs: QuadraticObservable, rho: np.ndarray, dims):
     mean = np.trace(rho @ o)
     second = np.trace(rho @ o @ o)
     return mean.real, (second - mean * mean).real
+
+
+def target_channel_reference(state: GaussianState, signal_mode: int, params,
+                             present: bool) -> GaussianState:
+    """The target channel as a circuit: tensor the state with the environment
+    thermal mode, mix it into ``signal_mode`` on a beam splitter of
+    transmission sqrt(kappa) and trace the environment out."""
+    kappa = params.kappa if present else 0.0
+    env_mean = params.n_b
+    if present and params.noise_model is NoiseModel.CONSTANT:
+        env_mean = params.n_b / (1.0 - kappa)
+    joined = tensor(state, make_thermal(env_mean))
+    mixed = apply_beam_splitter(joined, signal_mode, state.n_modes,
+                                t=math.sqrt(kappa), r=math.sqrt(1.0 - kappa))
+    return mixed.reduced(range(state.n_modes))
 
 
 # ---------------------------------------------------------------------------

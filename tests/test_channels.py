@@ -5,15 +5,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles as orc
 from gillum import (
+    GaussianState,
     NoiseModel,
+    QuadratureState,
     ScenarioParams,
     SourceKind,
+    apply_beam_splitter,
     apply_target,
+    from_quadrature,
     hypothesis_pair,
     make_tmsv,
     obs_number,
@@ -141,6 +146,43 @@ def test_correlation_strictly_increasing_in_kappa():
         c = hypothesis_pair(SourceKind.TMSV, params).on.cov[0, 3].real
         assert c > prev
         prev = c
+
+
+def seeded_state(rng, n_modes):
+    """Thermal modes, each squeezed along a random axis, mixed on beam
+    splitters and displaced."""
+    blocks = []
+    for _ in range(n_modes):
+        theta, r = rng.uniform(0, np.pi), rng.uniform(0, 1)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        sq = rot @ np.diag([np.exp(r), np.exp(-r)]) @ rot.T
+        blocks.append((rng.uniform(0, 3) + 0.5) * sq @ sq.T)
+    state = from_quadrature(QuadratureState(np.zeros(2 * n_modes), block_diag(*blocks)))
+    for _ in range(n_modes - 1):
+        i, j = rng.choice(n_modes, size=2, replace=False)
+        t = np.cos(rng.uniform(0, np.pi / 2))
+        state = apply_beam_splitter(state, i, j, t, np.sqrt(1 - t * t),
+                                    rng.uniform(0, 2 * np.pi))
+    alpha = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    return GaussianState(np.concatenate([alpha, alpha.conj()]), state.cov)
+
+
+def test_apply_target_matches_beam_splitter_circuit():
+    rng = np.random.default_rng(4)
+    for n_modes in (1, 2, 3):
+        for signal_mode in range(n_modes):
+            state = seeded_state(rng, n_modes)
+            for model in NoiseModel:
+                kappas = (0.0, 0.3, 1.0) if model is NoiseModel.NONCONSTANT else (0.0, 0.3)
+                for kappa in kappas:
+                    params = ScenarioParams(kappa=kappa, n_s=0.0,
+                                            n_b=float(rng.uniform(0, 5)), noise_model=model)
+                    for present in (True, False):
+                        out = apply_target(state, signal_mode, params, present)
+                        ref = orc.target_channel_reference(state, signal_mode, params,
+                                                           present)
+                        assert np.max(np.abs(out.cov - ref.cov)) < 1e-13
+                        assert np.max(np.abs(out.mean - ref.mean)) < 1e-13
 
 
 def test_constant_model_rejects_unit_reflectance():

@@ -137,6 +137,15 @@ def test_cct_cross_entry():
     assert abs(st.mean_photon(1) - 2.0) < 1e-12
 
 
+def test_cct_moments_are_exact_and_real():
+    for n_s, n_i in ((1.0, 2.0), (0.3, 7.0), (20.0, 1e-3), (0.0, 2.5)):
+        st = make_cct(n_s, n_i)
+        assert st.mean_photon(0) == n_s
+        assert st.mean_photon(1) == n_i
+        assert st.cov[2, 3] == np.sqrt(n_s * n_i)
+        assert np.all(st.cov.imag == 0)
+
+
 def test_cct_is_classical_and_physical():
     st = make_cct(1.0, 1.0)
     m = st.moment_matrix
