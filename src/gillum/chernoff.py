@@ -15,6 +15,11 @@ the neighbours of the smallest of a row of evenly spaced samples bracket
 the minimiser.  The search evaluates whole rows of s in one batched call,
 zooms into that bracket and, on the last, narrow one, fits a cubic to
 log Q by least squares, which averages the round-off of the samples away.
+
+Williamson bases come from one eigh of the Hermitian i K, K = sqrt(V) Omega
+sqrt(V): an eigenvector x + i y of +nu is orthogonal to its conjugate, so
+(sqrt(2) y, sqrt(2) x) is an orthonormal pair, degenerate or not, and its
+Rayleigh quotient 2 y^T K x is a more accurate nu than the eigenvalue.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .channels import HypothesisPair, NoiseModel, ScenarioParams
 from .states import QuadratureState, symplectic_form, to_quadrature
@@ -36,6 +40,7 @@ _UNIT = np.linspace(0.0, 1.0, _BRACKET)
 # through the bracket's samples, t running over [-1, 1]
 _CUBIC_FIT = np.linalg.pinv(np.vander(2.0 * _UNIT - 1.0, 4))
 _MEAN_SHORTCUT = 1e-14
+_PURE_TOL = 16 * np.finfo(float).eps  # round-off units of a pure mode's 2 nu
 
 
 @dataclass(frozen=True)
@@ -53,26 +58,20 @@ def williamson(state: QuadratureState):
 
     Returns (nu, s) with cov_q = s @ diag(nu_1, nu_1, ..., nu_n, nu_n) @ s.T
     and s symplectic; nu are the symplectic eigenvalues (>= 1/2 for physical
-    states in this package's convention).
+    states in this package's convention), read as Rayleigh quotients of pairs
+    of eigenvectors of one Hermitian matrix (see the module docstring).
     """
-    sigma = state.cov_q
     n = state.n_modes
-    evals, evecs = np.linalg.eigh(sigma)
+    evals, evecs = np.linalg.eigh(state.cov_q)
     if np.min(evals) <= 0:
         raise ValueError("covariance must be positive definite")
     sq = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
     skew = sq @ symplectic_form(n) @ sq
     skew = 0.5 * (skew - skew.T)
-    t, z = schur(skew)
-    nus = np.empty(n)
-    for k in range(n):
-        b = t[2 * k, 2 * k + 1]
-        if b < 0:
-            z[:, [2 * k, 2 * k + 1]] = z[:, [2 * k + 1, 2 * k]]
-            b = -b
-        nus[k] = b
-    s = sq @ z @ np.diag(1.0 / np.sqrt(np.repeat(nus, 2)))
-    return nus, s
+    v = np.linalg.eigh(1j * skew)[1][:, n:]  # eigenvalues ascend: +nu last
+    z = math.sqrt(2.0) * np.stack([v.imag, v.real], axis=-1).reshape(2 * n, 2 * n)
+    nus = np.einsum("ik,ij,jk->k", z[:, 0::2], skew, z[:, 1::2])
+    return nus, sq @ z / np.sqrt(np.repeat(nus, 2))
 
 
 def _g_lambda(x: np.ndarray, p: np.ndarray):
@@ -111,10 +110,15 @@ class _PairData:
         self.n = q_on.n_modes
         nu_on, s_on = williamson(q_on)
         nu_off, s_off = williamson(q_off)
-        # doubled convention: covariances scale by 2, basis unchanged
-        self.nu = np.maximum(2.0 * np.concatenate([nu_on, nu_off]), 1.0)
-        self.is_on = np.arange(2 * self.n) < self.n
         self.projectors = np.concatenate([_mode_projectors(s_on), _mode_projectors(s_off)])
+        # doubled convention: covariances scale by 2, basis unchanged.  An error
+        # E in V moves 2 nu_k by up to |E| tr(s P_k s^T), and |E| ~ eps
+        # lambda_max(V); modes that close to 1 are pure, with ((x-1)/(x+1))^s = 0
+        lam = np.repeat([np.linalg.eigvalsh(q.cov_q)[-1] for q in (q_on, q_off)], self.n)
+        nu = 2.0 * np.concatenate([nu_on, nu_off])
+        pure = nu <= 1.0 + _PURE_TOL * lam * self.projectors[:, ::2 * self.n + 1].sum(axis=1)
+        self.nu = np.where(pure, 1.0, nu)
+        self.is_on = np.arange(2 * self.n) < self.n
         self.delta = math.sqrt(2.0) * (q_on.mean_q - q_off.mean_q)
         if np.linalg.norm(self.delta) < _MEAN_SHORTCUT:
             self.delta = None

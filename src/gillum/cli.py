@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .channels import NoiseModel
-from .emit import emit, render
+from .emit import _RENDERERS, emit, render
 from .figures import FIGURE_NAMES, ConfigError, NumericalError, SweepConfig, run_figure
 
 
@@ -29,9 +29,9 @@ _OPTIONS = (
     ("points", "points", int, "sweep point count", None),
     ("modes", "m_modes", float, "number of mode pairs M", None),
     ("noise", "noise", NoiseModel, "background noise convention",
-     ["constant", "nonconstant"]),
+     [m.value for m in NoiseModel]),
     ("receivers", "receivers", _labels, "comma-separated curve label subset", None),
-    ("format", None, str, None, ["csv", "json", "svg"]),
+    ("format", None, str, None, list(_RENDERERS)),
     ("out", None, str, "output path (default: stdout)", None),
 )
 _PARSERS = {key: parse for key, _, parse, _, _ in _OPTIONS}

@@ -141,7 +141,8 @@ _RENDERERS = {"csv": to_csv, "json": to_json, "svg": to_svg}
 def render(curves: CurveSet, fmt: str) -> str:
     """The curve set as text in format ``fmt`` (csv, json or svg)."""
     if fmt not in _RENDERERS:
-        raise ConfigError(f"unknown format {fmt!r}; expected csv, json or svg")
+        *rest, last = _RENDERERS
+        raise ConfigError(f"unknown format {fmt!r}; expected {', '.join(rest)} or {last}")
     return _RENDERERS[fmt](curves)
 
 

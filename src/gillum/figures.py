@@ -29,8 +29,6 @@ from .receivers import (
     snr_nearly_bound,
 )
 
-FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5a", "fig5b", "s1", "s2")
-
 
 class ConfigError(ValueError):
     """Invalid sweep configuration."""
@@ -218,6 +216,7 @@ _BUILDERS = {
     "s1": _fig_optimal_beta,
     "s2": _fig_optimal_alpha_beta,
 }
+FIGURE_NAMES = tuple(_BUILDERS)
 
 
 def run_figure(config: SweepConfig) -> CurveSet:

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc as _erfc
 
 from .channels import HypothesisPair, NoiseModel, ScenarioParams
 from .observables import (
@@ -132,7 +131,7 @@ def p_err(snr: float) -> float:
     """
     if snr < 0:
         raise ValueError("snr must be >= 0")
-    return 0.5 * float(_erfc(math.sqrt(snr)))
+    return 0.5 * math.erfc(math.sqrt(snr))
 
 
 def p_err_exponential_bound(snr: float) -> float:

@@ -68,10 +68,7 @@ def _validate_structure(mean: np.ndarray, cov: np.ndarray) -> None:
     if np.max(np.abs(mean[n:] - mean[:n].conj())) > _STRUCT_TOL:
         raise ValueError("mean is not conjugate symmetric")
     m = cov @ block_swap(n)  # ordered moment matrix <du_i du_j>
-    aa = m[:n, :n]
-    add = m[:n, n:]
-    dd = m[n:, n:]
-    da = m[n:, :n]
+    aa, add, dd, da = m[:n, :n], m[:n, n:], m[n:, n:], m[n:, :n]
     if np.max(np.abs(aa - aa.T)) > _STRUCT_TOL:
         raise ValueError("<a a> block is not symmetric")
     if np.max(np.abs(dd - dd.T)) > _STRUCT_TOL:

@@ -43,14 +43,24 @@ def test_williamson_tmsv_pure():
 
 
 def test_williamson_reconstruction_and_symplecticity():
-    params = ScenarioParams(kappa=0.05, n_s=0.7, n_b=4.0)
-    q = to_quadrature(hypothesis_pair(SourceKind.TMSV, params).on)
-    nu, s = williamson(q)
-    recon = s @ np.diag(np.repeat(nu, 2)) @ s.T
-    assert np.max(np.abs(recon - q.cov_q)) < 1e-9
-    omega = symplectic_form(2)
-    assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-9
-    assert np.all(nu >= 0.5 - 1e-9)
+    # a mixed two-mode state, then degenerate spectra: a pure TMSV (nu = 1/2,
+    # 1/2), two equal thermal modes (one 4-dimensional eigenspace) and a
+    # three-mode product with a repeated symplectic eigenvalue
+    states = [
+        hypothesis_pair(SourceKind.TMSV, ScenarioParams(kappa=0.05, n_s=0.7, n_b=4.0)).on,
+        make_tmsv(0.8),
+        tensor(make_thermal(3.0), make_thermal(3.0)),
+        tensor(make_tmsv(0.8), make_thermal(2.0)),
+    ]
+    for state in states:
+        q = to_quadrature(state)
+        nu, s = williamson(q)
+        recon = s @ np.diag(np.repeat(nu, 2)) @ s.T
+        assert np.max(np.abs(recon - q.cov_q)) < 1e-9
+        omega = symplectic_form(q.n_modes)
+        assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-9
+        assert np.allclose(np.sort(nu), q.symplectic_eigenvalues(), rtol=0, atol=1e-9)
+        assert np.all(nu >= 0.5 - 1e-9)
 
 
 def test_identical_states_overlap_one():
@@ -175,6 +185,22 @@ def test_qcb_pure_modes_raise_no_runtime_warning():
         warnings.simplefilter("error", RuntimeWarning)
         qcb(padded, 1)
         qcb(coherent, 1)
+
+
+def test_qcb_pure_on_state_reaches_the_trace_overlap():
+    # kappa = 1 in nonconstant noise leaves the TMSV pure.  For a pure on-state
+    # Q_s = <psi| rho_off^(1-s) |psi> rises with s, so the infimum is the
+    # s -> 0+ limit Tr(rho_on rho_off) = det(V_on + V_off)^(-1/2), reached at
+    # the lower edge of the search; round-off in the pure modes' symplectic
+    # eigenvalues must not lift it
+    for n_s in (0.1, 2.0, 20.0):
+        pair = hypothesis_pair(SourceKind.TMSV, ScenarioParams(
+            kappa=1.0, n_s=n_s, n_b=0.5, noise_model=NoiseModel.NONCONSTANT))
+        res = qcb(pair, 1)
+        v_sum = to_quadrature(pair.on).cov_q + to_quadrature(pair.off).cov_q
+        ref = 0.5 * np.linalg.slogdet(v_sum)[1]
+        assert abs(res.exponent / ref - 1) <= 1e-5, (n_s, res.exponent, ref)
+        assert res.s_star == _S_EDGE
 
 
 def test_coherent_bound_high_noise_limit():

@@ -223,3 +223,14 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(climod, "run_figure", explode)
     assert climod.main(["figure", "fig1", "--points", "4"]) == 3
+
+
+def test_figure_run_does_not_import_scipy():
+    # NumPy is the only runtime dependency; SciPy serves the tests alone
+    code = ("import contextlib, io, sys, gillum, gillum.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = gillum.cli.main(['figure', 'fig5a', '--points', '2'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0 []"

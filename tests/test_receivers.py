@@ -1,5 +1,6 @@
 """SNR catalog: closed forms vs the moment engine, optimizers, thresholds."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -360,6 +361,15 @@ def test_p_err_endpoints_and_bound():
     for snr in (0.5, 2.0, 10.0, 100.0):
         assert p_err(snr) <= p_err_exponential_bound(snr)
     assert abs(p_err(1.0) - 0.5 * orc.erfc_reference(1.0)) < 1e-15
+
+
+def test_p_err_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for z in np.linspace(0.05, 26.0, 400):
+            snr = float(z) ** 2
+            ref = mp.erfc(mp.mpf(math.sqrt(snr))) / 2
+            assert abs((mp.mpf(p_err(snr)) - ref) / ref) <= 1e-15, snr
 
 
 def test_erfc_reference_matches_scipy():
