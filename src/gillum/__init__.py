@@ -25,7 +25,6 @@ from .channels import (
     ScenarioParams,
     SourceKind,
     apply_target,
-    coherent_pair_two_mode,
     hypothesis_pair,
 )
 from .observables import (
@@ -55,7 +54,6 @@ from .receivers import (
     optimal_beta_closed,
     optimize_alpha_beta_nonconstant,
     p_err,
-    p_err_exponential_bound,
     snr_bound_constant,
     snr_bound_nonconstant,
     snr_cct,
@@ -63,7 +61,6 @@ from .receivers import (
     snr_closed_opa,
     snr_closed_pc,
     snr_coherent_hd,
-    snr_coherent_off,
     snr_generic,
     snr_nearly_bound,
     threshold,

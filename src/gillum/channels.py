@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, make_cct, make_coherent, make_tmsv, tensor
+from .states import GaussianState, make_cct, make_coherent, make_tmsv
 
 
 class NoiseModel(enum.Enum):
@@ -129,16 +129,3 @@ def hypothesis_pair(source: SourceKind, params: ScenarioParams) -> HypothesisPai
         off=apply_target(probe, 0, params, present=False),
     )
 
-
-def coherent_pair_two_mode(params: ScenarioParams) -> HypothesisPair:
-    """Split-coherent probe (means sqrt(n_s), sqrt(n_i)) through the channel.
-
-    The classical-correlation receiver on a coherent source needs a retained
-    reference beam; this builds the corresponding two-mode hypothesis pair.
-    """
-    probe = tensor(make_coherent(np.sqrt(params.n_s)),
-                   make_coherent(np.sqrt(params.n_i)))
-    return HypothesisPair(
-        on=apply_target(probe, 0, params, present=True),
-        off=apply_target(probe, 0, params, present=False),
-    )

@@ -12,17 +12,17 @@ provides the closed-form expressions for the standard receivers, the optimal
 idler weight for constant noise, and the two-parameter optimization needed
 under nonconstant noise.
 
-The bound observable O = S + alpha n_S + beta n_I (S the squeeze correlation)
-has one moment polynomial, ``_bound_moments``.  Its variance on either
-hypothesis is z^T Re<dA dA^T> z with z = (alpha, beta, 1) and
-A = (n_S, n_I, S): the real part of a Gram matrix, so a positive-semidefinite
-quadratic form.  sqrt(Var_on) + sqrt(Var_off) is then a sum of norms of
-affine maps of (alpha, beta), hence convex, while the mean gap
-<O>_on - <O>_off is affine.  On each side of the line where the gap
-vanishes, sqrt(SNR) is a nonnegative affine function over a positive convex
-one: quasi-concave, indeed pseudo-concave, so every stationary point there is
-the global maximum of that side.  A monotone ascent therefore finds the
-optimum without a grid search.
+The bound observable O = alpha n_S + beta n_I + gamma S (S the squeeze
+correlation) is a vector x = (alpha, beta, gamma) in the basis
+A = (n_S, n_I, S): its mean gap is d^T x, and its variance on either
+hypothesis is x^T G x with G = Re<dA dA^T> (``_gram``) positive semidefinite.
+The SNR M (d^T x)^2 / (2 (||x||_on + ||x||_off)^2) does not change when x is
+scaled, so maximizing it means minimizing the convex ||x||_on + ||x||_off on
+the plane d^T x = 1, the minimax probability machine of Lanckriet et al.
+(JMLR 3, 555 (2002)).  Its minimizer lies on the Anderson-Bahadur path
+x(lam) = (lam G_on + (1 - lam) G_off)^-1 d (Ann. Math. Statist. 33, 420
+(1962)) at the one sign change of lam ||x||_on - (1 - lam) ||x||_off on
+(0, 1), which a bracket search finds without a grid or derivatives.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class ReceiverKind(enum.Enum):
     PNDM = "pndm"
     COHERENT_HD = "coherent_hd"
     CCT_OFF = "cct_off"
-    COHERENT_OFF = "cct_off"  # the same cross-correlation readout on a coherent pair
     SEPARATE_HTD = "separate_htd"
     DOUBLE_HTD = "double_htd"
     HD_PRODUCT = "hd_product"
@@ -126,17 +125,11 @@ def threshold(mean_on: float, mean_off: float, var_on: float, var_off: float,
 def p_err(snr: float) -> float:
     """Minimum discrimination error erfc(sqrt(SNR))/2.
 
-    Decreases from 1/2 at SNR = 0; underflows to 0 for SNR beyond roughly
-    7e2, where only :func:`p_err_exponential_bound` remains informative.
+    Decreases from 1/2 at SNR = 0; underflows to 0 for SNR beyond roughly 7e2.
     """
     if snr < 0:
         raise ValueError("snr must be >= 0")
     return 0.5 * math.erfc(math.sqrt(snr))
-
-
-def p_err_exponential_bound(snr: float) -> float:
-    """Upper bound exp(-SNR) on the minimum error probability."""
-    return math.exp(-snr)
 
 
 def make_report(mean_on: float, mean_off: float, var_on: float, var_off: float,
@@ -228,36 +221,32 @@ def _numerator_shift(params: ScenarioParams) -> float:
     return params.kappa * (params.n_s - params.n_b)
 
 
-def _squeeze_variance(params: ScenarioParams, kappa: float) -> float:
-    """Variance of the bare squeeze-correlation observable after the channel."""
-    a = _occupancy(params, kappa)
-    c = _cross(params, kappa)
+def _gram(params: ScenarioParams, kappa: float):
+    """Gram-matrix entries (g00, g01, g02, g11, g12, g22) of the basis
+    (n_S, n_I, S) on the hypothesis with reflectance ``kappa``; g22 is the
+    variance of the bare squeeze correlation."""
     ns = params.n_s
-    return (a + 1.0) * (ns + 1.0) + 2.0 * c * c + a * ns
+    b = _occupancy(params, kappa)
+    c = _cross(params, kappa)
+    return (b * (b + 1.0), c * c, c * (2.0 * b + 1.0), ns * (ns + 1.0),
+            c * (2.0 * ns + 1.0), (b + 1.0) * (ns + 1.0) + 2.0 * c * c + b * ns)
 
 
 def _bound_moments(params: ScenarioParams, alpha, beta):
     """Bound-observable statistics (mean_off, mean_on - mean_off, var_on, var_off).
 
-    Each hypothesis adds to the squeeze-correlation variance the weight
-    polynomial alpha^2 b (b+1) + beta^2 N_S (N_S+1) + 2 alpha c (2b+1)
-    + 2 beta c (2 N_S+1) + 2 alpha beta c^2 in its occupancy b and
-    signal-idler correlation c (zero without target).  The mean gap
-    2c + alpha (b_on - b_off) is formed directly, so it keeps its digits when
-    the means are large.  Accepts arrays and complex weights.
+    Each variance is z^T G z, z = (alpha, beta, 1), G from ``_gram``; the mean
+    gap d^T z, d = (b_on - b_off, 0, 2c), is formed directly, so it keeps its
+    digits when the means are large.  Accepts arrays and complex weights.
     """
-    ns = params.n_s
-    variances = []
-    for kappa in (params.kappa, 0.0):
-        b = _occupancy(params, kappa)
-        c = _cross(params, kappa)
-        variances.append(_squeeze_variance(params, kappa) + (
-            alpha * alpha * b * (b + 1.0) + beta * beta * ns * (ns + 1.0)
-            + 2.0 * alpha * c * (2.0 * b + 1.0) + 2.0 * beta * c * (2.0 * ns + 1.0)
-            + 2.0 * alpha * beta * c * c))
-    mean_off = alpha * _occupancy(params, 0.0) + beta * ns
+    var_on, var_off = (
+        g22 + (alpha * alpha * g00 + beta * beta * g11 + 2.0 * alpha * g02
+               + 2.0 * beta * g12 + 2.0 * alpha * beta * g01)
+        for g00, g01, g02, g11, g12, g22 in (_gram(params, params.kappa),
+                                             _gram(params, 0.0)))
+    mean_off = alpha * _occupancy(params, 0.0) + beta * params.n_s
     gap = 2.0 * _cross(params, params.kappa) + alpha * _numerator_shift(params)
-    return mean_off, gap, variances[0], variances[1]
+    return mean_off, gap, var_on, var_off
 
 
 def _bound_report(params: ScenarioParams, alpha: float, beta: float) -> SnrReport:
@@ -317,85 +306,60 @@ def snr_bound_nonconstant(params: ScenarioParams, alpha, beta):
     return val.real if np.ndim(val) else float(val.real)
 
 
-_COMPLEX_STEP = 1e-200
-_EPS = float(np.finfo(float).eps)
-_ARMIJO = 1e-4
-_MAX_NEWTON = 50
+_GRAM_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # _gram entries -> 3x3
+_PATH_SAMPLES = np.arange(1, 32) / 32.0  # interior points of each bracket
 
 
-def _log_snr_derivatives(params: ScenarioParams, x: np.ndarray):
-    """log SNR, its gradient and its Hessian in (alpha, beta) at ``x``.
+def _path_search(g_on: np.ndarray, g_off: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x maximizing (d^T x)^2 / (||x||_on + ||x||_off)^2, ||x||^2 = x^T G x,
+    for PSD G_on, G_off (any size) with a positive-definite sum.
 
-    One vectorized call takes complex steps along both weights at x and at
-    x + delta e_k; their imaginary parts are the exact SNR gradients there.
-    The Hessian is the symmetrized forward difference of log-SNR gradients.
+    With G_on + G_off = L L^T and L^-1 G_on L^-T = U diag(sigma) U^T,
+    x(lam) = L^-T U y, y = U^T L^-1 d / (lam sigma + (1 - lam)(1 - sigma)),
+    and the norms are sums of sigma y^2 and (1 - sigma) y^2.  Each round keeps
+    the neighbours, among 31 interior samples, of the one sign change of
+    lam ||x||_on - (1 - lam) ||x||_off, until the bracket stops shrinking; no
+    endpoint, where G_on or G_off may be singular, is ever solved.
     """
-    delta = 1e-7 * (1.0 + np.abs(x))
-    base = np.array([x, x + (delta[0], 0.0), x + (0.0, delta[1])])
-    pts = np.repeat(base, 2, axis=0) + 1j * _COMPLEX_STEP * np.tile(np.eye(2), (3, 1))
-    vals = snr_bound_nonconstant(params, pts[:, 0], pts[:, 1]).reshape(3, 2)
-    snr = vals[:, 0].real
-    grads = vals.imag / _COMPLEX_STEP / snr[:, None]
-    hess = (grads[1:] - grads[0]) / delta[:, None]
-    return math.log(snr[0]), grads[0], 0.5 * (hess + hess.T)
+    chol = np.linalg.cholesky(g_on + g_off)
+    sigma, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, g_on).T))
+    sigma = np.clip(sigma, 0.0, 1.0)  # round-off of a singular G_on or G_off
+    z = u.T @ np.linalg.solve(chol, d)
+    base, slope = 1.0 - sigma, 2.0 * sigma - 1.0
+    norms = np.stack([sigma, base], axis=1)
+    lo, hi, lam = 0.0, 1.0, _PATH_SAMPLES
+    while lo < lam[0] <= lam[-1] < hi:
+        y = z / (base + lam[:, None] * slope)
+        on, off = ((y * y) @ norms).T
+        k = int(np.count_nonzero(lam * lam * on < (1.0 - lam) ** 2 * off))
+        lo, hi = (lam[k - 1] if k else lo), (lam[k] if k < lam.size else hi)
+        lam = lo + (hi - lo) * _PATH_SAMPLES
+    lam = 0.5 * (lo + hi)
+    return np.linalg.solve(chol.T, u @ (z / (base + lam * slope)))
 
 
 def optimize_alpha_beta_nonconstant(params: ScenarioParams):
     """Maximize the nonconstant-noise bound-receiver SNR over (alpha, beta).
 
-    Damped Newton on log SNR from alpha = beta = -c (2 N_S + 1) / (2 N_S
-    (N_S + 1)), c = sqrt(kappa N_S (N_S + 1)): gradients by complex step
-    (Squire & Trapp, SIAM Rev. 40, 110 (1998)) through
-    ``snr_bound_nonconstant``; the Hessian from their forward differences,
-    shifted to negative definite wherever log SNR is not concave; Armijo
-    backtracking; a stop once the step or the gain falls to round-off.  The
-    mean gap 2c + alpha kappa (N_S - N_B) is positive at the seed for every
-    kappa in (0, 1], and on that side sqrt(SNR) is pseudo-concave (see the
-    module docstring), so the stationary point reached is its global
-    maximum.  The negative-gap side approaches but has not exceeded it on any
-    parameter set checked.
-
+    Convex in homogeneous coordinates x ~ (alpha, beta, 1), which cover both
+    signs of the mean gap: ``_path_search`` finds the one sign change along
+    the Anderson-Bahadur path, and alpha = x_0 / x_2, beta = x_1 / x_2.
     kappa = 0 carries no signal and returns (0, 0) with SNR 0.  N_S = 0
     raises ValueError: the supremum there lies at |alpha| -> infinity.
     Returns (alpha, beta, SnrReport).
     """
     if params.noise_model is not NoiseModel.NONCONSTANT:
         raise ValueError("optimizer applies to the nonconstant noise model")
-    ns = params.n_s
     if params.kappa == 0.0:
         return 0.0, 0.0, _bound_report(params, 0.0, 0.0)
-    if ns == 0.0:
+    if params.n_s == 0.0:
         raise ValueError("optimal weights are singular at n_s = 0: "
                          "the SNR supremum lies at |alpha| -> infinity")
-    c = _cross(params, params.kappa)
-    x = np.full(2, -c * (2.0 * ns + 1.0) / (2.0 * ns * (ns + 1.0)))
-    for _ in range(_MAX_NEWTON):
-        f, grad, hess = _log_snr_derivatives(params, x)
-        if not np.any(grad):
-            break
-        top = np.linalg.eigvalsh(hess)[-1]
-        if top >= 0.0:
-            # not concave here: shift the spectrum below zero, by enough to
-            # keep the step within the scale of the current point
-            shift = top + np.linalg.norm(grad) / (1.0 + np.linalg.norm(x))
-            hess = hess - shift * np.eye(2)
-        step = np.linalg.solve(hess, -grad)
-        slope = grad @ step
-        roundoff = 16.0 * _EPS * (1.0 + abs(f))
-        t = 1.0
-        while t * np.linalg.norm(step) > _EPS * np.linalg.norm(x):
-            trial = x + t * step
-            snr = snr_bound_nonconstant(params, trial[0], trial[1])
-            gain = math.log(snr) - f if snr > 0.0 else -math.inf
-            if gain >= _ARMIJO * t * slope - roundoff:
-                break
-            t *= 0.5
-        else:
-            break  # the step fell to round-off
-        x = trial
-        if gain <= roundoff:
-            break
-    alpha, beta = float(x[0]), float(x[1])
+    g_on, g_off = (np.array(_gram(params, kappa))[_GRAM_INDEX]
+                   for kappa in (params.kappa, 0.0))
+    d = np.array([_numerator_shift(params), 0.0, 2.0 * _cross(params, params.kappa)])
+    x = _path_search(g_on, g_off, d)
+    alpha, beta = float(x[0] / x[2]), float(x[1] / x[2])
     return alpha, beta, _bound_report(params, alpha, beta)
 
 
@@ -407,8 +371,8 @@ def snr_closed_pc(params: ScenarioParams, mu: float = DEFAULT_PC_MU,
         raise ValueError("phase-conjugate receiver requires mu^2 - nu^2 = 1")
     extra = (mu / nu) ** 2 * params.n_s
     c = _cross(params, params.kappa)
-    v_on = _squeeze_variance(params, params.kappa) + extra
-    v_off = _squeeze_variance(params, 0.0) + extra
+    v_on = _gram(params, params.kappa)[5] + extra
+    v_off = _gram(params, 0.0)[5] + extra
     return make_report(2.0 * c, 0.0, v_on, v_off, params.m_modes)
 
 
@@ -434,8 +398,8 @@ def snr_closed_opa(params: ScenarioParams, gain: float = DEFAULT_OPA_GAIN) -> Sn
 
     c = _cross(params, params.kappa)
     half_shift = math.sqrt((g - 1.0) / g) * 0.5 * _numerator_shift(params)
-    v_on = _squeeze_variance(params, params.kappa) + q(params.kappa)
-    v_off = _squeeze_variance(params, 0.0) + q(0.0)
+    v_on = _gram(params, params.kappa)[5] + q(params.kappa)
+    v_off = _gram(params, 0.0)[5] + q(0.0)
     return make_report(2.0 * (c + half_shift), 0.0, v_on, v_off, params.m_modes)
 
 
@@ -461,20 +425,6 @@ def snr_cct(params: ScenarioParams) -> SnrReport:
     b_on = _occupancy(params, kappa)
     y = ni + nb * (1.0 + 2.0 * ni)
     v_on = 2.0 * d * d + (2.0 * ni + 1.0) * b_on + ni
-    return make_report(2.0 * d, 0.0, v_on, y, params.m_modes)
-
-
-def snr_coherent_off(params: ScenarioParams) -> SnrReport:
-    """Cross-correlation receiver on the split-coherent probe.
-
-    Drops the 4 kappa N_S N_I self-noise of the thermal probe from the
-    on-hypothesis variance.
-    """
-    ns, ni, nb, kappa = params.n_s, params.n_i, params.n_b, params.kappa
-    d = math.sqrt(kappa * ns * ni)
-    therm_on = _occupancy(params, kappa) - kappa * ns  # coherent probe: mean only
-    y = ni + nb * (1.0 + 2.0 * ni)
-    v_on = (2.0 * therm_on + 1.0) * ni + kappa * ns + therm_on
     return make_report(2.0 * d, 0.0, v_on, y, params.m_modes)
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -16,12 +18,10 @@ from gillum import (
     ReceiverSpec,
     ScenarioParams,
     SourceKind,
-    coherent_pair_two_mode,
     hypothesis_pair,
     optimal_beta_closed,
     optimize_alpha_beta_nonconstant,
     p_err,
-    p_err_exponential_bound,
     snr_bound_constant,
     snr_bound_nonconstant,
     snr_cct,
@@ -29,7 +29,6 @@ from gillum import (
     snr_closed_opa,
     snr_closed_pc,
     snr_coherent_hd,
-    snr_coherent_off,
     snr_generic,
     snr_nearly_bound,
     threshold,
@@ -129,7 +128,7 @@ def orc_opa_corrected_snr(p: ScenarioParams) -> float:
                        p.m_modes).snr
 
 
-def test_cct_and_coherent_off_match_engine():
+def test_cct_matches_engine():
     for model in (NoiseModel.CONSTANT, NoiseModel.NONCONSTANT):
         for k, ns, nb in GRID:
             p = ScenarioParams(kappa=k, n_s=ns, n_i=2 * ns, n_b=nb, m_modes=M,
@@ -138,10 +137,6 @@ def test_cct_and_coherent_off_match_engine():
             closed = snr_cct(p).snr
             generic = snr_generic(ReceiverSpec(ReceiverKind.CCT_OFF), pair, M).snr
             assert abs(closed - generic) <= 1e-10 * max(1.0, generic)
-            cpair = coherent_pair_two_mode(p)
-            closed2 = snr_coherent_off(p).snr
-            generic2 = snr_generic(ReceiverSpec(ReceiverKind.COHERENT_OFF), cpair, M).snr
-            assert abs(closed2 - generic2) <= 1e-10 * max(1.0, generic2)
 
 
 def test_pndm_receiver_equals_cross_correlation_receiver():
@@ -291,6 +286,46 @@ def test_optimizer_degenerate_inputs():
         optimize_alpha_beta_nonconstant(params_for(0.01, 0.0, model=NoiseModel.NONCONSTANT))
 
 
+@pytest.mark.parametrize("kappa,ns,nb", [
+    (1.0, 0.025, 0.005), (1.0, 0.14, 0.03), (1.0, 1.0, 30.0),  # pure on-state
+    (0.3, 2.0, 0.0), (1.0, 0.5, 0.0),                            # vacuum off-state
+])
+def test_optimizer_reaches_oracle_at_zero_variance_directions(kappa, ns, nb):
+    # Here one hypothesis gives some weight direction zero variance, and the
+    # optimum sits at the kink of its sqrt(Var).  Near Var = 0 a round-off
+    # error e in Var moves sqrt(Var) by e / sqrt(Var), so neither the solver
+    # nor the oracle can resolve the SNR beyond about 1e-6 relative: that is
+    # the floor of this comparison, not a tolerance for the solver.
+    p = params_for(kappa, ns, nb, model=NoiseModel.NONCONSTANT)
+    starts = [(sa * s, sb * s) for s in (1.0, 1e3) for sa in (-1, 1) for sb in (-1, 1)]
+    rep = optimize_alpha_beta_nonconstant(p)[2]
+    best = orc.nelder_mead_max(lambda a, b: snr_bound_nonconstant(p, a, b), starts)
+    assert rep.snr >= best * (1 - 1e-6)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=_log_uniform(1e-6, 0.999), ns=_log_uniform(1e-6, 1e3),
+       nb=_log_uniform(1e-3, 1e3))
+def test_optimizer_stationary_over_wide_range(kappa, ns, nb):
+    p = params_for(kappa, ns, nb, model=NoiseModel.NONCONSTANT)
+    alpha, beta, rep = optimize_alpha_beta_nonconstant(p)
+    h = 1e-200
+    ga = snr_bound_nonconstant(p, complex(alpha, h), complex(beta)).imag / h
+    gb = snr_bound_nonconstant(p, complex(alpha), complex(beta, h)).imag / h
+    # The check's own resolution: every Gram entry is >= 0, so the variances
+    # at (|alpha|, |beta|) are the sums of magnitudes that the variances at
+    # (alpha, beta) cancel down from, and eps times their ratio is the
+    # relative round-off of the variances the gradient is taken through.
+    mags = snr_generic(ReceiverSpec.bound(abs(alpha), abs(beta)),
+                       hypothesis_pair(SourceKind.TMSV, p), M)
+    noise = np.finfo(float).eps * max(mags.var_on / rep.var_on, mags.var_off / rep.var_off)
+    assert max(abs(ga * alpha), abs(gb * beta)) < (1e-9 + noise) * rep.snr
+
+
 def test_bound_nonconstant_matches_engine():
     rng = np.random.default_rng(8)
     for k, ns, nb in GRID:
@@ -359,7 +394,7 @@ def test_threshold_equalizes_error_arguments():
 def test_p_err_endpoints_and_bound():
     assert p_err(0.0) == 0.5
     for snr in (0.5, 2.0, 10.0, 100.0):
-        assert p_err(snr) <= p_err_exponential_bound(snr)
+        assert p_err(snr) <= math.exp(-snr)
     assert abs(p_err(1.0) - 0.5 * orc.erfc_reference(1.0)) < 1e-15
 
 
