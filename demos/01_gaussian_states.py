@@ -17,6 +17,7 @@ from gillum import (
     make_vacuum,
     tensor,
     to_quadrature,
+    williamson,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -24,14 +25,14 @@ np.set_printoptions(precision=4, suppress=True)
 print("== thermal state, mean photon number 2 ==")
 th = make_thermal(2.0)
 print("cov =\n", th.cov.real)
-print("symplectic eigenvalue:", th.symplectic_eigenvalues())   # N + 1/2
+print("symplectic eigenvalue:", williamson(to_quadrature(th))[0])   # N + 1/2
 
 print("\n== two-mode squeezed vacuum, N_S = 1 ==")
 tmsv = make_tmsv(1.0)
 print("cov =\n", tmsv.cov.real)
 print("cross moment <a_S a_I> =", tmsv.cov[0, 3].real, "= sqrt(N_S (N_S+1))")
-print("symplectic eigenvalues (pure state -> 1/2):",
-      tmsv.symplectic_eigenvalues())
+print("symplectic eigenvalues (pure state -> exactly 1/2):",
+      williamson(to_quadrature(tmsv))[0])
 print("reduced signal mode equals a thermal state:",
       np.allclose(tmsv.reduced([0]).cov, make_thermal(1.0).cov))
 

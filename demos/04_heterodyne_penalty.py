@@ -7,7 +7,6 @@ probe with homodyne detection wins at every brightness.
 """
 
 from gillum import (
-    HeterodyneVariant,
     ReceiverKind,
     ReceiverSpec,
     ScenarioParams,
@@ -26,7 +25,7 @@ p = ScenarioParams(kappa=0.01, n_s=1.0, n_b=30.0, m_modes=M)
 pair = hypothesis_pair(SourceKind.TMSV, p)
 
 direct = stats(obs_bound(0.0, 0.0), pair.on)
-noisy = heterodyne_degrade(direct, HeterodyneVariant.SEPARATE_HTD_QI, pair.on)
+noisy = heterodyne_degrade(direct, pair.on)
 print("direct squeeze-correlation readout:  mean %.4f  variance %.2f"
       % (direct.mean, direct.variance))
 print("through two heterodyne detectors:    mean %.4f  variance %.2f"

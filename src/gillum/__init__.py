@@ -28,7 +28,6 @@ from .channels import (
     hypothesis_pair,
 )
 from .observables import (
-    HeterodyneVariant,
     ObservableStats,
     QuadraticObservable,
     heterodyne_degrade,

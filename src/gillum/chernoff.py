@@ -20,6 +20,7 @@ Williamson bases come from one eigh of the Hermitian i K, K = sqrt(V) Omega
 sqrt(V): an eigenvector x + i y of +nu is orthogonal to its conjugate, so
 (sqrt(2) y, sqrt(2) x) is an orthonormal pair, degenerate or not, and its
 Rayleigh quotient 2 y^T K x is a more accurate nu than the eigenvalue.
+``williamson`` is the one symplectic spectrum; pure modes come out as exactly 1/2.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ def williamson(state: QuadratureState):
     and s symplectic; nu are the symplectic eigenvalues (>= 1/2 for physical
     states in this package's convention), read as Rayleigh quotients of pairs
     of eigenvectors of one Hermitian matrix (see the module docstring).
+
+    It is the package's one purity test: an error E ~ eps lambda_max(cov_q)
+    moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k,
+    so a 2 nu_k that close to 1 is returned as exactly 1/2 (s is unchanged).
     """
     n = state.n_modes
     evals, evecs = np.linalg.eigh(state.cov_q)
@@ -71,7 +76,9 @@ def williamson(state: QuadratureState):
     v = np.linalg.eigh(1j * skew)[1][:, n:]  # eigenvalues ascend: +nu last
     z = math.sqrt(2.0) * np.stack([v.imag, v.real], axis=-1).reshape(2 * n, 2 * n)
     nus = np.einsum("ik,ij,jk->k", z[:, 0::2], skew, z[:, 1::2])
-    return nus, sq @ z / np.sqrt(np.repeat(nus, 2))
+    s = sq @ z / np.sqrt(np.repeat(nus, 2))
+    spread = (s * s).sum(axis=0).reshape(n, 2).sum(axis=1)  # tr(s P_k s^T)
+    return np.where(2.0 * nus <= 1.0 + _PURE_TOL * evals[-1] * spread, 0.5, nus), s
 
 
 def _g_lambda(x: np.ndarray, p: np.ndarray):
@@ -111,13 +118,7 @@ class _PairData:
         nu_on, s_on = williamson(q_on)
         nu_off, s_off = williamson(q_off)
         self.projectors = np.concatenate([_mode_projectors(s_on), _mode_projectors(s_off)])
-        # doubled convention: covariances scale by 2, basis unchanged.  An error
-        # E in V moves 2 nu_k by up to |E| tr(s P_k s^T), and |E| ~ eps
-        # lambda_max(V); modes that close to 1 are pure, with ((x-1)/(x+1))^s = 0
-        lam = np.repeat([np.linalg.eigvalsh(q.cov_q)[-1] for q in (q_on, q_off)], self.n)
-        nu = 2.0 * np.concatenate([nu_on, nu_off])
-        pure = nu <= 1.0 + _PURE_TOL * lam * self.projectors[:, ::2 * self.n + 1].sum(axis=1)
-        self.nu = np.where(pure, 1.0, nu)
+        self.nu = 2.0 * np.concatenate([nu_on, nu_off])  # doubled: pure modes are 1
         self.is_on = np.arange(2 * self.n) < self.n
         self.delta = math.sqrt(2.0) * (q_on.mean_q - q_off.mean_q)
         if np.linalg.norm(self.delta) < _MEAN_SHORTCUT:
@@ -191,14 +192,13 @@ def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:
 
     Per-copy exponent kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2, evaluated as
     kappa N_S / (sqrt(N_B + 1) + sqrt(N_B))^2 and returned without a round
-    trip through Q; optimal s = 1/2 (the hypotheses differ only by a
-    displacement).
+    trip through Q, so it stays finite where Q underflows to 0; optimal
+    s = 1/2 (the hypotheses differ only by a displacement).
     """
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("closed form assumes the constant noise model")
     per_copy = params.kappa * params.n_s / (
         math.sqrt(params.n_b + 1.0) + math.sqrt(params.n_b)) ** 2
     q_value = math.exp(-per_copy)
-    exponent = params.m_modes * per_copy if q_value > 0 else math.inf
-    return QcbResult(s_star=0.5, q_value=q_value, exponent=exponent,
+    return QcbResult(s_star=0.5, q_value=q_value, exponent=params.m_modes * per_copy,
                      p_err_bound=0.5 * q_value**params.m_modes)

@@ -9,12 +9,12 @@ An observable is kept in normal-ordered canonical form
 with ``h`` Hermitian and ``g`` symmetric, so Hermiticity is structural.
 Means and variances on Gaussian states are evaluated exactly by moment
 factorization (pair contractions of the ordered centered moments plus the
-first-moment terms); nothing is sampled.
+first-moment terms); nothing is sampled.  Receiver parameter rules are
+written once here, and heterodyne readout adds a fixed vacuum term.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,15 +155,23 @@ def obs_bound(alpha: float, beta: float) -> QuadraticObservable:
     return QuadraticObservable(2, 0.0, h, g, np.zeros(2, dtype=complex))
 
 
+def _check_pc(mu: float, nu: float) -> None:
+    if abs(mu * mu - nu * nu - 1.0) > 1e-9 or nu == 0.0:
+        raise ValueError("phase-conjugate receiver requires mu^2 - nu^2 = 1 with nu != 0")
+
+
+def _check_opa(gain: float) -> None:
+    if gain <= 1.0:
+        raise ValueError("amplifier gain must exceed 1")
+
+
 def obs_pc(mu: float, nu: float) -> QuadraticObservable:
     """Phase-conjugate receiver observable on modes (S, I, V).
 
     The third mode is an explicit vacuum ancilla; callers append it to the
-    two-mode state under test.  Requires mu^2 - nu^2 = 1.
+    two-mode state under test.  Requires mu^2 - nu^2 = 1 with nu != 0.
     """
-    if abs(mu * mu - nu * nu - 1.0) > 1e-9 or nu == 0.0:
-        raise ValueError(
-            "phase-conjugate receiver requires mu^2 - nu^2 = 1 with nu != 0")
+    _check_pc(mu, nu)
     g = np.zeros((3, 3), dtype=complex)
     g[0, 1] = g[1, 0] = 0.5 * nu
     h = np.zeros((3, 3), dtype=complex)
@@ -177,8 +185,7 @@ def obs_opa(gain: float) -> QuadraticObservable:
     O = sqrt(G(G-1)) (a_S^dag a_I^dag + a_S a_I) + (G-1) a_S a_S^dag
         + G a_I^dag a_I, with the reordering constant folded into c0.
     """
-    if gain <= 1.0:
-        raise ValueError("amplifier gain must exceed 1")
+    _check_opa(gain)
     s = np.sqrt(gain * (gain - 1.0))
     g = s * np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
     h = np.diag([gain - 1.0, gain]).astype(complex)
@@ -265,32 +272,13 @@ def transform_by_beam_splitter(obs: QuadraticObservable, t: float, r: float,
     return _normal_order(n, k, lvec, obs.c0)
 
 
-class HeterodyneVariant(enum.Enum):
-    """Which vacuum-noise bookkeeping applies to a heterodyne measurement."""
+def heterodyne_degrade(base: ObservableStats, state: GaussianState) -> ObservableStats:
+    """Statistics after a readout by two heterodynes instead of directly.
 
-    DUAL_MODE_CI = "dual_mode_ci"            # X X + P P cross correlation
-    SEPARATE_HTD_QI = "separate_htd_qi"      # X X - P P squeeze correlation
-    DOUBLE_HTD_AFTER_BS = "double_htd_bs"    # quadrature squares after 50:50
-
-
-_VACUUM_CONSTANT = {
-    HeterodyneVariant.DUAL_MODE_CI: 2.0,
-    HeterodyneVariant.SEPARATE_HTD_QI: 1.0,
-    HeterodyneVariant.DOUBLE_HTD_AFTER_BS: 1.0,
-}
-
-
-def heterodyne_degrade(base: ObservableStats, variant: HeterodyneVariant,
-                       state: GaussianState) -> ObservableStats:
-    """Statistics after measuring via heterodyne instead of directly.
-
-    Each heterodyne detector splits its mode with a vacuum ancilla, halving
-    the mean and turning the variance into (var + k + <n_A + n_B>)/4, where
-    (A, B) are the two measured modes of ``state`` and k depends on the sign
-    structure of the observable: k = 2 for the X X + P P combination and
-    k = 1 for X X - P P and for the squared-quadrature setup after the
-    recombining beam splitter.
+    Each detector splits its mode with a vacuum ancilla, halving the mean and
+    turning the variance into (var + 1 + <n_A + n_B>)/4, (A, B) the measured
+    modes of ``state``.  Both readouts used here obey it: the X X - P P squeeze
+    correlation and the quadrature squares after the 50:50 recombiner.
     """
-    k = _VACUUM_CONSTANT[variant]
     n_sum = state.mean_photon(0) + state.mean_photon(1)
-    return ObservableStats(0.5 * base.mean, 0.25 * (base.variance + k + n_sum))
+    return ObservableStats(0.5 * base.mean, 0.25 * (base.variance + 1.0 + n_sum))

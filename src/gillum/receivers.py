@@ -35,7 +35,8 @@ import numpy as np
 
 from .channels import HypothesisPair, NoiseModel, ScenarioParams
 from .observables import (
-    HeterodyneVariant,
+    _check_opa,
+    _check_pc,
     heterodyne_degrade,
     obs_bound,
     obs_dh,
@@ -98,10 +99,10 @@ class ReceiverSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.kind is ReceiverKind.PC and abs(self.mu**2 - self.nu**2 - 1.0) > 1e-9:
-            raise ValueError("phase-conjugate receiver requires mu^2 - nu^2 = 1")
-        if self.kind is ReceiverKind.OPA and self.gain <= 1.0:
-            raise ValueError("amplifier gain must exceed 1")
+        if self.kind is ReceiverKind.PC:
+            _check_pc(self.mu, self.nu)
+        if self.kind is ReceiverKind.OPA:
+            _check_opa(self.gain)
 
     @classmethod
     def bound(cls, alpha: float, beta: float) -> "ReceiverSpec":
@@ -159,42 +160,41 @@ _HALF = 1 / math.sqrt(2)  # amplitude of the 50:50 signal-idler recombiner
 
 
 # kind -> (observable from (spec, mode count), state preparation applied to
-# each hypothesis or None, heterodyne readout variant or None)
+# each hypothesis or None, whether it is read out by two heterodynes)
 _RECEIVERS = {
-    ReceiverKind.BOUND: (lambda s, n: obs_bound(s.alpha, s.beta), None, None),
-    ReceiverKind.NEARLY_BOUND: (lambda s, n: obs_bound(0.0, 0.0), None, None),
+    ReceiverKind.BOUND: (lambda s, n: obs_bound(s.alpha, s.beta), None, False),
+    ReceiverKind.NEARLY_BOUND: (lambda s, n: obs_bound(0.0, 0.0), None, False),
     # the conjugator's vacuum input is an explicit third mode
     ReceiverKind.PC: (lambda s, n: obs_pc(s.mu, s.nu),
-                      lambda state: tensor(state, make_vacuum(1)), None),
-    ReceiverKind.OPA: (lambda s, n: obs_opa(s.gain), None, None),
-    ReceiverKind.DH: (lambda s, n: obs_dh(), None, None),
+                      lambda state: tensor(state, make_vacuum(1)), False),
+    ReceiverKind.OPA: (lambda s, n: obs_opa(s.gain), None, False),
+    ReceiverKind.DH: (lambda s, n: obs_dh(), None, False),
     # photon-number difference after the recombiner, referred back to the
     # (signal, idler) modes
     ReceiverKind.PNDM: (lambda s, n: transform_by_beam_splitter(
-        obs_number_difference(), t=_HALF, r=_HALF, phase=math.pi / 2), None, None),
-    ReceiverKind.COHERENT_HD: (lambda s, n: obs_quadrature(0, s.theta, n), None, None),
-    ReceiverKind.CCT_OFF: (lambda s, n: obs_off(), None, None),
-    ReceiverKind.HD_PRODUCT: (lambda s, n: obs_hd_product(s.theta, s.phi), None, None),
-    ReceiverKind.SEPARATE_HTD: (lambda s, n: obs_bound(0.0, 0.0), None,
-                                HeterodyneVariant.SEPARATE_HTD_QI),
+        obs_number_difference(), t=_HALF, r=_HALF, phase=math.pi / 2), None, False),
+    ReceiverKind.COHERENT_HD: (lambda s, n: obs_quadrature(0, s.theta, n), None, False),
+    ReceiverKind.CCT_OFF: (lambda s, n: obs_off(), None, False),
+    ReceiverKind.HD_PRODUCT: (lambda s, n: obs_hd_product(s.theta, s.phi), None, False),
+    ReceiverKind.SEPARATE_HTD: (lambda s, n: obs_bound(0.0, 0.0), None, True),
     # the squared-quadrature coincidence observable on the recombined outputs
     ReceiverKind.DOUBLE_HTD: (
         lambda s, n: obs_squeeze_difference(),
         lambda state: apply_beam_splitter(state, 0, 1, _HALF, _HALF, phase=math.pi / 2),
-        HeterodyneVariant.DOUBLE_HTD_AFTER_BS),
+        True),
 }
 
 
 def snr_generic(spec: ReceiverSpec, pair: HypothesisPair, m_modes: float) -> SnrReport:
     """Evaluate any receiver on a hypothesis pair through the moment engine."""
-    make_obs, prepare, variant = _RECEIVERS[spec.kind]
+    make_obs, prepare, heterodyne = _RECEIVERS[spec.kind]
     obs = make_obs(spec, pair.on.n_modes)
     results = []
     for state in (pair.on, pair.off):
         if prepare is not None:
             state = prepare(state)
         st = stats(obs, state)
-        results.append(st if variant is None else heterodyne_degrade(st, variant, state))
+        results.append(heterodyne_degrade(st, state) if heterodyne else st)
     on, off = results
     return make_report(on.mean, off.mean, on.variance, off.variance, m_modes)
 
@@ -367,8 +367,7 @@ def snr_closed_pc(params: ScenarioParams, mu: float = DEFAULT_PC_MU,
                   nu: float = DEFAULT_PC_NU) -> SnrReport:
     """Phase-conjugate receiver closed form: the squeeze-correlation variance
     plus (mu/nu)^2 N_S of conjugation vacuum noise on each hypothesis."""
-    if abs(mu * mu - nu * nu - 1.0) > 1e-9:
-        raise ValueError("phase-conjugate receiver requires mu^2 - nu^2 = 1")
+    _check_pc(mu, nu)
     extra = (mu / nu) ** 2 * params.n_s
     c = _cross(params, params.kappa)
     v_on = _gram(params, params.kappa)[5] + extra
@@ -383,8 +382,7 @@ def snr_closed_opa(params: ScenarioParams, gain: float = DEFAULT_OPA_GAIN) -> Sn
     engine yields G (4 N_S + 2), so this form deviates from snr_generic by a
     small documented amount (see tests).
     """
-    if gain <= 1.0:
-        raise ValueError("amplifier gain must exceed 1")
+    _check_opa(gain)
     g = gain
     ns = params.n_s
 

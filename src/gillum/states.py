@@ -13,7 +13,8 @@ so that matrix entries are literally the familiar quantities::
 with ``da = a - <a>``.  A vacuum mode therefore has ``cov = diag(1, 0)`` in
 its (a a^dag, a^dag a) slots.  The equivalent real quadrature form uses
 ``x = (a + a^dag)/sqrt(2)`` and ``p = -i (a - a^dag)/sqrt(2)``, so the vacuum
-quadrature variance is 1/2.
+quadrature variance is 1/2.  Symplectic eigenvalues, and with them purity,
+come from :func:`gillum.chernoff.williamson` alone.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VACUUM_VARIANCE = 0.5
-
 _STRUCT_TOL = 1e-10
-PHYSICALITY_TOL = 1e-9
 
 
 def block_swap(n: int) -> np.ndarray:
@@ -111,9 +109,6 @@ class GaussianState:
         n = self.n_modes
         return float(self.cov[n + mode, n + mode].real + abs(self.mean[mode]) ** 2)
 
-    def total_mean_photons(self) -> float:
-        return sum(self.mean_photon(k) for k in range(self.n_modes))
-
     def reduced(self, modes) -> "GaussianState":
         """State of a subset of modes (partial trace over the rest)."""
         modes = list(modes)
@@ -122,12 +117,6 @@ class GaussianState:
         m = self.moment_matrix[np.ix_(idx, idx)]
         mean = self.mean[idx]
         return GaussianState(mean, m @ block_swap(len(modes)))
-
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        return to_quadrature(self).symplectic_eigenvalues()
-
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return bool(np.all(self.symplectic_eigenvalues() >= VACUUM_VARIANCE - tol))
 
 
 @dataclass(frozen=True)
@@ -152,15 +141,6 @@ class QuadratureState:
     @property
     def n_modes(self) -> int:
         return self.mean_q.size // 2
-
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        """Moduli of the eigenvalue pairs of Omega @ cov_q, ascending."""
-        n = self.n_modes
-        ev = np.linalg.eigvals(symplectic_form(n) @ self.cov_q)
-        return np.sort(np.abs(ev))[::2]
-
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return bool(np.all(self.symplectic_eigenvalues() >= VACUUM_VARIANCE - tol))
 
 
 def _from_moments(mean: np.ndarray, moment: np.ndarray) -> GaussianState:

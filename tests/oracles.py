@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from gillum import (GaussianState, NoiseModel, QuadraticObservable, apply_beam_splitter,
-                    make_thermal, tensor)
+                    make_thermal, symplectic_form, tensor, to_quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +414,15 @@ def golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quantum Chernoff bound
+# symplectic spectrum and quantum Chernoff bound
 # ---------------------------------------------------------------------------
+
+def symplectic_eigenvalues(q) -> np.ndarray:
+    """Symplectic eigenvalues of a QuadratureState, ascending: the moduli of
+    the eigenvalue pairs +-i nu of Omega @ cov_q."""
+    ev = np.linalg.eigvals(symplectic_form(q.n_modes) @ q.cov_q)
+    return np.sort(np.abs(ev))[::2]
+
 
 def chernoff_exponent_mp(pair, m: float, dps: int = 40) -> float:
     """-m log min_s Q_s of a Gaussian hypothesis pair at ``dps`` digits.
@@ -426,14 +433,16 @@ def chernoff_exponent_mp(pair, m: float, dps: int = 40) -> float:
     Lambda_p(V) = R F_p(-K^2) R with F_p(y) = lambda_p(sqrt y) / sqrt y;
     the product of g_p is the square root of its product over that spectrum.
     Q_s is then minimized by a 70-step golden search in mpmath.
+
+    The covariances arrive as doubles, so a pure mode's symplectic
+    eigenvalue x comes out within their round-off of 1, on either side.
+    Every x with x - 1 < 1e-12 x is taken as exactly 1: then (x - 1)^s is 0,
+    and Q_s of a pure mode keeps its s -> 0+ limit instead of tending to 1.
     """
     import mpmath as mp
 
-    from gillum import symplectic_form, to_quadrature
-
     with mp.workdps(dps):
         def powers(x, p):
-            x = max(x, mp.mpf(1))  # round-off below the vacuum value
             return (x + 1) ** p, (x - 1) ** p
 
         def decompose(state):
@@ -442,7 +451,9 @@ def chernoff_exponent_mp(pair, m: float, dps: int = 40) -> float:
             r = u * mp.diag([mp.sqrt(x) for x in w]) * u.T
             k = r * omega * r
             y, z = mp.eigsy(-(k * k + (k * k).T) / 2)
-            return [mp.sqrt(v) for v in y], r * z, mp.matrix(q.mean_q.tolist())
+            x = [mp.sqrt(v) for v in y]
+            x = [mp.mpf(1) if v - 1 < 1e-12 * v else v for v in x]  # pure modes
+            return x, r * z, mp.matrix(q.mean_q.tolist())
 
         def pieces(x, a, p):
             g2, f = mp.mpf(1), []

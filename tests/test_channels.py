@@ -24,6 +24,8 @@ from gillum import (
     obs_number,
     obs_quadrature,
     stats,
+    to_quadrature,
+    williamson,
 )
 
 
@@ -135,7 +137,8 @@ def test_output_physical_for_random_inputs():
                                 n_s=float(rng.uniform(0, 3)),
                                 n_b=float(rng.uniform(0, 5)))
         pair = hypothesis_pair(SourceKind.TMSV, params)
-        assert pair.on.is_physical() and pair.off.is_physical()
+        for state in (pair.on, pair.off):
+            assert np.all(williamson(to_quadrature(state))[0] >= 0.5 - 1e-9)
 
 
 def test_correlation_strictly_increasing_in_kappa():

@@ -42,6 +42,14 @@ def test_williamson_tmsv_pure():
     assert np.allclose(nu, [0.5, 0.5], atol=1e-10)
 
 
+@pytest.mark.parametrize("n_s", [1.0, 3000.0, 1e4, 1e5])
+def test_williamson_returns_pure_modes_exactly(n_s):
+    # the eigvals(Omega V) spectrum misses 1/2 by 4.5e-9 at N_S = 3000 and by
+    # 3.5e-6 at 1e5; the round-off rule in williamson snaps both modes
+    nu, _ = williamson(to_quadrature(make_tmsv(n_s)))
+    assert np.array_equal(nu, [0.5, 0.5])
+
+
 def test_williamson_reconstruction_and_symplecticity():
     # a mixed two-mode state, then degenerate spectra: a pure TMSV (nu = 1/2,
     # 1/2), two equal thermal modes (one 4-dimensional eigenspace) and a
@@ -59,7 +67,7 @@ def test_williamson_reconstruction_and_symplecticity():
         assert np.max(np.abs(recon - q.cov_q)) < 1e-9
         omega = symplectic_form(q.n_modes)
         assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-9
-        assert np.allclose(np.sort(nu), q.symplectic_eigenvalues(), rtol=0, atol=1e-9)
+        assert np.allclose(np.sort(nu), orc.symplectic_eigenvalues(q), rtol=0, atol=1e-9)
         assert np.all(nu >= 0.5 - 1e-9)
 
 
@@ -95,8 +103,10 @@ def test_coherent_illumination_exponent_matches_closed_form():
 
 def test_coherent_closed_form_matches_mpmath():
     mp = pytest.importorskip("mpmath")
+    # at N_S = 1e6 and kappa near 0.5 the per-copy exponent is ~4.1e3, so
+    # exp(-exponent) underflows to 0 while the exponent itself stays finite
     for kappa in np.logspace(-8, np.log10(0.5), 9):
-        for n_s, n_b in ((0.01, 30.0), (1.0, 1.0), (10.0, 100.0)):
+        for n_s, n_b in ((0.01, 30.0), (1.0, 1.0), (10.0, 100.0), (1e6, 30.0)):
             p = ScenarioParams(kappa=float(kappa), n_s=n_s, n_b=n_b, m_modes=10**7)
             with mp.workdps(40):
                 ref = p.m_modes * mp.mpf(p.kappa) * n_s * (
@@ -127,6 +137,18 @@ def test_qcb_matches_mp_oracle():
             pair = hypothesis_pair(source, p)
             ref = orc.chernoff_exponent_mp(pair, m)
             assert abs(qcb(pair, m).exponent - ref) / m <= 8 * np.finfo(float).eps, p
+
+
+@pytest.mark.parametrize("n_s,n_b", [(2.0, 0.5), (0.5, 3.0), (1.0, 30.0)])
+def test_qcb_pure_on_state_matches_mp_oracle(n_s, n_b):
+    # kappa = 1 leaves the on-state pure, so the infimum is the s -> 0+ limit.
+    # The search stops at s = _S_EDGE = 1e-6, where Q_s still exceeds that
+    # limit by a relative ~1e-6 of the exponent (7.2e-7 to 9.6e-7 measured)
+    pytest.importorskip("mpmath")
+    pair = hypothesis_pair(SourceKind.TMSV, ScenarioParams(
+        kappa=1.0, n_s=n_s, n_b=n_b, noise_model=NoiseModel.NONCONSTANT))
+    ref = orc.chernoff_exponent_mp(pair, 1)
+    assert abs(qcb(pair, 1).exponent / ref - 1) <= 2e-6
 
 
 def test_qcb_matches_mp_oracle_on_strongly_separated_pairs():

@@ -1,8 +1,10 @@
 """Figure presets, emitters, and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,12 @@ import pytest
 from gillum import CurveSet, SweepConfig, run_figure, to_csv, to_json, to_svg
 from gillum.emit import emit
 from gillum.figures import ConfigError, Curve, NumericalError
+
+
+# child interpreters find the checkout's package without an install
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def small(figure, **kw):
@@ -169,7 +177,7 @@ def test_emitters_deterministic():
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "gillum.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
 
 
 def test_cli_csv_stdout():
@@ -225,12 +233,23 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     assert climod.main(["figure", "fig1", "--points", "4"]) == 3
 
 
+def test_cli_coherent_bound_where_q_underflows(tmp_path):
+    # at N_S = 1e6 the coherent per-copy overlap underflows to 0; the closed
+    # form's exponent stays finite, so the sweep succeeds
+    from gillum import cli as climod
+
+    out = tmp_path / "fig1.csv"
+    assert climod.main(["figure", "fig1", "--kappa", "0.5", "--ns-max", "1e6",
+                        "--out", str(out)]) == 0
+
+
 def test_figure_run_does_not_import_scipy():
     # NumPy is the only runtime dependency; SciPy serves the tests alone
     code = ("import contextlib, io, sys, gillum, gillum.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = gillum.cli.main(['figure', 'fig5a', '--points', '2'])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=ENV)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "0 []"

@@ -10,7 +10,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles as orc
 from gillum import (
-    HeterodyneVariant,
     QuadraticObservable,
     ScenarioParams,
     SourceKind,
@@ -244,21 +243,9 @@ def test_hd_product_on_vacuum():
     assert abs(st.variance - 0.25) < 1e-14
 
 
-def test_heterodyne_cross_correlation_rule():
-    # X X + P P correlation read out with two heterodynes: variance picks up
-    # (2 + <n_S + n_I>)/4 on top of the quartered direct variance
-    params = ScenarioParams(kappa=0.01, n_s=0.4, n_i=0.3, n_b=0.3)
-    pair = hypothesis_pair(SourceKind.CCT, params)
-    base = stats(obs_off(), pair.off)
-    deg = heterodyne_degrade(base, HeterodyneVariant.DUAL_MODE_CI, pair.off)
-    n_sum = pair.off.mean_photon(0) + pair.off.mean_photon(1)
-    assert abs(4 * deg.variance - (base.variance + 2 + n_sum)) < 1e-12
-    assert abs(deg.mean - base.mean / 2) < 1e-14
-
-
 def test_heterodyne_squeeze_correlation_rule(tmsv_pair):
     base = stats(obs_bound(0.0, 0.0), tmsv_pair.on)
-    deg = heterodyne_degrade(base, HeterodyneVariant.SEPARATE_HTD_QI, tmsv_pair.on)
+    deg = heterodyne_degrade(base, tmsv_pair.on)
     expected = base.variance + (1 + NB + (1 + KAPPA) * NS)
     assert abs(4 * deg.variance - expected) < 1e-12
 
@@ -267,25 +254,20 @@ def test_double_heterodyne_after_recombiner_rule(tmsv_pair):
     sq = 1 / np.sqrt(2)
     mixed = apply_beam_splitter(tmsv_pair.on, 0, 1, sq, sq, np.pi / 2)
     base = stats(obs_squeeze_difference(), mixed)
-    deg = heterodyne_degrade(base, HeterodyneVariant.DOUBLE_HTD_AFTER_BS, mixed)
+    deg = heterodyne_degrade(base, mixed)
     expected = base.variance + (1 + NB + (1 + KAPPA) * NS)
     assert abs(4 * deg.variance - expected) < 1e-11
 
 
-@pytest.mark.parametrize("sign,variant", [
-    (+1.0, HeterodyneVariant.DUAL_MODE_CI),
-    (-1.0, HeterodyneVariant.SEPARATE_HTD_QI),
-])
-def test_heterodyne_rules_match_enlarged_mode_simulation(sign, variant):
-    # simulate the vacuum ancillas explicitly and compare with the stats map
+def test_heterodyne_rules_match_enlarged_mode_simulation():
+    # simulate the vacuum ancillas of the X X - P P readout explicitly and
+    # compare with the stats map
     params = ScenarioParams(kappa=0.05, n_s=0.4, n_i=0.3, n_b=0.3)
-    source = SourceKind.CCT if sign > 0 else SourceKind.TMSV
-    pair = hypothesis_pair(source, params)
-    direct = obs_off() if sign > 0 else obs_bound(0.0, 0.0)
+    pair = hypothesis_pair(SourceKind.TMSV, params)
     for state in (pair.on, pair.off):
         big = tensor(tensor(state, make_vacuum(1)), make_vacuum(1))
-        sim = stats(orc.heterodyned_cross_observable(sign), big)
-        deg = heterodyne_degrade(stats(direct, state), variant, state)
+        sim = stats(orc.heterodyned_cross_observable(-1.0), big)
+        deg = heterodyne_degrade(stats(obs_bound(0.0, 0.0), state), state)
         assert abs(sim.mean - deg.mean) < 1e-12
         assert abs(sim.variance - deg.variance) < 1e-12
 
@@ -296,8 +278,7 @@ def test_double_heterodyne_matches_enlarged_mode_simulation(tmsv_pair):
         mixed = apply_beam_splitter(state, 0, 1, sq, sq, np.pi / 2)
         big = tensor(tensor(mixed, make_vacuum(1)), make_vacuum(1))
         sim = stats(orc.heterodyned_square_difference(), big)
-        deg = heterodyne_degrade(stats(obs_squeeze_difference(), mixed),
-                                 HeterodyneVariant.DOUBLE_HTD_AFTER_BS, mixed)
+        deg = heterodyne_degrade(stats(obs_squeeze_difference(), mixed), mixed)
         assert abs(sim.mean - deg.mean) < 1e-12
         assert abs(sim.variance - deg.variance) < 1e-10 * max(1, deg.variance)
 

@@ -19,6 +19,8 @@ from gillum import (
     ScenarioParams,
     SourceKind,
     hypothesis_pair,
+    obs_opa,
+    obs_pc,
     optimal_beta_closed,
     optimize_alpha_beta_nonconstant,
     p_err,
@@ -208,6 +210,24 @@ def test_optimal_beta_decreases_toward_sqrt_kappa():
              for ns in np.logspace(-2, 1, 30)]
     assert all(b1 > b2 for b1, b2 in zip(betas, betas[1:]))
     assert betas[-1] > np.sqrt(0.01)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    (ReceiverKind.PC, dict(mu=1.0, nu=0.0)),  # mu^2 - nu^2 = 1, but nu = 0
+    (ReceiverKind.PC, dict(mu=2.0, nu=1.0)),
+    (ReceiverKind.OPA, dict(gain=1.0)),
+    (ReceiverKind.OPA, dict(gain=0.5)),
+])
+def test_bad_receiver_parameters_rejected_everywhere(kind, kwargs):
+    # the observable, the receiver spec and the closed form share one rule
+    build, closed = {ReceiverKind.PC: (obs_pc, snr_closed_pc),
+                     ReceiverKind.OPA: (obs_opa, snr_closed_opa)}[kind]
+    with pytest.raises(ValueError):
+        build(**kwargs)
+    with pytest.raises(ValueError):
+        ReceiverSpec(kind, **kwargs)
+    with pytest.raises(ValueError):
+        closed(params_for(), **kwargs)
 
 
 def test_optimal_beta_singular_inputs():
