@@ -63,8 +63,8 @@ def williamson(state: QuadratureState):
     of eigenvectors of one Hermitian matrix (see the module docstring).
 
     It is the package's one purity test: an error E ~ eps lambda_max(cov_q)
-    moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k,
-    so a 2 nu_k that close to 1 is returned as exactly 1/2 (s is unchanged).
+    moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k;
+    2 nu_k that close to 1 is returned as 1/2 (s unchanged), below that raises.
     """
     n = state.n_modes
     evals, evecs = np.linalg.eigh(state.cov_q)
@@ -78,7 +78,10 @@ def williamson(state: QuadratureState):
     nus = np.einsum("ik,ij,jk->k", z[:, 0::2], skew, z[:, 1::2])
     s = sq @ z / np.sqrt(np.repeat(nus, 2))
     spread = (s * s).sum(axis=0).reshape(n, 2).sum(axis=1)  # tr(s P_k s^T)
-    return np.where(2.0 * nus <= 1.0 + _PURE_TOL * evals[-1] * spread, 0.5, nus), s
+    gap, tol = 2.0 * nus - 1.0, _PURE_TOL * evals[-1] * spread
+    if np.any(gap < -tol):
+        raise ValueError("covariance is not physical: symplectic eigenvalue below 1/2")
+    return np.where(gap <= tol, 0.5, nus), s
 
 
 def _g_lambda(x: np.ndarray, p: np.ndarray):
@@ -110,13 +113,11 @@ class _PairData:
     """
 
     def __init__(self, pair: HypothesisPair):
-        q_on = to_quadrature(pair.on)
-        q_off = to_quadrature(pair.off)
+        q_on, q_off = to_quadrature(pair.on), to_quadrature(pair.off)
         if q_on.n_modes != q_off.n_modes:
             raise ValueError("hypotheses must have the same mode count")
         self.n = q_on.n_modes
-        nu_on, s_on = williamson(q_on)
-        nu_off, s_off = williamson(q_off)
+        (nu_on, s_on), (nu_off, s_off) = williamson(q_on), williamson(q_off)
         self.projectors = np.concatenate([_mode_projectors(s_on), _mode_projectors(s_off)])
         self.nu = 2.0 * np.concatenate([nu_on, nu_off])  # doubled: pure modes are 1
         self.is_on = np.arange(2 * self.n) < self.n
@@ -125,8 +126,7 @@ class _PairData:
             self.delta = None
 
     def overlap(self, s):
-        """Single-copy Q_s, clamped to at most 1, at every s of a scalar or
-        array in one pass."""
+        """Single-copy Q_s, clamped to at most 1, at every s of a scalar or array."""
         s = np.asarray(s, dtype=float)[..., None]
         g, lam = _g_lambda(self.nu, np.where(self.is_on, s, 1.0 - s))
         sig = (lam @ self.projectors).reshape(s.shape[:-1] + (2 * self.n, 2 * self.n))

@@ -13,6 +13,7 @@ import oracles as orc
 from gillum import (
     HypothesisPair,
     NoiseModel,
+    QuadratureState,
     ScenarioParams,
     SourceKind,
     coherent_qcb_closed,
@@ -48,6 +49,19 @@ def test_williamson_returns_pure_modes_exactly(n_s):
     # 3.5e-6 at 1e5; the round-off rule in williamson snaps both modes
     nu, _ = williamson(to_quadrature(make_tmsv(n_s)))
     assert np.array_equal(nu, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("cov_q", [0.4 * np.eye(2), np.diag([0.1, 2.0]),
+                                   np.diag([1.0, 1.0, 0.5 - 1e-9, 0.5 - 1e-9])])
+def test_williamson_rejects_sub_vacuum_states(cov_q):
+    # positive definite but nu < 1/2 beyond round-off: not a quantum state
+    with pytest.raises(ValueError, match="not physical"):
+        williamson(QuadratureState(np.zeros(len(cov_q)), cov_q))
+
+
+def test_williamson_keeps_modes_beyond_round_off_of_pure():
+    nu, _ = williamson(QuadratureState(np.zeros(4), np.diag([0.5 + 1e-9] * 2 + [0.5] * 2)))
+    assert sorted(nu.tolist()) == [0.5, 0.5 + 1e-9]
 
 
 def test_williamson_reconstruction_and_symplecticity():
