@@ -7,9 +7,7 @@ exactly, and compares against quantum Chernoff bounds.
 
 from .states import (
     GaussianState,
-    QuadratureState,
     apply_beam_splitter,
-    from_quadrature,
     make_cct,
     make_coherent,
     make_thermal,
@@ -17,7 +15,6 @@ from .states import (
     make_vacuum,
     symplectic_form,
     tensor,
-    to_quadrature,
 )
 from .channels import (
     HypothesisPair,

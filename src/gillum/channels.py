@@ -3,10 +3,11 @@
 The probe's signal mode mixes with an environment thermal mode on a beam
 splitter whose reflectance toward the receiver is the target reflectance
 kappa.  With the environment traced out this is the lossy thermal map of
-the covariance, V -> X V X^T + Y, where X scales the signal mode by
-sqrt(kappa) and Y is the environment's thermal contribution weighted by
-1 - kappa; ``apply_target`` applies it entrywise to the signal slots.  Two
-background conventions are supported:
+the normally ordered quadrature covariance, V -> X V X + N I, where X scales
+the signal mode's (x, p) by sqrt(kappa) and N is the thermal occupancy the
+environment adds to the signal mode (``_received_noise``); ``apply_target``
+applies it to the signal's rows and columns.  Two background conventions
+are supported:
 
 * ``CONSTANT``: the environment is prepared with mean ``n_b / (1 - kappa)``
   so the received thermal contribution is ``n_b`` independent of kappa.
@@ -71,40 +72,39 @@ class HypothesisPair:
     off: GaussianState
 
 
+def _received_noise(params: ScenarioParams, kappa: float) -> float:
+    """Thermal occupancy the environment adds to the signal mode at reflectance
+    ``kappa``: n_b (constant noise) or (1 - kappa) n_b (nonconstant)."""
+    if params.noise_model is NoiseModel.CONSTANT:
+        return params.n_b
+    return (1.0 - kappa) * params.n_b
+
+
 def apply_target(state: GaussianState, signal_mode: int, params: ScenarioParams,
                  present: bool) -> GaussianState:
     """Send one mode of ``state`` through the target channel.
 
     The signal mode a becomes sqrt(kappa) a + sqrt(1 - kappa) e with e an
     environment thermal mode (mean set by the noise model) that is traced
-    out: the signal's two ``u`` slots of the mean and of every covariance
-    row and column scale by sqrt(kappa), and the environment adds
-    (1 - kappa)(N_env + 1) to its <a a^dag> entry and (1 - kappa) N_env to
-    its <a^dag a> entry.  ``present=False`` always uses reflectance zero with
-    environment mean ``n_b``.
+    out: the signal's x and p in the mean and in every row and column of
+    cov_n scale by sqrt(kappa), and its two diagonal entries gain the
+    received occupancy ``_received_noise``.  ``present=False`` always uses
+    reflectance zero, which receives ``n_b`` in both conventions.
     """
     n = state.n_modes
     if not 0 <= signal_mode < n:
         raise ValueError("signal mode out of range")
-    if present:
-        kappa = params.kappa
-        if params.noise_model is NoiseModel.CONSTANT:
-            if kappa >= 1.0:
-                raise ValueError(
-                    "constant-noise channel is undefined at kappa = 1 "
-                    "(environment mean n_b / (1 - kappa) diverges)")
-            env_mean = params.n_b / (1.0 - kappa)
-        else:
-            env_mean = params.n_b
-    else:
-        kappa = 0.0
-        env_mean = params.n_b
+    kappa = params.kappa if present else 0.0
+    if kappa >= 1.0 and params.noise_model is NoiseModel.CONSTANT:
+        raise ValueError(
+            "constant-noise channel is undefined at kappa = 1 "
+            "(environment mean n_b / (1 - kappa) diverges)")
+    sig = [2 * signal_mode, 2 * signal_mode + 1]
     x = np.ones(2 * n)
-    x[[signal_mode, n + signal_mode]] = np.sqrt(kappa)
-    cov = state.cov * np.outer(x, x)
-    cov[signal_mode, signal_mode] += (1.0 - kappa) * (env_mean + 1.0)
-    cov[n + signal_mode, n + signal_mode] += (1.0 - kappa) * env_mean
-    return GaussianState(x * state.mean, cov)
+    x[sig] = np.sqrt(kappa)
+    cov_n = state.cov_n * np.outer(x, x)
+    cov_n[sig, sig] += _received_noise(params, kappa)
+    return GaussianState(x * state.mean_q, cov_n)
 
 
 def _source_state(source: SourceKind, params: ScenarioParams) -> GaussianState:

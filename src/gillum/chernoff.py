@@ -4,8 +4,8 @@ The single-copy overlap Q_s = Tr(rho_on^s rho_off^{1-s}) of two Gaussian
 states has a closed form in terms of their Williamson decompositions; the
 bound on the M-copy discrimination error is (1/2) (min_s Q_s)^M.  All
 formulas below work internally in the doubled-covariance convention
-(vacuum symplectic eigenvalue 1), converted from the package's vacuum-1/2
-quadrature states at the boundary.
+(vacuum symplectic eigenvalue 1), read from each state's quadrature
+covariance ``cov_q`` (vacuum I/2) at the boundary.
 
 In the eigenbases of the two density operators Q_s = sum_ij c_ij a_i^s
 b_j^(1-s) with c_ij = |<a_i|b_j>|^2 >= 0 (Audenaert et al., PRL 98, 160501
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import HypothesisPair, NoiseModel, ScenarioParams
-from .states import QuadratureState, symplectic_form, to_quadrature
+from .states import GaussianState, symplectic_form
 
 _S_EDGE = 1e-6
 _BRACKET = 33  # overlaps per batched round of the s search
@@ -54,8 +54,8 @@ class QcbResult:
     p_err_bound: float
 
 
-def williamson(state: QuadratureState):
-    """Williamson normal form of the quadrature covariance.
+def williamson(state: GaussianState):
+    """Williamson normal form of the state's quadrature covariance ``cov_q``.
 
     Returns (nu, s) with cov_q = s @ diag(nu_1, nu_1, ..., nu_n, nu_n) @ s.T
     and s symplectic; nu are the symplectic eigenvalues (>= 1/2 for physical
@@ -113,15 +113,14 @@ class _PairData:
     """
 
     def __init__(self, pair: HypothesisPair):
-        q_on, q_off = to_quadrature(pair.on), to_quadrature(pair.off)
-        if q_on.n_modes != q_off.n_modes:
+        if pair.on.n_modes != pair.off.n_modes:
             raise ValueError("hypotheses must have the same mode count")
-        self.n = q_on.n_modes
-        (nu_on, s_on), (nu_off, s_off) = williamson(q_on), williamson(q_off)
+        self.n = pair.on.n_modes
+        (nu_on, s_on), (nu_off, s_off) = williamson(pair.on), williamson(pair.off)
         self.projectors = np.concatenate([_mode_projectors(s_on), _mode_projectors(s_off)])
         self.nu = 2.0 * np.concatenate([nu_on, nu_off])  # doubled: pure modes are 1
         self.is_on = np.arange(2 * self.n) < self.n
-        self.delta = math.sqrt(2.0) * (q_on.mean_q - q_off.mean_q)
+        self.delta = math.sqrt(2.0) * (pair.on.mean_q - pair.off.mean_q)
         if np.linalg.norm(self.delta) < _MEAN_SHORTCUT:
             self.delta = None
 
@@ -129,7 +128,9 @@ class _PairData:
         """Single-copy Q_s, clamped to at most 1, at every s of a scalar or array."""
         s = np.asarray(s, dtype=float)[..., None]
         g, lam = _g_lambda(self.nu, np.where(self.is_on, s, 1.0 - s))
-        sig = (lam @ self.projectors).reshape(s.shape[:-1] + (2 * self.n, 2 * self.n))
+        # einsum, unlike a BLAS product, rounds a row alike for one s or many
+        sig = np.einsum("...k,kj->...j", lam, self.projectors).reshape(
+            s.shape[:-1] + (2 * self.n, 2 * self.n))
         val = 2.0**self.n * np.prod(g, axis=-1) / np.sqrt(np.linalg.det(sig))
         if self.delta is not None:
             val *= np.exp(-0.5 * (np.linalg.solve(sig, self.delta) @ self.delta))
@@ -177,8 +178,8 @@ def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:
     cubic through log Q of the last round's samples gives s* and
     log Q(s*).  Identical hypotheses give Q = 1 exactly.
     """
-    if (np.array_equal(pair.on.cov, pair.off.cov)
-            and np.array_equal(pair.on.mean, pair.off.mean)):
+    if (np.array_equal(pair.on.cov_n, pair.off.cov_n)
+            and np.array_equal(pair.on.mean_q, pair.off.mean_q)):
         return QcbResult(s_star=0.5, q_value=1.0, exponent=0.0, p_err_bound=0.5)
     s_star, log_q = _zoom_min(_PairData(pair).overlap, _S_EDGE, 1.0 - _S_EDGE)
     q_value = math.exp(log_q)  # in [0, 1]

@@ -83,6 +83,11 @@ class SweepConfig:
                 f"unknown figure {self.figure!r}; expected one of {FIGURE_NAMES}")
         if self.points < 2:
             raise ConfigError("points must be >= 2")
+        if not (self.m_modes >= 1 and float(self.m_modes).is_integer()):
+            raise ConfigError(f"modes must be a whole number >= 1, got {self.m_modes!r}")
+        models = _PRESETS[self.figure][1]
+        if self.noise is not None and self.noise not in models:
+            raise ConfigError(f"{self.figure} is defined for {models[0].value} noise only")
         if self.sweep_min is not None and self.sweep_max is not None:
             if not (0 < self.sweep_min < self.sweep_max):
                 raise ConfigError("sweep range must be positive and ordered")
@@ -90,7 +95,7 @@ class SweepConfig:
 
 def _params(config: SweepConfig, noise: NoiseModel, **overrides) -> ScenarioParams:
     base = dict(kappa=config.kappa, n_s=0.0, n_b=config.n_b,
-                m_modes=max(1, int(config.m_modes)), noise_model=noise)
+                m_modes=int(config.m_modes), noise_model=noise)
     base.update(overrides)
     return ScenarioParams(**base)
 
@@ -144,17 +149,17 @@ def _fig_receivers(config: SweepConfig, noise: NoiseModel) -> CurveSet:
         config, 1e-2, 10.0, lambda ns: _qi_receiver_values(config, noise, ns)))
 
 
-def _fig_differences(config: SweepConfig) -> CurveSet:
+def _fig_differences(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
-        vals = _qi_receiver_values(config, NoiseModel.CONSTANT, ns)
+        vals = _qi_receiver_values(config, noise, ns)
         return {"OB-Coh": vals["OB"] - vals["Coh"],
                 "PC-Coh": vals["PC"] - vals["Coh"]}
     return CurveSet("N_S", "SNR difference", _sweep(config, 1e-2, 10.0, row))
 
 
-def _fig_heterodyne(config: SweepConfig) -> CurveSet:
+def _fig_heterodyne(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
-        params = _params(config, NoiseModel.CONSTANT, n_s=ns)
+        params = _params(config, noise, n_s=ns)
         pair = hypothesis_pair(SourceKind.TMSV, params)
         m = params.m_modes
         return {
@@ -166,8 +171,7 @@ def _fig_heterodyne(config: SweepConfig) -> CurveSet:
     return CurveSet("N_S", "SNR", _sweep(config, 1e-2, 10.0, row))
 
 
-def _fig_cct_kappa(config: SweepConfig) -> CurveSet:
-    noise = config.noise or NoiseModel.CONSTANT
+def _fig_cct_kappa(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(kappa):
         out = {}
         for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
@@ -179,8 +183,7 @@ def _fig_cct_kappa(config: SweepConfig) -> CurveSet:
     return CurveSet("kappa", "SNR", _sweep(config, 1e-3, 0.1, row))
 
 
-def _fig_cct_ns(config: SweepConfig) -> CurveSet:
-    noise = config.noise or NoiseModel.CONSTANT
+def _fig_cct_ns(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
         params = _params(config, noise, n_s=ns, n_i=ns)
         pair = hypothesis_pair(SourceKind.CCT, params)
@@ -192,33 +195,36 @@ def _fig_cct_ns(config: SweepConfig) -> CurveSet:
     return CurveSet("N_S", "SNR", _sweep(config, 1e-2, 10.0, row))
 
 
-def _fig_optimal_beta(config: SweepConfig) -> CurveSet:
+def _fig_optimal_beta(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
-        return {"|beta|": optimal_beta_closed(_params(config, NoiseModel.CONSTANT, n_s=ns))}
+        return {"|beta|": optimal_beta_closed(_params(config, noise, n_s=ns))}
     return CurveSet("N_S", "|beta|", _sweep(config, 1e-2, 10.0, row))
 
 
-def _fig_optimal_alpha_beta(config: SweepConfig) -> CurveSet:
+def _fig_optimal_alpha_beta(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
-        alpha, beta, _ = optimize_alpha_beta_nonconstant(
-            _params(config, NoiseModel.NONCONSTANT, n_s=ns))
+        alpha, beta, _ = optimize_alpha_beta_nonconstant(_params(config, noise, n_s=ns))
         return {"alpha": alpha, "beta": beta}
     return CurveSet("N_S", "optimal weight", _sweep(config, 1e-2, 10.0, row))
 
 
-_BUILDERS = {
-    "fig1": lambda c: _fig_receivers(c, c.noise or NoiseModel.CONSTANT),
-    "fig2": _fig_differences,
-    "fig3": lambda c: _fig_receivers(c, c.noise or NoiseModel.NONCONSTANT),
-    "fig4": _fig_heterodyne,
-    "fig5a": _fig_cct_kappa,
-    "fig5b": _fig_cct_ns,
-    "s1": _fig_optimal_beta,
-    "s2": _fig_optimal_alpha_beta,
+_CONSTANT, _NONCONSTANT = NoiseModel.CONSTANT, NoiseModel.NONCONSTANT
+# preset -> (builder taking the config and the noise model, the noise models
+# the preset is defined for, its default first)
+_PRESETS = {
+    "fig1": (_fig_receivers, (_CONSTANT, _NONCONSTANT)),
+    "fig2": (_fig_differences, (_CONSTANT,)),
+    "fig3": (_fig_receivers, (_NONCONSTANT, _CONSTANT)),
+    "fig4": (_fig_heterodyne, (_CONSTANT,)),
+    "fig5a": (_fig_cct_kappa, (_CONSTANT, _NONCONSTANT)),
+    "fig5b": (_fig_cct_ns, (_CONSTANT, _NONCONSTANT)),
+    "s1": (_fig_optimal_beta, (_CONSTANT,)),
+    "s2": (_fig_optimal_alpha_beta, (_NONCONSTANT,)),
 }
-FIGURE_NAMES = tuple(_BUILDERS)
+FIGURE_NAMES = tuple(_PRESETS)
 
 
 def run_figure(config: SweepConfig) -> CurveSet:
     """Run one figure preset and return its deterministic curve set."""
-    return _BUILDERS[config.figure](config)
+    build, models = _PRESETS[config.figure]
+    return build(config, config.noise or models[0])

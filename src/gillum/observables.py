@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, beam_splitter_matrix
+from .states import GaussianState, _mode_basis, beam_splitter_matrix
 
 _COEFF_TOL = 1e-12
 _IMAG_TOL = 1e-10
@@ -266,7 +266,9 @@ def transform_by_beam_splitter(obs: QuadraticObservable, t: float, r: float,
     observable.
     """
     n = obs.n_modes
-    w = beam_splitter_matrix(n, mode_i, mode_j, t, r, phase)
+    # u -> W S W^-1 u with sqrt(2) u = W r and W^-1 = W^dag / 2
+    v = _mode_basis(n)[0]
+    w = 0.5 * (v @ beam_splitter_matrix(n, mode_i, mode_j, t, r, phase) @ v.conj().T)
     k = w.T @ obs.coefficient_matrix() @ w
     lvec = w.T @ obs.linear_vector()
     return _normal_order(n, k, lvec, obs.c0)

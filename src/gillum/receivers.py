@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import HypothesisPair, NoiseModel, ScenarioParams
+from .channels import HypothesisPair, NoiseModel, ScenarioParams, _received_noise
 from .observables import (
     _check_opa,
     _check_pc,
@@ -205,9 +205,7 @@ def snr_generic(spec: ReceiverSpec, pair: HypothesisPair, m_modes: float) -> Snr
 
 def _occupancy(params: ScenarioParams, kappa: float) -> float:
     """Signal-mode thermal-plus-reflection occupancy after the channel."""
-    if params.noise_model is NoiseModel.CONSTANT:
-        return kappa * params.n_s + params.n_b
-    return kappa * params.n_s + (1.0 - kappa) * params.n_b
+    return kappa * params.n_s + _received_noise(params, kappa)
 
 
 def _cross(params: ScenarioParams, kappa: float) -> float:

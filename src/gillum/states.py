@@ -1,37 +1,32 @@
-"""Multimode Gaussian states: first moments plus mode-operator covariance blocks.
+"""Multimode Gaussian states as real quadrature moments.
 
-A state of n modes is stored in the annihilation/creation representation.
-Writing ``u = (a_1, ..., a_n, a_1^dag, ..., a_n^dag)``, the mean vector is
-``<u>`` and the covariance matrix holds the centered second moments arranged
-so that matrix entries are literally the familiar quantities::
+Quadratures are ``x = (a + a^dag)/sqrt(2)`` and ``p = -i (a - a^dag)/sqrt(2)``,
+ordered ``r = (x_1, p_1, ..., x_n, p_n)``, so ``[x, p] = i`` and the vacuum
+covariance is I/2.  A state stores the mean ``mean_q = <r>`` and the normally
+ordered covariance ``cov_n = cov_q - I/2``, cov_q the symmetrized covariance:
+0 for vacuum and ``n I`` for a thermal mode of mean n, so photon numbers are
+stored as written, without a round trip through n + 1/2::
 
-    cov[i, j]         = <da_i da_j^dag>      (i, j < n)
-    cov[i, n+j]       = <da_i da_j>
-    cov[n+i, j]       = <da_i^dag da_j^dag>
-    cov[n+i, n+j]     = <da_i^dag da_j>
+    <da_i^dag da_j> = (X + P)_ij / 2 + i (C - C^T)_ij / 2
+    <da_i da_j>     = (X - P)_ij / 2 + i (C + C^T)_ij / 2
 
-with ``da = a - <a>``.  A vacuum mode therefore has ``cov = diag(1, 0)`` in
-its (a a^dag, a^dag a) slots.  The equivalent real quadrature form uses
-``x = (a + a^dag)/sqrt(2)`` and ``p = -i (a - a^dag)/sqrt(2)``, so the vacuum
-quadrature variance is 1/2.  Symplectic eigenvalues, and with them purity,
-come from :func:`gillum.chernoff.williamson` alone.
+with X, P and C the xx, pp and xp sub-blocks of cov_n and ``da = a - <a>``.
+Any real symmetric cov_n gives mode-operator moments with the symmetry,
+Hermiticity and commutation structure of a state, so construction checks
+shape and symmetry only; physicality (symplectic eigenvalues >= 1/2) is
+tested by :func:`gillum.chernoff.williamson` alone.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-_STRUCT_TOL = 1e-10
-
-
-def block_swap(n: int) -> np.ndarray:
-    """Permutation exchanging the annihilation and creation halves of u."""
-    p = np.zeros((2 * n, 2 * n))
-    p[:n, n:] = np.eye(n)
-    p[n:, :n] = np.eye(n)
-    return p
+_SYM_TOL = 1e-10
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -43,187 +38,147 @@ def symplectic_form(n: int) -> np.ndarray:
     return w
 
 
-def _quadrature_transform(n: int) -> np.ndarray:
-    """Matrix T with r = T u, r = (x_1, p_1, ...), u = (a..., a^dag...)."""
-    t = np.zeros((2 * n, 2 * n), dtype=complex)
-    s = 1.0 / np.sqrt(2.0)
+@functools.lru_cache(maxsize=None)
+def _mode_basis(n: int):
+    """(W, W^T / 2, D) for n modes: sqrt(2) u = W r with
+    u = (a_1, ..., a_n, a_1^dag, ..., a_n^dag), and D the commutation offset
+    <da_i da_i^dag> - <da_i^dag da_i> = 1 in the ordered moment matrix.  W's
+    entries are 1 and +-i, so the factor 1/2 of W cov_n W^T is exact."""
+    w = np.zeros((2 * n, 2 * n), dtype=complex)
     for k in range(n):
-        t[2 * k, k] = s
-        t[2 * k, n + k] = s
-        t[2 * k + 1, k] = -1j * s
-        t[2 * k + 1, n + k] = 1j * s
-    return t
-
-
-def _validate_structure(mean: np.ndarray, cov: np.ndarray) -> None:
-    if mean.ndim != 1 or cov.ndim != 2:
-        raise ValueError("mean must be a vector and cov a square matrix")
-    if mean.size % 2 != 0 or cov.shape != (mean.size, mean.size):
-        raise ValueError("mean length must be 2*n_modes and cov (2n, 2n)")
-    n = mean.size // 2
-    if n < 1:
-        raise ValueError("need at least one mode")
-    if np.max(np.abs(mean[n:] - mean[:n].conj())) > _STRUCT_TOL:
-        raise ValueError("mean is not conjugate symmetric")
-    m = cov @ block_swap(n)  # ordered moment matrix <du_i du_j>
-    aa, add, dd, da = m[:n, :n], m[:n, n:], m[n:, n:], m[n:, :n]
-    if np.max(np.abs(aa - aa.T)) > _STRUCT_TOL:
-        raise ValueError("<a a> block is not symmetric")
-    if np.max(np.abs(dd - dd.T)) > _STRUCT_TOL:
-        raise ValueError("<a^dag a^dag> block is not symmetric")
-    if np.max(np.abs(add - add.conj().T)) > _STRUCT_TOL:
-        raise ValueError("<a a^dag> block is not Hermitian")
-    if np.max(np.abs(dd - aa.conj())) > _STRUCT_TOL:
-        raise ValueError("<a^dag a^dag> block is not the conjugate of <a a>")
-    if np.max(np.abs(da - (add.T - np.eye(n)))) > _STRUCT_TOL:
-        raise ValueError("<a^dag a> block violates the commutation offset")
+        w[[k, n + k], 2 * k] = 1.0
+        w[[k, n + k], 2 * k + 1] = 1j, -1j
+    offset = np.zeros((2 * n, 2 * n), dtype=complex)
+    offset[range(n), range(n, 2 * n)] = 1.0
+    out = (w, np.ascontiguousarray(0.5 * w.T), offset)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Immutable n-mode Gaussian state (``mean``, ``cov``) as described above."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=complex)
-        cov = np.array(self.cov, dtype=complex)
-        _validate_structure(mean, cov)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
-
-    @property
-    def moment_matrix(self) -> np.ndarray:
-        """Ordered centered moments M[i, j] = <du_i du_j> (M = cov @ P)."""
-        return self.cov @ block_swap(self.n_modes)
-
-    def mean_photon(self, mode: int) -> float:
-        """Total <a^dag a> of one mode, including the first-moment part."""
-        n = self.n_modes
-        return float(self.cov[n + mode, n + mode].real + abs(self.mean[mode]) ** 2)
-
-    def reduced(self, modes) -> "GaussianState":
-        """State of a subset of modes (partial trace over the rest)."""
-        modes = list(modes)
-        n = self.n_modes
-        idx = modes + [n + k for k in modes]
-        m = self.moment_matrix[np.ix_(idx, idx)]
-        mean = self.mean[idx]
-        return GaussianState(mean, m @ block_swap(len(modes)))
-
-
-@dataclass(frozen=True)
-class QuadratureState:
-    """Real (x_1, p_1, ..., x_n, p_n) moments; vacuum covariance = I/2."""
+    """Immutable n-mode Gaussian state (``mean_q``, ``cov_n``) as described above."""
 
     mean_q: np.ndarray
-    cov_q: np.ndarray
+    cov_n: np.ndarray
 
     def __post_init__(self):
         mean_q = np.array(self.mean_q, dtype=float)
-        cov_q = np.array(self.cov_q, dtype=float)
-        if mean_q.size % 2 != 0 or cov_q.shape != (mean_q.size, mean_q.size):
-            raise ValueError("mean_q length must be 2*n_modes and cov_q (2n, 2n)")
-        if np.max(np.abs(cov_q - cov_q.T)) > _STRUCT_TOL:
-            raise ValueError("cov_q is not symmetric")
+        cov_n = np.array(self.cov_n, dtype=float)
+        if (mean_q.ndim != 1 or mean_q.size < 2 or mean_q.size % 2
+                or cov_n.shape != (mean_q.size, mean_q.size)):
+            raise ValueError("mean_q must have length 2 n_modes >= 2 and cov_n shape (2n, 2n)")
+        if np.max(np.abs(cov_n - cov_n.T)) > _SYM_TOL:
+            raise ValueError("cov_n is not symmetric")
         mean_q.setflags(write=False)
-        cov_q.setflags(write=False)
+        cov_n.setflags(write=False)
         object.__setattr__(self, "mean_q", mean_q)
-        object.__setattr__(self, "cov_q", cov_q)
+        object.__setattr__(self, "cov_n", cov_n)
 
     @property
     def n_modes(self) -> int:
         return self.mean_q.size // 2
 
+    @property
+    def cov_q(self) -> np.ndarray:
+        """Symmetrized quadrature covariance; vacuum I/2."""
+        return self.cov_n + 0.5 * np.eye(self.mean_q.size)
 
-def _from_moments(mean: np.ndarray, moment: np.ndarray) -> GaussianState:
-    n = mean.size // 2
-    return GaussianState(mean, moment @ block_swap(n))
+    @property
+    def mean(self) -> np.ndarray:
+        """Mode-operator mean <u> = (<a_1>, ..., <a_n>, <a_1^dag>, ..., <a_n^dag>)."""
+        return np.dot(_mode_basis(self.n_modes)[0], self.mean_q) * _SQRT_HALF
+
+    @property
+    def moment_matrix(self) -> np.ndarray:
+        """Ordered centered moments M[i, j] = <du_i du_j> = W cov_n W^T / 2 + D."""
+        w, half_wt, offset = _mode_basis(self.n_modes)
+        return np.dot(np.dot(w, self.cov_n), half_wt) + offset
+
+    def mean_photon(self, mode: int) -> float:
+        """Total <a^dag a> of one mode, including the first-moment part."""
+        c, x, p = self.cov_n, self.mean_q[2 * mode], self.mean_q[2 * mode + 1]
+        return float(0.5 * (c[2 * mode, 2 * mode] + c[2 * mode + 1, 2 * mode + 1]
+                            + x * x + p * p))
+
+    def reduced(self, modes) -> "GaussianState":
+        """State of a subset of modes (partial trace over the rest)."""
+        idx = [i for k in modes for i in (2 * k, 2 * k + 1)]
+        return GaussianState(self.mean_q[idx], self.cov_n[np.ix_(idx, idx)])
 
 
 def make_vacuum(n_modes: int) -> GaussianState:
-    """Vacuum state of ``n_modes`` modes."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    cov = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
-    cov[:n_modes, :n_modes] = np.eye(n_modes)
-    return GaussianState(np.zeros(2 * n_modes, dtype=complex), cov)
+    """Vacuum state of ``n_modes >= 1`` modes."""
+    return GaussianState(np.zeros(2 * n_modes), np.zeros((2 * n_modes, 2 * n_modes)))
 
 
 def make_thermal(n_mean: float) -> GaussianState:
     """Single-mode thermal state with mean photon number ``n_mean``."""
     if n_mean < 0:
         raise ValueError("thermal mean photon number must be >= 0")
-    cov = np.diag([n_mean + 1.0, n_mean]).astype(complex)
-    return GaussianState(np.zeros(2, dtype=complex), cov)
+    return GaussianState(np.zeros(2), n_mean * np.eye(2))
 
 
 def make_coherent(amplitude: complex) -> GaussianState:
     """Single-mode coherent state |alpha>; covariance is the vacuum one."""
     a = complex(amplitude)
-    vac = make_vacuum(1)
-    return GaussianState(np.array([a, a.conjugate()]), vac.cov)
+    return GaussianState(math.sqrt(2.0) * np.array([a.real, a.imag]), np.zeros((2, 2)))
+
+
+def _two_mode(n_s: float, n_i: float, xx: float, pp: float) -> GaussianState:
+    """Undisplaced modes of means n_s, n_i with <x_S x_I> = xx, <p_S p_I> = pp."""
+    return GaussianState(np.zeros(4), np.array([[n_s, 0.0, xx, 0.0], [0.0, n_s, 0.0, pp],
+                                                [xx, 0.0, n_i, 0.0], [0.0, pp, 0.0, n_i]]))
 
 
 def make_tmsv(n_s: float) -> GaussianState:
-    """Two-mode squeezed vacuum with per-mode mean photon number ``n_s``."""
+    """Two-mode squeezed vacuum with per-mode mean photon number ``n_s``:
+    <a_S a_I> = sqrt(n_s (n_s + 1)), so <p_S p_I> = -<x_S x_I>."""
     if n_s < 0:
         raise ValueError("squeezed-vacuum mean photon number must be >= 0")
-    c = np.sqrt(n_s * (n_s + 1.0))
-    cov = np.array(
-        [
-            [n_s + 1, 0, 0, c],
-            [0, n_s + 1, c, 0],
-            [0, c, n_s, 0],
-            [c, 0, 0, n_s],
-        ],
-        dtype=complex,
-    )
-    return GaussianState(np.zeros(4, dtype=complex), cov)
+    c = math.sqrt(n_s * (n_s + 1.0))
+    return _two_mode(n_s, n_s, c, -c)
+
+
+def make_cct(n_s: float, n_i: float) -> GaussianState:
+    """Correlated two-mode thermal state, as made by splitting one thermal beam.
+
+    The modes carry means exactly ``n_s`` and ``n_i`` with a real cross
+    correlation ``<a_S^dag a_I> = sqrt(n_s n_i)`` and no squeeze
+    correlations (<p_S p_I> = <x_S x_I>); zero power gives the two-mode vacuum.
+    """
+    if n_s < 0 or n_i < 0:
+        raise ValueError("mode mean photon numbers must be >= 0")
+    c = math.sqrt(n_s * n_i)
+    return _two_mode(n_s, n_i, c, c)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state of two uncorrelated states, modes of ``a`` first."""
-    na, nb = a.n_modes, b.n_modes
-    n = na + nb
-    ma, mb = a.moment_matrix, b.moment_matrix
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    ia = list(range(na)) + list(range(n, n + na))
-    ib = list(range(na, n)) + list(range(n + na, 2 * n))
-    m[np.ix_(ia, ia)] = ma
-    m[np.ix_(ib, ib)] = mb
-    mean = np.zeros(2 * n, dtype=complex)
-    mean[ia] = a.mean
-    mean[ib] = b.mean
-    return _from_moments(mean, m)
+    na = a.mean_q.size
+    cov_n = np.zeros((na + b.mean_q.size,) * 2)
+    cov_n[:na, :na] = a.cov_n
+    cov_n[na:, na:] = b.cov_n
+    return GaussianState(np.concatenate([a.mean_q, b.mean_q]), cov_n)
 
 
 def beam_splitter_matrix(n: int, mode_i: int, mode_j: int, t: float, r: float,
                          phase: float) -> np.ndarray:
-    """Heisenberg substitution on u: a_i -> t a_i + i e^{i phase} r a_j."""
+    """Real orthogonal symplectic S with r -> S r for the substitution
+    a_i -> t a_i + i e^{i phase} r a_j, a_j -> t a_j + i e^{-i phase} r a_i."""
     if abs(t * t + r * r - 1.0) > 1e-12:
         raise ValueError("beam splitter requires t^2 + r^2 = 1")
     if mode_i == mode_j or not (0 <= mode_i < n and 0 <= mode_j < n):
         raise ValueError("mode indices must be distinct and in range")
-    s = np.eye(2 * n, dtype=complex)
-    cij = 1j * np.exp(1j * phase) * r
-    cji = 1j * np.exp(-1j * phase) * r
-    s[mode_i, mode_i] = t
-    s[mode_i, mode_j] = cij
-    s[mode_j, mode_j] = t
-    s[mode_j, mode_i] = cji
-    s[n + mode_i, n + mode_i] = t
-    s[n + mode_i, n + mode_j] = cij.conjugate()
-    s[n + mode_j, n + mode_j] = t
-    s[n + mode_j, n + mode_i] = cji.conjugate()
-    return s
+    # i e^{+-i phase} r = -+r sin(phase) + i r cos(phase), as a 2x2 rotation on (x, p)
+    c, s = r * math.cos(phase), r * math.sin(phase)
+    out = np.eye(2 * n)
+    i, j = slice(2 * mode_i, 2 * mode_i + 2), slice(2 * mode_j, 2 * mode_j + 2)
+    out[i, i] = out[j, j] = t * np.eye(2)
+    out[i, j] = [[-s, -c], [c, -s]]
+    out[j, i] = [[s, -c], [c, s]]
+    return out
 
 
 def apply_beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
@@ -232,51 +187,7 @@ def apply_beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
 
     The mode operators transform as ``a_i^dag -> t a_i^dag - i e^{-i phase} r
     a_j^dag`` and ``a_j^dag -> t a_j^dag - i e^{i phase} r a_i^dag``; the total
-    mean photon number is preserved.
+    mean photon number is preserved.  S is orthogonal, so cov_n maps as cov_q.
     """
     s = beam_splitter_matrix(state.n_modes, mode_i, mode_j, t, r, phase)
-    mean = s @ state.mean
-    m = s @ state.moment_matrix @ s.T
-    return _from_moments(mean, m)
-
-
-def make_cct(n_s: float, n_i: float) -> GaussianState:
-    """Correlated two-mode thermal state, as made by splitting one thermal beam.
-
-    The modes carry means exactly ``n_s`` and ``n_i`` with a real cross
-    correlation ``<a_S^dag a_I> = sqrt(n_s n_i)`` and no squeeze
-    correlations; zero power gives the two-mode vacuum.
-    """
-    if n_s < 0 or n_i < 0:
-        raise ValueError("mode mean photon numbers must be >= 0")
-    c = np.sqrt(n_s * n_i)
-    cov = np.array(
-        [
-            [n_s + 1, c, 0, 0],
-            [c, n_i + 1, 0, 0],
-            [0, 0, n_s, c],
-            [0, 0, c, n_i],
-        ],
-        dtype=complex,
-    )
-    return GaussianState(np.zeros(4, dtype=complex), cov)
-
-
-def to_quadrature(state: GaussianState) -> QuadratureState:
-    """Real quadrature form of a state; symmetrized, vacuum variance 1/2."""
-    n = state.n_modes
-    t = _quadrature_transform(n)
-    q_full = t @ state.moment_matrix @ t.T
-    cov_q = 0.5 * (q_full + q_full.T).real
-    mean_q = (t @ state.mean).real
-    return QuadratureState(mean_q, cov_q)
-
-
-def from_quadrature(q: QuadratureState) -> GaussianState:
-    """Inverse of :func:`to_quadrature`; round trip is the identity."""
-    n = q.n_modes
-    tinv = np.linalg.inv(_quadrature_transform(n))
-    q_full = q.cov_q + 0.5j * symplectic_form(n)
-    m = tinv @ q_full @ tinv.T
-    mean = tinv @ q.mean_q.astype(complex)
-    return _from_moments(mean, m)
+    return GaussianState(s @ state.mean_q, s @ state.cov_n @ s.T)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from gillum import (GaussianState, NoiseModel, QuadraticObservable, apply_beam_splitter,
-                    make_thermal, symplectic_form, tensor, to_quadrature)
+                    make_thermal, symplectic_form, tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +417,57 @@ def golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 # symplectic spectrum and quantum Chernoff bound
 # ---------------------------------------------------------------------------
 
-def symplectic_eigenvalues(q) -> np.ndarray:
-    """Symplectic eigenvalues of a QuadratureState, ascending: the moduli of
-    the eigenvalue pairs +-i nu of Omega @ cov_q."""
-    ev = np.linalg.eigvals(symplectic_form(q.n_modes) @ q.cov_q)
+def symplectic_eigenvalues(state) -> np.ndarray:
+    """Symplectic eigenvalues of a state, ascending: the moduli of the
+    eigenvalue pairs +-i nu of Omega @ cov_q."""
+    ev = np.linalg.eigvals(symplectic_form(state.n_modes) @ state.cov_q)
     return np.sort(np.abs(ev))[::2]
 
 
 def chernoff_exponent_mp(pair, m: float, dps: int = 40) -> float:
     """-m log min_s Q_s of a Gaussian hypothesis pair at ``dps`` digits.
+
+    Each state enters through its ``cov_q`` and, for the quadrature mean,
+    its mode-operator mean ``<a_k>`` (x_k = sqrt(2) Re, p_k = sqrt(2) Im).
+    """
+    import mpmath as mp
+
+    def moments(state):
+        alpha = state.mean[:state.n_modes]
+        mean_q = [mp.sqrt(2) * mp.mpf(float(v)) for a in alpha for v in (a.real, a.imag)]
+        return mp.matrix(state.cov_q.tolist()), mp.matrix(mean_q)
+
+    with mp.workdps(dps):
+        return _chernoff_exponent_mp([moments(pair.on), moments(pair.off)], m)
+
+
+def cct_exponent_mp(params, m: float, dps: int = 40) -> float:
+    """chernoff_exponent_mp of the split-thermal (CCT) hypothesis pair, with
+    the covariances written from the model at ``dps`` digits, so that no
+    input to the bound is rounded to a double: the signal mode carries
+    kappa N_S plus the received background (N_B, or (1 - kappa) N_B for
+    nonconstant noise on), and <x_S x_I> = <p_S p_I> = sqrt(kappa N_S N_I)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        kappa, n_s, n_i, n_b = (mp.mpf(v) for v in (params.kappa, params.n_s, params.n_i,
+                                                     params.n_b))
+        noise_on = n_b if params.noise_model is NoiseModel.CONSTANT else (1 - kappa) * n_b
+
+        def moments(signal, cross):
+            a, b = signal + mp.mpf(1) / 2, n_i + mp.mpf(1) / 2
+            cov = mp.matrix([[a, 0, cross, 0], [0, a, 0, cross],
+                             [cross, 0, b, 0], [0, cross, 0, b]])
+            return cov, mp.matrix(4, 1)
+
+        return _chernoff_exponent_mp([moments(kappa * n_s + noise_on,
+                                              mp.sqrt(kappa * n_s * n_i)),
+                                      moments(n_b, mp.mpf(0))], m)
+
+
+def _chernoff_exponent_mp(hypotheses, m: float) -> float:
+    """-m log min_s Q_s from the mpmath (cov_q, mean_q) of the on and off
+    hypotheses, at the working precision of the caller.
 
     Uses neither Williamson nor Schur forms.  With V the doubled covariance,
     R = V^(1/2) and K = R Omega R, -K^2 is symmetric with the squared
@@ -434,62 +476,60 @@ def chernoff_exponent_mp(pair, m: float, dps: int = 40) -> float:
     the product of g_p is the square root of its product over that spectrum.
     Q_s is then minimized by a 70-step golden search in mpmath.
 
-    The covariances arrive as doubles, so a pure mode's symplectic
-    eigenvalue x comes out within their round-off of 1, on either side.
-    Every x with x - 1 < 1e-12 x is taken as exactly 1: then (x - 1)^s is 0,
-    and Q_s of a pure mode keeps its s -> 0+ limit instead of tending to 1.
+    Covariances that arrive as doubles put a pure mode's symplectic
+    eigenvalue x within their round-off of 1, on either side.  Every x with
+    x - 1 < 1e-12 x is taken as exactly 1: then (x - 1)^s is 0, and Q_s of a
+    pure mode keeps its s -> 0+ limit instead of tending to 1.
     """
     import mpmath as mp
 
-    with mp.workdps(dps):
-        def powers(x, p):
-            return (x + 1) ** p, (x - 1) ** p
+    def powers(x, p):
+        return (x + 1) ** p, (x - 1) ** p
 
-        def decompose(state):
-            q = to_quadrature(state)
-            w, u = mp.eigsy(2 * mp.matrix(q.cov_q.tolist()))
-            r = u * mp.diag([mp.sqrt(x) for x in w]) * u.T
-            k = r * omega * r
-            y, z = mp.eigsy(-(k * k + (k * k).T) / 2)
-            x = [mp.sqrt(v) for v in y]
-            x = [mp.mpf(1) if v - 1 < 1e-12 * v else v for v in x]  # pure modes
-            return x, r * z, mp.matrix(q.mean_q.tolist())
+    def decompose(cov_q, mean_q):
+        w, u = mp.eigsy(2 * cov_q)
+        r = u * mp.diag([mp.sqrt(x) for x in w]) * u.T
+        k = r * omega * r
+        y, z = mp.eigsy(-(k * k + (k * k).T) / 2)
+        x = [mp.sqrt(v) for v in y]
+        x = [mp.mpf(1) if v - 1 < 1e-12 * v else v for v in x]  # pure modes
+        return x, r * z, mean_q
 
-        def pieces(x, a, p):
-            g2, f = mp.mpf(1), []
-            for xi in x:
-                plus, minus = powers(xi, p)
-                g2 *= 2**p / (plus - minus)
-                f.append((plus + minus) / (plus - minus) / xi)
-            return mp.sqrt(g2), a * mp.diag(f) * a.T
+    def pieces(x, a, p):
+        g2, f = mp.mpf(1), []
+        for xi in x:
+            plus, minus = powers(xi, p)
+            g2 *= 2**p / (plus - minus)
+            f.append((plus + minus) / (plus - minus) / xi)
+        return mp.sqrt(g2), a * mp.diag(f) * a.T
 
-        n = pair.on.n_modes
-        omega = mp.matrix(symplectic_form(n).tolist())
-        x_on, a_on, mean_on = decompose(pair.on)
-        x_off, a_off, mean_off = decompose(pair.off)
-        delta = mp.sqrt(2) * (mean_on - mean_off)
+    n = hypotheses[0][0].rows // 2
+    omega = mp.matrix(symplectic_form(n).tolist())
+    x_on, a_on, mean_on = decompose(*hypotheses[0])
+    x_off, a_off, mean_off = decompose(*hypotheses[1])
+    delta = mp.sqrt(2) * (mean_on - mean_off)
 
-        def overlap(s):
-            g_on, lam_on = pieces(x_on, a_on, s)
-            g_off, lam_off = pieces(x_off, a_off, 1 - s)
-            sig = lam_on + lam_off
-            quad = (delta.T * mp.lu_solve(sig, delta))[0]
-            return 2**n * g_on * g_off / mp.sqrt(mp.det(sig)) * mp.exp(-quad / 2)
+    def overlap(s):
+        g_on, lam_on = pieces(x_on, a_on, s)
+        g_off, lam_off = pieces(x_off, a_off, 1 - s)
+        sig = lam_on + lam_off
+        quad = (delta.T * mp.lu_solve(sig, delta))[0]
+        return 2**n * g_on * g_off / mp.sqrt(mp.det(sig)) * mp.exp(-quad / 2)
 
-        inv_phi = (mp.sqrt(5) - 1) / 2
-        a, b = mp.mpf(0), mp.mpf(1)
-        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-        fc, fd = overlap(c), overlap(d)
-        for _ in range(70):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = overlap(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = overlap(d)
-        return float(-m * mp.log(min(fc, fd)))
+    inv_phi = (mp.sqrt(5) - 1) / 2
+    a, b = mp.mpf(0), mp.mpf(1)
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = overlap(c), overlap(d)
+    for _ in range(70):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = overlap(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = overlap(d)
+    return float(-m * mp.log(min(fc, fd)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,44 +13,42 @@ import oracles as orc
 from gillum import (
     GaussianState,
     NoiseModel,
-    QuadratureState,
     ScenarioParams,
     SourceKind,
     apply_beam_splitter,
     apply_target,
-    from_quadrature,
     hypothesis_pair,
     make_tmsv,
     obs_number,
     obs_quadrature,
     stats,
-    to_quadrature,
     williamson,
 )
 
 
 def tmsv_output_expected(kappa, n_s, n_b):
+    """cov_n of a channel-output TMSV, rows (x_S, p_S, x_I, p_I)."""
     a = kappa * n_s + n_b
     c = np.sqrt(kappa * n_s * (n_s + 1))
     return np.array([
-        [a + 1, 0, 0, c],
-        [0, n_s + 1, c, 0],
-        [0, c, a, 0],
-        [c, 0, 0, n_s],
+        [a, 0, c, 0],
+        [0, a, 0, -c],
+        [c, 0, n_s, 0],
+        [0, -c, 0, n_s],
     ])
 
 
 def test_tmsv_constant_noise_matches_known_covariance():
     params = ScenarioParams(kappa=0.01, n_s=0.01, n_b=30.0)
     out = apply_target(make_tmsv(params.n_s), 0, params, present=True)
-    assert np.max(np.abs(out.cov - tmsv_output_expected(0.01, 0.01, 30.0))) < 1e-12
+    assert np.max(np.abs(out.cov_n - tmsv_output_expected(0.01, 0.01, 30.0))) < 1e-12
     assert np.max(np.abs(out.mean)) == 0.0
 
 
 def test_kappa_zero_on_equals_off():
     params = ScenarioParams(kappa=0.0, n_s=0.4, n_b=2.0)
     pair = hypothesis_pair(SourceKind.TMSV, params)
-    assert np.max(np.abs(pair.on.cov - pair.off.cov)) < 1e-14
+    assert np.max(np.abs(pair.on.cov_n - pair.off.cov_n)) < 1e-14
 
 
 def test_cct_output_matches_known_covariance():
@@ -60,28 +58,28 @@ def test_cct_output_matches_known_covariance():
     b = kappa * n_s + n_b
     d = np.sqrt(kappa * n_s * n_i)
     expected = np.array([
-        [b + 1, d, 0, 0],
-        [d, n_i + 1, 0, 0],
-        [0, 0, b, d],
-        [0, 0, d, n_i],
+        [b, 0, d, 0],
+        [0, b, 0, d],
+        [d, 0, n_i, 0],
+        [0, d, 0, n_i],
     ])
-    assert np.max(np.abs(pair.on.cov - expected)) < 1e-12
+    assert np.max(np.abs(pair.on.cov_n - expected)) < 1e-12
 
 
 def test_cct_kappa_zero_pair_identical():
     params = ScenarioParams(kappa=0.0, n_s=1.0, n_i=2.0, n_b=3.0)
     pair = hypothesis_pair(SourceKind.CCT, params)
-    assert np.max(np.abs(pair.on.cov - pair.off.cov)) < 1e-14
+    assert np.max(np.abs(pair.on.cov_n - pair.off.cov_n)) < 1e-14
 
 
 def test_tmsv_pair_differs_only_in_correlations_and_signal_number():
     params = ScenarioParams(kappa=0.01, n_s=0.01, n_b=30.0)
     pair = hypothesis_pair(SourceKind.TMSV, params)
-    diff = pair.on.cov - pair.off.cov
-    # only the squeeze entries and the signal-number diagonal move
+    diff = pair.on.cov_n - pair.off.cov_n
+    # only the signal-idler correlations and the signal-number diagonal move
     mask = np.zeros((4, 4), dtype=bool)
-    mask[0, 3] = mask[1, 2] = mask[2, 1] = mask[3, 0] = True
-    mask[0, 0] = mask[2, 2] = True
+    mask[0, 2] = mask[2, 0] = mask[1, 3] = mask[3, 1] = True
+    mask[0, 0] = mask[1, 1] = True
     assert np.max(np.abs(diff[~mask])) < 1e-14
     assert abs(diff[0, 0] - 0.01 * 0.01) < 1e-14
 
@@ -92,7 +90,7 @@ def test_coherent_pair_through_channel():
     assert abs(pair.on.mean[0] - np.sqrt(0.2 * 0.3)) < 1e-12
     assert abs(pair.off.mean[0]) < 1e-14
     # covariance is the thermal background in both hypotheses
-    assert np.max(np.abs(pair.on.cov - np.diag([1.3, 0.3]))) < 1e-12
+    assert np.max(np.abs(pair.on.cov_n - np.diag([0.3, 0.3]))) < 1e-12
     # cross-check against the truncated-Fock channel at small photon numbers
     dim = 24
     vec = orc.coherent_vec(np.sqrt(params.n_s), dim)
@@ -110,7 +108,7 @@ def test_off_state_independent_of_noise_model():
     for model in (NoiseModel.CONSTANT, NoiseModel.NONCONSTANT):
         params = ScenarioParams(kappa=0.3, n_s=0.7, n_b=2.0, noise_model=model)
         off = hypothesis_pair(SourceKind.TMSV, params).off
-        assert np.max(np.abs(off.cov - tmsv_output_expected(0.0, 0.7, 2.0))) < 1e-12
+        assert np.max(np.abs(off.cov_n - tmsv_output_expected(0.0, 0.7, 2.0))) < 1e-12
 
 
 def test_nonconstant_occupancy():
@@ -118,7 +116,7 @@ def test_nonconstant_occupancy():
                             noise_model=NoiseModel.NONCONSTANT)
     on = hypothesis_pair(SourceKind.TMSV, params).on
     b = 0.3 * 0.5 + 0.7 * 2.0
-    assert abs(on.cov[2, 2].real - b) < 1e-12
+    assert abs(on.cov_n[0, 0] - b) < 1e-12
 
 
 def test_models_coincide_at_kappa_zero():
@@ -127,7 +125,7 @@ def test_models_coincide_at_kappa_zero():
         SourceKind.TMSV, ScenarioParams(**base, noise_model=NoiseModel.CONSTANT)).on
     on_n = hypothesis_pair(
         SourceKind.TMSV, ScenarioParams(**base, noise_model=NoiseModel.NONCONSTANT)).on
-    assert np.max(np.abs(on_c.cov - on_n.cov)) == 0.0
+    assert np.max(np.abs(on_c.cov_n - on_n.cov_n)) == 0.0
 
 
 def test_output_physical_for_random_inputs():
@@ -138,7 +136,7 @@ def test_output_physical_for_random_inputs():
                                 n_b=float(rng.uniform(0, 5)))
         pair = hypothesis_pair(SourceKind.TMSV, params)
         for state in (pair.on, pair.off):
-            assert np.all(williamson(to_quadrature(state))[0] >= 0.5 - 1e-9)
+            assert np.all(williamson(state)[0] >= 0.5 - 1e-9)
 
 
 def test_correlation_strictly_increasing_in_kappa():
@@ -146,7 +144,7 @@ def test_correlation_strictly_increasing_in_kappa():
     prev = -1.0
     for kappa in np.linspace(0.01, 0.9, 15):
         params = ScenarioParams(kappa=float(kappa), n_s=n_s, n_b=1.0)
-        c = hypothesis_pair(SourceKind.TMSV, params).on.cov[0, 3].real
+        c = hypothesis_pair(SourceKind.TMSV, params).on.cov_n[0, 2]  # <x_S x_I>
         assert c > prev
         prev = c
 
@@ -160,14 +158,15 @@ def seeded_state(rng, n_modes):
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         sq = rot @ np.diag([np.exp(r), np.exp(-r)]) @ rot.T
         blocks.append((rng.uniform(0, 3) + 0.5) * sq @ sq.T)
-    state = from_quadrature(QuadratureState(np.zeros(2 * n_modes), block_diag(*blocks)))
+    state = GaussianState(np.zeros(2 * n_modes), block_diag(*blocks) - 0.5 * np.eye(2 * n_modes))
     for _ in range(n_modes - 1):
         i, j = rng.choice(n_modes, size=2, replace=False)
         t = np.cos(rng.uniform(0, np.pi / 2))
         state = apply_beam_splitter(state, i, j, t, np.sqrt(1 - t * t),
                                     rng.uniform(0, 2 * np.pi))
     alpha = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-    return GaussianState(np.concatenate([alpha, alpha.conj()]), state.cov)
+    mean_q = np.sqrt(2.0) * np.column_stack([alpha.real, alpha.imag]).ravel()
+    return GaussianState(mean_q, state.cov_n)
 
 
 def test_apply_target_matches_beam_splitter_circuit():
@@ -184,8 +183,8 @@ def test_apply_target_matches_beam_splitter_circuit():
                         out = apply_target(state, signal_mode, params, present)
                         ref = orc.target_channel_reference(state, signal_mode, params,
                                                            present)
-                        assert np.max(np.abs(out.cov - ref.cov)) < 1e-13
-                        assert np.max(np.abs(out.mean - ref.mean)) < 1e-13
+                        assert np.max(np.abs(out.cov_n - ref.cov_n)) < 1e-13
+                        assert np.max(np.abs(out.mean_q - ref.mean_q)) < 1e-13
 
 
 def test_constant_model_rejects_unit_reflectance():
@@ -200,7 +199,7 @@ def test_nonconstant_model_allows_unit_reflectance():
     params = ScenarioParams(kappa=1.0, n_s=0.5, n_b=1.0,
                             noise_model=NoiseModel.NONCONSTANT)
     on = apply_target(make_tmsv(0.5), 0, params, present=True)
-    assert abs(on.cov[2, 2].real - 0.5) < 1e-12
+    assert abs(on.cov_n[0, 0] - 0.5) < 1e-12
 
 
 def test_param_validation():

@@ -223,6 +223,32 @@ def test_cli_rejects_out_of_range_parameters():
                    "--points", "4").returncode == 2
 
 
+def test_cli_rejects_noise_a_preset_ignores(capsys):
+    from gillum import cli as climod
+
+    # fig2, fig4 and s1 are defined for constant noise only, s2 for nonconstant
+    for figure, other in (("fig2", "nonconstant"), ("fig4", "nonconstant"),
+                          ("s1", "nonconstant"), ("s2", "constant")):
+        assert climod.main(["figure", figure, "--noise", other, "--points", "3"]) == 2
+    for figure, model in (("fig2", "constant"), ("s2", "nonconstant"),
+                          ("fig1", "nonconstant"), ("fig3", "constant"),
+                          ("fig5a", "nonconstant"), ("fig5b", "nonconstant")):
+        assert climod.main(["figure", figure, "--noise", model, "--points", "3"]) == 0
+
+
+def test_cli_rejects_bad_modes_instead_of_clamping(capsys):
+    from gillum import cli as climod
+
+    for modes in ("-3", "0", "0.5", "2.7", "nan", "inf"):
+        assert climod.main(["figure", "fig1", "--modes", modes, "--points", "3"]) == 2
+    capsys.readouterr()
+    assert climod.main(["figure", "fig1", "--points", "3"]) == 0
+    default = capsys.readouterr().out
+    assert climod.main(["figure", "fig1", "--modes", "1e7", "--points", "3"]) == 0
+    assert capsys.readouterr().out == default
+    assert climod.main(["figure", "fig1", "--modes", "1", "--points", "3"]) == 0
+
+
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     from gillum import cli as climod
 

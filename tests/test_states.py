@@ -1,4 +1,4 @@
-"""Gaussian state constructors, beam splitter, and quadrature conversions."""
+"""Gaussian state constructors, beam splitter, and derived moments."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,16 @@ import pytest
 from gillum import (
     GaussianState,
     apply_beam_splitter,
-    from_quadrature,
     make_cct,
     make_coherent,
     make_thermal,
     make_tmsv,
     make_vacuum,
+    symplectic_form,
     tensor,
-    to_quadrature,
     williamson,
 )
+from gillum.states import beam_splitter_matrix
 
 
 def random_state(rng, n_modes=2):
@@ -33,13 +33,15 @@ def random_state(rng, n_modes=2):
 
 def test_vacuum_cov_slots():
     v = make_vacuum(1)
-    assert np.allclose(v.cov, np.diag([1.0, 0.0]))
+    # <a a>, <a a^dag>; <a^dag a>, <a^dag a^dag>
+    assert np.allclose(v.moment_matrix, [[0.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(v.cov_n, np.zeros((2, 2)))
     assert np.allclose(v.mean, 0.0)
 
 
 def test_vacuum_symplectic_eigenvalues():
     v = make_vacuum(2)
-    assert np.allclose(williamson(to_quadrature(v))[0], 0.5, atol=1e-12)
+    assert np.allclose(williamson(v)[0], 0.5, atol=1e-12)
 
 
 def test_vacuum_mean_photons():
@@ -47,11 +49,11 @@ def test_vacuum_mean_photons():
 
 
 def test_thermal_zero_is_vacuum():
-    assert np.allclose(make_thermal(0.0).cov, make_vacuum(1).cov)
+    assert np.allclose(make_thermal(0.0).cov_n, make_vacuum(1).cov_n)
 
 
 def test_thermal_aadag_entry():
-    assert make_thermal(30.0).cov[0, 0] == 31.0
+    assert make_thermal(30.0).moment_matrix[0, 1] == 31.0  # <a a^dag>
 
 
 def test_thermal_photon_variance_matches_geometric_sum():
@@ -63,13 +65,14 @@ def test_thermal_photon_variance_matches_geometric_sum():
     assert abs(var_fock - (n_mean**2 + n_mean)) < 1e-8
     # the covariance entries encode the same second moment
     st = make_thermal(n_mean)
-    var_state = (st.cov[0, 0] * st.cov[1, 1]).real  # <a a+><a+ a> = n(n+1)
+    m = st.moment_matrix
+    var_state = (m[0, 1] * m[1, 0]).real  # <a a+><a+ a> = n(n+1)
     assert abs(var_state - var_fock) < 1e-8
 
 
 def test_coherent_zero_is_vacuum():
     c = make_coherent(0.0)
-    assert np.allclose(c.cov, make_vacuum(1).cov)
+    assert np.allclose(c.cov_n, make_vacuum(1).cov_n)
     assert np.allclose(c.mean, 0.0)
 
 
@@ -80,16 +83,16 @@ def test_coherent_total_photons():
 
 
 def test_coherent_quadrature_means():
-    q = to_quadrature(make_coherent(1 + 1j))
+    q = make_coherent(1 + 1j)
     assert np.allclose(q.mean_q, [np.sqrt(2), np.sqrt(2)], atol=1e-12)
 
 
 def test_tmsv_zero_is_vacuum():
-    assert np.allclose(make_tmsv(0.0).cov, make_vacuum(2).cov)
+    assert np.allclose(make_tmsv(0.0).cov_n, make_vacuum(2).cov_n)
 
 
 def test_tmsv_cross_entry():
-    assert abs(make_tmsv(1.0).cov[0, 3] - np.sqrt(2.0)) < 1e-14
+    assert abs(make_tmsv(1.0).moment_matrix[0, 1] - np.sqrt(2.0)) < 1e-14  # <a_S a_I>
 
 
 def test_tmsv_cross_moment_matches_schmidt_sum():
@@ -98,14 +101,14 @@ def test_tmsv_cross_moment_matches_schmidt_sum():
     n = np.arange(25)
     c = np.sqrt(n_s**n / (1 + n_s) ** (n + 1))
     mom = float(np.sum(c[:-1] * c[1:] * (n[:-1] + 1)))
-    assert abs(make_tmsv(n_s).cov[0, 3].real - mom) < 1e-9
+    assert abs(make_tmsv(n_s).moment_matrix[0, 1].real - mom) < 1e-9
 
 
 def test_beam_splitter_identity():
     st = make_tmsv(0.7)
     out = apply_beam_splitter(st, 0, 1, 1.0, 0.0, 0.3)
-    assert np.allclose(out.cov, st.cov, atol=1e-14)
-    assert np.allclose(out.mean, st.mean, atol=1e-14)
+    assert np.allclose(out.cov_n, st.cov_n, atol=1e-14)
+    assert np.allclose(out.mean_q, st.mean_q, atol=1e-14)
 
 
 def test_beam_splitter_splits_thermal_evenly():
@@ -128,12 +131,12 @@ def test_beam_splitter_rejects_nonunitary():
 
 
 def test_cct_zero_is_vacuum():
-    assert np.allclose(make_cct(0.0, 0.0).cov, make_vacuum(2).cov)
+    assert np.allclose(make_cct(0.0, 0.0).cov_n, make_vacuum(2).cov_n)
 
 
 def test_cct_cross_entry():
     st = make_cct(1.0, 2.0)
-    assert abs(st.cov[0, 1] - np.sqrt(2.0)) < 1e-12
+    assert abs(st.moment_matrix[0, 3] - np.sqrt(2.0)) < 1e-12  # <a_S a_I^dag>
     assert abs(st.mean_photon(0) - 1.0) < 1e-12
     assert abs(st.mean_photon(1) - 2.0) < 1e-12
 
@@ -143,44 +146,35 @@ def test_cct_moments_are_exact_and_real():
         st = make_cct(n_s, n_i)
         assert st.mean_photon(0) == n_s
         assert st.mean_photon(1) == n_i
-        assert st.cov[2, 3] == np.sqrt(n_s * n_i)
-        assert np.all(st.cov.imag == 0)
+        assert st.moment_matrix[2, 1] == np.sqrt(n_s * n_i)  # <a_S^dag a_I>
+        assert np.all(st.moment_matrix.imag == 0)
 
 
 def test_cct_is_classical_and_physical():
     st = make_cct(1.0, 1.0)
     m = st.moment_matrix
     assert np.max(np.abs(m[:2, :2])) < 1e-12  # no squeeze correlations
-    assert np.all(williamson(to_quadrature(st))[0] >= 0.5 - 1e-9)
+    assert np.all(williamson(st)[0] >= 0.5 - 1e-9)
 
 
 def test_quadrature_vacuum():
-    assert np.allclose(to_quadrature(make_vacuum(1)).cov_q, 0.5 * np.eye(2))
+    assert np.allclose(make_vacuum(1).cov_q, 0.5 * np.eye(2))
 
 
 def test_quadrature_thermal():
-    q = to_quadrature(make_thermal(3.0))
+    q = make_thermal(3.0)
     assert np.allclose(q.cov_q, 3.5 * np.eye(2), atol=1e-12)
 
 
 def test_tmsv_is_pure():
-    assert np.allclose(williamson(to_quadrature(make_tmsv(1.0)))[0], 0.5, atol=1e-10)
-
-
-def test_quadrature_round_trip_on_random_states():
-    rng = np.random.RandomState(11)
-    for _ in range(8):
-        st = random_state(rng, n_modes=3)
-        back = from_quadrature(to_quadrature(st))
-        assert np.max(np.abs(back.cov - st.cov)) < 1e-12
-        assert np.max(np.abs(back.mean - st.mean)) < 1e-12
+    assert np.allclose(williamson(make_tmsv(1.0))[0], 0.5, atol=1e-10)
 
 
 def test_constructors_are_physical():
     states = [make_vacuum(2), make_thermal(1.3), make_coherent(2 - 1j),
               make_tmsv(0.8), make_cct(0.5, 1.5)]
     for st in states:
-        assert np.all(williamson(to_quadrature(st))[0] >= 0.5 - 1e-9)
+        assert np.all(williamson(st)[0] >= 0.5 - 1e-9)
 
 
 def test_beam_splitter_preserves_symplectic_spectrum():
@@ -190,14 +184,14 @@ def test_beam_splitter_preserves_symplectic_spectrum():
         t = np.cos(rng.uniform(0, np.pi / 2))
         out = apply_beam_splitter(st, 0, 1, t, np.sqrt(1 - t * t),
                                   rng.uniform(0, 2 * np.pi))
-        assert np.allclose(np.sort(williamson(to_quadrature(out))[0]),
-                           np.sort(williamson(to_quadrature(st))[0]), atol=1e-9)
+        assert np.allclose(np.sort(williamson(out)[0]),
+                           np.sort(williamson(st)[0]), atol=1e-9)
 
 
 def test_tmsv_reduction_is_thermal():
     n_s = 0.9
     red = make_tmsv(n_s).reduced([1])
-    assert np.max(np.abs(red.cov - make_thermal(n_s).cov)) < 1e-12
+    assert np.max(np.abs(red.cov_n - make_thermal(n_s).cov_n)) < 1e-12
 
 
 def test_invalid_inputs_rejected():
@@ -206,4 +200,31 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         make_tmsv(-1.0)
     with pytest.raises(ValueError):
-        GaussianState(np.array([1.0, 2.0]), np.diag([1.0, 0.0]))  # bad mean pair
+        GaussianState(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric cov_n
+    with pytest.raises(ValueError):
+        GaussianState(np.zeros(2), np.zeros((4, 4)))  # cov_n of the wrong shape
+
+
+def test_moment_matrix_of_any_symmetric_cov_n_has_state_structure():
+    # the structure the mode-operator form had to check holds by construction
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        a = rng.normal(size=(2 * n, 2 * n))
+        st = GaussianState(rng.normal(size=2 * n), a + a.T)
+        m = st.moment_matrix
+        aa, add, dd, da = m[:n, :n], m[:n, n:], m[n:, n:], m[n:, :n]
+        assert np.max(np.abs(aa - aa.T)) <= 1e-15
+        assert np.max(np.abs(add - add.conj().T)) <= 1e-15
+        assert np.max(np.abs(dd - aa.conj())) <= 1e-15
+        assert np.max(np.abs(da - (add.T - np.eye(n)))) <= 1e-15
+        assert np.max(np.abs(st.mean[n:] - st.mean[:n].conj())) <= 1e-15
+
+
+def test_beam_splitter_matrix_is_orthogonal_and_symplectic():
+    rng = np.random.default_rng(9)
+    for n, i, j in ((2, 0, 1), (2, 1, 0), (3, 2, 0)):
+        t = np.cos(rng.uniform(0, np.pi / 2))
+        s = beam_splitter_matrix(n, i, j, t, np.sqrt(1 - t * t), rng.uniform(0, 2 * np.pi))
+        omega = symplectic_form(n)
+        assert np.max(np.abs(s @ s.T - np.eye(2 * n))) < 1e-15
+        assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-15
