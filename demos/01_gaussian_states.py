@@ -1,9 +1,9 @@
 """Tour of the Gaussian state layer.
 
 Builds the standard probe states and shows how their stored covariance, the
-normally ordered quadrature covariance cov_n = cov_q - I/2, and the
-mode-operator moments derived from it map to familiar photon-number
-quantities.
+normally ordered quadrature covariance cov_n = cov_q - I/2, maps to familiar
+photon-number quantities, read directly or as the exact statistics of
+number and cross-correlation observables.
 """
 
 import numpy as np
@@ -15,6 +15,9 @@ from gillum import (
     make_thermal,
     make_tmsv,
     make_vacuum,
+    obs_number,
+    obs_off,
+    stats,
     tensor,
     williamson,
 )
@@ -24,14 +27,15 @@ np.set_printoptions(precision=4, suppress=True)
 print("== thermal state, mean photon number 2 ==")
 th = make_thermal(2.0)
 print("cov_n (rows x, p) =\n", th.cov_n)                          # N I
-print("<a a^dag> =", th.moment_matrix[0, 1].real, "= N + 1")
+n_th = stats(obs_number(0, 1), th)
+print("photon number mean, variance =", n_th.mean, n_th.variance, "= N, N (N + 1)")
 print("quadrature covariance cov_q (vacuum = I/2) =\n", th.cov_q)
 print("symplectic eigenvalue:", williamson(th)[0])                 # N + 1/2
 
 print("\n== two-mode squeezed vacuum, N_S = 1 ==")
 tmsv = make_tmsv(1.0)
 print("cov_n (rows x_S, p_S, x_I, p_I) =\n", tmsv.cov_n)
-print("cross moment <a_S a_I> =", tmsv.moment_matrix[0, 1].real, "= sqrt(N_S (N_S+1))")
+print("<x_S x_I> = <a_S a_I> =", tmsv.cov_n[0, 2], "= sqrt(N_S (N_S+1))")
 print("symplectic eigenvalues (pure state -> exactly 1/2):", williamson(tmsv)[0])
 print("reduced signal mode equals a thermal state:",
       np.allclose(tmsv.reduced([0]).cov_n, make_thermal(1.0).cov_n))
@@ -39,7 +43,8 @@ print("reduced signal mode equals a thermal state:",
 print("\n== correlated thermal pair from one split thermal beam ==")
 cct = make_cct(1.0, 2.0)
 print("mode means:", cct.mean_photon(0), cct.mean_photon(1))
-print("cross moment <a_S^dag a_I> =", cct.moment_matrix[2, 1].real, "= sqrt(N_S N_I)")
+print("<x_S x_I> = <a_S^dag a_I> =", cct.cov_n[0, 2], "= sqrt(N_S N_I)")
+print("<a_S^dag a_I + a_I^dag a_S> =", stats(obs_off(), cct).mean, "= 2 sqrt(N_S N_I)")
 print("<p_S p_I> = <x_S x_I> here; a TMSV has <p_S p_I> = -<x_S x_I>:",
       cct.cov_n[1, 3] == cct.cov_n[0, 2], tmsv.cov_n[1, 3] == -tmsv.cov_n[0, 2])
 

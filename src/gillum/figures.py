@@ -65,7 +65,8 @@ class CurveSet:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Figure preset selection plus overrides."""
+    """Figure preset selection plus overrides; an omitted sweep edge takes
+    the preset's default."""
 
     figure: str
     kappa: float = 0.01
@@ -85,12 +86,15 @@ class SweepConfig:
             raise ConfigError("points must be >= 2")
         if not (self.m_modes >= 1 and float(self.m_modes).is_integer()):
             raise ConfigError(f"modes must be a whole number >= 1, got {self.m_modes!r}")
-        models = _PRESETS[self.figure][1]
+        _, models, (lo, hi) = _PRESETS[self.figure]
         if self.noise is not None and self.noise not in models:
             raise ConfigError(f"{self.figure} is defined for {models[0].value} noise only")
-        if self.sweep_min is not None and self.sweep_max is not None:
-            if not (0 < self.sweep_min < self.sweep_max):
-                raise ConfigError("sweep range must be positive and ordered")
+        lo = lo if self.sweep_min is None else self.sweep_min
+        hi = hi if self.sweep_max is None else self.sweep_max
+        if not (0 < lo < hi):
+            raise ConfigError("sweep range must be positive and ordered")
+        object.__setattr__(self, "sweep_min", lo)
+        object.__setattr__(self, "sweep_max", hi)
 
 
 def _params(config: SweepConfig, noise: NoiseModel, **overrides) -> ScenarioParams:
@@ -132,21 +136,18 @@ def _select(labels, config: SweepConfig):
     return [l for l in labels if l in config.receivers]
 
 
-def _sweep(config: SweepConfig, default_min: float, default_max: float, row) -> tuple:
+def _sweep(config: SweepConfig, row) -> tuple:
     """One curve per selected key of ``row``, evaluated on the log-spaced axis."""
-    lo = config.sweep_min if config.sweep_min is not None else default_min
-    hi = config.sweep_max if config.sweep_max is not None else default_max
-    if not (0 < lo < hi):
-        raise ConfigError("sweep range must be positive and ordered")
-    xs = np.logspace(math.log10(lo), math.log10(hi), config.points)
+    xs = np.logspace(math.log10(config.sweep_min), math.log10(config.sweep_max),
+                     config.points)
     rows = [row(x) for x in xs]
     return tuple(Curve(label, xs, np.array([r[label] for r in rows], dtype=float))
                  for label in _select(rows[0], config))
 
 
 def _fig_receivers(config: SweepConfig, noise: NoiseModel) -> CurveSet:
-    return CurveSet("N_S", "SNR", _sweep(
-        config, 1e-2, 10.0, lambda ns: _qi_receiver_values(config, noise, ns)))
+    return CurveSet("N_S", "SNR",
+                    _sweep(config, lambda ns: _qi_receiver_values(config, noise, ns)))
 
 
 def _fig_differences(config: SweepConfig, noise: NoiseModel) -> CurveSet:
@@ -154,7 +155,7 @@ def _fig_differences(config: SweepConfig, noise: NoiseModel) -> CurveSet:
         vals = _qi_receiver_values(config, noise, ns)
         return {"OB-Coh": vals["OB"] - vals["Coh"],
                 "PC-Coh": vals["PC"] - vals["Coh"]}
-    return CurveSet("N_S", "SNR difference", _sweep(config, 1e-2, 10.0, row))
+    return CurveSet("N_S", "SNR difference", _sweep(config, row))
 
 
 def _fig_heterodyne(config: SweepConfig, noise: NoiseModel) -> CurveSet:
@@ -168,7 +169,7 @@ def _fig_heterodyne(config: SweepConfig, noise: NoiseModel) -> CurveSet:
             "separate HTD": snr_generic(ReceiverSpec(ReceiverKind.SEPARATE_HTD), pair, m).snr,
             "HD product": snr_generic(ReceiverSpec(ReceiverKind.HD_PRODUCT), pair, m).snr,
         }
-    return CurveSet("N_S", "SNR", _sweep(config, 1e-2, 10.0, row))
+    return CurveSet("N_S", "SNR", _sweep(config, row))
 
 
 def _fig_cct_kappa(config: SweepConfig, noise: NoiseModel) -> CurveSet:
@@ -180,7 +181,7 @@ def _fig_cct_kappa(config: SweepConfig, noise: NoiseModel) -> CurveSet:
             out[f"QCB N_S={ns:g} N_I={ni:g}"] = qcb(pair, params.m_modes).exponent
             out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(params).snr
         return out
-    return CurveSet("kappa", "SNR", _sweep(config, 1e-3, 0.1, row))
+    return CurveSet("kappa", "SNR", _sweep(config, row))
 
 
 def _fig_cct_ns(config: SweepConfig, noise: NoiseModel) -> CurveSet:
@@ -192,39 +193,40 @@ def _fig_cct_ns(config: SweepConfig, noise: NoiseModel) -> CurveSet:
             "CCT O_off": snr_cct(params).snr,
             "Coh QCB": _coherent_baseline_snr(params),
         }
-    return CurveSet("N_S", "SNR", _sweep(config, 1e-2, 10.0, row))
+    return CurveSet("N_S", "SNR", _sweep(config, row))
 
 
 def _fig_optimal_beta(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
         return {"|beta|": optimal_beta_closed(_params(config, noise, n_s=ns))}
-    return CurveSet("N_S", "|beta|", _sweep(config, 1e-2, 10.0, row))
+    return CurveSet("N_S", "|beta|", _sweep(config, row))
 
 
 def _fig_optimal_alpha_beta(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
         alpha, beta, _ = optimize_alpha_beta_nonconstant(_params(config, noise, n_s=ns))
         return {"alpha": alpha, "beta": beta}
-    return CurveSet("N_S", "optimal weight", _sweep(config, 1e-2, 10.0, row))
+    return CurveSet("N_S", "optimal weight", _sweep(config, row))
 
 
 _CONSTANT, _NONCONSTANT = NoiseModel.CONSTANT, NoiseModel.NONCONSTANT
+_NS_AXIS, _KAPPA_AXIS = (1e-2, 10.0), (1e-3, 0.1)
 # preset -> (builder taking the config and the noise model, the noise models
-# the preset is defined for, its default first)
+# the preset is defined for, its default first, and the default sweep range)
 _PRESETS = {
-    "fig1": (_fig_receivers, (_CONSTANT, _NONCONSTANT)),
-    "fig2": (_fig_differences, (_CONSTANT,)),
-    "fig3": (_fig_receivers, (_NONCONSTANT, _CONSTANT)),
-    "fig4": (_fig_heterodyne, (_CONSTANT,)),
-    "fig5a": (_fig_cct_kappa, (_CONSTANT, _NONCONSTANT)),
-    "fig5b": (_fig_cct_ns, (_CONSTANT, _NONCONSTANT)),
-    "s1": (_fig_optimal_beta, (_CONSTANT,)),
-    "s2": (_fig_optimal_alpha_beta, (_NONCONSTANT,)),
+    "fig1": (_fig_receivers, (_CONSTANT, _NONCONSTANT), _NS_AXIS),
+    "fig2": (_fig_differences, (_CONSTANT,), _NS_AXIS),
+    "fig3": (_fig_receivers, (_NONCONSTANT, _CONSTANT), _NS_AXIS),
+    "fig4": (_fig_heterodyne, (_CONSTANT,), _NS_AXIS),
+    "fig5a": (_fig_cct_kappa, (_CONSTANT, _NONCONSTANT), _KAPPA_AXIS),
+    "fig5b": (_fig_cct_ns, (_CONSTANT, _NONCONSTANT), _NS_AXIS),
+    "s1": (_fig_optimal_beta, (_CONSTANT,), _NS_AXIS),
+    "s2": (_fig_optimal_alpha_beta, (_NONCONSTANT,), _NS_AXIS),
 }
 FIGURE_NAMES = tuple(_PRESETS)
 
 
 def run_figure(config: SweepConfig) -> CurveSet:
     """Run one figure preset and return its deterministic curve set."""
-    build, models = _PRESETS[config.figure]
+    build, models, _ = _PRESETS[config.figure]
     return build(config, config.noise or models[0])

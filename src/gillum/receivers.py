@@ -158,28 +158,35 @@ def _report(mean_on: float, mean_off: float, gap: float, var_on: float,
 
 _HALF = 1 / math.sqrt(2)  # amplitude of the 50:50 signal-idler recombiner
 
+# the receiver observables without spec parameters, built once (they are
+# frozen with read-only arrays)
+_SQUEEZE = obs_bound(0.0, 0.0)
+_DH = obs_dh()
+_OFF = obs_off()
+_SQUEEZE_DIFFERENCE = obs_squeeze_difference()
+# photon-number difference after the recombiner, referred back to the
+# (signal, idler) modes
+_PNDM = transform_by_beam_splitter(obs_number_difference(), t=_HALF, r=_HALF,
+                                   phase=math.pi / 2)
 
 # kind -> (observable from (spec, mode count), state preparation applied to
 # each hypothesis or None, whether it is read out by two heterodynes)
 _RECEIVERS = {
     ReceiverKind.BOUND: (lambda s, n: obs_bound(s.alpha, s.beta), None, False),
-    ReceiverKind.NEARLY_BOUND: (lambda s, n: obs_bound(0.0, 0.0), None, False),
+    ReceiverKind.NEARLY_BOUND: (lambda s, n: _SQUEEZE, None, False),
     # the conjugator's vacuum input is an explicit third mode
     ReceiverKind.PC: (lambda s, n: obs_pc(s.mu, s.nu),
                       lambda state: tensor(state, make_vacuum(1)), False),
     ReceiverKind.OPA: (lambda s, n: obs_opa(s.gain), None, False),
-    ReceiverKind.DH: (lambda s, n: obs_dh(), None, False),
-    # photon-number difference after the recombiner, referred back to the
-    # (signal, idler) modes
-    ReceiverKind.PNDM: (lambda s, n: transform_by_beam_splitter(
-        obs_number_difference(), t=_HALF, r=_HALF, phase=math.pi / 2), None, False),
+    ReceiverKind.DH: (lambda s, n: _DH, None, False),
+    ReceiverKind.PNDM: (lambda s, n: _PNDM, None, False),
     ReceiverKind.COHERENT_HD: (lambda s, n: obs_quadrature(0, s.theta, n), None, False),
-    ReceiverKind.CCT_OFF: (lambda s, n: obs_off(), None, False),
+    ReceiverKind.CCT_OFF: (lambda s, n: _OFF, None, False),
     ReceiverKind.HD_PRODUCT: (lambda s, n: obs_hd_product(s.theta, s.phi), None, False),
-    ReceiverKind.SEPARATE_HTD: (lambda s, n: obs_bound(0.0, 0.0), None, True),
+    ReceiverKind.SEPARATE_HTD: (lambda s, n: _SQUEEZE, None, True),
     # the squared-quadrature coincidence observable on the recombined outputs
     ReceiverKind.DOUBLE_HTD: (
-        lambda s, n: obs_squeeze_difference(),
+        lambda s, n: _SQUEEZE_DIFFERENCE,
         lambda state: apply_beam_splitter(state, 0, 1, _HALF, _HALF, phase=math.pi / 2),
         True),
 }

@@ -5,28 +5,21 @@ ordered ``r = (x_1, p_1, ..., x_n, p_n)``, so ``[x, p] = i`` and the vacuum
 covariance is I/2.  A state stores the mean ``mean_q = <r>`` and the normally
 ordered covariance ``cov_n = cov_q - I/2``, cov_q the symmetrized covariance:
 0 for vacuum and ``n I`` for a thermal mode of mean n, so photon numbers are
-stored as written, without a round trip through n + 1/2::
-
-    <da_i^dag da_j> = (X + P)_ij / 2 + i (C - C^T)_ij / 2
-    <da_i da_j>     = (X - P)_ij / 2 + i (C + C^T)_ij / 2
-
-with X, P and C the xx, pp and xp sub-blocks of cov_n and ``da = a - <a>``.
-Any real symmetric cov_n gives mode-operator moments with the symmetry,
-Hermiticity and commutation structure of a state, so construction checks
-shape and symmetry only; physicality (symplectic eigenvalues >= 1/2) is
-tested by :func:`gillum.chernoff.williamson` alone.
+stored as written, without a round trip through n + 1/2.  Any real
+symmetric cov_n gives Hermitian quadrature moments with [x, p] = i, so
+construction checks shape and symmetry only; physicality (symplectic
+eigenvalues >= 1/2) is tested by :func:`gillum.chernoff.williamson` alone.
+Observables read these arrays directly; no mode-operator moments are derived.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _SYM_TOL = 1e-10
-_SQRT_HALF = math.sqrt(0.5)
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -36,24 +29,6 @@ def symplectic_form(n: int) -> np.ndarray:
         w[2 * k, 2 * k + 1] = 1.0
         w[2 * k + 1, 2 * k] = -1.0
     return w
-
-
-@functools.lru_cache(maxsize=None)
-def _mode_basis(n: int):
-    """(W, W^T / 2, D) for n modes: sqrt(2) u = W r with
-    u = (a_1, ..., a_n, a_1^dag, ..., a_n^dag), and D the commutation offset
-    <da_i da_i^dag> - <da_i^dag da_i> = 1 in the ordered moment matrix.  W's
-    entries are 1 and +-i, so the factor 1/2 of W cov_n W^T is exact."""
-    w = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        w[[k, n + k], 2 * k] = 1.0
-        w[[k, n + k], 2 * k + 1] = 1j, -1j
-    offset = np.zeros((2 * n, 2 * n), dtype=complex)
-    offset[range(n), range(n, 2 * n)] = 1.0
-    out = (w, np.ascontiguousarray(0.5 * w.T), offset)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -84,17 +59,6 @@ class GaussianState:
     def cov_q(self) -> np.ndarray:
         """Symmetrized quadrature covariance; vacuum I/2."""
         return self.cov_n + 0.5 * np.eye(self.mean_q.size)
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Mode-operator mean <u> = (<a_1>, ..., <a_n>, <a_1^dag>, ..., <a_n^dag>)."""
-        return np.dot(_mode_basis(self.n_modes)[0], self.mean_q) * _SQRT_HALF
-
-    @property
-    def moment_matrix(self) -> np.ndarray:
-        """Ordered centered moments M[i, j] = <du_i du_j> = W cov_n W^T / 2 + D."""
-        w, half_wt, offset = _mode_basis(self.n_modes)
-        return np.dot(np.dot(w, self.cov_n), half_wt) + offset
 
     def mean_photon(self, mode: int) -> float:
         """Total <a^dag a> of one mode, including the first-moment part."""

@@ -158,26 +158,26 @@ def tmsv_channel_fock(n_s: float, kappa: float, env_mean: float, dim_s: int,
 
 
 def observable_matrix(obs: QuadraticObservable, dims) -> np.ndarray:
-    """Dense Fock matrix of a quadratic observable on modes of sizes ``dims``."""
+    """Dense Fock matrix of a quadratic observable on modes of sizes ``dims``:
+    (c0 - tr h / 2) I + sum_k lin_k r_k + sum_kl h_kl r_k r_l, built from
+    x = (a + a^dag)/sqrt2 and p = -i (a - a^dag)/sqrt2 on each mode."""
     n = obs.n_modes
     assert len(dims) == n
     total = int(np.prod(dims))
-    ops = []
+    quads = []
     for k in range(n):
         a = destroy(dims[k])
-        full = np.eye(1, dtype=complex)
-        for j in range(n):
-            full = np.kron(full, a if j == k else np.eye(dims[j], dtype=complex))
-        ops.append(full)
-    out = obs.c0 * np.eye(total, dtype=complex)
-    for i in range(n):
-        out += obs.linear[i] * ops[i].conj().T + np.conj(obs.linear[i]) * ops[i]
-        for j in range(n):
-            if obs.h[i, j] != 0:
-                out += obs.h[i, j] * ops[i].conj().T @ ops[j]
-            if obs.g[i, j] != 0:
-                out += obs.g[i, j] * ops[i].conj().T @ ops[j].conj().T
-                out += np.conj(obs.g[i, j]) * ops[i] @ ops[j]
+        for single in ((a + a.conj().T) / math.sqrt(2), -1j * (a - a.conj().T) / math.sqrt(2)):
+            full = np.eye(1, dtype=complex)
+            for j in range(n):
+                full = np.kron(full, single if j == k else np.eye(dims[j], dtype=complex))
+            quads.append(full)
+    out = (obs.c0 - 0.5 * np.trace(obs.h)) * np.eye(total, dtype=complex)
+    for k in range(2 * n):
+        out += obs.lin[k] * quads[k]
+        for l in range(2 * n):
+            if obs.h[k, l] != 0:
+                out += obs.h[k, l] * quads[k] @ quads[l]
     return out
 
 
@@ -208,40 +208,31 @@ def target_channel_reference(state: GaussianState, signal_mode: int, params,
 # quadrature-product observables and the enlarged-mode heterodyne simulation
 # ---------------------------------------------------------------------------
 
-def obs_zero(n: int) -> QuadraticObservable:
-    z = np.zeros((n, n), dtype=complex)
-    return QuadraticObservable(n, 0.0, z, z.copy(), np.zeros(n, dtype=complex))
-
-
 def obs_sum(terms) -> QuadraticObservable:
     """Linear combination sum_k f_k O_k of quadratic observables."""
-    n = terms[0][1].n_modes
     c0 = sum(f * o.c0 for f, o in terms)
     h = sum(f * o.h for f, o in terms)
-    g = sum(f * o.g for f, o in terms)
-    lin = sum(f * o.linear for f, o in terms)
-    return QuadraticObservable(n, c0, h, g, lin)
+    lin = sum(f * o.lin for f, o in terms)
+    return QuadraticObservable(c0, h, lin)
 
 
 def obs_quad_product(i: int, j: int, n: int, theta: float = 0.0,
                      phi: float = 0.0) -> QuadraticObservable:
-    """X_i(theta) X_j(phi) on distinct modes of an n-mode system."""
-    h = np.zeros((n, n), dtype=complex)
-    g = np.zeros((n, n), dtype=complex)
-    g[i, j] += 0.25 * np.exp(1j * (theta + phi))
-    g[j, i] += 0.25 * np.exp(1j * (theta + phi))
-    h[i, j] += 0.5 * np.exp(1j * (theta - phi))
-    h[j, i] += np.conj(h[i, j])
-    return QuadraticObservable(n, 0.0, h, g, np.zeros(n, dtype=complex))
+    """X_i(theta) X_j(phi) on distinct modes of an n-mode system, with
+    X(theta) = x cos(theta) + p sin(theta)."""
+    h = np.zeros((2 * n, 2 * n))
+    for a, ca in enumerate((math.cos(theta), math.sin(theta))):
+        for b, cb in enumerate((math.cos(phi), math.sin(phi))):
+            h[2 * i + a, 2 * j + b] = h[2 * j + b, 2 * i + a] = 0.5 * ca * cb
+    return QuadraticObservable(0.0, h, np.zeros(2 * n))
 
 
 def obs_quad_square(i: int, n: int, momentum: bool = False) -> QuadraticObservable:
-    """X_i^2 (or P_i^2): h[i,i] = 1, g[i,i] = +-1/2, c0 = 1/2."""
-    h = np.zeros((n, n), dtype=complex)
-    g = np.zeros((n, n), dtype=complex)
-    h[i, i] = 1.0
-    g[i, i] = -0.5 if momentum else 0.5
-    return QuadraticObservable(n, 0.5, h, g, np.zeros(n, dtype=complex))
+    """X_i^2 (or P_i^2), whose vacuum mean is c0 = 1/2."""
+    h = np.zeros((2 * n, 2 * n))
+    k = 2 * i + int(momentum)
+    h[k, k] = 1.0
+    return QuadraticObservable(0.5, h, np.zeros(2 * n))
 
 
 def heterodyned_cross_observable(sign: float) -> QuadraticObservable:
@@ -281,15 +272,28 @@ def heterodyned_square_difference() -> QuadraticObservable:
 
 
 # ---------------------------------------------------------------------------
-# normal-ordered characteristic function and moment extraction
+# mode-operator moments, normal-ordered characteristic function and moment
+# extraction
 # ---------------------------------------------------------------------------
+
+def mode_moments(state: GaussianState):
+    """(<u>, M) for u = (a_1, ..., a_n, a_1^dag, ..., a_n^dag), M[i, j] =
+    <du_i du_j> ordered, from the non-symmetrized quadrature moments
+    <dr_k dr_l> = cov_q + i Omega / 2 and sqrt2 u = W r, a_k = (x_k + i p_k)/sqrt2.
+    W's entries are 1 and +-i, so the factor 1/2 of M is applied exactly."""
+    n = state.n_modes
+    w = np.zeros((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        w[k, 2 * k], w[k, 2 * k + 1] = 1.0, 1j
+        w[n + k, 2 * k], w[n + k, 2 * k + 1] = 1.0, -1j
+    ordered = state.cov_q + 0.5j * symplectic_form(n)
+    return w @ state.mean_q / math.sqrt(2), 0.5 * (w @ ordered @ w.T)
+
 
 def normal_characteristic(state: GaussianState, xi: np.ndarray) -> complex:
     """chi_N(xi) = <exp(sum xi_k a_k^dag) exp(-sum conj(xi_k) a_k)>."""
-    n = state.n_modes
     c = np.concatenate([-np.conj(xi), xi])
-    m = state.mean
-    mm = state.moment_matrix
+    m, mm = mode_moments(state)
     return complex(np.exp(c @ m + 0.5 * c @ mm @ c + 0.5 * np.vdot(xi, xi)))
 
 
@@ -337,8 +341,7 @@ def wick_moment(state: GaussianState, ops) -> complex:
     by the recursion  <u1 R> = m1 <R> + sum_j M[1, j] <R without j>."""
     n = state.n_modes
     idx = [mode + (n if dag else 0) for mode, dag in ops]
-    m = state.mean
-    mm = state.moment_matrix
+    m, mm = mode_moments(state)
 
     def rec(indices) -> complex:
         if not indices:
@@ -427,15 +430,12 @@ def symplectic_eigenvalues(state) -> np.ndarray:
 def chernoff_exponent_mp(pair, m: float, dps: int = 40) -> float:
     """-m log min_s Q_s of a Gaussian hypothesis pair at ``dps`` digits.
 
-    Each state enters through its ``cov_q`` and, for the quadrature mean,
-    its mode-operator mean ``<a_k>`` (x_k = sqrt(2) Re, p_k = sqrt(2) Im).
+    Each state enters through its ``cov_q`` and ``mean_q``.
     """
     import mpmath as mp
 
     def moments(state):
-        alpha = state.mean[:state.n_modes]
-        mean_q = [mp.sqrt(2) * mp.mpf(float(v)) for a in alpha for v in (a.real, a.imag)]
-        return mp.matrix(state.cov_q.tolist()), mp.matrix(mean_q)
+        return mp.matrix(state.cov_q.tolist()), mp.matrix(state.mean_q.tolist())
 
     with mp.workdps(dps):
         return _chernoff_exponent_mp([moments(pair.on), moments(pair.off)], m)

@@ -268,12 +268,8 @@ def test_criterion_10_micro_oracle_suite():
         pair = hypothesis_pair(SourceKind.TMSV, p)
         rho = orc.tmsv_channel_fock(ns, kappa, nb / (1 - kappa), 30, 24, 42)
         for _ in range(2):
-            hr = rng.randn(2, 2) + 1j * rng.randn(2, 2)
-            gr = rng.randn(2, 2) + 1j * rng.randn(2, 2)
-            obs = QuadraticObservable(2, float(rng.randn()),
-                                      0.5 * (hr + hr.conj().T),
-                                      0.5 * (gr + gr.T),
-                                      rng.randn(2) + 1j * rng.randn(2))
+            hr = rng.randn(4, 4)
+            obs = QuadraticObservable(float(rng.randn()), 0.5 * (hr + hr.T), rng.randn(4))
             eng = stats(obs, pair.on)
             fm, fv = orc.fock_stats(obs, rho, (30, 24))
             worst_fock = max(worst_fock, abs(eng.mean - fm), abs(eng.variance - fv))
@@ -293,10 +289,8 @@ def test_criterion_10_micro_oracle_suite():
     # Heisenberg vs Schroedinger beam-splitter consistency
     worst_bs = 0.0
     for _ in range(4):
-        hr = rng.randn(2, 2) + 1j * rng.randn(2, 2)
-        gr = rng.randn(2, 2) + 1j * rng.randn(2, 2)
-        obs = QuadraticObservable(2, 0.0, 0.5 * (hr + hr.conj().T),
-                                  0.5 * (gr + gr.T), np.zeros(2, complex))
+        hr = rng.randn(4, 4)
+        obs = QuadraticObservable(0.0, 0.5 * (hr + hr.T), np.zeros(4))
         t = float(np.cos(rng.uniform(0, np.pi / 2)))
         r = float(np.sqrt(1 - t * t))
         phase = float(rng.uniform(0, 2 * np.pi))

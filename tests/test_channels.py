@@ -42,7 +42,7 @@ def test_tmsv_constant_noise_matches_known_covariance():
     params = ScenarioParams(kappa=0.01, n_s=0.01, n_b=30.0)
     out = apply_target(make_tmsv(params.n_s), 0, params, present=True)
     assert np.max(np.abs(out.cov_n - tmsv_output_expected(0.01, 0.01, 30.0))) < 1e-12
-    assert np.max(np.abs(out.mean)) == 0.0
+    assert np.max(np.abs(out.mean_q)) == 0.0
 
 
 def test_kappa_zero_on_equals_off():
@@ -87,8 +87,8 @@ def test_tmsv_pair_differs_only_in_correlations_and_signal_number():
 def test_coherent_pair_through_channel():
     params = ScenarioParams(kappa=0.2, n_s=0.3, n_b=0.3)
     pair = hypothesis_pair(SourceKind.COHERENT, params)
-    assert abs(pair.on.mean[0] - np.sqrt(0.2 * 0.3)) < 1e-12
-    assert abs(pair.off.mean[0]) < 1e-14
+    assert abs(pair.on.mean_q[0] - np.sqrt(2 * 0.2 * 0.3)) < 1e-12  # <x> = sqrt(2) <a>
+    assert abs(pair.off.mean_q[0]) < 1e-14
     # covariance is the thermal background in both hypotheses
     assert np.max(np.abs(pair.on.cov_n - np.diag([0.3, 0.3]))) < 1e-12
     # cross-check against the truncated-Fock channel at small photon numbers

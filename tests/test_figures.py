@@ -108,6 +108,8 @@ def test_config_validation():
         SweepConfig(figure="fig1", points=1)
     with pytest.raises(ConfigError):
         SweepConfig(figure="fig1", sweep_min=2.0, sweep_max=1.0)
+    with pytest.raises(ConfigError):  # above the preset's default upper edge
+        SweepConfig(figure="fig1", sweep_min=20.0)
 
 
 def test_curveset_rejects_empty_and_nonfinite():

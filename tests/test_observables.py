@@ -46,11 +46,8 @@ def tmsv_pair():
 
 
 def random_observable(rng, n):
-    hr = rng.randn(n, n) + 1j * rng.randn(n, n)
-    gr = rng.randn(n, n) + 1j * rng.randn(n, n)
-    lin = rng.randn(n) + 1j * rng.randn(n)
-    return QuadraticObservable(n, float(rng.randn()), 0.5 * (hr + hr.conj().T),
-                               0.5 * (gr + gr.T), lin)
+    hr = rng.randn(2 * n, 2 * n)
+    return QuadraticObservable(float(rng.randn()), 0.5 * (hr + hr.T), rng.randn(2 * n))
 
 
 def test_number_on_thermal():
@@ -100,23 +97,27 @@ def test_random_observables_match_fock_oracle():
 
 
 def test_bound_zero_weights_is_squeeze_correlation():
+    # x_S x_I - p_S p_I and no photon-number terms
     obs = obs_bound(0.0, 0.0)
-    assert np.allclose(obs.h, 0.0)
-    assert np.allclose(obs.g, [[0, 0.5], [0.5, 0]])
+    assert np.allclose(obs.h, [[0, 0, 0.5, 0], [0, 0, 0, -0.5],
+                               [0.5, 0, 0, 0], [0, -0.5, 0, 0]])
+    assert np.allclose(obs.lin, 0.0)
     assert obs.c0 == 0.0
 
 
 def test_bound_negative_idler_weight():
+    # beta n_I = beta (x_I^2 + p_I^2)/2 - beta/2
     obs = obs_bound(0.0, -0.37)
-    assert obs.h[1, 1] == -0.37
-    assert obs.h[0, 0] == 0.0
+    assert obs.h[2, 2] == obs.h[3, 3] == -0.37 / 2
+    assert obs.h[0, 0] == obs.h[1, 1] == 0.0
 
 
 def test_dh_equals_shifted_negated_bound():
     dh = obs_dh()
     ref = obs_bound(1.0, 1.0)
-    assert np.allclose(dh.h, ref.h)
-    assert np.allclose(dh.g, -ref.g)
+    cross = ~np.eye(4, dtype=bool)
+    assert np.allclose(np.diag(dh.h), np.diag(ref.h))  # the photon numbers
+    assert np.allclose(dh.h[cross], -ref.h[cross])     # the squeeze coupling
     assert dh.c0 == 1.0
 
 
@@ -183,15 +184,19 @@ def test_number_difference_transforms_to_off_observable():
     out = transform_by_beam_splitter(obs_number_difference(), sq, sq, np.pi / 2)
     target = obs_off()
     assert np.max(np.abs(out.h + target.h)) < 1e-12  # minus the cross observable
-    assert np.max(np.abs(out.g)) < 1e-12
+    assert np.max(np.abs(out.lin)) < 1e-12
     assert abs(out.c0) < 1e-12
 
 
 def test_number_difference_at_zero_phase_has_imaginary_coupling():
+    # an imaginary a_S^dag a_I coupling is the antisymmetric x_S p_I - p_S x_I
     sq = 1 / np.sqrt(2)
     out = transform_by_beam_splitter(obs_number_difference(), sq, sq, 0.0)
-    assert abs(out.h[0, 1].real) < 1e-12
-    assert abs(out.h[0, 1].imag) > 0.9
+    off = np.ones((4, 4), dtype=bool)
+    off[0, 3] = off[3, 0] = off[1, 2] = off[2, 1] = False
+    assert np.max(np.abs(out.h[off])) < 1e-12
+    assert abs(out.h[0, 3] + out.h[1, 2]) < 1e-12
+    assert abs(out.h[0, 3]) > 0.45
     # zero mean on correlated-thermal states (their cross moments are real)
     st = stats(out, hypothesis_pair(
         SourceKind.CCT, ScenarioParams(kappa=0.3, n_s=1.0, n_i=2.0, n_b=0.5)).on)
@@ -202,7 +207,7 @@ def test_transform_identity():
     obs = obs_bound(0.3, -0.2)
     out = transform_by_beam_splitter(obs, 1.0, 0.0, 0.7)
     assert np.max(np.abs(out.h - obs.h)) < 1e-12
-    assert np.max(np.abs(out.g - obs.g)) < 1e-12
+    assert np.max(np.abs(out.lin - obs.lin)) < 1e-12
 
 
 def test_transform_heisenberg_schroedinger_consistency():
@@ -320,8 +325,8 @@ def test_means_are_real_on_physical_states():
     states = [hypothesis_pair(SourceKind.TMSV, params).on,
               make_coherent(0.7 - 0.2j), make_thermal(0.4)]
     for st in states:
-        obs = random_observable(rng, st.n_modes)
-        stats(obs, st)  # raises if the mean comes out complex
+        out = stats(random_observable(rng, st.n_modes), st)
+        assert type(out.mean) is float and np.isfinite(out.mean)
 
 
 def test_affine_covariance():
@@ -343,6 +348,65 @@ def test_variance_nonnegative_after_clamp():
 
 
 def test_invalid_coefficient_blocks_rejected():
-    with pytest.raises(ValueError):
-        QuadraticObservable(1, 0.0, np.array([[1j]]), np.zeros((1, 1)),
-                            np.zeros(1))
+    with pytest.raises(ValueError, match="real"):  # would be cast to [[0, 0], [0, 0]]
+        QuadraticObservable(0.0, np.array([[1j, 0], [0, 0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="real"):
+        QuadraticObservable(0.0, np.zeros((2, 2)), np.array([1.0, 1j]))
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticObservable(0.0, np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+    # an asymmetry within the relative tolerance of a large h is round-off
+    QuadraticObservable(0.0, np.array([[1e6, 1.0], [1.0 + 1e-8, 1e6]]), np.zeros(2))
+    for h, lin in ((np.zeros((2, 2)), np.zeros(3)), (np.zeros((4, 4)), np.zeros(2)),
+                   (np.zeros((1, 1)), np.zeros(1)), (np.zeros((2, 2)), np.zeros((2, 1)))):
+        with pytest.raises(ValueError, match="shape"):
+            QuadraticObservable(0.0, h, lin)
+
+
+def _squeeze(a, d):
+    return d[0] @ d[1] + a[0] @ a[1]
+
+
+def _quad(a, d, k, angle):
+    return (d[k] * np.exp(1j * angle) + a[k] * np.exp(-1j * angle)) / np.sqrt(2)
+
+
+_MU, _NU, _GAIN = np.cosh(0.4), np.sinh(0.4), 1.7
+# each catalog constructor with the operator its docstring names, as a
+# function of the truncated annihilators a[k] and creators d[k]
+_CATALOG = {
+    "bound": (obs_bound(0.3, -0.7),
+              lambda a, d: _squeeze(a, d) + 0.3 * d[0] @ a[0] - 0.7 * d[1] @ a[1]),
+    "pc": (obs_pc(_MU, _NU),
+           lambda a, d: _NU * _squeeze(a, d) + _MU * (d[1] @ a[2] + d[2] @ a[1])),
+    "opa": (obs_opa(_GAIN),
+            lambda a, d: (np.sqrt(_GAIN * (_GAIN - 1)) * _squeeze(a, d)
+                          + (_GAIN - 1) * a[0] @ d[0] + _GAIN * d[1] @ a[1])),
+    "dh": (obs_dh(), lambda a, d: -_squeeze(a, d) + a[0] @ d[0] + d[1] @ a[1]),
+    "off": (obs_off(), lambda a, d: d[0] @ a[1] + d[1] @ a[0]),
+    "number": (obs_number(1, 2), lambda a, d: d[1] @ a[1]),
+    "number_difference": (obs_number_difference(),
+                          lambda a, d: d[0] @ a[0] - d[1] @ a[1]),
+    "quadrature": (obs_quadrature(1, 0.7, 2), lambda a, d: _quad(a, d, 1, 0.7)),
+    "hd_product": (obs_hd_product(0.4, 1.9),
+                   lambda a, d: _quad(a, d, 0, 0.4) @ _quad(a, d, 1, 1.9)),
+    "squeeze_difference": (obs_squeeze_difference(),
+                           lambda a, d: 0.5 * (a[1] @ a[1] + d[1] @ d[1]
+                                               - a[0] @ a[0] - d[0] @ d[0])),
+}
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_catalog_constructor_equals_documented_operator(name):
+    obs, operator = _CATALOG[name]
+    dim, n = 6, obs.n_modes
+    a = []
+    for k in range(n):
+        full = np.eye(1)
+        for j in range(n):
+            full = np.kron(full, orc.destroy(dim) if j == k else np.eye(dim))
+        a.append(full)
+    expected = operator(a, [x.conj().T for x in a])
+    # truncation only alters matrix elements that touch the top two levels
+    keep = np.all(np.indices((dim,) * n).reshape(n, -1) < dim - 2, axis=0)
+    got = orc.observable_matrix(obs, (dim,) * n)
+    assert np.max(np.abs((got - expected)[np.ix_(keep, keep)])) < 1e-12
