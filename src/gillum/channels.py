@@ -39,9 +39,13 @@ class SourceKind(enum.Enum):
     COHERENT = "coherent"
 
 
+def _extremes(value):
+    return (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
-    """One experiment configuration.
+    """One experiment configuration, or a sweep: kappa, n_s, n_i as arrays of one shape.
 
     kappa: target reflectance in [0, 1]; n_s / n_i / n_b: signal, idler and
     background mean photon numbers; m_modes: number of independent mode pairs
@@ -56,9 +60,10 @@ class ScenarioParams:
     noise_model: NoiseModel = NoiseModel.CONSTANT
 
     def __post_init__(self):
-        if not 0.0 <= self.kappa <= 1.0:
+        (k_lo, k_hi), (s_lo, _), (i_lo, _) = map(_extremes, (self.kappa, self.n_s, self.n_i))
+        if not (0.0 <= k_lo and k_hi <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")
-        if self.n_s < 0 or self.n_i < 0 or self.n_b < 0:
+        if s_lo < 0 or i_lo < 0 or self.n_b < 0:
             raise ValueError("photon numbers must be >= 0")
         if self.m_modes < 1:
             raise ValueError("m_modes must be >= 1")
@@ -123,6 +128,8 @@ def hypothesis_pair(source: SourceKind, params: ScenarioParams) -> HypothesisPai
     TMSV and CCT sources are two-mode with the signal in mode 0; the coherent
     source is a single signal mode (n_i is ignored for TMSV and coherent).
     """
+    if any(isinstance(v, np.ndarray) for v in (params.kappa, params.n_s, params.n_i)):
+        raise ValueError("a hypothesis pair is one point: kappa, n_s and n_i must be scalars")
     probe = _source_state(source, params)
     return HypothesisPair(
         on=apply_target(probe, 0, params, present=True),

@@ -67,14 +67,15 @@ def williamson(state: GaussianState):
     2 nu_k that close to 1 is returned as 1/2 (s unchanged), below that raises.
     """
     n = state.n_modes
-    evals, evecs = np.linalg.eigh(state.cov_q)
-    if np.min(evals) <= 0:
+    evals, evecs = np.linalg.eigh(state.cov_q)  # eigenvalues ascend
+    if evals[0] <= 0:
         raise ValueError("covariance must be positive definite")
-    sq = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
+    sq = (evecs * np.sqrt(evals)) @ evecs.T
     skew = sq @ symplectic_form(n) @ sq
     skew = 0.5 * (skew - skew.T)
-    v = np.linalg.eigh(1j * skew)[1][:, n:]  # eigenvalues ascend: +nu last
-    z = math.sqrt(2.0) * np.stack([v.imag, v.real], axis=-1).reshape(2 * n, 2 * n)
+    v = np.linalg.eigh(1j * skew)[1][:, n:]  # +nu last
+    z = np.empty((2 * n, 2 * n))
+    z[:, 0::2], z[:, 1::2] = math.sqrt(2.0) * v.imag, math.sqrt(2.0) * v.real
     nus = np.einsum("ik,ij,jk->k", z[:, 0::2], skew, z[:, 1::2])
     s = sq @ z / np.sqrt(np.repeat(nus, 2))
     spread = (s * s).sum(axis=0).reshape(n, 2).sum(axis=1)  # tr(s P_k s^T)
@@ -84,18 +85,17 @@ def williamson(state: GaussianState):
     return np.where(gap <= tol, 0.5, nus), s
 
 
-def _g_lambda(x: np.ndarray, p: np.ndarray):
+def _g_lambda(log_ratio: np.ndarray, half_sum: np.ndarray, p: np.ndarray):
     """Per-mode normalization g_p(x) = 2^p / ((x+1)^p - (x-1)^p) and weight
     lambda_p(x) = ((x+1)^p + (x-1)^p) / ((x+1)^p - (x-1)^p), elementwise
-    over the broadcast of x and p.
+    over the broadcast of p and x, given as log((x-1)/(x+1)) and (x+1)/2.
 
     With e = ((x-1)/(x+1))^p - 1, formed by expm1 and log1p, neither needs
     the difference (x+1)^p - (x-1)^p, which cancels for the large x of
     thermal modes.  Pure modes (x = 1) give e = -1 and g = lambda = 1.
     """
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at x = 1
-        e = np.expm1(p * np.log1p(-2.0 / (x + 1.0)))
-    return ((x + 1.0) / 2.0) ** -p / -e, (2.0 + e) / -e
+    e = np.expm1(p * log_ratio)
+    return half_sum ** -p / -e, (2.0 + e) / -e
 
 
 def _mode_projectors(s: np.ndarray) -> np.ndarray:
@@ -107,8 +107,8 @@ def _mode_projectors(s: np.ndarray) -> np.ndarray:
 class _PairData:
     """Doubled-convention Williamson data of one hypothesis pair.
 
-    The on modes come first and the off modes second in ``nu`` and in the
-    rows of ``projectors``, so Sigma_s = S_on Lambda_{s}(on) S_on^T +
+    The on modes come first and the off modes second in the per-mode arrays
+    and in the rows of ``projectors``, so Sigma_s = S_on Lambda_{s}(on) S_on^T +
     S_off Lambda_{1-s}(off) S_off^T is one product lambda @ projectors.
     """
 
@@ -118,7 +118,10 @@ class _PairData:
         self.n = pair.on.n_modes
         (nu_on, s_on), (nu_off, s_off) = williamson(pair.on), williamson(pair.off)
         self.projectors = np.concatenate([_mode_projectors(s_on), _mode_projectors(s_off)])
-        self.nu = 2.0 * np.concatenate([nu_on, nu_off])  # doubled: pure modes are 1
+        nu = 2.0 * np.concatenate([nu_on, nu_off])  # doubled: pure modes are 1
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf at nu = 1
+            self.log_ratio = np.log1p(-2.0 / (nu + 1.0))
+        self.half_sum = (nu + 1.0) / 2.0
         self.is_on = np.arange(2 * self.n) < self.n
         self.delta = math.sqrt(2.0) * (pair.on.mean_q - pair.off.mean_q)
         if np.linalg.norm(self.delta) < _MEAN_SHORTCUT:
@@ -127,7 +130,7 @@ class _PairData:
     def overlap(self, s):
         """Single-copy Q_s, clamped to at most 1, at every s of a scalar or array."""
         s = np.asarray(s, dtype=float)[..., None]
-        g, lam = _g_lambda(self.nu, np.where(self.is_on, s, 1.0 - s))
+        g, lam = _g_lambda(self.log_ratio, self.half_sum, np.where(self.is_on, s, 1.0 - s))
         # einsum, unlike a BLAS product, rounds a row alike for one s or many
         sig = np.einsum("...k,kj->...j", lam, self.projectors).reshape(
             s.shape[:-1] + (2 * self.n, 2 * self.n))
@@ -194,12 +197,12 @@ def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:
     Per-copy exponent kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2, evaluated as
     kappa N_S / (sqrt(N_B + 1) + sqrt(N_B))^2 and returned without a round
     trip through Q, so it stays finite where Q underflows to 0; optimal
-    s = 1/2 (the hypotheses differ only by a displacement).
+    s = 1/2 (the hypotheses differ only by a displacement); elementwise.
     """
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("closed form assumes the constant noise model")
     per_copy = params.kappa * params.n_s / (
         math.sqrt(params.n_b + 1.0) + math.sqrt(params.n_b)) ** 2
-    q_value = math.exp(-per_copy)
+    q_value = np.exp(-per_copy)
     return QcbResult(s_star=0.5, q_value=q_value, exponent=params.m_modes * per_copy,
                      p_err_bound=0.5 * q_value**params.m_modes)

@@ -40,17 +40,17 @@ def to_csv(curves: CurveSet) -> str:
 
 
 def to_json(curves: CurveSet) -> str:
-    payload = {
-        "x_label": curves.x_label,
-        "y_label": curves.y_label,
-        "curves": [
-            {"label": c.label,
-             "points": [[float(_FMT.format(xv)), float(_FMT.format(yv))]
-                        for xv, yv in zip(c.x, c.y)]}
-            for c in curves.curves
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(payload, indent=2)`` of the curves, numbers rounded to 12
+    digits, written directly: indentation forces its pure-Python encoder."""
+    blocks = []
+    for c in curves.curves:
+        x, y = ([repr(float(_FMT.format(v))) for v in a.tolist()] for a in (c.x, c.y))
+        points = ",\n".join(f"        [\n          {xv},\n          {yv}\n        ]"
+                             for xv, yv in zip(x, y))
+        blocks.append(f'    {{\n      "label": {json.dumps(c.label)},\n'
+                      f'      "points": [\n{points}\n      ]\n    }}')
+    return (f'{{\n  "x_label": {json.dumps(curves.x_label)},\n  "y_label": '
+            f'{json.dumps(curves.y_label)},\n  "curves": [\n' + ",\n".join(blocks) + "\n  ]\n}\n")
 
 
 def _ticks(lo: float, hi: float, log: bool):

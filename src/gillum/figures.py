@@ -104,21 +104,27 @@ def _params(config: SweepConfig, noise: NoiseModel, **overrides) -> ScenarioPara
     return ScenarioParams(**base)
 
 
-def _coherent_baseline_snr(params: ScenarioParams) -> float:
+def _points(config: SweepConfig, noise: NoiseModel, xs, *axes, **fixed) -> list:
+    """Scalar parameters with the ``axes`` fields at each x, for the engines."""
+    return [_params(config, noise, **dict.fromkeys(axes, x), **fixed) for x in xs]
+
+
+def _coherent_baseline_snr(config: SweepConfig, noise: NoiseModel, ns):
     """Coherent-probe bound as an equivalent SNR (M times the QCB exponent)."""
-    if params.noise_model is NoiseModel.CONSTANT:
-        return coherent_qcb_closed(params).exponent
-    pair = hypothesis_pair(SourceKind.COHERENT, params)
-    return qcb(pair, params.m_modes).exponent
+    if noise is NoiseModel.CONSTANT:
+        return coherent_qcb_closed(_params(config, noise, n_s=ns)).exponent
+    return np.array([qcb(hypothesis_pair(SourceKind.COHERENT, p), p.m_modes).exponent
+                     for p in _points(config, noise, ns, "n_s")])
 
 
-def _qi_receiver_values(config: SweepConfig, noise: NoiseModel, ns: float) -> dict:
+def _qi_receiver_values(config: SweepConfig, noise: NoiseModel, ns) -> dict:
     params = _params(config, noise, n_s=ns)
-    values = {"Coh": _coherent_baseline_snr(params)}
+    values = {"Coh": _coherent_baseline_snr(config, noise, ns)}
     if noise is NoiseModel.CONSTANT:
         values["OB"] = snr_bound_constant(params).snr
     else:
-        values["OB"] = optimize_alpha_beta_nonconstant(params)[2].snr
+        values["OB"] = np.array([optimize_alpha_beta_nonconstant(p)[2].snr
+                                 for p in _points(config, noise, ns, "n_s")])
     values["nOB"] = snr_nearly_bound(params).snr
     values["PC"] = snr_closed_pc(params).snr
     values["OPA"] = snr_closed_opa(params).snr
@@ -131,18 +137,17 @@ def _select(labels, config: SweepConfig):
         return list(labels)
     unknown = [r for r in config.receivers if r not in labels]
     if unknown:
-        raise ConfigError(
-            f"unknown receivers {unknown}; available: {sorted(labels)}")
+        raise ConfigError(f"unknown receivers {unknown}; available: {sorted(labels)}")
     return [l for l in labels if l in config.receivers]
 
 
 def _sweep(config: SweepConfig, row) -> tuple:
-    """One curve per selected key of ``row``, evaluated on the log-spaced axis."""
+    """One curve per selected key of ``row``, called once on the log-spaced axis."""
     xs = np.logspace(math.log10(config.sweep_min), math.log10(config.sweep_max),
                      config.points)
-    rows = [row(x) for x in xs]
-    return tuple(Curve(label, xs, np.array([r[label] for r in rows], dtype=float))
-                 for label in _select(rows[0], config))
+    values = row(xs)
+    return tuple(Curve(label, xs, np.asarray(values[label], dtype=float))
+                 for label in _select(values, config))
 
 
 def _fig_receivers(config: SweepConfig, noise: NoiseModel) -> CurveSet:
@@ -161,14 +166,10 @@ def _fig_differences(config: SweepConfig, noise: NoiseModel) -> CurveSet:
 def _fig_heterodyne(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
         params = _params(config, noise, n_s=ns)
-        pair = hypothesis_pair(SourceKind.TMSV, params)
-        m = params.m_modes
-        return {
-            "Coh&HD": snr_coherent_hd(params).snr,
-            "dHTD after BS": snr_generic(ReceiverSpec(ReceiverKind.DOUBLE_HTD), pair, m).snr,
-            "separate HTD": snr_generic(ReceiverSpec(ReceiverKind.SEPARATE_HTD), pair, m).snr,
-            "HD product": snr_generic(ReceiverSpec(ReceiverKind.HD_PRODUCT), pair, m).snr,
-        }
+        pairs = [hypothesis_pair(SourceKind.TMSV, p) for p in _points(config, noise, ns, "n_s")]
+        return {"Coh&HD": snr_coherent_hd(params).snr, **{
+            label: np.array([snr_generic(spec, pair, params.m_modes).snr for pair in pairs])
+            for label, spec in _HETERODYNE.items()}}
     return CurveSet("N_S", "SNR", _sweep(config, row))
 
 
@@ -176,9 +177,10 @@ def _fig_cct_kappa(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(kappa):
         out = {}
         for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
+            out[f"QCB N_S={ns:g} N_I={ni:g}"] = np.array([
+                qcb(hypothesis_pair(SourceKind.CCT, p), p.m_modes).exponent
+                for p in _points(config, noise, kappa, "kappa", n_s=ns, n_i=ni)])
             params = _params(config, noise, kappa=kappa, n_s=ns, n_i=ni)
-            pair = hypothesis_pair(SourceKind.CCT, params)
-            out[f"QCB N_S={ns:g} N_I={ni:g}"] = qcb(pair, params.m_modes).exponent
             out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(params).snr
         return out
     return CurveSet("kappa", "SNR", _sweep(config, row))
@@ -186,12 +188,11 @@ def _fig_cct_kappa(config: SweepConfig, noise: NoiseModel) -> CurveSet:
 
 def _fig_cct_ns(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
-        params = _params(config, noise, n_s=ns, n_i=ns)
-        pair = hypothesis_pair(SourceKind.CCT, params)
         return {
-            "CCT QCB": qcb(pair, params.m_modes).exponent,
-            "CCT O_off": snr_cct(params).snr,
-            "Coh QCB": _coherent_baseline_snr(params),
+            "CCT QCB": np.array([qcb(hypothesis_pair(SourceKind.CCT, p), p.m_modes).exponent
+                                 for p in _points(config, noise, ns, "n_s", "n_i")]),
+            "CCT O_off": snr_cct(_params(config, noise, n_s=ns, n_i=ns)).snr,
+            "Coh QCB": _coherent_baseline_snr(config, noise, ns),
         }
     return CurveSet("N_S", "SNR", _sweep(config, row))
 
@@ -204,13 +205,17 @@ def _fig_optimal_beta(config: SweepConfig, noise: NoiseModel) -> CurveSet:
 
 def _fig_optimal_alpha_beta(config: SweepConfig, noise: NoiseModel) -> CurveSet:
     def row(ns):
-        alpha, beta, _ = optimize_alpha_beta_nonconstant(_params(config, noise, n_s=ns))
-        return {"alpha": alpha, "beta": beta}
+        weights = np.array([optimize_alpha_beta_nonconstant(p)[:2]
+                            for p in _points(config, noise, ns, "n_s")])
+        return {"alpha": weights[:, 0], "beta": weights[:, 1]}
     return CurveSet("N_S", "optimal weight", _sweep(config, row))
 
 
 _CONSTANT, _NONCONSTANT = NoiseModel.CONSTANT, NoiseModel.NONCONSTANT
 _NS_AXIS, _KAPPA_AXIS = (1e-2, 10.0), (1e-3, 0.1)
+_HETERODYNE = {"dHTD after BS": ReceiverSpec(ReceiverKind.DOUBLE_HTD),  # fig4's receivers
+               "separate HTD": ReceiverSpec(ReceiverKind.SEPARATE_HTD),
+               "HD product": ReceiverSpec(ReceiverKind.HD_PRODUCT)}
 # preset -> (builder taking the config and the noise model, the noise models
 # the preset is defined for, its default first, and the default sweep range)
 _PRESETS = {

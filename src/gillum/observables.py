@@ -15,7 +15,7 @@ here, and heterodyne readout adds a fixed vacuum term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ class QuadraticObservable:
     c0: float
     h: np.ndarray
     lin: np.ndarray
+    _vacuum_quad_var: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.iscomplexobj(self.h) or np.iscomplexobj(self.lin):
@@ -47,6 +48,8 @@ class QuadraticObservable:
         object.__setattr__(self, "c0", float(self.c0))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "lin", lin)
+        omega = symplectic_form(self.n_modes)
+        object.__setattr__(self, "_vacuum_quad_var", 0.5 * np.vdot(h, h + omega @ h @ omega))
 
     @property
     def n_modes(self) -> int:
@@ -87,12 +90,11 @@ def stats(obs: QuadraticObservable, state: GaussianState) -> ObservableStats:
     if obs.n_modes != state.n_modes:
         raise ValueError("observable and state mode counts differ")
     h, lin, m, cov = obs.h, obs.lin, state.mean_q, state.cov_n
-    omega = symplectic_form(obs.n_modes)
     hm = h @ m
     hn = h @ cov
     b = lin + 2.0 * hm
     mean = obs.c0 + lin @ m + m @ hm + np.vdot(h, cov)
-    var = (2.0 * np.vdot(hn, hn.T + h) + 0.5 * np.vdot(h, h + omega @ h @ omega)
+    var = (2.0 * np.vdot(hn, hn.T + h) + obs._vacuum_quad_var
            + b @ cov @ b + 0.5 * (b @ b))
     return ObservableStats(mean, var)
 
@@ -233,8 +235,8 @@ def heterodyne_degrade(base: ObservableStats, state: GaussianState) -> Observabl
 
     Each detector splits its mode with a vacuum ancilla, halving the mean and
     turning the variance into (var + 1 + <n_A + n_B>)/4, (A, B) the measured
-    modes of ``state``.  Both readouts used here obey it: the X X - P P squeeze
-    correlation and the quadrature squares after the 50:50 recombiner.
+    modes, whose photon numbers ``state`` carries: the X X - P P squeeze
+    correlation and the quadrature squares after the passive 50:50 recombiner.
     """
     n_sum = state.mean_photon(0) + state.mean_photon(1)
     return ObservableStats(0.5 * base.mean, 0.25 * (base.variance + 1.0 + n_sum))

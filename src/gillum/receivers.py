@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .observables import (
     stats,
     transform_by_beam_splitter,
 )
-from .states import apply_beam_splitter, make_vacuum, tensor
+from .states import make_vacuum, tensor
 
 DEFAULT_PC_MU = math.sqrt(2.0)
 DEFAULT_PC_NU = 1.0
@@ -59,7 +59,7 @@ DEFAULT_OPA_GAIN = 1.0 + 7.4e-5  # implementable amplifier gain
 
 @dataclass(frozen=True)
 class SnrReport:
-    """Per-mode on/off statistics with the M-mode SNR and error probability."""
+    """Per-mode on/off statistics and the M-mode SNR, arrays for a sweep."""
 
     mean_on: float
     mean_off: float
@@ -67,8 +67,15 @@ class SnrReport:
     var_off: float
     m_modes: float
     snr: float
-    threshold: float
-    p_err: float
+
+    @property
+    def threshold(self):  # the scalar rules, elementwise for array reports
+        return np.vectorize(threshold)(self.mean_on, self.mean_off, self.var_on,
+                                       self.var_off, self.m_modes)[()]
+
+    @property
+    def p_err(self):
+        return np.vectorize(p_err)(self.snr)[()]
 
 
 class ReceiverKind(enum.Enum):
@@ -142,18 +149,16 @@ def make_report(mean_on: float, mean_off: float, var_on: float, var_off: float,
 def _report(mean_on: float, mean_off: float, gap: float, var_on: float,
             var_off: float, m_modes: float) -> SnrReport:
     """make_report with the SNR taken from ``gap`` = mean_on - mean_off,
-    for callers that form the gap without cancellation."""
-    s_on = math.sqrt(max(var_on, 0.0))
-    s_off = math.sqrt(max(var_off, 0.0))
+    for callers that form the gap without cancellation; elementwise over arrays."""
+    s_on = np.sqrt(np.maximum(var_on, 0.0))
+    s_off = np.sqrt(np.maximum(var_off, 0.0))
     denom = 2.0 * (s_on + s_off) ** 2
-    snr = m_modes * gap * gap / denom if denom > 0 else (
-        0.0 if gap == 0 else math.inf)
-    return SnrReport(
-        mean_on=mean_on, mean_off=mean_off, var_on=var_on, var_off=var_off,
-        m_modes=m_modes, snr=snr,
-        threshold=threshold(mean_on, mean_off, var_on, var_off, m_modes),
-        p_err=p_err(snr) if math.isfinite(snr) else 0.0,
-    )
+    if (denom > 0).all():
+        snr = m_modes * gap * gap / denom
+    else:  # zero noise: SNR 0 for a zero gap and inf otherwise
+        with np.errstate(divide="ignore", invalid="ignore"):
+            snr = np.where(gap == 0, 0.0, m_modes * gap * gap / denom)[()]
+    return SnrReport(mean_on, mean_off, var_on, var_off, m_modes, snr)
 
 
 _HALF = 1 / math.sqrt(2)  # amplitude of the 50:50 signal-idler recombiner
@@ -163,11 +168,12 @@ _HALF = 1 / math.sqrt(2)  # amplitude of the 50:50 signal-idler recombiner
 _SQUEEZE = obs_bound(0.0, 0.0)
 _DH = obs_dh()
 _OFF = obs_off()
-_SQUEEZE_DIFFERENCE = obs_squeeze_difference()
-# photon-number difference after the recombiner, referred back to the
-# (signal, idler) modes
+# photon-number difference and quadrature-square coincidence after the
+# recombiner, referred back to the (signal, idler) modes (Heisenberg picture)
 _PNDM = transform_by_beam_splitter(obs_number_difference(), t=_HALF, r=_HALF,
                                    phase=math.pi / 2)
+_DOUBLE_HTD = transform_by_beam_splitter(obs_squeeze_difference(), t=_HALF, r=_HALF,
+                                         phase=math.pi / 2)
 
 # kind -> (observable from (spec, mode count), state preparation applied to
 # each hypothesis or None, whether it is read out by two heterodynes)
@@ -184,11 +190,7 @@ _RECEIVERS = {
     ReceiverKind.CCT_OFF: (lambda s, n: _OFF, None, False),
     ReceiverKind.HD_PRODUCT: (lambda s, n: obs_hd_product(s.theta, s.phi), None, False),
     ReceiverKind.SEPARATE_HTD: (lambda s, n: _SQUEEZE, None, True),
-    # the squared-quadrature coincidence observable on the recombined outputs
-    ReceiverKind.DOUBLE_HTD: (
-        lambda s, n: _SQUEEZE_DIFFERENCE,
-        lambda state: apply_beam_splitter(state, 0, 1, _HALF, _HALF, phase=math.pi / 2),
-        True),
+    ReceiverKind.DOUBLE_HTD: (lambda s, n: _DOUBLE_HTD, None, True),
 }
 
 
@@ -216,7 +218,7 @@ def _occupancy(params: ScenarioParams, kappa: float) -> float:
 
 
 def _cross(params: ScenarioParams, kappa: float) -> float:
-    return math.sqrt(kappa * params.n_s * (params.n_s + 1.0))
+    return np.sqrt(kappa * params.n_s * (params.n_s + 1.0))
 
 
 def _numerator_shift(params: ScenarioParams) -> float:
@@ -272,24 +274,26 @@ def optimal_beta_closed(params: ScenarioParams) -> float:
     Singular at kappa N_S = 0, where callers fall back to beta = 0.
     """
     ns, nb, kappa = params.n_s, params.n_b, params.kappa
-    if kappa * ns <= 0.0:
+    if np.any(kappa * ns <= 0.0):
         raise ValueError("optimal beta is singular at kappa * n_s = 0")
     f = 1.0 + ns + nb + 2.0 * ns * nb
-    return (1.0 + 2.0 * ns) / math.sqrt(kappa * ns * (ns + 1.0) ** 3) * (
-        f - math.sqrt(f * (f - kappa * (ns + 1.0))))
+    return (1.0 + 2.0 * ns) / np.sqrt(kappa * ns * (ns + 1.0) ** 3) * (
+        f - np.sqrt(f * (f - kappa * (ns + 1.0))))
 
 
 def snr_bound_constant(params: ScenarioParams, beta: float | None = None) -> SnrReport:
     """Bound-receiver SNR under constant noise.
 
-    Uses the closed-form optimal |beta| when ``beta`` is omitted (0 in the
-    degenerate kappa n_s = 0 case).  The report's means carry the signed
-    idler weight -|beta|.
+    Uses the closed-form optimal |beta| when ``beta`` is omitted (0 where
+    kappa n_s = 0).  The report's means carry the signed idler weight -|beta|.
     """
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("snr_bound_constant requires the constant noise model")
     if beta is None:
-        beta_abs = 0.0 if params.kappa * params.n_s == 0 else optimal_beta_closed(params)
+        live = params.kappa * params.n_s > 0  # evaluated at kappa = n_s = 1 elsewhere
+        live_params = replace(params, kappa=np.where(live, params.kappa, 1.0),
+                              n_s=np.where(live, params.n_s, 1.0))
+        beta_abs = np.where(live, optimal_beta_closed(live_params), 0.0)[()]
     else:
         beta_abs = abs(beta)
     return _bound_report(params, 0.0, -beta_abs)
@@ -424,7 +428,7 @@ def snr_cct(params: ScenarioParams) -> SnrReport:
     noise substitutes the kappa-dependent occupancy in the on-hypothesis.
     """
     ns, ni, nb, kappa = params.n_s, params.n_i, params.n_b, params.kappa
-    d = math.sqrt(kappa * ns * ni)
+    d = np.sqrt(kappa * ns * ni)
     b_on = _occupancy(params, kappa)
     y = ni + nb * (1.0 + 2.0 * ni)
     v_on = 2.0 * d * d + (2.0 * ni + 1.0) * b_on + ni
@@ -437,4 +441,4 @@ def snr_coherent_hd(params: ScenarioParams) -> SnrReport:
     therm_on = _occupancy(params, kappa) - kappa * ns
     v_on = therm_on + 0.5
     v_off = params.n_b + 0.5
-    return make_report(math.sqrt(2.0 * kappa * ns), 0.0, v_on, v_off, params.m_modes)
+    return make_report(np.sqrt(2.0 * kappa * ns), 0.0, v_on, v_off, params.m_modes)

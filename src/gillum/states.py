@@ -14,6 +14,7 @@ Observables read these arrays directly; no mode-operator moments are derived.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,12 +23,14 @@ import numpy as np
 _SYM_TOL = 1e-10
 
 
+@functools.cache
 def symplectic_form(n: int) -> np.ndarray:
-    """Symplectic form for (x_1, p_1, ..., x_n, p_n) ordering, [x, p] = i."""
+    """Symplectic form for (x_1, p_1, ..., x_n, p_n) ordering, [x, p] = i (read-only)."""
     w = np.zeros((2 * n, 2 * n))
     for k in range(n):
         w[2 * k, 2 * k + 1] = 1.0
         w[2 * k + 1, 2 * k] = -1.0
+    w.setflags(write=False)
     return w
 
 
@@ -44,7 +47,8 @@ class GaussianState:
         if (mean_q.ndim != 1 or mean_q.size < 2 or mean_q.size % 2
                 or cov_n.shape != (mean_q.size, mean_q.size)):
             raise ValueError("mean_q must have length 2 n_modes >= 2 and cov_n shape (2n, 2n)")
-        if np.max(np.abs(cov_n - cov_n.T)) > _SYM_TOL:
+        asym = np.max(np.abs(cov_n - cov_n.T))  # relative to the largest entry
+        if asym > _SYM_TOL and asym > _SYM_TOL * np.max(np.abs(cov_n)):
             raise ValueError("cov_n is not symmetric")
         mean_q.setflags(write=False)
         cov_n.setflags(write=False)

@@ -209,3 +209,22 @@ def test_param_validation():
         ScenarioParams(kappa=0.1, n_s=-0.1, n_b=0.1)
     with pytest.raises(ValueError):
         ScenarioParams(kappa=0.1, n_s=0.1, n_b=0.1, m_modes=0)
+
+
+def test_param_validation_reads_every_array_entry():
+    axis = np.linspace(0.01, 0.5, 50)
+    ScenarioParams(kappa=axis, n_s=axis, n_i=axis, n_b=1.0)
+    for field, bad in (("kappa", 1.5), ("kappa", -0.1), ("n_s", -0.1), ("n_i", -0.1)):
+        values = axis.copy()
+        values[17] = bad
+        with pytest.raises(ValueError):
+            ScenarioParams(**{"kappa": 0.1, "n_s": 0.1, "n_b": 0.1, field: values})
+
+
+def test_hypothesis_pair_rejects_array_parameters():
+    axis = np.linspace(0.01, 0.5, 5)
+    for field in ("kappa", "n_s", "n_i"):
+        params = ScenarioParams(**{"kappa": 0.1, "n_s": 0.1, "n_b": 1.0, field: axis})
+        for source in SourceKind:
+            with pytest.raises(ValueError):
+                hypothesis_pair(source, params)

@@ -281,3 +281,21 @@ def test_figure_run_does_not_import_scipy():
                          env=ENV)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "0 []"
+
+
+def test_json_equals_the_standard_encoder():
+    from gillum.emit import _FMT
+
+    x = np.logspace(-2, 1, 7)
+    cs = CurveSet('x "quoted"', "back\\slash κ", (
+        Curve('say "hi"', x, np.sin(x) * 1e300),
+        Curve("a\\b é中 \U0001f600 \n\t", x, -np.exp(-x) * 1e-300),
+        Curve("plain", x, np.array([0.0, -0.0, 1.0, 123456789012345.0, 1e16, 3.0, 0.1]))))
+    payload = {
+        "x_label": cs.x_label,
+        "y_label": cs.y_label,
+        "curves": [{"label": c.label,
+                    "points": [[float(_FMT.format(a)), float(_FMT.format(b))]
+                               for a, b in zip(c.x, c.y)]} for c in cs.curves],
+    }
+    assert to_json(cs) == json.dumps(payload, indent=2) + "\n"

@@ -18,6 +18,7 @@ from gillum import (
     ReceiverSpec,
     ScenarioParams,
     SourceKind,
+    coherent_qcb_closed,
     hypothesis_pair,
     obs_opa,
     obs_pc,
@@ -498,3 +499,65 @@ def test_report_internal_consistency():
     assert abs(rep.snr - recomputed) <= 1e-12 * rep.snr
     assert rep.threshold > min(M * rep.mean_on, M * rep.mean_off)
     assert rep.threshold < max(M * rep.mean_on, M * rep.mean_off)
+
+
+def test_double_heterodyne_after_recombiner_equals_separate_heterodyne():
+    # the recombiner and the coincidence observable undo each other, so both
+    # heterodyne routes measure the same statistic
+    double, separate = (ReceiverSpec(ReceiverKind.DOUBLE_HTD),
+                        ReceiverSpec(ReceiverKind.SEPARATE_HTD))
+    for kappa in (1e-3, 0.01, 0.1):
+        for nb in (1.0, 3.7, 30.0, 100.0):
+            for ns in np.logspace(-2, 1, 7):
+                pair = hypothesis_pair(SourceKind.TMSV, params_for(kappa, float(ns), nb))
+                a = snr_generic(double, pair, M).snr
+                b = snr_generic(separate, pair, M).snr
+                assert abs(a - b) <= 1e-14 * b, (kappa, nb, ns)
+
+
+AXIS = np.logspace(-2, 1, 50)
+
+
+def _closed_forms(model):
+    forms = [lambda p: snr_nearly_bound(p).snr, lambda p: snr_closed_pc(p).snr,
+             lambda p: snr_closed_opa(p).snr, lambda p: snr_closed_dh(p).snr,
+             lambda p: snr_cct(p).snr, lambda p: snr_coherent_hd(p).snr,
+             lambda p: snr_bound_nonconstant(p, -0.3, 0.7)]
+    if model is NoiseModel.CONSTANT:
+        forms += [lambda p: snr_bound_constant(p).snr, optimal_beta_closed,
+                  lambda p: coherent_qcb_closed(p).exponent]
+    return forms
+
+
+@pytest.mark.parametrize("model", list(NoiseModel))
+@pytest.mark.parametrize("axis", ["n_s", "kappa", "n_i"])
+def test_array_closed_forms_equal_per_point_calls(model, axis):
+    base = dict(kappa=0.03, n_s=0.7, n_i=1.3, n_b=3.7, m_modes=M, noise_model=model)
+    xs = AXIS / 10.0 if axis == "kappa" else AXIS
+    whole = ScenarioParams(**{**base, axis: xs})
+    points = [ScenarioParams(**{**base, axis: float(x)}) for x in xs]
+    for form in _closed_forms(model):
+        got = form(whole)
+        ref = np.array([form(p) for p in points])
+        # only the split-thermal receiver reads n_i; the rest give one value
+        assert np.shape(got) in (xs.shape, () if axis == "n_i" else xs.shape)
+        scale = np.maximum(np.abs(ref), np.finfo(float).tiny)
+        assert np.max(np.abs(got - ref) / scale) <= 4 * np.finfo(float).eps
+
+
+def test_bound_constant_zero_signal_rule_is_elementwise():
+    ns = np.concatenate([[0.0], AXIS[1:]])
+    whole = snr_bound_constant(params_for(0.01, ns))
+    for k, x in enumerate(ns):
+        point = snr_bound_constant(params_for(0.01, float(x)))
+        assert abs(whole.snr[k] - point.snr) <= 4 * np.finfo(float).eps * point.snr
+        assert abs(whole.mean_off[k] - point.mean_off) <= (
+            4 * np.finfo(float).eps * abs(point.mean_off))
+    assert whole.snr[0] == 0.0 and whole.p_err[0] == 0.5
+    # an array report's threshold and error probability apply the scalar rules
+    for k in range(ns.size):
+        assert whole.threshold[k] == threshold(whole.mean_on[k], whole.mean_off[k],
+                                               whole.var_on[k], whole.var_off[k], M)
+        assert whole.p_err[k] == p_err(whole.snr[k])
+    with pytest.raises(ValueError):
+        optimal_beta_closed(params_for(0.01, ns))

@@ -216,3 +216,13 @@ def test_beam_splitter_matrix_is_orthogonal_and_symplectic():
         omega = symplectic_form(n)
         assert np.max(np.abs(s @ s.T - np.eye(2 * n))) < 1e-15
         assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-15
+
+
+def test_symmetry_check_is_relative_to_the_largest_entry():
+    # a bright beam-splitter output carries round-off asymmetry above 1e-10
+    # in absolute terms; it is a symmetric state all the same
+    bright = apply_beam_splitter(tensor(make_thermal(1e6), make_thermal(3.7e5)),
+                                 0, 1, 0.6, 0.8, 0.3)
+    assert abs(bright.mean_photon(0) + bright.mean_photon(1) - 1.37e6) <= 1e-9 * 1.37e6
+    with pytest.raises(ValueError):  # a real asymmetry of a bright state
+        GaussianState(np.zeros(2), np.array([[1e6, 1.0], [0.0, 1e6]]))
