@@ -9,7 +9,7 @@ number and cross-correlation observables.
 import numpy as np
 
 from gillum import (
-    apply_beam_splitter,
+    GaussianState,
     make_cct,
     make_coherent,
     make_thermal,
@@ -21,6 +21,7 @@ from gillum import (
     tensor,
     williamson,
 )
+from gillum.states import beam_splitter_matrix
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -37,8 +38,8 @@ tmsv = make_tmsv(1.0)
 print("cov_n (rows x_S, p_S, x_I, p_I) =\n", tmsv.cov_n)
 print("<x_S x_I> = <a_S a_I> =", tmsv.cov_n[0, 2], "= sqrt(N_S (N_S+1))")
 print("symplectic eigenvalues (pure state -> exactly 1/2):", williamson(tmsv)[0])
-print("reduced signal mode equals a thermal state:",
-      np.allclose(tmsv.reduced([0]).cov_n, make_thermal(1.0).cov_n))
+print("reduced signal mode (its cov_n block) equals a thermal state:",
+      np.allclose(tmsv.cov_n[:2, :2], make_thermal(1.0).cov_n))
 
 print("\n== correlated thermal pair from one split thermal beam ==")
 cct = make_cct(1.0, 2.0)
@@ -50,6 +51,7 @@ print("<p_S p_I> = <x_S x_I> here; a TMSV has <p_S p_I> = -<x_S x_I>:",
 
 print("\n== coherent state on a beam splitter ==")
 coh = tensor(make_coherent(2.0), make_vacuum(1))
-pair = apply_beam_splitter(coh, 0, 1, np.sqrt(0.7), np.sqrt(0.3))
+s = beam_splitter_matrix(2, 0, 1, np.sqrt(0.7), np.sqrt(0.3), 0.0)  # r -> S r
+pair = GaussianState(s @ coh.mean_q, s @ coh.cov_n @ s.T)
 print("split 70/30:", pair.mean_photon(0), "+", pair.mean_photon(1),
       "= 4 photons total")

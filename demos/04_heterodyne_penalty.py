@@ -6,31 +6,41 @@ the entangled probe this penalty is large enough that a plain coherent
 probe with homodyne detection wins at every brightness.
 """
 
+import math
+
 from gillum import (
-    ReceiverKind,
-    ReceiverSpec,
     ScenarioParams,
     SourceKind,
-    heterodyne_degrade,
+    heterodyne,
     hypothesis_pair,
     obs_bound,
+    obs_squeeze_difference,
     snr_coherent_hd,
     snr_generic,
     snr_nearly_bound,
     stats,
+    transform_by_beam_splitter,
 )
 
 M = 10**7
 p = ScenarioParams(kappa=0.01, n_s=1.0, n_b=30.0, m_modes=M)
 pair = hypothesis_pair(SourceKind.TMSV, p)
 
+# the heterodyned observable acts on (signal, idler) plus one vacuum ancilla
+# per detector; stats supplies the ancillas
+separate = heterodyne(obs_bound(0.0, 0.0))
 direct = stats(obs_bound(0.0, 0.0), pair.on)
-noisy = heterodyne_degrade(direct, pair.on)
+noisy = stats(separate, pair.on)
 print("direct squeeze-correlation readout:  mean %.4f  variance %.2f"
       % (direct.mean, direct.variance))
 print("through two heterodyne detectors:    mean %.4f  variance %.2f"
       % (noisy.mean, noisy.variance))
 print("(mean halves; quadrupled variance gains 1 + <n_S + n_I> of vacuum noise)")
+
+# heterodynes after a 50:50 recombiner, referred back to the incoming modes
+half = 1 / math.sqrt(2)
+double = transform_by_beam_splitter(heterodyne(obs_squeeze_difference()),
+                                    half, half, math.pi / 2)
 
 print(f"\n{'N_S':>8} {'direct':>10} {'separate HTD':>13} {'dHTD (50:50)':>13} "
       f"{'coherent+HD':>12}")
@@ -39,8 +49,8 @@ for ns in (0.01, 0.1, 1.0, 10.0):
     pr = hypothesis_pair(SourceKind.TMSV, pp)
     row = (
         snr_nearly_bound(pp).snr,
-        snr_generic(ReceiverSpec(ReceiverKind.SEPARATE_HTD), pr, M).snr,
-        snr_generic(ReceiverSpec(ReceiverKind.DOUBLE_HTD), pr, M).snr,
+        snr_generic(separate, pr, M).snr,
+        snr_generic(double, pr, M).snr,
         snr_coherent_hd(pp).snr,
     )
     print(f"{ns:8.2f} {row[0]:10.2f} {row[1]:13.2f} {row[2]:13.2f} {row[3]:12.2f}")

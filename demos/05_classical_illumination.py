@@ -7,16 +7,18 @@ pair's quantum Chernoff bound, and approaches the coherent-probe bound as
 the reference brightness grows.
 """
 
+import math
+
 from gillum import (
-    ReceiverKind,
-    ReceiverSpec,
     ScenarioParams,
     SourceKind,
     coherent_qcb_closed,
     hypothesis_pair,
+    obs_number_difference,
     qcb,
     snr_cct,
     snr_generic,
+    transform_by_beam_splitter,
 )
 
 M = 10**7
@@ -31,7 +33,9 @@ for kappa in (0.001, 0.003, 0.01, 0.03, 0.1):
 print("\nthe photon-number-difference receiver is the same measurement:")
 p = ScenarioParams(kappa=0.01, n_s=1.0, n_i=1.0, n_b=30.0, m_modes=M)
 pair = hypothesis_pair(SourceKind.CCT, p)
-pndm = snr_generic(ReceiverSpec(ReceiverKind.PNDM), pair, M).snr
+half = 1 / math.sqrt(2)  # a 50:50 recombiner, read in the Heisenberg picture
+pndm_obs = transform_by_beam_splitter(obs_number_difference(), half, half, math.pi / 2)
+pndm = snr_generic(pndm_obs, pair, M).snr
 print(f"  cross correlation: {snr_cct(p).snr:.6f}   number difference: {pndm:.6f}")
 
 print(f"\n{'N_I':>8} {'SNR':>10} {'coherent bound':>15}")

@@ -7,7 +7,6 @@ exactly, and compares against quantum Chernoff bounds.
 
 from .states import (
     GaussianState,
-    apply_beam_splitter,
     make_cct,
     make_coherent,
     make_thermal,
@@ -27,7 +26,7 @@ from .channels import (
 from .observables import (
     ObservableStats,
     QuadraticObservable,
-    heterodyne_degrade,
+    heterodyne,
     obs_bound,
     obs_dh,
     obs_hd_product,
@@ -43,10 +42,7 @@ from .observables import (
 )
 from .receivers import (
     DEFAULT_OPA_GAIN,
-    ReceiverKind,
-    ReceiverSpec,
     SnrReport,
-    make_report,
     optimal_beta_closed,
     optimize_alpha_beta_nonconstant,
     p_err,
@@ -59,7 +55,6 @@ from .receivers import (
     snr_coherent_hd,
     snr_generic,
     snr_nearly_bound,
-    threshold,
 )
 from .chernoff import QcbResult, coherent_qcb_closed, qcb, williamson
 from .figures import Curve, CurveSet, SweepConfig, run_figure

@@ -14,9 +14,14 @@ import numpy as np
 
 from .channels import NoiseModel, ScenarioParams, SourceKind, hypothesis_pair
 from .chernoff import coherent_qcb_closed, qcb
+from .observables import (
+    heterodyne,
+    obs_bound,
+    obs_hd_product,
+    obs_squeeze_difference,
+    transform_by_beam_splitter,
+)
 from .receivers import (
-    ReceiverKind,
-    ReceiverSpec,
     optimal_beta_closed,
     optimize_alpha_beta_nonconstant,
     snr_bound_constant,
@@ -168,8 +173,8 @@ def _fig_heterodyne(config: SweepConfig, noise: NoiseModel) -> CurveSet:
         params = _params(config, noise, n_s=ns)
         pairs = [hypothesis_pair(SourceKind.TMSV, p) for p in _points(config, noise, ns, "n_s")]
         return {"Coh&HD": snr_coherent_hd(params).snr, **{
-            label: np.array([snr_generic(spec, pair, params.m_modes).snr for pair in pairs])
-            for label, spec in _HETERODYNE.items()}}
+            label: np.array([snr_generic(obs, pair, params.m_modes).snr for pair in pairs])
+            for label, obs in _HETERODYNE.items()}}
     return CurveSet("N_S", "SNR", _sweep(config, row))
 
 
@@ -213,9 +218,16 @@ def _fig_optimal_alpha_beta(config: SweepConfig, noise: NoiseModel) -> CurveSet:
 
 _CONSTANT, _NONCONSTANT = NoiseModel.CONSTANT, NoiseModel.NONCONSTANT
 _NS_AXIS, _KAPPA_AXIS = (1e-2, 10.0), (1e-3, 0.1)
-_HETERODYNE = {"dHTD after BS": ReceiverSpec(ReceiverKind.DOUBLE_HTD),  # fig4's receivers
-               "separate HTD": ReceiverSpec(ReceiverKind.SEPARATE_HTD),
-               "HD product": ReceiverSpec(ReceiverKind.HD_PRODUCT)}
+# fig4's receiver observables on the signal, the idler and vacuum ancillas;
+# the double heterodyne follows a 50:50 recombiner, read in the Heisenberg
+# picture on the incoming modes
+_HETERODYNE = {
+    "dHTD after BS": transform_by_beam_splitter(heterodyne(obs_squeeze_difference()),
+                                                1 / math.sqrt(2), 1 / math.sqrt(2),
+                                                math.pi / 2),
+    "separate HTD": heterodyne(obs_bound(0.0, 0.0)),
+    "HD product": obs_hd_product(0.0, 0.0),
+}
 # preset -> (builder taking the config and the noise model, the noise models
 # the preset is defined for, its default first, and the default sweep range)
 _PRESETS = {

@@ -9,12 +9,14 @@ structural and ``c0`` is the vacuum mean (the vacuum has <r^T h r> = tr(h)/2).
 Mode-operator expressions enter through ``a = (x + i p)/sqrt(2)``; each
 constructor below states the identity it uses.  Means and variances on
 Gaussian states are evaluated exactly from the state's ``mean_q`` and
-``cov_n``; nothing is sampled.  Receiver parameter rules are written once
-here, and heterodyne readout adds a fixed vacuum term.
+``cov_n``; nothing is sampled.  Modes of an observable beyond the state's
+are vacuum ancillas, such as a conjugator's input or a heterodyne's open
+port.  Receiver parameter rules are written once here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,11 +87,17 @@ def stats(obs: QuadraticObservable, state: GaussianState) -> ObservableStats:
 
     the Gaussian 2 tr(hVhV) + tr(h Omega h Omega)/2 + b^T V b at the
     symmetrized covariance V = N + I/2, expanded in N so that the vacuum
-    terms cancel exactly (h + Omega h Omega = 0 for a passive h).
+    terms cancel exactly (h + Omega h Omega = 0 for a passive h).  Modes of
+    ``obs`` beyond the state's are vacuum: m and N are zero-padded.
     """
-    if obs.n_modes != state.n_modes:
-        raise ValueError("observable and state mode counts differ")
     h, lin, m, cov = obs.h, obs.lin, state.mean_q, state.cov_n
+    k = m.size
+    if k > lin.size:
+        raise ValueError("state has more modes than the observable")
+    if k < lin.size:
+        m = np.concatenate((m, np.zeros(lin.size - k)))
+        cov = np.zeros_like(h)
+        cov[:k, :k] = state.cov_n
     hm = h @ m
     hn = h @ cov
     b = lin + 2.0 * hm
@@ -140,8 +148,8 @@ def obs_pc(mu: float, nu: float) -> QuadraticObservable:
     """Phase-conjugate receiver observable on modes (S, I, V).
 
     O = nu (a_S^dag a_I^dag + a_S a_I) + mu (a_I^dag a_V + a_V^dag a_I).
-    The third mode is an explicit vacuum ancilla; callers append it to the
-    two-mode state under test.  Requires mu^2 - nu^2 = 1 with nu != 0.
+    The third mode is an explicit vacuum ancilla, which ``stats`` supplies
+    on a two-mode state.  Requires mu^2 - nu^2 = 1 with nu != 0.
     """
     _check_pc(mu, nu)
     h = np.zeros((6, 6))
@@ -230,13 +238,20 @@ def transform_by_beam_splitter(obs: QuadraticObservable, t: float, r: float,
     return QuadraticObservable(obs.c0, s.T @ obs.h @ s, s.T @ obs.lin)
 
 
-def heterodyne_degrade(base: ObservableStats, state: GaussianState) -> ObservableStats:
-    """Statistics after a readout by two heterodynes instead of directly.
+def heterodyne(obs: QuadraticObservable) -> QuadraticObservable:
+    """The 2n-mode observable read out by heterodyning each of the n modes of ``obs``.
 
-    Each detector splits its mode with a vacuum ancilla, halving the mean and
-    turning the variance into (var + 1 + <n_A + n_B>)/4, (A, B) the measured
-    modes, whose photon numbers ``state`` carries: the X X - P P squeeze
-    correlation and the quadrature squares after the passive 50:50 recombiner.
+    Mode k is split 50:50 with the vacuum mode n + k; x is read on one output
+    port and p on the other, which gives the commuting pair
+    (x_k + x_{n+k})/sqrt(2) and (p_k - p_{n+k})/sqrt(2) in place of (x_k, p_k).
+    That is r -> A r with A A^T = I, so h -> A^T h A, lin -> A^T lin and c0
+    stays: quadratic means halve and the open ports add vacuum noise.
     """
-    n_sum = state.mean_photon(0) + state.mean_photon(1)
-    return ObservableStats(0.5 * base.mean, 0.25 * (base.variance + 1.0 + n_sum))
+    n, amp = obs.n_modes, 1 / math.sqrt(2)
+    s = np.eye(4 * n)
+    for k in range(n):
+        s = beam_splitter_matrix(2 * n, k, n + k, amp, amp, math.pi / 2) @ s
+    rows = np.arange(2 * n)
+    rows[0::2] += 2 * n  # x from port n + k, p from port k
+    a = s[rows]
+    return QuadraticObservable(obs.c0, a.T @ obs.h @ a, a.T @ obs.lin)

@@ -1,4 +1,4 @@
-"""Receiver signal-to-noise ratios, decision thresholds and error probabilities.
+"""Receiver signal-to-noise ratios and error probabilities.
 
 For M independent mode pairs the detection statistic is the summed outcome of
 a mode-by-mode measurement of an observable O, Gaussian for large M, and the
@@ -27,30 +27,13 @@ x(lam) = (lam G_on + (1 - lam) G_off)^-1 d (Ann. Math. Statist. 33, 420
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import HypothesisPair, NoiseModel, ScenarioParams, _received_noise
-from .observables import (
-    _check_opa,
-    _check_pc,
-    heterodyne_degrade,
-    obs_bound,
-    obs_dh,
-    obs_hd_product,
-    obs_number_difference,
-    obs_off,
-    obs_opa,
-    obs_pc,
-    obs_quadrature,
-    obs_squeeze_difference,
-    stats,
-    transform_by_beam_splitter,
-)
-from .states import make_vacuum, tensor
+from .observables import QuadraticObservable, _check_opa, _check_pc, stats
 
 DEFAULT_PC_MU = math.sqrt(2.0)
 DEFAULT_PC_NU = 1.0
@@ -68,67 +51,6 @@ class SnrReport:
     m_modes: float
     snr: float
 
-    @property
-    def threshold(self):  # the scalar rules, elementwise for array reports
-        return np.vectorize(threshold)(self.mean_on, self.mean_off, self.var_on,
-                                       self.var_off, self.m_modes)[()]
-
-    @property
-    def p_err(self):
-        return np.vectorize(p_err)(self.snr)[()]
-
-
-class ReceiverKind(enum.Enum):
-    BOUND = "bound"
-    NEARLY_BOUND = "nearly_bound"
-    PC = "pc"
-    OPA = "opa"
-    DH = "dh"
-    PNDM = "pndm"
-    COHERENT_HD = "coherent_hd"
-    CCT_OFF = "cct_off"
-    SEPARATE_HTD = "separate_htd"
-    DOUBLE_HTD = "double_htd"
-    HD_PRODUCT = "hd_product"
-
-
-@dataclass(frozen=True)
-class ReceiverSpec:
-    """A receiver kind plus its kind-specific real parameters."""
-
-    kind: ReceiverKind
-    alpha: float = 0.0
-    beta: float = 0.0
-    mu: float = DEFAULT_PC_MU
-    nu: float = DEFAULT_PC_NU
-    gain: float = DEFAULT_OPA_GAIN
-    theta: float = 0.0
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if self.kind is ReceiverKind.PC:
-            _check_pc(self.mu, self.nu)
-        if self.kind is ReceiverKind.OPA:
-            _check_opa(self.gain)
-
-    @classmethod
-    def bound(cls, alpha: float, beta: float) -> "ReceiverSpec":
-        return cls(ReceiverKind.BOUND, alpha=alpha, beta=beta)
-
-
-def threshold(mean_on: float, mean_off: float, var_on: float, var_off: float,
-              m_modes: float) -> float:
-    """Decision threshold that equalizes the two error-term arguments.
-
-    Weighted between the scaled hypothesis means by the standard deviations;
-    equal variances give the midpoint.
-    """
-    s_on = math.sqrt(max(var_on, 0.0))
-    s_off = math.sqrt(max(var_off, 0.0))
-    if s_on + s_off == 0.0:
-        return 0.5 * m_modes * (mean_on + mean_off)
-    return m_modes * (mean_off * s_on + mean_on * s_off) / (s_on + s_off)
-
 
 def p_err(snr: float) -> float:
     """Minimum discrimination error erfc(sqrt(SNR))/2.
@@ -140,16 +62,11 @@ def p_err(snr: float) -> float:
     return 0.5 * math.erfc(math.sqrt(snr))
 
 
-def make_report(mean_on: float, mean_off: float, var_on: float, var_off: float,
-                m_modes: float) -> SnrReport:
-    """Assemble an SnrReport from per-mode statistics."""
-    return _report(mean_on, mean_off, mean_on - mean_off, var_on, var_off, m_modes)
-
-
 def _report(mean_on: float, mean_off: float, gap: float, var_on: float,
             var_off: float, m_modes: float) -> SnrReport:
-    """make_report with the SNR taken from ``gap`` = mean_on - mean_off,
-    for callers that form the gap without cancellation; elementwise over arrays."""
+    """SnrReport from per-mode statistics, with the SNR taken from ``gap`` =
+    mean_on - mean_off, which callers form without cancellation where they
+    can; elementwise over arrays."""
     s_on = np.sqrt(np.maximum(var_on, 0.0))
     s_off = np.sqrt(np.maximum(var_off, 0.0))
     denom = 2.0 * (s_on + s_off) ** 2
@@ -161,51 +78,14 @@ def _report(mean_on: float, mean_off: float, gap: float, var_on: float,
     return SnrReport(mean_on, mean_off, var_on, var_off, m_modes, snr)
 
 
-_HALF = 1 / math.sqrt(2)  # amplitude of the 50:50 signal-idler recombiner
+def snr_generic(obs: QuadraticObservable, pair: HypothesisPair, m_modes: float) -> SnrReport:
+    """SNR of measuring ``obs`` on every mode pair, through the moment engine.
 
-# the receiver observables without spec parameters, built once (they are
-# frozen with read-only arrays)
-_SQUEEZE = obs_bound(0.0, 0.0)
-_DH = obs_dh()
-_OFF = obs_off()
-# photon-number difference and quadrature-square coincidence after the
-# recombiner, referred back to the (signal, idler) modes (Heisenberg picture)
-_PNDM = transform_by_beam_splitter(obs_number_difference(), t=_HALF, r=_HALF,
-                                   phase=math.pi / 2)
-_DOUBLE_HTD = transform_by_beam_splitter(obs_squeeze_difference(), t=_HALF, r=_HALF,
-                                         phase=math.pi / 2)
-
-# kind -> (observable from (spec, mode count), state preparation applied to
-# each hypothesis or None, whether it is read out by two heterodynes)
-_RECEIVERS = {
-    ReceiverKind.BOUND: (lambda s, n: obs_bound(s.alpha, s.beta), None, False),
-    ReceiverKind.NEARLY_BOUND: (lambda s, n: _SQUEEZE, None, False),
-    # the conjugator's vacuum input is an explicit third mode
-    ReceiverKind.PC: (lambda s, n: obs_pc(s.mu, s.nu),
-                      lambda state: tensor(state, make_vacuum(1)), False),
-    ReceiverKind.OPA: (lambda s, n: obs_opa(s.gain), None, False),
-    ReceiverKind.DH: (lambda s, n: _DH, None, False),
-    ReceiverKind.PNDM: (lambda s, n: _PNDM, None, False),
-    ReceiverKind.COHERENT_HD: (lambda s, n: obs_quadrature(0, s.theta, n), None, False),
-    ReceiverKind.CCT_OFF: (lambda s, n: _OFF, None, False),
-    ReceiverKind.HD_PRODUCT: (lambda s, n: obs_hd_product(s.theta, s.phi), None, False),
-    ReceiverKind.SEPARATE_HTD: (lambda s, n: _SQUEEZE, None, True),
-    ReceiverKind.DOUBLE_HTD: (lambda s, n: _DOUBLE_HTD, None, True),
-}
-
-
-def snr_generic(spec: ReceiverSpec, pair: HypothesisPair, m_modes: float) -> SnrReport:
-    """Evaluate any receiver on a hypothesis pair through the moment engine."""
-    make_obs, prepare, heterodyne = _RECEIVERS[spec.kind]
-    obs = make_obs(spec, pair.on.n_modes)
-    results = []
-    for state in (pair.on, pair.off):
-        if prepare is not None:
-            state = prepare(state)
-        st = stats(obs, state)
-        results.append(heterodyne_degrade(st, state) if heterodyne else st)
-    on, off = results
-    return make_report(on.mean, off.mean, on.variance, off.variance, m_modes)
+    Modes of ``obs`` beyond the pair's are vacuum ancillas (see ``stats``).
+    """
+    on, off = stats(obs, pair.on), stats(obs, pair.off)
+    return _report(on.mean, off.mean, on.mean - off.mean, on.variance, off.variance,
+                   m_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +124,7 @@ def _bound_moments(params: ScenarioParams, alpha, beta):
 
     Each variance is z^T G z, z = (alpha, beta, 1), G from ``_gram``; the mean
     gap d^T z, d = (b_on - b_off, 0, 2c), is formed directly, so it keeps its
-    digits when the means are large.  Accepts arrays and complex weights.
+    digits when the means are large.  Accepts arrays.
     """
     var_on, var_off = (
         g22 + (alpha * alpha * g00 + beta * beta * g11 + 2.0 * alpha * g02
@@ -269,16 +149,19 @@ def snr_nearly_bound(params: ScenarioParams) -> SnrReport:
 def optimal_beta_closed(params: ScenarioParams) -> float:
     """Optimal idler-number weight |beta| for the constant-noise bound receiver.
 
-    |beta| = (1 + 2 N_S)/sqrt(kappa N_S (N_S+1)^3) [f - sqrt(f (f - kappa (N_S+1)))],
-    f = 1 + N_S + N_B + 2 N_S N_B; converges to sqrt(kappa) for large N_S.
-    Singular at kappa N_S = 0, where callers fall back to beta = 0.
+    |beta| = (1 + 2 N_S)/sqrt(kappa N_S (N_S+1)^3) [f - sqrt(f (f - g))],
+    f = 1 + N_S + N_B + 2 N_S N_B, g = kappa (N_S + 1), evaluated as
+    f g / (f + sqrt(f (f - g))), which does not cancel when g << f;
+    converges to sqrt(kappa) for large N_S.  Singular at kappa N_S = 0,
+    where callers fall back to beta = 0.
     """
     ns, nb, kappa = params.n_s, params.n_b, params.kappa
     if np.any(kappa * ns <= 0.0):
         raise ValueError("optimal beta is singular at kappa * n_s = 0")
     f = 1.0 + ns + nb + 2.0 * ns * nb
+    g = kappa * (ns + 1.0)
     return (1.0 + 2.0 * ns) / np.sqrt(kappa * ns * (ns + 1.0) ** 3) * (
-        f - np.sqrt(f * (f - kappa * (ns + 1.0))))
+        f * g / (f + np.sqrt(f * (f - g))))
 
 
 def snr_bound_constant(params: ScenarioParams, beta: float | None = None) -> SnrReport:
@@ -304,15 +187,10 @@ def snr_bound_nonconstant(params: ScenarioParams, alpha, beta):
 
     Evaluates M [2C - alpha kappa (N_B - N_S)]^2 / (2 [sqrt(V_on) + sqrt(V_off)]^2)
     with the exact observable variances (under constant noise the gap is
-    2C + alpha kappa N_S).  Accepts arrays, and complex arguments so that
-    derivatives can be taken by complex steps.
+    2C + alpha kappa N_S).  Accepts arrays; scalar weights give a float.
     """
-    _, gap, var_on, var_off = _bound_moments(params, alpha, beta)
-    root = np.sqrt(var_on + 0j) + np.sqrt(var_off + 0j)
-    val = params.m_modes * gap * gap / (2.0 * root * root)
-    if np.iscomplexobj(alpha) or np.iscomplexobj(beta):
-        return val
-    return val.real if np.ndim(val) else float(val.real)
+    snr = _bound_report(params, alpha, beta).snr
+    return snr if np.ndim(snr) else float(snr)
 
 
 _GRAM_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # _gram entries -> 3x3
@@ -381,7 +259,7 @@ def snr_closed_pc(params: ScenarioParams, mu: float = DEFAULT_PC_MU,
     c = _cross(params, params.kappa)
     v_on = _gram(params, params.kappa)[5] + extra
     v_off = _gram(params, 0.0)[5] + extra
-    return make_report(2.0 * c, 0.0, v_on, v_off, params.m_modes)
+    return _report(2.0 * c, 0.0, 2.0 * c, v_on, v_off, params.m_modes)
 
 
 def snr_closed_opa(params: ScenarioParams, gain: float = DEFAULT_OPA_GAIN) -> SnrReport:
@@ -407,7 +285,8 @@ def snr_closed_opa(params: ScenarioParams, gain: float = DEFAULT_OPA_GAIN) -> Sn
     half_shift = math.sqrt((g - 1.0) / g) * 0.5 * _numerator_shift(params)
     v_on = _gram(params, params.kappa)[5] + q(params.kappa)
     v_off = _gram(params, 0.0)[5] + q(0.0)
-    return make_report(2.0 * (c + half_shift), 0.0, v_on, v_off, params.m_modes)
+    gap = 2.0 * (c + half_shift)
+    return _report(gap, 0.0, gap, v_on, v_off, params.m_modes)
 
 
 def snr_closed_dh(params: ScenarioParams) -> SnrReport:
@@ -417,7 +296,7 @@ def snr_closed_dh(params: ScenarioParams) -> SnrReport:
     it has the same variances and the opposite mean gap.
     """
     _, gap, var_on, var_off = _bound_moments(params, -1.0, -1.0)
-    return make_report(0.0, gap, var_on, var_off, params.m_modes)
+    return _report(0.0, gap, -gap, var_on, var_off, params.m_modes)
 
 
 def snr_cct(params: ScenarioParams) -> SnrReport:
@@ -432,7 +311,7 @@ def snr_cct(params: ScenarioParams) -> SnrReport:
     b_on = _occupancy(params, kappa)
     y = ni + nb * (1.0 + 2.0 * ni)
     v_on = 2.0 * d * d + (2.0 * ni + 1.0) * b_on + ni
-    return make_report(2.0 * d, 0.0, v_on, y, params.m_modes)
+    return _report(2.0 * d, 0.0, 2.0 * d, v_on, y, params.m_modes)
 
 
 def snr_coherent_hd(params: ScenarioParams) -> SnrReport:
@@ -441,4 +320,5 @@ def snr_coherent_hd(params: ScenarioParams) -> SnrReport:
     therm_on = _occupancy(params, kappa) - kappa * ns
     v_on = therm_on + 0.5
     v_off = params.n_b + 0.5
-    return make_report(np.sqrt(2.0 * kappa * ns), 0.0, v_on, v_off, params.m_modes)
+    gap = np.sqrt(2.0 * kappa * ns)
+    return _report(gap, 0.0, gap, v_on, v_off, params.m_modes)

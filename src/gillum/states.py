@@ -70,11 +70,6 @@ class GaussianState:
         return float(0.5 * (c[2 * mode, 2 * mode] + c[2 * mode + 1, 2 * mode + 1]
                             + x * x + p * p))
 
-    def reduced(self, modes) -> "GaussianState":
-        """State of a subset of modes (partial trace over the rest)."""
-        idx = [i for k in modes for i in (2 * k, 2 * k + 1)]
-        return GaussianState(self.mean_q[idx], self.cov_n[np.ix_(idx, idx)])
-
 
 def make_vacuum(n_modes: int) -> GaussianState:
     """Vacuum state of ``n_modes >= 1`` modes."""
@@ -147,15 +142,3 @@ def beam_splitter_matrix(n: int, mode_i: int, mode_j: int, t: float, r: float,
     out[i, j] = [[-s, -c], [c, -s]]
     out[j, i] = [[s, -c], [c, s]]
     return out
-
-
-def apply_beam_splitter(state: GaussianState, mode_i: int, mode_j: int,
-                        t: float, r: float, phase: float = 0.0) -> GaussianState:
-    """Mix two modes on a beam splitter (transmission t, reflection r).
-
-    The mode operators transform as ``a_i^dag -> t a_i^dag - i e^{-i phase} r
-    a_j^dag`` and ``a_j^dag -> t a_j^dag - i e^{i phase} r a_i^dag``; the total
-    mean photon number is preserved.  S is orthogonal, so cov_n maps as cov_q.
-    """
-    s = beam_splitter_matrix(state.n_modes, mode_i, mode_j, t, r, phase)
-    return GaussianState(s @ state.mean_q, s @ state.cov_n @ s.T)

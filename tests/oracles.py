@@ -13,8 +13,9 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from gillum import (GaussianState, NoiseModel, QuadraticObservable, apply_beam_splitter,
-                    make_thermal, symplectic_form, tensor)
+from gillum import (GaussianState, NoiseModel, QuadraticObservable, make_thermal,
+                    symplectic_form, tensor)
+from gillum.states import beam_splitter_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,15 @@ def fock_stats(obs: QuadraticObservable, rho: np.ndarray, dims):
     return mean.real, (second - mean * mean).real
 
 
+def beam_split(state: GaussianState, mode_i: int, mode_j: int, t: float, r: float,
+               phase: float = 0.0) -> GaussianState:
+    """The state after a beam splitter on two of its modes: mean S m and
+    covariance S N S^T, S = ``beam_splitter_matrix`` (orthogonal, so cov_n
+    maps as cov_q)."""
+    s = beam_splitter_matrix(state.n_modes, mode_i, mode_j, t, r, phase)
+    return GaussianState(s @ state.mean_q, s @ state.cov_n @ s.T)
+
+
 def target_channel_reference(state: GaussianState, signal_mode: int, params,
                              present: bool) -> GaussianState:
     """The target channel as a circuit: tensor the state with the environment
@@ -199,9 +209,10 @@ def target_channel_reference(state: GaussianState, signal_mode: int, params,
     if present and params.noise_model is NoiseModel.CONSTANT:
         env_mean = params.n_b / (1.0 - kappa)
     joined = tensor(state, make_thermal(env_mean))
-    mixed = apply_beam_splitter(joined, signal_mode, state.n_modes,
-                                t=math.sqrt(kappa), r=math.sqrt(1.0 - kappa))
-    return mixed.reduced(range(state.n_modes))
+    mixed = beam_split(joined, signal_mode, state.n_modes,
+                       t=math.sqrt(kappa), r=math.sqrt(1.0 - kappa))
+    keep = slice(0, 2 * state.n_modes)
+    return GaussianState(mixed.mean_q[keep], mixed.cov_n[keep, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +546,48 @@ def _chernoff_exponent_mp(hypotheses, m: float) -> float:
 # ---------------------------------------------------------------------------
 # optimization
 # ---------------------------------------------------------------------------
+
+def bound_snr_gradient_mp(params, alpha: float, beta: float, dps: int = 50):
+    """(dSNR/dalpha, dSNR/dbeta) of the bound receiver on the TMSV pair, by
+    central differences of its SNR in ``dps``-digit arithmetic.
+
+    The observable is O = alpha n_S + beta n_I + S, S = a_S a_I + a_S^dag
+    a_I^dag.  A hypothesis of reflectance k leaves the signal mode with
+    occupancy b = k N_S + N_B (constant noise) or k N_S + (1 - k) N_B
+    (nonconstant), the idler with N_S and <a_S a_I> = c =
+    sqrt(k N_S (N_S + 1)).  Wick's theorem gives the variances and
+    covariances Var n_S = b (b + 1), Var n_I = N_S (N_S + 1),
+    Cov(n_S, n_I) = c^2, Cov(n_S, S) = c (2 b + 1), Cov(n_I, S) = c (2 N_S + 1)
+    and Var S = (b + 1)(N_S + 1) + b N_S + 2 c^2; the mean gap is
+    alpha (b_on - b_off) + 2 c_on, and SNR = M gap^2 / (2 (sd_on + sd_off)^2).
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        kappa, n, n_b, m = (mp.mpf(v) for v in (params.kappa, params.n_s, params.n_b,
+                                                params.m_modes))
+        constant = params.noise_model is NoiseModel.CONSTANT
+
+        def moments(k):
+            b = k * n + (n_b if constant else (1 - k) * n_b)
+            return b, mp.sqrt(k * n * (n + 1))
+
+        (b_on, c_on), (b_off, c_off) = moments(kappa), moments(mp.mpf(0))
+
+        def snr(a, w):
+            def sd(b, c):
+                return mp.sqrt(a * a * b * (b + 1) + w * w * n * (n + 1) + 2 * a * w * c * c
+                               + 2 * a * c * (2 * b + 1) + 2 * w * c * (2 * n + 1)
+                               + (b + 1) * (n + 1) + b * n + 2 * c * c)
+
+            gap = a * (b_on - b_off) + 2 * c_on
+            return m * gap * gap / (2 * (sd(b_on, c_on) + sd(b_off, c_off)) ** 2)
+
+        a0, b0 = mp.mpf(alpha), mp.mpf(beta)
+        h = mp.mpf(10) ** (-(dps * 2 // 5))
+        return (float((snr(a0 + h, b0) - snr(a0 - h, b0)) / (2 * h)),
+                float((snr(a0, b0 + h) - snr(a0, b0 - h)) / (2 * h)))
+
 
 def nelder_mead_max(fn, starts, max_evals: int = 2000) -> float:
     """Largest positive value of fn(a, b) found by Nelder-Mead from each start.

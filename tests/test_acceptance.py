@@ -20,16 +20,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 import oracles as orc
 from gillum import (
     NoiseModel,
+    DEFAULT_OPA_GAIN,
     QuadraticObservable,
-    ReceiverKind,
-    ReceiverSpec,
     ScenarioParams,
     SourceKind,
-    apply_beam_splitter,
     coherent_qcb_closed,
     hypothesis_pair,
     make_coherent,
     obs_bound,
+    obs_dh,
+    obs_off,
+    obs_opa,
+    obs_pc,
     optimal_beta_closed,
     optimize_alpha_beta_nonconstant,
     qcb,
@@ -49,6 +51,7 @@ from gillum import (
     transform_by_beam_splitter,
 )
 from gillum.figures import FIGURE_NAMES, SweepConfig, run_figure
+from gillum.receivers import DEFAULT_PC_MU, DEFAULT_PC_NU
 
 M = 10**7
 
@@ -124,24 +127,23 @@ def test_criterion_03_closed_forms_match_engine():
                     pair = hypothesis_pair(SourceKind.TMSV, p)
                     checks = [
                         (snr_nearly_bound(p).snr,
-                         snr_generic(ReceiverSpec(ReceiverKind.NEARLY_BOUND), pair, M).snr),
+                         snr_generic(obs_bound(0.0, 0.0), pair, M).snr),
                         (snr_closed_pc(p).snr,
-                         snr_generic(ReceiverSpec(ReceiverKind.PC), pair, M).snr),
+                         snr_generic(obs_pc(DEFAULT_PC_MU, DEFAULT_PC_NU), pair, M).snr),
                         (snr_closed_dh(p).snr,
-                         snr_generic(ReceiverSpec(ReceiverKind.DH), pair, M).snr),
+                         snr_generic(obs_dh(), pair, M).snr),
                         (snr_cct(p).snr,
-                         snr_generic(ReceiverSpec(ReceiverKind.CCT_OFF),
-                                     hypothesis_pair(SourceKind.CCT, p), M).snr),
+                         snr_generic(obs_off(), hypothesis_pair(SourceKind.CCT, p), M).snr),
                     ]
                     if model is NoiseModel.CONSTANT:
                         beta = optimal_beta_closed(p)
                         checks.append(
                             (snr_bound_constant(p).snr,
-                             snr_generic(ReceiverSpec.bound(0.0, -beta), pair, M).snr))
+                             snr_generic(obs_bound(0.0, -beta), pair, M).snr))
                     for closed, generic in checks:
                         worst = max(worst, abs(closed - generic) / max(generic, 1e-300))
                     opa_closed = snr_closed_opa(p).snr
-                    opa_generic = snr_generic(ReceiverSpec(ReceiverKind.OPA), pair, M).snr
+                    opa_generic = snr_generic(obs_opa(DEFAULT_OPA_GAIN), pair, M).snr
                     worst_opa = max(worst_opa,
                                     abs(opa_closed - opa_generic) / max(opa_generic, 1e-300))
     elapsed = time.perf_counter() - t0
@@ -247,7 +249,7 @@ def test_criterion_09_receiver_dominance():
                     others = [
                         snr_nearly_bound(p).snr,
                         snr_closed_pc(p).snr,
-                        snr_generic(ReceiverSpec(ReceiverKind.OPA), pair, M).snr,
+                        snr_generic(obs_opa(DEFAULT_OPA_GAIN), pair, M).snr,
                         snr_closed_dh(p).snr,
                     ]
                     assert others[0] >= 0.0
@@ -294,7 +296,7 @@ def test_criterion_10_micro_oracle_suite():
         t = float(np.cos(rng.uniform(0, np.pi / 2)))
         r = float(np.sqrt(1 - t * t))
         phase = float(rng.uniform(0, 2 * np.pi))
-        a = stats(obs, apply_beam_splitter(st, 0, 1, t, r, phase))
+        a = stats(obs, orc.beam_split(st, 0, 1, t, r, phase))
         b = stats(transform_by_beam_splitter(obs, t, r, phase), st)
         worst_bs = max(worst_bs,
                        abs(a.mean - b.mean) / max(1, abs(a.mean)),

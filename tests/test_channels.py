@@ -15,7 +15,6 @@ from gillum import (
     NoiseModel,
     ScenarioParams,
     SourceKind,
-    apply_beam_splitter,
     apply_target,
     hypothesis_pair,
     make_tmsv,
@@ -162,8 +161,8 @@ def seeded_state(rng, n_modes):
     for _ in range(n_modes - 1):
         i, j = rng.choice(n_modes, size=2, replace=False)
         t = np.cos(rng.uniform(0, np.pi / 2))
-        state = apply_beam_splitter(state, i, j, t, np.sqrt(1 - t * t),
-                                    rng.uniform(0, 2 * np.pi))
+        state = orc.beam_split(state, i, j, t, np.sqrt(1 - t * t),
+                               rng.uniform(0, 2 * np.pi))
     alpha = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
     mean_q = np.sqrt(2.0) * np.column_stack([alpha.real, alpha.imag]).ravel()
     return GaussianState(mean_q, state.cov_n)

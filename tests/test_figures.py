@@ -88,6 +88,26 @@ def test_s1_matches_closed_form():
         assert abs(y - optimal_beta_closed(p)) < 1e-12
 
 
+@pytest.mark.parametrize("kappa,n_b", [(0.01, 30.0), (1e-3, 100.0)])
+def test_s1_cells_are_correctly_rounded(kappa, n_b):
+    # |beta| in 50-digit arithmetic from the unrationalized closed form
+    # (1 + 2 N_S)/sqrt(kappa N_S (N_S+1)^3) [f - sqrt(f (f - kappa (N_S+1)))]
+    mp = pytest.importorskip("mpmath")
+    cs = run_figure(SweepConfig(figure="s1", kappa=kappa, n_b=n_b))
+    rows = to_csv(cs).splitlines()[1:]
+    eps = np.finfo(float).eps
+    with mp.workdps(50):
+        k, nb = mp.mpf(kappa), mp.mpf(n_b)
+        for x, y, row in zip(cs.curves[0].x, cs.curves[0].y, rows):
+            ns = mp.mpf(float(x))
+            f = 1 + ns + nb + 2 * ns * nb
+            ref = (1 + 2 * ns) / mp.sqrt(k * ns * (ns + 1) ** 3) * (
+                f - mp.sqrt(f * (f - k * (ns + 1))))
+            assert abs(mp.mpf(float(y)) / ref - 1) <= 8 * eps, x
+            cell = row.split(",")[1]
+            assert cell == "{:.12g}".format(float(mp.nstr(ref, 12))), (x, cell)
+
+
 def test_s2_emits_optimizer_curves():
     cs = small("s2", points=5)
     assert [c.label for c in cs.curves] == ["alpha", "beta"]

@@ -1,4 +1,4 @@
-"""Observable engine: constructors, exact moments, transforms, heterodyne noise."""
+"""Observable engine: constructors, exact moments, transforms, heterodyne readout."""
 
 import sys
 from pathlib import Path
@@ -13,8 +13,7 @@ from gillum import (
     QuadraticObservable,
     ScenarioParams,
     SourceKind,
-    apply_beam_splitter,
-    heterodyne_degrade,
+    heterodyne,
     hypothesis_pair,
     make_coherent,
     make_thermal,
@@ -148,11 +147,9 @@ def test_opa_rejects_unit_gain():
 def test_opa_gain_to_one_limit(tmsv_pair):
     # as G -> 1+ the observable reduces to the idler number: no reflectance
     # dependence survives, so the SNR collapses
-    from gillum import make_report, snr_nearly_bound
+    from gillum import snr_generic, snr_nearly_bound
 
-    obs = obs_opa(1.0 + 1e-12)
-    s_on, s_off = stats(obs, tmsv_pair.on), stats(obs, tmsv_pair.off)
-    snr = make_report(s_on.mean, s_off.mean, s_on.variance, s_off.variance, 1).snr
+    snr = snr_generic(obs_opa(1.0 + 1e-12), tmsv_pair, 1).snr
     ref = snr_nearly_bound(ScenarioParams(kappa=KAPPA, n_s=NS, n_b=NB)).snr
     assert snr < 1e-6 * ref
 
@@ -219,7 +216,7 @@ def test_transform_heisenberg_schroedinger_consistency():
         t = np.cos(rng.uniform(0, np.pi / 2))
         r = np.sqrt(1 - t * t)
         phase = rng.uniform(0, 2 * np.pi)
-        moved_state = apply_beam_splitter(state, 0, 1, t, r, phase)
+        moved_state = orc.beam_split(state, 0, 1, t, r, phase)
         moved_obs = transform_by_beam_splitter(obs, t, r, phase)
         a = stats(obs, moved_state)
         b = stats(moved_obs, state)
@@ -250,42 +247,77 @@ def test_hd_product_on_vacuum():
 
 def test_heterodyne_squeeze_correlation_rule(tmsv_pair):
     base = stats(obs_bound(0.0, 0.0), tmsv_pair.on)
-    deg = heterodyne_degrade(base, tmsv_pair.on)
+    het = stats(heterodyne(obs_bound(0.0, 0.0)), tmsv_pair.on)
     expected = base.variance + (1 + NB + (1 + KAPPA) * NS)
-    assert abs(4 * deg.variance - expected) < 1e-12
+    assert abs(4 * het.variance - expected) < 1e-12
+    assert abs(2 * het.mean - base.mean) < 1e-15
 
 
 def test_double_heterodyne_after_recombiner_rule(tmsv_pair):
     sq = 1 / np.sqrt(2)
-    mixed = apply_beam_splitter(tmsv_pair.on, 0, 1, sq, sq, np.pi / 2)
+    mixed = orc.beam_split(tmsv_pair.on, 0, 1, sq, sq, np.pi / 2)
     base = stats(obs_squeeze_difference(), mixed)
-    deg = heterodyne_degrade(base, mixed)
+    het = stats(heterodyne(obs_squeeze_difference()), mixed)
     expected = base.variance + (1 + NB + (1 + KAPPA) * NS)
-    assert abs(4 * deg.variance - expected) < 1e-11
+    assert abs(4 * het.variance - expected) < 1e-11
 
 
 def test_heterodyne_rules_match_enlarged_mode_simulation():
-    # simulate the vacuum ancillas of the X X - P P readout explicitly and
-    # compare with the stats map
+    # the oracle writes the X X - P P readout's vacuum ancillas out by hand
     params = ScenarioParams(kappa=0.05, n_s=0.4, n_i=0.3, n_b=0.3)
     pair = hypothesis_pair(SourceKind.TMSV, params)
     for state in (pair.on, pair.off):
         big = tensor(tensor(state, make_vacuum(1)), make_vacuum(1))
         sim = stats(orc.heterodyned_cross_observable(-1.0), big)
-        deg = heterodyne_degrade(stats(obs_bound(0.0, 0.0), state), state)
-        assert abs(sim.mean - deg.mean) < 1e-12
-        assert abs(sim.variance - deg.variance) < 1e-12
+        het = stats(heterodyne(obs_bound(0.0, 0.0)), state)
+        assert abs(sim.mean - het.mean) < 1e-12
+        assert abs(sim.variance - het.variance) < 1e-12
 
 
 def test_double_heterodyne_matches_enlarged_mode_simulation(tmsv_pair):
+    # heterodynes after the recombiner, referred back to the incoming modes,
+    # against the oracle's readout of the recombined state
     sq = 1 / np.sqrt(2)
+    recombined = transform_by_beam_splitter(heterodyne(obs_squeeze_difference()),
+                                            sq, sq, np.pi / 2)
     for state in (tmsv_pair.on, tmsv_pair.off):
-        mixed = apply_beam_splitter(state, 0, 1, sq, sq, np.pi / 2)
+        mixed = orc.beam_split(state, 0, 1, sq, sq, np.pi / 2)
         big = tensor(tensor(mixed, make_vacuum(1)), make_vacuum(1))
         sim = stats(orc.heterodyned_square_difference(), big)
-        deg = heterodyne_degrade(stats(obs_squeeze_difference(), mixed), mixed)
-        assert abs(sim.mean - deg.mean) < 1e-12
-        assert abs(sim.variance - deg.variance) < 1e-10 * max(1, deg.variance)
+        het = stats(recombined, state)
+        assert abs(sim.mean - het.mean) < 1e-12
+        assert abs(sim.variance - het.variance) < 1e-10 * max(1, het.variance)
+
+
+def test_heterodyne_keeps_c0_trace_and_vacuum_mean():
+    # on vacuum input the open ports change no mean, for any mode count
+    rng = np.random.RandomState(23)
+    for n in (1, 2, 3):
+        obs = random_observable(rng, n)
+        het = heterodyne(obs)
+        assert het.n_modes == 2 * n and het.c0 == obs.c0
+        assert abs(np.trace(het.h) - np.trace(obs.h)) < 1e-13 * max(1, np.abs(obs.h).max())
+        assert abs(stats(het, make_vacuum(n)).mean - stats(obs, make_vacuum(n)).mean) < 1e-13
+
+
+def test_stats_pads_missing_modes_with_vacuum():
+    rng = np.random.RandomState(29)
+    pair = hypothesis_pair(SourceKind.TMSV, ScenarioParams(kappa=0.2, n_s=1.3, n_b=2.1))
+    displaced = tensor(make_coherent(0.7 - 0.4j), make_thermal(0.9))
+    for state in (pair.on, pair.off, displaced, make_thermal(2.5)):
+        for extra in (1, 2):
+            obs = random_observable(rng, state.n_modes + extra)
+            short = stats(obs, state)
+            full = stats(obs, tensor(state, make_vacuum(extra)))
+            assert abs(short.mean - full.mean) <= 1e-15 * max(abs(full.mean), 1e-300)
+            assert abs(short.variance - full.variance) <= 1e-15 * full.variance
+
+
+def test_stats_rejects_state_with_more_modes_than_observable(tmsv_pair):
+    with pytest.raises(ValueError, match="more modes"):
+        stats(obs_number(0, 1), tmsv_pair.on)
+    with pytest.raises(ValueError, match="more modes"):
+        stats(heterodyne(obs_bound(0.0, 0.0)), tensor(tmsv_pair.on, make_vacuum(3)))
 
 
 def test_char_fn_oracle_basics():
