@@ -85,9 +85,9 @@ def _received_noise(params: ScenarioParams, kappa: float) -> float:
     return (1.0 - kappa) * params.n_b
 
 
-def apply_target(state: GaussianState, signal_mode: int, params: ScenarioParams,
+def apply_target(state: GaussianState, params: ScenarioParams,
                  present: bool) -> GaussianState:
-    """Send one mode of ``state`` through the target channel.
+    """Send the signal, mode 0 of ``state``, through the target channel.
 
     The signal mode a becomes sqrt(kappa) a + sqrt(1 - kappa) e with e an
     environment thermal mode (mean set by the noise model) that is traced
@@ -96,19 +96,15 @@ def apply_target(state: GaussianState, signal_mode: int, params: ScenarioParams,
     received occupancy ``_received_noise``.  ``present=False`` always uses
     reflectance zero, which receives ``n_b`` in both conventions.
     """
-    n = state.n_modes
-    if not 0 <= signal_mode < n:
-        raise ValueError("signal mode out of range")
     kappa = params.kappa if present else 0.0
     if kappa >= 1.0 and params.noise_model is NoiseModel.CONSTANT:
         raise ValueError(
             "constant-noise channel is undefined at kappa = 1 "
             "(environment mean n_b / (1 - kappa) diverges)")
-    sig = [2 * signal_mode, 2 * signal_mode + 1]
-    x = np.ones(2 * n)
-    x[sig] = np.sqrt(kappa)
+    x = np.ones(2 * state.n_modes)
+    x[:2] = np.sqrt(kappa)
     cov_n = state.cov_n * np.outer(x, x)
-    cov_n[sig, sig] += _received_noise(params, kappa)
+    cov_n[[0, 1], [0, 1]] += _received_noise(params, kappa)
     return GaussianState(x * state.mean_q, cov_n)
 
 
@@ -132,7 +128,7 @@ def hypothesis_pair(source: SourceKind, params: ScenarioParams) -> HypothesisPai
         raise ValueError("a hypothesis pair is one point: kappa, n_s and n_i must be scalars")
     probe = _source_state(source, params)
     return HypothesisPair(
-        on=apply_target(probe, 0, params, present=True),
-        off=apply_target(probe, 0, params, present=False),
+        on=apply_target(probe, params, present=True),
+        off=apply_target(probe, params, present=False),
     )
 

@@ -21,16 +21,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
 
 
-def _shared_x(curves) -> np.ndarray:
-    x0 = curves[0].x
-    for c in curves[1:]:
-        if c.x.size != x0.size or np.max(np.abs(c.x - x0)) > 0:
-            raise ConfigError("emitters require curves on a shared x grid")
-    return x0
-
-
 def to_csv(curves: CurveSet) -> str:
-    x = _shared_x(curves.curves)
+    x = curves.x
     header = ",".join(["x"] + [c.label for c in curves.curves])
     lines = [header]
     for i in range(x.size):
@@ -41,10 +33,12 @@ def to_csv(curves: CurveSet) -> str:
 
 def to_json(curves: CurveSet) -> str:
     """``json.dumps(payload, indent=2)`` of the curves, numbers rounded to 12
-    digits, written directly: indentation forces its pure-Python encoder."""
+    digits, written directly: indentation forces its pure-Python encoder.
+    The shared x is formatted once and paired with every curve's values."""
+    x = [repr(float(_FMT.format(v))) for v in curves.x.tolist()]
     blocks = []
     for c in curves.curves:
-        x, y = ([repr(float(_FMT.format(v))) for v in a.tolist()] for a in (c.x, c.y))
+        y = [repr(float(_FMT.format(v))) for v in c.y.tolist()]
         points = ",\n".join(f"        [\n          {xv},\n          {yv}\n        ]"
                              for xv, yv in zip(x, y))
         blocks.append(f'    {{\n      "label": {json.dumps(c.label)},\n'
@@ -71,7 +65,7 @@ def _ticks(lo: float, hi: float, log: bool):
 
 
 def to_svg(curves: CurveSet) -> str:
-    x = _shared_x(curves.curves)
+    x = curves.x
     log_x = bool(np.all(x > 0) and x[-1] / x[0] >= 50)
     xv = np.log10(x) if log_x else x
     ys = np.concatenate([c.y for c in curves.curves])

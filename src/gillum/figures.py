@@ -1,8 +1,11 @@
 """Parameter sweeps producing labeled curve sets for the standard comparisons.
 
-Each preset fixes a sweep axis and a set of receiver curves; defaults follow
-the canonical working point kappa = 0.01, N_B = 30, M = 1e7 with 200
-log-spaced sweep points.  Sweep evaluation is deterministic.
+A preset is one row of ``_PRESETS``: a row function from the whole sweep axis
+to {curve label: values}, the axis labels, the noise models it is defined
+for, and its default sweep range.  Closed forms take the axis as an array;
+the numerical engines run once per point.  Defaults follow the canonical
+working point kappa = 0.01, N_B = 30, M = 1e7 with 200 log-spaced sweep
+points.  Sweep evaluation is deterministic.
 """
 
 from __future__ import annotations
@@ -45,27 +48,34 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class Curve:
+    """One receiver's values along its curve set's sweep axis."""
+
     label: str
-    x: np.ndarray
     y: np.ndarray
 
 
 @dataclass(frozen=True)
 class CurveSet:
+    """Curves on one sweep axis ``x``, held once: finite and increasing,
+    with one finite value per point on every curve."""
+
     x_label: str
     y_label: str
+    x: np.ndarray
     curves: tuple
 
     def __post_init__(self):
-        if not self.curves:
-            raise ConfigError("curve set must contain at least one curve")
+        if not self.curves or self.x.size < 1:
+            raise ConfigError("curve set must contain at least one curve and one point")
+        if not np.all(np.isfinite(self.x)):
+            raise NumericalError("sweep axis contains non-finite values")
+        if np.any(np.diff(self.x) <= 0):
+            raise ConfigError("x values must increase")
         for c in self.curves:
-            if c.x.size != c.y.size or c.x.size < 1:
+            if c.y.size != self.x.size:
                 raise ConfigError(f"curve {c.label!r} has mismatched points")
-            if not (np.all(np.isfinite(c.x)) and np.all(np.isfinite(c.y))):
+            if not np.all(np.isfinite(c.y)):
                 raise NumericalError(f"curve {c.label!r} contains non-finite values")
-            if np.any(np.diff(c.x) <= 0):
-                raise ConfigError(f"curve {c.label!r} x values must increase")
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,7 @@ class SweepConfig:
             raise ConfigError("points must be >= 2")
         if not (self.m_modes >= 1 and float(self.m_modes).is_integer()):
             raise ConfigError(f"modes must be a whole number >= 1, got {self.m_modes!r}")
-        _, models, (lo, hi) = _PRESETS[self.figure]
+        *_, models, (lo, hi) = _PRESETS[self.figure]
         if self.noise is not None and self.noise not in models:
             raise ConfigError(f"{self.figure} is defined for {models[0].value} noise only")
         lo = lo if self.sweep_min is None else self.sweep_min
@@ -124,96 +134,58 @@ def _coherent_baseline_snr(config: SweepConfig, noise: NoiseModel, ns):
 
 def _qi_receiver_values(config: SweepConfig, noise: NoiseModel, ns) -> dict:
     params = _params(config, noise, n_s=ns)
-    values = {"Coh": _coherent_baseline_snr(config, noise, ns)}
+    coh = _coherent_baseline_snr(config, noise, ns)
     if noise is NoiseModel.CONSTANT:
-        values["OB"] = snr_bound_constant(params).snr
+        ob = snr_bound_constant(params).snr
     else:
-        values["OB"] = np.array([optimize_alpha_beta_nonconstant(p)[2].snr
-                                 for p in _points(config, noise, ns, "n_s")])
-    values["nOB"] = snr_nearly_bound(params).snr
-    values["PC"] = snr_closed_pc(params).snr
-    values["OPA"] = snr_closed_opa(params).snr
-    values["DH"] = snr_closed_dh(params).snr
-    return values
+        ob = np.array([optimize_alpha_beta_nonconstant(p)[2].snr
+                       for p in _points(config, noise, ns, "n_s")])
+    return {"Coh": coh, "OB": ob, "nOB": snr_nearly_bound(params).snr,
+            "PC": snr_closed_pc(params).snr, "OPA": snr_closed_opa(params).snr,
+            "DH": snr_closed_dh(params).snr}
 
 
-def _select(labels, config: SweepConfig):
-    if not config.receivers:
-        return list(labels)
-    unknown = [r for r in config.receivers if r not in labels]
-    if unknown:
-        raise ConfigError(f"unknown receivers {unknown}; available: {sorted(labels)}")
-    return [l for l in labels if l in config.receivers]
+def _differences(config: SweepConfig, noise: NoiseModel, ns) -> dict:
+    vals = _qi_receiver_values(config, noise, ns)
+    return {"OB-Coh": vals["OB"] - vals["Coh"], "PC-Coh": vals["PC"] - vals["Coh"]}
 
 
-def _sweep(config: SweepConfig, row) -> tuple:
-    """One curve per selected key of ``row``, called once on the log-spaced axis."""
-    xs = np.logspace(math.log10(config.sweep_min), math.log10(config.sweep_max),
-                     config.points)
-    values = row(xs)
-    return tuple(Curve(label, xs, np.asarray(values[label], dtype=float))
-                 for label in _select(values, config))
+def _heterodyne_snrs(config: SweepConfig, noise: NoiseModel, ns) -> dict:
+    params = _params(config, noise, n_s=ns)
+    pairs = [hypothesis_pair(SourceKind.TMSV, p) for p in _points(config, noise, ns, "n_s")]
+    return {"Coh&HD": snr_coherent_hd(params).snr, **{
+        label: np.array([snr_generic(obs, pair, params.m_modes).snr for pair in pairs])
+        for label, obs in _HETERODYNE.items()}}
 
 
-def _fig_receivers(config: SweepConfig, noise: NoiseModel) -> CurveSet:
-    return CurveSet("N_S", "SNR",
-                    _sweep(config, lambda ns: _qi_receiver_values(config, noise, ns)))
+def _cct_over_kappa(config: SweepConfig, noise: NoiseModel, kappa) -> dict:
+    out = {}
+    for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
+        out[f"QCB N_S={ns:g} N_I={ni:g}"] = np.array([
+            qcb(hypothesis_pair(SourceKind.CCT, p), p.m_modes).exponent
+            for p in _points(config, noise, kappa, "kappa", n_s=ns, n_i=ni)])
+        params = _params(config, noise, kappa=kappa, n_s=ns, n_i=ni)
+        out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(params).snr
+    return out
 
 
-def _fig_differences(config: SweepConfig, noise: NoiseModel) -> CurveSet:
-    def row(ns):
-        vals = _qi_receiver_values(config, noise, ns)
-        return {"OB-Coh": vals["OB"] - vals["Coh"],
-                "PC-Coh": vals["PC"] - vals["Coh"]}
-    return CurveSet("N_S", "SNR difference", _sweep(config, row))
+def _cct_over_ns(config: SweepConfig, noise: NoiseModel, ns) -> dict:
+    return {
+        "CCT QCB": np.array([qcb(hypothesis_pair(SourceKind.CCT, p), p.m_modes).exponent
+                             for p in _points(config, noise, ns, "n_s", "n_i")]),
+        "CCT O_off": snr_cct(_params(config, noise, n_s=ns, n_i=ns)).snr,
+        "Coh QCB": _coherent_baseline_snr(config, noise, ns),
+    }
 
 
-def _fig_heterodyne(config: SweepConfig, noise: NoiseModel) -> CurveSet:
-    def row(ns):
-        params = _params(config, noise, n_s=ns)
-        pairs = [hypothesis_pair(SourceKind.TMSV, p) for p in _points(config, noise, ns, "n_s")]
-        return {"Coh&HD": snr_coherent_hd(params).snr, **{
-            label: np.array([snr_generic(obs, pair, params.m_modes).snr for pair in pairs])
-            for label, obs in _HETERODYNE.items()}}
-    return CurveSet("N_S", "SNR", _sweep(config, row))
+def _optimal_beta(config: SweepConfig, noise: NoiseModel, ns) -> dict:
+    return {"|beta|": optimal_beta_closed(_params(config, noise, n_s=ns))}
 
 
-def _fig_cct_kappa(config: SweepConfig, noise: NoiseModel) -> CurveSet:
-    def row(kappa):
-        out = {}
-        for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
-            out[f"QCB N_S={ns:g} N_I={ni:g}"] = np.array([
-                qcb(hypothesis_pair(SourceKind.CCT, p), p.m_modes).exponent
-                for p in _points(config, noise, kappa, "kappa", n_s=ns, n_i=ni)])
-            params = _params(config, noise, kappa=kappa, n_s=ns, n_i=ni)
-            out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(params).snr
-        return out
-    return CurveSet("kappa", "SNR", _sweep(config, row))
-
-
-def _fig_cct_ns(config: SweepConfig, noise: NoiseModel) -> CurveSet:
-    def row(ns):
-        return {
-            "CCT QCB": np.array([qcb(hypothesis_pair(SourceKind.CCT, p), p.m_modes).exponent
-                                 for p in _points(config, noise, ns, "n_s", "n_i")]),
-            "CCT O_off": snr_cct(_params(config, noise, n_s=ns, n_i=ns)).snr,
-            "Coh QCB": _coherent_baseline_snr(config, noise, ns),
-        }
-    return CurveSet("N_S", "SNR", _sweep(config, row))
-
-
-def _fig_optimal_beta(config: SweepConfig, noise: NoiseModel) -> CurveSet:
-    def row(ns):
-        return {"|beta|": optimal_beta_closed(_params(config, noise, n_s=ns))}
-    return CurveSet("N_S", "|beta|", _sweep(config, row))
-
-
-def _fig_optimal_alpha_beta(config: SweepConfig, noise: NoiseModel) -> CurveSet:
-    def row(ns):
-        weights = np.array([optimize_alpha_beta_nonconstant(p)[:2]
-                            for p in _points(config, noise, ns, "n_s")])
-        return {"alpha": weights[:, 0], "beta": weights[:, 1]}
-    return CurveSet("N_S", "optimal weight", _sweep(config, row))
+def _optimal_alpha_beta(config: SweepConfig, noise: NoiseModel, ns) -> dict:
+    weights = np.array([optimize_alpha_beta_nonconstant(p)[:2]
+                        for p in _points(config, noise, ns, "n_s")])
+    return {"alpha": weights[:, 0], "beta": weights[:, 1]}
 
 
 _CONSTANT, _NONCONSTANT = NoiseModel.CONSTANT, NoiseModel.NONCONSTANT
@@ -228,22 +200,34 @@ _HETERODYNE = {
     "separate HTD": heterodyne(obs_bound(0.0, 0.0)),
     "HD product": obs_hd_product(0.0, 0.0),
 }
-# preset -> (builder taking the config and the noise model, the noise models
-# the preset is defined for, its default first, and the default sweep range)
+# preset -> (row, x label, y label, the noise models the preset is defined
+# for with its default first, default sweep range); the row maps the config,
+# the noise model and the whole sweep axis to {curve label: values}
 _PRESETS = {
-    "fig1": (_fig_receivers, (_CONSTANT, _NONCONSTANT), _NS_AXIS),
-    "fig2": (_fig_differences, (_CONSTANT,), _NS_AXIS),
-    "fig3": (_fig_receivers, (_NONCONSTANT, _CONSTANT), _NS_AXIS),
-    "fig4": (_fig_heterodyne, (_CONSTANT,), _NS_AXIS),
-    "fig5a": (_fig_cct_kappa, (_CONSTANT, _NONCONSTANT), _KAPPA_AXIS),
-    "fig5b": (_fig_cct_ns, (_CONSTANT, _NONCONSTANT), _NS_AXIS),
-    "s1": (_fig_optimal_beta, (_CONSTANT,), _NS_AXIS),
-    "s2": (_fig_optimal_alpha_beta, (_NONCONSTANT,), _NS_AXIS),
+    "fig1": (_qi_receiver_values, "N_S", "SNR", (_CONSTANT, _NONCONSTANT), _NS_AXIS),
+    "fig2": (_differences, "N_S", "SNR difference", (_CONSTANT,), _NS_AXIS),
+    "fig3": (_qi_receiver_values, "N_S", "SNR", (_NONCONSTANT, _CONSTANT), _NS_AXIS),
+    "fig4": (_heterodyne_snrs, "N_S", "SNR", (_CONSTANT,), _NS_AXIS),
+    "fig5a": (_cct_over_kappa, "kappa", "SNR", (_CONSTANT, _NONCONSTANT), _KAPPA_AXIS),
+    "fig5b": (_cct_over_ns, "N_S", "SNR", (_CONSTANT, _NONCONSTANT), _NS_AXIS),
+    "s1": (_optimal_beta, "N_S", "|beta|", (_CONSTANT,), _NS_AXIS),
+    "s2": (_optimal_alpha_beta, "N_S", "optimal weight", (_NONCONSTANT,), _NS_AXIS),
 }
 FIGURE_NAMES = tuple(_PRESETS)
 
 
 def run_figure(config: SweepConfig) -> CurveSet:
-    """Run one figure preset and return its deterministic curve set."""
-    build, models, _ = _PRESETS[config.figure]
-    return build(config, config.noise or models[0])
+    """Run one figure preset and return its deterministic curve set: the
+    preset's row is called once on the log-spaced axis, and each selected
+    label becomes a curve."""
+    row, x_label, y_label, models, _ = _PRESETS[config.figure]
+    xs = np.logspace(math.log10(config.sweep_min), math.log10(config.sweep_max),
+                     config.points)
+    values = row(config, config.noise or models[0], xs)
+    if config.receivers:
+        unknown = [r for r in config.receivers if r not in values]
+        if unknown:
+            raise ConfigError(f"unknown receivers {unknown}; available: {sorted(values)}")
+    return CurveSet(x_label, y_label, xs, tuple(
+        Curve(label, np.asarray(y, dtype=float)) for label, y in values.items()
+        if not config.receivers or label in config.receivers))

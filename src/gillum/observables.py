@@ -11,7 +11,9 @@ constructor below states the identity it uses.  Means and variances on
 Gaussian states are evaluated exactly from the state's ``mean_q`` and
 ``cov_n``; nothing is sampled.  Modes of an observable beyond the state's
 are vacuum ancillas, such as a conjugator's input or a heterodyne's open
-port.  Receiver parameter rules are written once here.
+port.  The receiver catalog below states each observable's operator; the
+closed forms in ``receivers`` fix the parametrized ones at the paper's
+settings (``DEFAULT_PC_MU``/``NU``, ``DEFAULT_OPA_GAIN``).
 """
 
 from __future__ import annotations
@@ -134,16 +136,6 @@ def obs_bound(alpha: float, beta: float) -> QuadraticObservable:
     return _two_mode(0.0, [a, a, b, b], 0.5, -0.5)
 
 
-def _check_pc(mu: float, nu: float) -> None:
-    if abs(mu * mu - nu * nu - 1.0) > 1e-9 or nu == 0.0:
-        raise ValueError("phase-conjugate receiver requires mu^2 - nu^2 = 1 with nu != 0")
-
-
-def _check_opa(gain: float) -> None:
-    if gain <= 1.0:
-        raise ValueError("amplifier gain must exceed 1")
-
-
 def obs_pc(mu: float, nu: float) -> QuadraticObservable:
     """Phase-conjugate receiver observable on modes (S, I, V).
 
@@ -151,7 +143,8 @@ def obs_pc(mu: float, nu: float) -> QuadraticObservable:
     The third mode is an explicit vacuum ancilla, which ``stats`` supplies
     on a two-mode state.  Requires mu^2 - nu^2 = 1 with nu != 0.
     """
-    _check_pc(mu, nu)
+    if abs(mu * mu - nu * nu - 1.0) > 1e-9 or nu == 0.0:
+        raise ValueError("phase-conjugate receiver requires mu^2 - nu^2 = 1 with nu != 0")
     h = np.zeros((6, 6))
     h[0, 2] = h[2, 0] = 0.5 * nu    # nu (x_S x_I - p_S p_I)
     h[1, 3] = h[3, 1] = -0.5 * nu
@@ -166,7 +159,8 @@ def obs_opa(gain: float) -> QuadraticObservable:
     O = sqrt(G(G-1)) (a_S^dag a_I^dag + a_S a_I) + (G-1) a_S a_S^dag
         + G a_I^dag a_I, whose vacuum mean G - 1 is c0.
     """
-    _check_opa(gain)
+    if gain <= 1.0:
+        raise ValueError("amplifier gain must exceed 1")
     s, a, b = 0.5 * np.sqrt(gain * (gain - 1.0)), 0.5 * (gain - 1.0), 0.5 * gain
     return _two_mode(gain - 1.0, [a, a, b, b], s, -s)
 
@@ -222,19 +216,18 @@ def obs_squeeze_difference() -> QuadraticObservable:
 
 
 def transform_by_beam_splitter(obs: QuadraticObservable, t: float, r: float,
-                               phase: float, mode_i: int = 0,
-                               mode_j: int = 1) -> QuadraticObservable:
-    """Rewrite an observable of the output modes of a beam splitter in terms
-    of its input modes.
+                               phase: float) -> QuadraticObservable:
+    """Rewrite an observable of the output modes of a beam splitter on modes
+    0 and 1 in terms of its input modes.
 
-    The substitution is ``c^dag -> t a_i^dag - i e^{-i phase} r a_j^dag`` and
-    ``d^dag -> t a_j^dag - i e^{i phase} r a_i^dag`` where (c, d) are the
-    observable's modes (mode_i, mode_j): r -> S r, so h -> S^T h S and
+    The substitution is ``c^dag -> t a_0^dag - i e^{-i phase} r a_1^dag`` and
+    ``d^dag -> t a_1^dag - i e^{i phase} r a_0^dag`` where (c, d) are the
+    observable's modes (0, 1): r -> S r, so h -> S^T h S and
     lin -> S^T lin, and c0 stays because S is passive.  At t = r = 1/sqrt(2),
     phase = pi/2 the photon-number difference maps to minus the
     cross-correlation observable.
     """
-    s = beam_splitter_matrix(obs.n_modes, mode_i, mode_j, t, r, phase)
+    s = beam_splitter_matrix(obs.n_modes, 0, 1, t, r, phase)
     return QuadraticObservable(obs.c0, s.T @ obs.h @ s, s.T @ obs.lin)
 
 

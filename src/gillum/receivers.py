@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import HypothesisPair, NoiseModel, ScenarioParams, _received_noise
-from .observables import QuadraticObservable, _check_opa, _check_pc, stats
+from .observables import QuadraticObservable, stats
 
 DEFAULT_PC_MU = math.sqrt(2.0)
 DEFAULT_PC_NU = 1.0
@@ -42,10 +42,10 @@ DEFAULT_OPA_GAIN = 1.0 + 7.4e-5  # implementable amplifier gain
 
 @dataclass(frozen=True)
 class SnrReport:
-    """Per-mode on/off statistics and the M-mode SNR, arrays for a sweep."""
+    """A receiver's per-mode mean gap <O>_on - <O>_off and on/off variances,
+    and the M-mode SNR they give; arrays for a sweep."""
 
-    mean_on: float
-    mean_off: float
+    gap: float
     var_on: float
     var_off: float
     m_modes: float
@@ -62,11 +62,9 @@ def p_err(snr: float) -> float:
     return 0.5 * math.erfc(math.sqrt(snr))
 
 
-def _report(mean_on: float, mean_off: float, gap: float, var_on: float,
-            var_off: float, m_modes: float) -> SnrReport:
-    """SnrReport from per-mode statistics, with the SNR taken from ``gap`` =
-    mean_on - mean_off, which callers form without cancellation where they
-    can; elementwise over arrays."""
+def _report(gap: float, var_on: float, var_off: float, m_modes: float) -> SnrReport:
+    """SnrReport from per-mode statistics; callers form ``gap`` = <O>_on -
+    <O>_off without cancellation where they can.  Elementwise over arrays."""
     s_on = np.sqrt(np.maximum(var_on, 0.0))
     s_off = np.sqrt(np.maximum(var_off, 0.0))
     denom = 2.0 * (s_on + s_off) ** 2
@@ -75,7 +73,7 @@ def _report(mean_on: float, mean_off: float, gap: float, var_on: float,
     else:  # zero noise: SNR 0 for a zero gap and inf otherwise
         with np.errstate(divide="ignore", invalid="ignore"):
             snr = np.where(gap == 0, 0.0, m_modes * gap * gap / denom)[()]
-    return SnrReport(mean_on, mean_off, var_on, var_off, m_modes, snr)
+    return SnrReport(gap, var_on, var_off, m_modes, snr)
 
 
 def snr_generic(obs: QuadraticObservable, pair: HypothesisPair, m_modes: float) -> SnrReport:
@@ -84,8 +82,7 @@ def snr_generic(obs: QuadraticObservable, pair: HypothesisPair, m_modes: float) 
     Modes of ``obs`` beyond the pair's are vacuum ancillas (see ``stats``).
     """
     on, off = stats(obs, pair.on), stats(obs, pair.off)
-    return _report(on.mean, off.mean, on.mean - off.mean, on.variance, off.variance,
-                   m_modes)
+    return _report(on.mean - off.mean, on.variance, off.variance, m_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +117,7 @@ def _gram(params: ScenarioParams, kappa: float):
 
 
 def _bound_moments(params: ScenarioParams, alpha, beta):
-    """Bound-observable statistics (mean_off, mean_on - mean_off, var_on, var_off).
+    """Bound-observable statistics (mean_on - mean_off, var_on, var_off).
 
     Each variance is z^T G z, z = (alpha, beta, 1), G from ``_gram``; the mean
     gap d^T z, d = (b_on - b_off, 0, 2c), is formed directly, so it keeps its
@@ -131,14 +128,12 @@ def _bound_moments(params: ScenarioParams, alpha, beta):
                + 2.0 * beta * g12 + 2.0 * alpha * beta * g01)
         for g00, g01, g02, g11, g12, g22 in (_gram(params, params.kappa),
                                              _gram(params, 0.0)))
-    mean_off = alpha * _occupancy(params, 0.0) + beta * params.n_s
     gap = 2.0 * _cross(params, params.kappa) + alpha * _numerator_shift(params)
-    return mean_off, gap, var_on, var_off
+    return gap, var_on, var_off
 
 
 def _bound_report(params: ScenarioParams, alpha: float, beta: float) -> SnrReport:
-    mean_off, gap, var_on, var_off = _bound_moments(params, alpha, beta)
-    return _report(mean_off + gap, mean_off, gap, var_on, var_off, params.m_modes)
+    return _report(*_bound_moments(params, alpha, beta), params.m_modes)
 
 
 def snr_nearly_bound(params: ScenarioParams) -> SnrReport:
@@ -164,30 +159,29 @@ def optimal_beta_closed(params: ScenarioParams) -> float:
         f * g / (f + np.sqrt(f * (f - g))))
 
 
-def snr_bound_constant(params: ScenarioParams, beta: float | None = None) -> SnrReport:
-    """Bound-receiver SNR under constant noise.
+def snr_bound_constant(params: ScenarioParams) -> SnrReport:
+    """Bound-receiver SNR under constant noise at alpha = 0 and the idler
+    weight -|beta| of ``optimal_beta_closed`` (0 where kappa n_s = 0).
 
-    Uses the closed-form optimal |beta| when ``beta`` is omitted (0 where
-    kappa n_s = 0).  The report's means carry the signed idler weight -|beta|.
+    A fixed weight b is ``snr_bound_nonconstant(params, 0.0, -b)``.
     """
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("snr_bound_constant requires the constant noise model")
-    if beta is None:
-        live = params.kappa * params.n_s > 0  # evaluated at kappa = n_s = 1 elsewhere
-        live_params = replace(params, kappa=np.where(live, params.kappa, 1.0),
-                              n_s=np.where(live, params.n_s, 1.0))
-        beta_abs = np.where(live, optimal_beta_closed(live_params), 0.0)[()]
-    else:
-        beta_abs = abs(beta)
+    live = params.kappa * params.n_s > 0  # evaluated at kappa = n_s = 1 elsewhere
+    live_params = replace(params, kappa=np.where(live, params.kappa, 1.0),
+                          n_s=np.where(live, params.n_s, 1.0))
+    beta_abs = np.where(live, optimal_beta_closed(live_params), 0.0)[()]
     return _bound_report(params, 0.0, -beta_abs)
 
 
 def snr_bound_nonconstant(params: ScenarioParams, alpha, beta):
-    """Bound-receiver SNR at explicit (alpha, beta), meant for nonconstant noise.
+    """Bound-receiver SNR at explicit weights (alpha, beta), under either
+    noise model.
 
-    Evaluates M [2C - alpha kappa (N_B - N_S)]^2 / (2 [sqrt(V_on) + sqrt(V_off)]^2)
-    with the exact observable variances (under constant noise the gap is
-    2C + alpha kappa N_S).  Accepts arrays; scalar weights give a float.
+    Evaluates M gap^2 / (2 [sqrt(V_on) + sqrt(V_off)]^2) with the exact
+    observable variances and the gap 2C - alpha kappa (N_B - N_S) under
+    nonconstant noise or 2C + alpha kappa N_S under constant noise.  Accepts
+    arrays; scalar weights give a float.
     """
     snr = _bound_report(params, alpha, beta).snr
     return snr if np.ndim(snr) else float(snr)
@@ -250,27 +244,25 @@ def optimize_alpha_beta_nonconstant(params: ScenarioParams):
     return alpha, beta, _bound_report(params, alpha, beta)
 
 
-def snr_closed_pc(params: ScenarioParams, mu: float = DEFAULT_PC_MU,
-                  nu: float = DEFAULT_PC_NU) -> SnrReport:
-    """Phase-conjugate receiver closed form: the squeeze-correlation variance
-    plus (mu/nu)^2 N_S of conjugation vacuum noise on each hypothesis."""
-    _check_pc(mu, nu)
-    extra = (mu / nu) ** 2 * params.n_s
-    c = _cross(params, params.kappa)
+def snr_closed_pc(params: ScenarioParams) -> SnrReport:
+    """Phase-conjugate receiver closed form at (mu, nu) = (DEFAULT_PC_MU,
+    DEFAULT_PC_NU): the squeeze-correlation variance plus (mu/nu)^2 N_S of
+    conjugation vacuum noise on each hypothesis."""
+    extra = (DEFAULT_PC_MU / DEFAULT_PC_NU) ** 2 * params.n_s
     v_on = _gram(params, params.kappa)[5] + extra
     v_off = _gram(params, 0.0)[5] + extra
-    return _report(2.0 * c, 0.0, 2.0 * c, v_on, v_off, params.m_modes)
+    return _report(2.0 * _cross(params, params.kappa), v_on, v_off, params.m_modes)
 
 
-def snr_closed_opa(params: ScenarioParams, gain: float = DEFAULT_OPA_GAIN) -> SnrReport:
-    """Amplifier-receiver closed form, in squeeze-normalized units.
+def snr_closed_opa(params: ScenarioParams) -> SnrReport:
+    """Amplifier-receiver closed form at gain G = DEFAULT_OPA_GAIN, in
+    squeeze-normalized units.
 
     The printed excess-variance term q contains G (4 N_S + 1); the moment
     engine yields G (4 N_S + 2), so this form deviates from snr_generic by a
     small documented amount (see tests).
     """
-    _check_opa(gain)
-    g = gain
+    g = DEFAULT_OPA_GAIN
     ns = params.n_s
 
     def q(kappa: float) -> float:
@@ -286,7 +278,7 @@ def snr_closed_opa(params: ScenarioParams, gain: float = DEFAULT_OPA_GAIN) -> Sn
     v_on = _gram(params, params.kappa)[5] + q(params.kappa)
     v_off = _gram(params, 0.0)[5] + q(0.0)
     gap = 2.0 * (c + half_shift)
-    return _report(gap, 0.0, gap, v_on, v_off, params.m_modes)
+    return _report(gap, v_on, v_off, params.m_modes)
 
 
 def snr_closed_dh(params: ScenarioParams) -> SnrReport:
@@ -295,8 +287,8 @@ def snr_closed_dh(params: ScenarioParams) -> SnrReport:
     Its observable is 1 minus the bound observable at alpha = beta = -1, so
     it has the same variances and the opposite mean gap.
     """
-    _, gap, var_on, var_off = _bound_moments(params, -1.0, -1.0)
-    return _report(0.0, gap, -gap, var_on, var_off, params.m_modes)
+    gap, var_on, var_off = _bound_moments(params, -1.0, -1.0)
+    return _report(-gap, var_on, var_off, params.m_modes)
 
 
 def snr_cct(params: ScenarioParams) -> SnrReport:
@@ -311,14 +303,12 @@ def snr_cct(params: ScenarioParams) -> SnrReport:
     b_on = _occupancy(params, kappa)
     y = ni + nb * (1.0 + 2.0 * ni)
     v_on = 2.0 * d * d + (2.0 * ni + 1.0) * b_on + ni
-    return _report(2.0 * d, 0.0, 2.0 * d, v_on, y, params.m_modes)
+    return _report(2.0 * d, v_on, y, params.m_modes)
 
 
 def snr_coherent_hd(params: ScenarioParams) -> SnrReport:
     """Homodyne receiver on the coherent probe (quadrature mean shift)."""
-    kappa, ns = params.kappa, params.n_s
-    therm_on = _occupancy(params, kappa) - kappa * ns
-    v_on = therm_on + 0.5
+    v_on = _received_noise(params, params.kappa) + 0.5
     v_off = params.n_b + 0.5
-    gap = np.sqrt(2.0 * kappa * ns)
-    return _report(gap, 0.0, gap, v_on, v_off, params.m_modes)
+    gap = np.sqrt(2.0 * params.kappa * params.n_s)
+    return _report(gap, v_on, v_off, params.m_modes)

@@ -100,7 +100,8 @@ def test_criterion_02_published_nonconstant_weights():
               f"SNR(-0.54, -9.08)={snr_at_published:.4f}; {elapsed * 1e3:.0f} ms")
     if not ok:
         print("  the optimum of the published SNR expression is stationary "
-              "(complex-step gradient ~ 1e-13) and strictly exceeds the value "
+              "(gradient ~ 8e-14, differenced in 50-digit mpmath by "
+              "orc.bound_snr_gradient_mp) and strictly exceeds the value "
               "at the published point; the published weights sit on a nearly "
               "flat ridge 0.3% below the maximum and are not reproducible "
               "from the expression itself")
@@ -159,7 +160,7 @@ def test_criterion_04_optimal_idler_weight_oracle():
     for ns in np.logspace(-2, 1, 12):
         p = ScenarioParams(kappa=0.01, n_s=float(ns), n_b=30.0, m_modes=M)
         closed = optimal_beta_closed(p)
-        numeric = orc.golden_max(lambda b: snr_bound_constant(p, beta=b).snr,
+        numeric = orc.golden_max(lambda b: snr_bound_nonconstant(p, 0.0, -b),
                                  0.0, 6.0, tol=1e-13)
         worst = max(worst, abs(closed - numeric))
     p_large = ScenarioParams(kappa=0.01, n_s=100.0, n_b=30.0, m_modes=M)
@@ -227,7 +228,7 @@ def test_criterion_08_coherent_homodyne_beats_heterodyned_entangled():
     margins = {label: float(np.min(by["Coh&HD"] - by[label]))
                for label in ("dHTD after BS", "separate HTD", "HD product")}
     report(8, "PASS coherent homodyne above every heterodyne variant at all "
-              f"{cs.curves[0].x.size} sweep points (min margins "
+              f"{cs.x.size} sweep points (min margins "
               + ", ".join(f"{k}: {v:.3g}" for k, v in margins.items()) + ")")
     for margin in margins.values():
         assert margin > 0.0

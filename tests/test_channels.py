@@ -39,7 +39,7 @@ def tmsv_output_expected(kappa, n_s, n_b):
 
 def test_tmsv_constant_noise_matches_known_covariance():
     params = ScenarioParams(kappa=0.01, n_s=0.01, n_b=30.0)
-    out = apply_target(make_tmsv(params.n_s), 0, params, present=True)
+    out = apply_target(make_tmsv(params.n_s), params, present=True)
     assert np.max(np.abs(out.cov_n - tmsv_output_expected(0.01, 0.01, 30.0))) < 1e-12
     assert np.max(np.abs(out.mean_q)) == 0.0
 
@@ -171,33 +171,31 @@ def seeded_state(rng, n_modes):
 def test_apply_target_matches_beam_splitter_circuit():
     rng = np.random.default_rng(4)
     for n_modes in (1, 2, 3):
-        for signal_mode in range(n_modes):
-            state = seeded_state(rng, n_modes)
-            for model in NoiseModel:
-                kappas = (0.0, 0.3, 1.0) if model is NoiseModel.NONCONSTANT else (0.0, 0.3)
-                for kappa in kappas:
-                    params = ScenarioParams(kappa=kappa, n_s=0.0,
-                                            n_b=float(rng.uniform(0, 5)), noise_model=model)
-                    for present in (True, False):
-                        out = apply_target(state, signal_mode, params, present)
-                        ref = orc.target_channel_reference(state, signal_mode, params,
-                                                           present)
-                        assert np.max(np.abs(out.cov_n - ref.cov_n)) < 1e-13
-                        assert np.max(np.abs(out.mean_q - ref.mean_q)) < 1e-13
+        state = seeded_state(rng, n_modes)
+        for model in NoiseModel:
+            kappas = (0.0, 0.3, 1.0) if model is NoiseModel.NONCONSTANT else (0.0, 0.3)
+            for kappa in kappas:
+                params = ScenarioParams(kappa=kappa, n_s=0.0,
+                                        n_b=float(rng.uniform(0, 5)), noise_model=model)
+                for present in (True, False):
+                    out = apply_target(state, params, present)
+                    ref = orc.target_channel_reference(state, 0, params, present)
+                    assert np.max(np.abs(out.cov_n - ref.cov_n)) < 1e-13
+                    assert np.max(np.abs(out.mean_q - ref.mean_q)) < 1e-13
 
 
 def test_constant_model_rejects_unit_reflectance():
     params = ScenarioParams(kappa=1.0, n_s=0.5, n_b=1.0)
     with pytest.raises(ValueError):
-        apply_target(make_tmsv(0.5), 0, params, present=True)
+        apply_target(make_tmsv(0.5), params, present=True)
     # absent never raises
-    apply_target(make_tmsv(0.5), 0, params, present=False)
+    apply_target(make_tmsv(0.5), params, present=False)
 
 
 def test_nonconstant_model_allows_unit_reflectance():
     params = ScenarioParams(kappa=1.0, n_s=0.5, n_b=1.0,
                             noise_model=NoiseModel.NONCONSTANT)
-    on = apply_target(make_tmsv(0.5), 0, params, present=True)
+    on = apply_target(make_tmsv(0.5), params, present=True)
     assert abs(on.cov_n[0, 0] - 0.5) < 1e-12
 
 

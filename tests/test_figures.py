@@ -83,7 +83,7 @@ def test_s1_matches_closed_form():
     from gillum import ScenarioParams, optimal_beta_closed
 
     cs = small("s1", points=6)
-    for x, y in zip(cs.curves[0].x, cs.curves[0].y):
+    for x, y in zip(cs.x, cs.curves[0].y):
         p = ScenarioParams(kappa=0.01, n_s=float(x), n_b=30.0)
         assert abs(y - optimal_beta_closed(p)) < 1e-12
 
@@ -98,7 +98,7 @@ def test_s1_cells_are_correctly_rounded(kappa, n_b):
     eps = np.finfo(float).eps
     with mp.workdps(50):
         k, nb = mp.mpf(kappa), mp.mpf(n_b)
-        for x, y, row in zip(cs.curves[0].x, cs.curves[0].y, rows):
+        for x, y, row in zip(cs.x, cs.curves[0].y, rows):
             ns = mp.mpf(float(x))
             f = 1 + ns + nb + 2 * ns * nb
             ref = (1 + 2 * ns) / mp.sqrt(k * ns * (ns + 1) ** 3) * (
@@ -133,14 +133,19 @@ def test_config_validation():
 
 
 def test_curveset_rejects_empty_and_nonfinite():
+    x = np.array([1.0, 2.0])
     with pytest.raises(ConfigError):
-        CurveSet("x", "y", ())
-    bad = Curve("c", np.array([1.0, 2.0]), np.array([1.0, np.inf]))
+        CurveSet("x", "y", x, ())
+    with pytest.raises(ConfigError):
+        CurveSet("x", "y", np.array([]), (Curve("c", np.array([])),))
+    with pytest.raises(NumericalError, match="curve 'c' contains non-finite values"):
+        CurveSet("x", "y", x, (Curve("c", np.array([1.0, np.inf])),))
     with pytest.raises(NumericalError):
-        CurveSet("x", "y", (bad,))
-    unsorted = Curve("c", np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+        CurveSet("x", "y", np.array([1.0, np.nan]), (Curve("c", np.array([1.0, 1.0])),))
     with pytest.raises(ConfigError):
-        CurveSet("x", "y", (unsorted,))
+        CurveSet("x", "y", x[::-1], (Curve("c", np.array([1.0, 1.0])),))
+    with pytest.raises(ConfigError):
+        CurveSet("x", "y", x, (Curve("c", np.array([1.0, 1.0, 1.0])),))
 
 
 def test_emit_rejects_before_writing(tmp_path):
@@ -160,7 +165,7 @@ def test_csv_round_trip(tmp_path):
     data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     for k, curve in enumerate(cs.curves):
         assert header[k + 1] == curve.label
-        assert np.max(np.abs(data[:, 0] - curve.x) / np.abs(curve.x)) < 1e-10
+        assert np.max(np.abs(data[:, 0] - cs.x) / np.abs(cs.x)) < 1e-10
         assert np.max(np.abs(data[:, k + 1] - curve.y)
                       / np.maximum(np.abs(curve.y), 1e-300)) < 1e-10
 
@@ -178,9 +183,9 @@ def test_json_mirrors_curves(tmp_path):
 
 
 def test_svg_structure():
-    two_point = CurveSet("x", "y", (
-        Curve("a", np.array([1.0, 2.0]), np.array([0.5, 1.5])),
-        Curve("b", np.array([1.0, 2.0]), np.array([1.0, 2.0])),
+    two_point = CurveSet("x", "y", np.array([1.0, 2.0]), (
+        Curve("a", np.array([0.5, 1.5])),
+        Curve("b", np.array([1.0, 2.0])),
     ))
     svg = to_svg(two_point)
     assert svg.count("<polyline") == 2
@@ -307,15 +312,15 @@ def test_json_equals_the_standard_encoder():
     from gillum.emit import _FMT
 
     x = np.logspace(-2, 1, 7)
-    cs = CurveSet('x "quoted"', "back\\slash κ", (
-        Curve('say "hi"', x, np.sin(x) * 1e300),
-        Curve("a\\b é中 \U0001f600 \n\t", x, -np.exp(-x) * 1e-300),
-        Curve("plain", x, np.array([0.0, -0.0, 1.0, 123456789012345.0, 1e16, 3.0, 0.1]))))
+    cs = CurveSet('x "quoted"', "back\\slash κ", x, (
+        Curve('say "hi"', np.sin(x) * 1e300),
+        Curve("a\\b é中 \U0001f600 \n\t", -np.exp(-x) * 1e-300),
+        Curve("plain", np.array([0.0, -0.0, 1.0, 123456789012345.0, 1e16, 3.0, 0.1]))))
     payload = {
         "x_label": cs.x_label,
         "y_label": cs.y_label,
         "curves": [{"label": c.label,
                     "points": [[float(_FMT.format(a)), float(_FMT.format(b))]
-                               for a, b in zip(c.x, c.y)]} for c in cs.curves],
+                               for a, b in zip(cs.x, c.y)]} for c in cs.curves],
     }
     assert to_json(cs) == json.dumps(payload, indent=2) + "\n"
