@@ -7,7 +7,7 @@ as an SVG plot.
 """
 
 from gillum import (
-    DEFAULT_OPA_GAIN,
+    OPA_GAIN,
     ScenarioParams,
     SourceKind,
     SweepConfig,
@@ -30,7 +30,7 @@ print(f"{'N_S':>8} {'coherent':>10} {'bound':>10} {'nearly':>10} "
 for ns in (0.01, 0.1, 1.0, 7.0):
     p = ScenarioParams(kappa=0.01, n_s=ns, n_b=30.0, m_modes=M)
     pair = hypothesis_pair(SourceKind.TMSV, p)
-    opa = snr_generic(obs_opa(DEFAULT_OPA_GAIN), pair, M).snr
+    opa = snr_generic(obs_opa(OPA_GAIN), pair, M).snr
     print(f"{ns:8.2f} {coherent_qcb_closed(p).exponent:10.2f} "
           f"{snr_bound_constant(p).snr:10.2f} {snr_nearly_bound(p).snr:10.2f} "
           f"{snr_closed_pc(p).snr:10.2f} {opa:10.2f} {snr_closed_dh(p).snr:10.2f}")

@@ -41,7 +41,7 @@ from .observables import (
     transform_by_beam_splitter,
 )
 from .receivers import (
-    DEFAULT_OPA_GAIN,
+    OPA_GAIN,
     SnrReport,
     optimal_beta_closed,
     optimize_alpha_beta_nonconstant,

@@ -13,7 +13,7 @@ Gaussian states are evaluated exactly from the state's ``mean_q`` and
 are vacuum ancillas, such as a conjugator's input or a heterodyne's open
 port.  The receiver catalog below states each observable's operator; the
 closed forms in ``receivers`` fix the parametrized ones at the paper's
-settings (``DEFAULT_PC_MU``/``NU``, ``DEFAULT_OPA_GAIN``).
+settings (``PC_MU``/``PC_NU``, ``OPA_GAIN``).
 """
 
 from __future__ import annotations

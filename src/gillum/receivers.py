@@ -35,9 +35,9 @@ import numpy as np
 from .channels import HypothesisPair, NoiseModel, ScenarioParams, _received_noise
 from .observables import QuadraticObservable, stats
 
-DEFAULT_PC_MU = math.sqrt(2.0)
-DEFAULT_PC_NU = 1.0
-DEFAULT_OPA_GAIN = 1.0 + 7.4e-5  # implementable amplifier gain
+PC_MU = math.sqrt(2.0)
+PC_NU = 1.0
+OPA_GAIN = 1.0 + 7.4e-5  # implementable amplifier gain
 
 
 @dataclass(frozen=True)
@@ -245,24 +245,24 @@ def optimize_alpha_beta_nonconstant(params: ScenarioParams):
 
 
 def snr_closed_pc(params: ScenarioParams) -> SnrReport:
-    """Phase-conjugate receiver closed form at (mu, nu) = (DEFAULT_PC_MU,
-    DEFAULT_PC_NU): the squeeze-correlation variance plus (mu/nu)^2 N_S of
+    """Phase-conjugate receiver closed form at (mu, nu) = (PC_MU, PC_NU):
+    the squeeze-correlation variance plus (mu/nu)^2 N_S of
     conjugation vacuum noise on each hypothesis."""
-    extra = (DEFAULT_PC_MU / DEFAULT_PC_NU) ** 2 * params.n_s
+    extra = (PC_MU / PC_NU) ** 2 * params.n_s
     v_on = _gram(params, params.kappa)[5] + extra
     v_off = _gram(params, 0.0)[5] + extra
     return _report(2.0 * _cross(params, params.kappa), v_on, v_off, params.m_modes)
 
 
 def snr_closed_opa(params: ScenarioParams) -> SnrReport:
-    """Amplifier-receiver closed form at gain G = DEFAULT_OPA_GAIN, in
+    """Amplifier-receiver closed form at gain G = OPA_GAIN, in
     squeeze-normalized units.
 
     The printed excess-variance term q contains G (4 N_S + 1); the moment
     engine yields G (4 N_S + 2), so this form deviates from snr_generic by a
     small documented amount (see tests).
     """
-    g = DEFAULT_OPA_GAIN
+    g = OPA_GAIN
     ns = params.n_s
 
     def q(kappa: float) -> float:

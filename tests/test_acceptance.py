@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import oracles as orc
 from gillum import (
     NoiseModel,
-    DEFAULT_OPA_GAIN,
+    OPA_GAIN,
     QuadraticObservable,
     ScenarioParams,
     SourceKind,
@@ -51,7 +51,7 @@ from gillum import (
     transform_by_beam_splitter,
 )
 from gillum.figures import FIGURE_NAMES, SweepConfig, run_figure
-from gillum.receivers import DEFAULT_PC_MU, DEFAULT_PC_NU
+from gillum.receivers import PC_MU, PC_NU
 
 M = 10**7
 
@@ -130,7 +130,7 @@ def test_criterion_03_closed_forms_match_engine():
                         (snr_nearly_bound(p).snr,
                          snr_generic(obs_bound(0.0, 0.0), pair, M).snr),
                         (snr_closed_pc(p).snr,
-                         snr_generic(obs_pc(DEFAULT_PC_MU, DEFAULT_PC_NU), pair, M).snr),
+                         snr_generic(obs_pc(PC_MU, PC_NU), pair, M).snr),
                         (snr_closed_dh(p).snr,
                          snr_generic(obs_dh(), pair, M).snr),
                         (snr_cct(p).snr,
@@ -144,7 +144,7 @@ def test_criterion_03_closed_forms_match_engine():
                     for closed, generic in checks:
                         worst = max(worst, abs(closed - generic) / max(generic, 1e-300))
                     opa_closed = snr_closed_opa(p).snr
-                    opa_generic = snr_generic(obs_opa(DEFAULT_OPA_GAIN), pair, M).snr
+                    opa_generic = snr_generic(obs_opa(OPA_GAIN), pair, M).snr
                     worst_opa = max(worst_opa,
                                     abs(opa_closed - opa_generic) / max(opa_generic, 1e-300))
     elapsed = time.perf_counter() - t0
@@ -250,7 +250,7 @@ def test_criterion_09_receiver_dominance():
                     others = [
                         snr_nearly_bound(p).snr,
                         snr_closed_pc(p).snr,
-                        snr_generic(obs_opa(DEFAULT_OPA_GAIN), pair, M).snr,
+                        snr_generic(obs_opa(OPA_GAIN), pair, M).snr,
                         snr_closed_dh(p).snr,
                     ]
                     assert others[0] >= 0.0

@@ -3,9 +3,7 @@
 ``data/preset_bytes.json`` holds, for each preset at 25 points under two
 scenarios, the CSV text and the SHA-256 of the JSON and SVG renderings.  A
 refactor that keeps the numbers keeps these bytes; a CSV mismatch names the
-cells that moved.  Regenerate the file with
-``PYTHONPATH=src python tests/test_preset_bytes.py`` only when a change to the
-numbers is intended, and list the moved cells.
+cells that moved.
 """
 
 import hashlib
@@ -55,8 +53,3 @@ def test_preset_bytes_are_stable(figure, scenario):
     assert not moved, moved
     assert got == want
 
-
-if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps({f"{f}@{s}": _render(f, s) for f in FIGURE_NAMES
-                                for s in SCENARIOS}, indent=1) + "\n", encoding="utf-8")

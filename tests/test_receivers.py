@@ -13,8 +13,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles as orc
 from gillum import (
-    DEFAULT_OPA_GAIN,
     NoiseModel,
+    OPA_GAIN,
     ScenarioParams,
     SourceKind,
     coherent_qcb_closed,
@@ -41,13 +41,13 @@ from gillum import (
     transform_by_beam_splitter,
 )
 from gillum.figures import _HETERODYNE
-from gillum.receivers import DEFAULT_PC_MU, DEFAULT_PC_NU
+from gillum.receivers import PC_MU, PC_NU
 
 M = 10**7
 HALF = 1 / math.sqrt(2)
 NEARLY_BOUND = obs_bound(0.0, 0.0)
-PC = obs_pc(DEFAULT_PC_MU, DEFAULT_PC_NU)  # mode 2 is the conjugator's vacuum input
-OPA = obs_opa(DEFAULT_OPA_GAIN)
+PC = obs_pc(PC_MU, PC_NU)  # mode 2 is the conjugator's vacuum input
+OPA = obs_opa(OPA_GAIN)
 # photon-number difference after the 50:50 recombiner, on the incoming modes
 PNDM = transform_by_beam_splitter(obs_number_difference(), HALF, HALF, math.pi / 2)
 
@@ -116,7 +116,7 @@ def orc_opa_corrected_snr(p: ScenarioParams) -> float:
     """Closed form with the symmetric G(4 N_S + 2) coefficient (derived)."""
     import math
 
-    g, ns = DEFAULT_OPA_GAIN, p.n_s
+    g, ns = OPA_GAIN, p.n_s
 
     def occ(kk):
         if p.noise_model is NoiseModel.CONSTANT:
@@ -526,6 +526,10 @@ def test_bound_constant_zero_signal_rule_is_elementwise():
         point = snr_bound_constant(params_for(0.01, float(x)))
         assert abs(whole.snr[k] - point.snr) <= 4 * np.finfo(float).eps * point.snr
         assert abs(whole.gap[k] - point.gap) <= 4 * np.finfo(float).eps * abs(point.gap)
+        # the variances carry the idler weight to first order; the SNR does not
+        for var in ("var_on", "var_off"):
+            want = getattr(point, var)
+            assert abs(getattr(whole, var)[k] - want) <= 4 * np.finfo(float).eps * want
     assert whole.snr[0] == 0.0 and p_err(whole.snr[0]) == 0.5
     with pytest.raises(ValueError):
         optimal_beta_closed(params_for(0.01, ns))
