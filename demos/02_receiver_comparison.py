@@ -2,18 +2,19 @@
 
 Sweeps the signal brightness at the canonical working point (reflectance
 0.01, background 30 photons, 1e7 mode pairs) and prints the SNR of each
-receiver next to the coherent-probe baseline.  Also writes the full sweep
-as an SVG plot.
+receiver next to the coherent-probe baseline.  The probe is a state,
+``make_tmsv(N_S)``, sent through the target channel by ``hypothesis_pair``.
+Also writes the full sweep as an SVG plot.
 """
 
 from gillum import (
     OPA_GAIN,
     ScenarioParams,
-    SourceKind,
     SweepConfig,
     coherent_qcb_closed,
     emit,
     hypothesis_pair,
+    make_tmsv,
     obs_opa,
     run_figure,
     snr_bound_constant,
@@ -29,7 +30,7 @@ print(f"{'N_S':>8} {'coherent':>10} {'bound':>10} {'nearly':>10} "
       f"{'PC':>10} {'OPA':>10} {'DH':>10}")
 for ns in (0.01, 0.1, 1.0, 7.0):
     p = ScenarioParams(kappa=0.01, n_s=ns, n_b=30.0, m_modes=M)
-    pair = hypothesis_pair(SourceKind.TMSV, p)
+    pair = hypothesis_pair(make_tmsv(ns), p)
     opa = snr_generic(obs_opa(OPA_GAIN), pair, M).snr
     print(f"{ns:8.2f} {coherent_qcb_closed(p).exponent:10.2f} "
           f"{snr_bound_constant(p).snr:10.2f} {snr_nearly_bound(p).snr:10.2f} "

@@ -10,9 +10,9 @@ import math
 
 from gillum import (
     ScenarioParams,
-    SourceKind,
     heterodyne,
     hypothesis_pair,
+    make_tmsv,
     obs_bound,
     obs_squeeze_difference,
     snr_coherent_hd,
@@ -24,7 +24,7 @@ from gillum import (
 
 M = 10**7
 p = ScenarioParams(kappa=0.01, n_s=1.0, n_b=30.0, m_modes=M)
-pair = hypothesis_pair(SourceKind.TMSV, p)
+pair = hypothesis_pair(make_tmsv(1.0), p)  # the entangled probe at N_S = 1
 
 # the heterodyned observable acts on (signal, idler) plus one vacuum ancilla
 # per detector; stats supplies the ancillas
@@ -46,7 +46,7 @@ print(f"\n{'N_S':>8} {'direct':>10} {'separate HTD':>13} {'dHTD (50:50)':>13} "
       f"{'coherent+HD':>12}")
 for ns in (0.01, 0.1, 1.0, 10.0):
     pp = ScenarioParams(kappa=0.01, n_s=ns, n_b=30.0, m_modes=M)
-    pr = hypothesis_pair(SourceKind.TMSV, pp)
+    pr = hypothesis_pair(make_tmsv(ns), pp)
     row = (
         snr_nearly_bound(pp).snr,
         snr_generic(separate, pr, M).snr,

@@ -11,9 +11,9 @@ import math
 
 from gillum import (
     ScenarioParams,
-    SourceKind,
     coherent_qcb_closed,
     hypothesis_pair,
+    make_cct,
     obs_number_difference,
     qcb,
     snr_cct,
@@ -23,16 +23,17 @@ from gillum import (
 
 M = 10**7
 
+probe = make_cct(1.0, 1.0)  # one split thermal beam, N_S = N_I = 1, for every kappa
 print(f"{'kappa':>8} {'cross-corr SNR':>15} {'pair QCB':>10} {'gap':>7}")
 for kappa in (0.001, 0.003, 0.01, 0.03, 0.1):
     p = ScenarioParams(kappa=kappa, n_s=1.0, n_i=1.0, n_b=30.0, m_modes=M)
     snr = snr_cct(p).snr
-    bound = qcb(hypothesis_pair(SourceKind.CCT, p), M).exponent
+    bound = qcb(hypothesis_pair(probe, p), M).exponent
     print(f"{kappa:8.3f} {snr:15.2f} {bound:10.2f} {abs(snr/bound-1):7.2%}")
 
 print("\nthe photon-number-difference receiver is the same measurement:")
 p = ScenarioParams(kappa=0.01, n_s=1.0, n_i=1.0, n_b=30.0, m_modes=M)
-pair = hypothesis_pair(SourceKind.CCT, p)
+pair = hypothesis_pair(probe, p)
 half = 1 / math.sqrt(2)  # a 50:50 recombiner, read in the Heisenberg picture
 pndm_obs = transform_by_beam_splitter(obs_number_difference(), half, half, math.pi / 2)
 pndm = snr_generic(pndm_obs, pair, M).snr

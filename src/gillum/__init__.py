@@ -19,7 +19,6 @@ from .channels import (
     HypothesisPair,
     NoiseModel,
     ScenarioParams,
-    SourceKind,
     apply_target,
     hypothesis_pair,
 )

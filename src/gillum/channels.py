@@ -16,27 +16,27 @@ are supported:
 
 Target absent is the kappa = 0 channel with environment mean ``n_b`` in both
 conventions, so false-alarm statistics are model independent.
+
+A probe is any ``GaussianState`` with its signal in mode 0 and any other
+modes (an idler) kept at the receiver: ``hypothesis_pair`` sends it through
+both hypotheses.  The paper's probes are ``states.make_tmsv`` (quantum),
+``states.make_cct`` (split thermal, classical) and ``states.make_coherent``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, make_cct, make_coherent, make_tmsv
+from .states import GaussianState
 
 
 class NoiseModel(enum.Enum):
     CONSTANT = "constant"
     NONCONSTANT = "nonconstant"
-
-
-class SourceKind(enum.Enum):
-    TMSV = "tmsv"
-    CCT = "cct"
-    COHERENT = "coherent"
 
 
 def _extremes(value):
@@ -49,7 +49,8 @@ class ScenarioParams:
 
     kappa: target reflectance in [0, 1]; n_s / n_i / n_b: signal, idler and
     background mean photon numbers; m_modes: number of independent mode pairs
-    measured; noise_model: background convention.
+    measured, a whole number; noise_model: background convention.  Every
+    check is written so that nan fails it.
     """
 
     kappa: float
@@ -60,13 +61,15 @@ class ScenarioParams:
     noise_model: NoiseModel = NoiseModel.CONSTANT
 
     def __post_init__(self):
-        (k_lo, k_hi), (s_lo, _), (i_lo, _) = map(_extremes, (self.kappa, self.n_s, self.n_i))
+        (k_lo, k_hi), (s_lo, s_hi), (i_lo, i_hi) = map(
+            _extremes, (self.kappa, self.n_s, self.n_i))  # nan extremes for any nan entry
         if not (0.0 <= k_lo and k_hi <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")
-        if s_lo < 0 or i_lo < 0 or self.n_b < 0:
-            raise ValueError("photon numbers must be >= 0")
-        if self.m_modes < 1:
-            raise ValueError("m_modes must be >= 1")
+        if not (0.0 <= s_lo and s_hi < math.inf and 0.0 <= i_lo and i_hi < math.inf
+                and 0.0 <= self.n_b < math.inf):
+            raise ValueError("photon numbers must be finite and >= 0")
+        if not (self.m_modes >= 1 and float(self.m_modes).is_integer()):
+            raise ValueError(f"m_modes must be a whole number >= 1, got {self.m_modes!r}")
 
 
 @dataclass(frozen=True)
@@ -108,27 +111,12 @@ def apply_target(state: GaussianState, params: ScenarioParams,
     return GaussianState(x * state.mean_q, cov_n)
 
 
-def _source_state(source: SourceKind, params: ScenarioParams) -> GaussianState:
-    if source is SourceKind.TMSV:
-        return make_tmsv(params.n_s)
-    if source is SourceKind.CCT:
-        return make_cct(params.n_s, params.n_i)
-    if source is SourceKind.COHERENT:
-        return make_coherent(np.sqrt(params.n_s))
-    raise ValueError(f"unknown source {source}")
-
-
-def hypothesis_pair(source: SourceKind, params: ScenarioParams) -> HypothesisPair:
-    """Build the probe state and push it through both channel hypotheses.
-
-    TMSV and CCT sources are two-mode with the signal in mode 0; the coherent
-    source is a single signal mode (n_i is ignored for TMSV and coherent).
-    """
-    if any(isinstance(v, np.ndarray) for v in (params.kappa, params.n_s, params.n_i)):
-        raise ValueError("a hypothesis pair is one point: kappa, n_s and n_i must be scalars")
-    probe = _source_state(source, params)
+def hypothesis_pair(probe: GaussianState, params: ScenarioParams) -> HypothesisPair:
+    """Send ``probe``, its signal in mode 0, through both channel hypotheses
+    at one point of the scenario (a scalar kappa)."""
+    if isinstance(params.kappa, np.ndarray):
+        raise ValueError("a hypothesis pair is one point: kappa must be a scalar")
     return HypothesisPair(
         on=apply_target(probe, params, present=True),
         off=apply_target(probe, params, present=False),
     )
-

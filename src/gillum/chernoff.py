@@ -46,12 +46,11 @@ _PURE_TOL = 16 * np.finfo(float).eps  # round-off units of a pure mode's 2 nu
 
 @dataclass(frozen=True)
 class QcbResult:
-    """Optimized Chernoff data: argmin s, single-copy overlap, M-copy bound."""
+    """Optimized Chernoff data: the argmin s and the M-copy exponent
+    -M log min_s Q_s; the error bound is exp(-exponent) / 2."""
 
     s_star: float
-    q_value: float
     exponent: float
-    p_err_bound: float
 
 
 def williamson(state: GaussianState):
@@ -183,12 +182,9 @@ def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:
     """
     if (np.array_equal(pair.on.cov_n, pair.off.cov_n)
             and np.array_equal(pair.on.mean_q, pair.off.mean_q)):
-        return QcbResult(s_star=0.5, q_value=1.0, exponent=0.0, p_err_bound=0.5)
+        return QcbResult(s_star=0.5, exponent=0.0)
     s_star, log_q = _zoom_min(_PairData(pair).overlap, _S_EDGE, 1.0 - _S_EDGE)
-    q_value = math.exp(log_q)  # in [0, 1]
-    exponent = -m_modes * log_q if log_q < 0 else 0.0
-    return QcbResult(s_star=s_star, q_value=q_value, exponent=exponent,
-                     p_err_bound=0.5 * q_value**m_modes)
+    return QcbResult(s_star=s_star, exponent=-m_modes * log_q if log_q < 0 else 0.0)
 
 
 def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:
@@ -196,13 +192,11 @@ def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:
 
     Per-copy exponent kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2, evaluated as
     kappa N_S / (sqrt(N_B + 1) + sqrt(N_B))^2 and returned without a round
-    trip through Q, so it stays finite where Q underflows to 0; optimal
+    trip through Q, so it stays finite where Q would underflow to 0; optimal
     s = 1/2 (the hypotheses differ only by a displacement); elementwise.
     """
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("closed form assumes the constant noise model")
     per_copy = params.kappa * params.n_s / (
         math.sqrt(params.n_b + 1.0) + math.sqrt(params.n_b)) ** 2
-    q_value = np.exp(-per_copy)
-    return QcbResult(s_star=0.5, q_value=q_value, exponent=params.m_modes * per_copy,
-                     p_err_bound=0.5 * q_value**params.m_modes)
+    return QcbResult(s_star=0.5, exponent=params.m_modes * per_copy)

@@ -1,21 +1,24 @@
 """Parameter sweeps producing labeled curve sets for the standard comparisons.
 
-A preset is one row of ``_PRESETS``: a row function from the whole sweep axis
-to {curve label: values}, the axis labels, the noise models it is defined
-for, and its default sweep range.  Closed forms take the axis as an array;
-the numerical engines run once per point.  Defaults follow the canonical
-working point kappa = 0.01, N_B = 30, M = 1e7 with 200 log-spaced sweep
-points.  Sweep evaluation is deterministic.
+A preset is one row of ``_PRESETS``: a row function from the config and the
+whole sweep axis to {curve label: values}, the axis labels, the noise models
+it is defined for, and its default sweep range.  ``SweepConfig`` resolves the
+preset's defaults and checks its scenario once, before any row runs.  Closed
+forms take the axis as an array; the numerical engines run once per point,
+on probe states the row builds with ``make_tmsv``, ``make_cct`` and
+``make_coherent``.  Defaults follow the canonical working point kappa = 0.01,
+N_B = 30, M = 1e7 with 200 log-spaced sweep points.  Sweep evaluation is
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import NoiseModel, ScenarioParams, SourceKind, hypothesis_pair
+from .channels import NoiseModel, ScenarioParams, hypothesis_pair
 from .chernoff import coherent_qcb_closed, qcb
 from .observables import (
     heterodyne,
@@ -36,6 +39,7 @@ from .receivers import (
     snr_generic,
     snr_nearly_bound,
 )
+from .states import GaussianState, make_cct, make_coherent, make_tmsv
 
 
 class ConfigError(ValueError):
@@ -80,8 +84,9 @@ class CurveSet:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Figure preset selection plus overrides; an omitted sweep edge takes
-    the preset's default."""
+    """Figure preset selection plus overrides.  An omitted sweep edge or
+    noise model takes the preset's default, and ``params`` is the scenario
+    every row starts from (n_s = 0), so a bad value fails here."""
 
     figure: str
     kappa: float = 0.01
@@ -92,6 +97,7 @@ class SweepConfig:
     points: int = 200
     noise: NoiseModel | None = None
     receivers: tuple = ()
+    params: ScenarioParams = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.figure not in FIGURE_NAMES:
@@ -99,92 +105,93 @@ class SweepConfig:
                 f"unknown figure {self.figure!r}; expected one of {FIGURE_NAMES}")
         if self.points < 2:
             raise ConfigError("points must be >= 2")
-        if not (self.m_modes >= 1 and float(self.m_modes).is_integer()):
-            raise ConfigError(f"modes must be a whole number >= 1, got {self.m_modes!r}")
         *_, models, (lo, hi) = _PRESETS[self.figure]
-        if self.noise is not None and self.noise not in models:
+        noise = models[0] if self.noise is None else self.noise
+        if noise not in models:
             raise ConfigError(f"{self.figure} is defined for {models[0].value} noise only")
         lo = lo if self.sweep_min is None else self.sweep_min
         hi = hi if self.sweep_max is None else self.sweep_max
-        if not (0 < lo < hi):
-            raise ConfigError("sweep range must be positive and ordered")
-        object.__setattr__(self, "sweep_min", lo)
-        object.__setattr__(self, "sweep_max", hi)
+        if not (0 < lo < hi < math.inf):
+            raise ConfigError("sweep range must be positive, finite and ordered")
+        try:
+            params = ScenarioParams(kappa=self.kappa, n_s=0.0, n_b=self.n_b,
+                                    m_modes=self.m_modes, noise_model=noise)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for name, value in (("noise", noise), ("sweep_min", lo), ("sweep_max", hi),
+                            ("params", params)):
+            object.__setattr__(self, name, value)
 
 
-def _params(config: SweepConfig, noise: NoiseModel, **overrides) -> ScenarioParams:
-    base = dict(kappa=config.kappa, n_s=0.0, n_b=config.n_b,
-                m_modes=int(config.m_modes), noise_model=noise)
-    base.update(overrides)
-    return ScenarioParams(**base)
+def _points(config: SweepConfig, axis: str, xs) -> list:
+    """The config's scenario with its ``axis`` field at each x, one point each."""
+    return [replace(config.params, **{axis: x}) for x in xs]
 
 
-def _points(config: SweepConfig, noise: NoiseModel, xs, *axes, **fixed) -> list:
-    """Scalar parameters with the ``axes`` fields at each x, for the engines."""
-    return [_params(config, noise, **dict.fromkeys(axes, x), **fixed) for x in xs]
+def _qcb_exponent(probe: GaussianState, params: ScenarioParams) -> float:
+    """M-copy Chernoff exponent of ``probe`` at one point of the scenario."""
+    return qcb(hypothesis_pair(probe, params), params.m_modes).exponent
 
 
-def _coherent_baseline_snr(config: SweepConfig, noise: NoiseModel, ns):
+def _coherent_baseline_snr(config: SweepConfig, ns):
     """Coherent-probe bound as an equivalent SNR (M times the QCB exponent)."""
-    if noise is NoiseModel.CONSTANT:
-        return coherent_qcb_closed(_params(config, noise, n_s=ns)).exponent
-    return np.array([qcb(hypothesis_pair(SourceKind.COHERENT, p), p.m_modes).exponent
-                     for p in _points(config, noise, ns, "n_s")])
+    if config.noise is NoiseModel.CONSTANT:
+        return coherent_qcb_closed(replace(config.params, n_s=ns)).exponent
+    return np.array([_qcb_exponent(make_coherent(math.sqrt(n)), config.params) for n in ns])
 
 
-def _qi_receiver_values(config: SweepConfig, noise: NoiseModel, ns) -> dict:
-    params = _params(config, noise, n_s=ns)
-    coh = _coherent_baseline_snr(config, noise, ns)
-    if noise is NoiseModel.CONSTANT:
+def _qi_receiver_values(config: SweepConfig, ns) -> dict:
+    params = replace(config.params, n_s=ns)
+    coh = _coherent_baseline_snr(config, ns)
+    if config.noise is NoiseModel.CONSTANT:
         ob = snr_bound_constant(params).snr
     else:
         ob = np.array([optimize_alpha_beta_nonconstant(p)[2].snr
-                       for p in _points(config, noise, ns, "n_s")])
+                       for p in _points(config, "n_s", ns)])
     return {"Coh": coh, "OB": ob, "nOB": snr_nearly_bound(params).snr,
             "PC": snr_closed_pc(params).snr, "OPA": snr_closed_opa(params).snr,
             "DH": snr_closed_dh(params).snr}
 
 
-def _differences(config: SweepConfig, noise: NoiseModel, ns) -> dict:
-    vals = _qi_receiver_values(config, noise, ns)
+def _differences(config: SweepConfig, ns) -> dict:
+    vals = _qi_receiver_values(config, ns)
     return {"OB-Coh": vals["OB"] - vals["Coh"], "PC-Coh": vals["PC"] - vals["Coh"]}
 
 
-def _heterodyne_snrs(config: SweepConfig, noise: NoiseModel, ns) -> dict:
-    params = _params(config, noise, n_s=ns)
-    pairs = [hypothesis_pair(SourceKind.TMSV, p) for p in _points(config, noise, ns, "n_s")]
-    return {"Coh&HD": snr_coherent_hd(params).snr, **{
+def _heterodyne_snrs(config: SweepConfig, ns) -> dict:
+    params = config.params
+    pairs = [hypothesis_pair(make_tmsv(n), params) for n in ns]
+    return {"Coh&HD": snr_coherent_hd(replace(params, n_s=ns)).snr, **{
         label: np.array([snr_generic(obs, pair, params.m_modes).snr for pair in pairs])
         for label, obs in _HETERODYNE.items()}}
 
 
-def _cct_over_kappa(config: SweepConfig, noise: NoiseModel, kappa) -> dict:
+def _cct_over_kappa(config: SweepConfig, kappa) -> dict:
+    points = _points(config, "kappa", kappa)
     out = {}
     for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
-        out[f"QCB N_S={ns:g} N_I={ni:g}"] = np.array([
-            qcb(hypothesis_pair(SourceKind.CCT, p), p.m_modes).exponent
-            for p in _points(config, noise, kappa, "kappa", n_s=ns, n_i=ni)])
-        params = _params(config, noise, kappa=kappa, n_s=ns, n_i=ni)
+        probe = make_cct(ns, ni)  # fixed along the kappa axis
+        out[f"QCB N_S={ns:g} N_I={ni:g}"] = np.array([_qcb_exponent(probe, p) for p in points])
+        params = replace(config.params, kappa=kappa, n_s=ns, n_i=ni)
         out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(params).snr
     return out
 
 
-def _cct_over_ns(config: SweepConfig, noise: NoiseModel, ns) -> dict:
+def _cct_over_ns(config: SweepConfig, ns) -> dict:
     return {
-        "CCT QCB": np.array([qcb(hypothesis_pair(SourceKind.CCT, p), p.m_modes).exponent
-                             for p in _points(config, noise, ns, "n_s", "n_i")]),
-        "CCT O_off": snr_cct(_params(config, noise, n_s=ns, n_i=ns)).snr,
-        "Coh QCB": _coherent_baseline_snr(config, noise, ns),
+        "CCT QCB": np.array([_qcb_exponent(make_cct(n, n), config.params) for n in ns]),
+        "CCT O_off": snr_cct(replace(config.params, n_s=ns, n_i=ns)).snr,
+        "Coh QCB": _coherent_baseline_snr(config, ns),
     }
 
 
-def _optimal_beta(config: SweepConfig, noise: NoiseModel, ns) -> dict:
-    return {"|beta|": optimal_beta_closed(_params(config, noise, n_s=ns))}
+def _optimal_beta(config: SweepConfig, ns) -> dict:
+    return {"|beta|": optimal_beta_closed(replace(config.params, n_s=ns))}
 
 
-def _optimal_alpha_beta(config: SweepConfig, noise: NoiseModel, ns) -> dict:
+def _optimal_alpha_beta(config: SweepConfig, ns) -> dict:
     weights = np.array([optimize_alpha_beta_nonconstant(p)[:2]
-                        for p in _points(config, noise, ns, "n_s")])
+                        for p in _points(config, "n_s", ns)])
     return {"alpha": weights[:, 0], "beta": weights[:, 1]}
 
 
@@ -201,8 +208,8 @@ _HETERODYNE = {
     "HD product": obs_hd_product(0.0, 0.0),
 }
 # preset -> (row, x label, y label, the noise models the preset is defined
-# for with its default first, default sweep range); the row maps the config,
-# the noise model and the whole sweep axis to {curve label: values}
+# for with its default first, default sweep range); the row maps the config
+# and the whole sweep axis to {curve label: values}
 _PRESETS = {
     "fig1": (_qi_receiver_values, "N_S", "SNR", (_CONSTANT, _NONCONSTANT), _NS_AXIS),
     "fig2": (_differences, "N_S", "SNR difference", (_CONSTANT,), _NS_AXIS),
@@ -220,10 +227,10 @@ def run_figure(config: SweepConfig) -> CurveSet:
     """Run one figure preset and return its deterministic curve set: the
     preset's row is called once on the log-spaced axis, and each selected
     label becomes a curve."""
-    row, x_label, y_label, models, _ = _PRESETS[config.figure]
+    row, x_label, y_label, *_ = _PRESETS[config.figure]
     xs = np.logspace(math.log10(config.sweep_min), math.log10(config.sweep_max),
                      config.points)
-    values = row(config, config.noise or models[0], xs)
+    values = row(config, xs)
     if config.receivers:
         unknown = [r for r in config.receivers if r not in values]
         if unknown:

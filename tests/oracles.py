@@ -13,9 +13,28 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from gillum import (GaussianState, NoiseModel, QuadraticObservable, make_thermal,
-                    symplectic_form, tensor)
+from gillum import (GaussianState, NoiseModel, QuadraticObservable, make_cct, make_coherent,
+                    make_thermal, make_tmsv, symplectic_form, tensor)
 from gillum.states import beam_splitter_matrix
+
+
+# ---------------------------------------------------------------------------
+# The paper's three probes, each built from a scenario's photon numbers
+# ---------------------------------------------------------------------------
+
+def tmsv_probe(params) -> GaussianState:
+    return make_tmsv(params.n_s)
+
+
+def cct_probe(params) -> GaussianState:
+    return make_cct(params.n_s, params.n_i)
+
+
+def coherent_probe(params) -> GaussianState:
+    return make_coherent(math.sqrt(params.n_s))
+
+
+PROBES = (tmsv_probe, cct_probe, coherent_probe)
 
 
 # ---------------------------------------------------------------------------

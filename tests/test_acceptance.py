@@ -9,6 +9,7 @@ to fail: exact maximization of the published SNR expression lands on
 for the evidence.  The test asserts the criterion as stated and stays red.
 """
 
+import math
 import sys
 import time
 from pathlib import Path
@@ -23,10 +24,11 @@ from gillum import (
     OPA_GAIN,
     QuadraticObservable,
     ScenarioParams,
-    SourceKind,
     coherent_qcb_closed,
     hypothesis_pair,
+    make_cct,
     make_coherent,
+    make_tmsv,
     obs_bound,
     obs_dh,
     obs_off,
@@ -125,7 +127,7 @@ def test_criterion_03_closed_forms_match_engine():
                     p = ScenarioParams(kappa=float(kappa), n_s=float(ns),
                                        n_i=float(ns), n_b=nb, m_modes=M,
                                        noise_model=model)
-                    pair = hypothesis_pair(SourceKind.TMSV, p)
+                    pair = hypothesis_pair(make_tmsv(p.n_s), p)
                     checks = [
                         (snr_nearly_bound(p).snr,
                          snr_generic(obs_bound(0.0, 0.0), pair, M).snr),
@@ -134,7 +136,8 @@ def test_criterion_03_closed_forms_match_engine():
                         (snr_closed_dh(p).snr,
                          snr_generic(obs_dh(), pair, M).snr),
                         (snr_cct(p).snr,
-                         snr_generic(obs_off(), hypothesis_pair(SourceKind.CCT, p), M).snr),
+                         snr_generic(obs_off(), hypothesis_pair(make_cct(p.n_s, p.n_i), p),
+                                     M).snr),
                     ]
                     if model is NoiseModel.CONSTANT:
                         beta = optimal_beta_closed(p)
@@ -197,11 +200,11 @@ def test_criterion_06_chernoff_oracles():
     for kappa in (0.003, 0.01, 0.05):
         for ns in (0.1, 1.0, 10.0):
             p = ScenarioParams(kappa=kappa, n_s=ns, n_b=30.0, m_modes=1)
-            num = qcb(hypothesis_pair(SourceKind.COHERENT, p), 1).exponent
+            num = qcb(hypothesis_pair(make_coherent(math.sqrt(p.n_s)), p), 1).exponent
             worst_coh = max(worst_coh,
                             abs(num / coherent_qcb_closed(p).exponent - 1))
     p4 = ScenarioParams(kappa=0.01, n_s=1e-3, n_b=100.0, m_modes=1)
-    ratio = (qcb(hypothesis_pair(SourceKind.TMSV, p4), 1).exponent
+    ratio = (qcb(hypothesis_pair(make_tmsv(p4.n_s), p4), 1).exponent
              / coherent_qcb_closed(p4).exponent)
     report(6, f"PASS pure-overlap error {worst_pure:.2e}, coherent-channel "
               f"error {worst_coh:.2e} (tol 1e-8); entangled/coherent exponent "
@@ -216,7 +219,7 @@ def test_criterion_07_split_thermal_receiver_attains_bound():
     for kappa in np.logspace(-3, -1, 15):
         p = ScenarioParams(kappa=float(kappa), n_s=1.0, n_i=1.0, n_b=30.0,
                            m_modes=M)
-        bound = qcb(hypothesis_pair(SourceKind.CCT, p), M).exponent
+        bound = qcb(hypothesis_pair(make_cct(p.n_s, p.n_i), p), M).exponent
         worst = max(worst, abs(snr_cct(p).snr / bound - 1))
     report(7, f"PASS worst relative gap to the bound {worst:.2%} (tol 10%)")
     assert worst <= 0.10
@@ -242,7 +245,7 @@ def test_criterion_09_receiver_dominance():
                 for nb in (1.0, 30.0, 100.0):
                     p = ScenarioParams(kappa=kappa, n_s=ns, n_b=nb, m_modes=M,
                                        noise_model=model)
-                    pair = hypothesis_pair(SourceKind.TMSV, p)
+                    pair = hypothesis_pair(make_tmsv(p.n_s), p)
                     if model is NoiseModel.CONSTANT:
                         bound = snr_bound_constant(p).snr
                     else:
@@ -268,7 +271,7 @@ def test_criterion_10_micro_oracle_suite():
     worst_fock = 0.0
     for ns, kappa, nb in ((0.2, 0.3, 0.4), (0.5, 0.5, 0.5), (0.1, 0.5, 0.5)):
         p = ScenarioParams(kappa=kappa, n_s=ns, n_b=nb, m_modes=1)
-        pair = hypothesis_pair(SourceKind.TMSV, p)
+        pair = hypothesis_pair(make_tmsv(p.n_s), p)
         rho = orc.tmsv_channel_fock(ns, kappa, nb / (1 - kappa), 30, 24, 42)
         for _ in range(2):
             hr = rng.randn(4, 4)
@@ -278,7 +281,7 @@ def test_criterion_10_micro_oracle_suite():
             worst_fock = max(worst_fock, abs(eng.mean - fm), abs(eng.variance - fv))
     # moment engine vs characteristic-function derivatives
     p = ScenarioParams(kappa=0.3, n_s=0.2, n_b=0.4, m_modes=1)
-    st = hypothesis_pair(SourceKind.TMSV, p).on
+    st = hypothesis_pair(make_tmsv(p.n_s), p).on
     eng = stats(obs_bound(0.0, 0.0), st)
     char_second = (orc.char_fn_moment(st, (2, 2), (0, 0))
                    + 2 * orc.char_fn_moment(st, (1, 1), (1, 1))

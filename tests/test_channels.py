@@ -1,5 +1,6 @@
 """Target channel outputs under both background-noise conventions."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -14,9 +15,10 @@ from gillum import (
     GaussianState,
     NoiseModel,
     ScenarioParams,
-    SourceKind,
     apply_target,
     hypothesis_pair,
+    make_cct,
+    make_coherent,
     make_tmsv,
     obs_number,
     obs_quadrature,
@@ -46,14 +48,14 @@ def test_tmsv_constant_noise_matches_known_covariance():
 
 def test_kappa_zero_on_equals_off():
     params = ScenarioParams(kappa=0.0, n_s=0.4, n_b=2.0)
-    pair = hypothesis_pair(SourceKind.TMSV, params)
+    pair = hypothesis_pair(make_tmsv(params.n_s), params)
     assert np.max(np.abs(pair.on.cov_n - pair.off.cov_n)) < 1e-14
 
 
 def test_cct_output_matches_known_covariance():
     n_s, n_i, n_b, kappa = 1.0, 2.0, 30.0, 0.25
     params = ScenarioParams(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b)
-    pair = hypothesis_pair(SourceKind.CCT, params)
+    pair = hypothesis_pair(make_cct(params.n_s, params.n_i), params)
     b = kappa * n_s + n_b
     d = np.sqrt(kappa * n_s * n_i)
     expected = np.array([
@@ -67,13 +69,13 @@ def test_cct_output_matches_known_covariance():
 
 def test_cct_kappa_zero_pair_identical():
     params = ScenarioParams(kappa=0.0, n_s=1.0, n_i=2.0, n_b=3.0)
-    pair = hypothesis_pair(SourceKind.CCT, params)
+    pair = hypothesis_pair(make_cct(params.n_s, params.n_i), params)
     assert np.max(np.abs(pair.on.cov_n - pair.off.cov_n)) < 1e-14
 
 
 def test_tmsv_pair_differs_only_in_correlations_and_signal_number():
     params = ScenarioParams(kappa=0.01, n_s=0.01, n_b=30.0)
-    pair = hypothesis_pair(SourceKind.TMSV, params)
+    pair = hypothesis_pair(make_tmsv(params.n_s), params)
     diff = pair.on.cov_n - pair.off.cov_n
     # only the signal-idler correlations and the signal-number diagonal move
     mask = np.zeros((4, 4), dtype=bool)
@@ -85,7 +87,7 @@ def test_tmsv_pair_differs_only_in_correlations_and_signal_number():
 
 def test_coherent_pair_through_channel():
     params = ScenarioParams(kappa=0.2, n_s=0.3, n_b=0.3)
-    pair = hypothesis_pair(SourceKind.COHERENT, params)
+    pair = hypothesis_pair(make_coherent(math.sqrt(params.n_s)), params)
     assert abs(pair.on.mean_q[0] - np.sqrt(2 * 0.2 * 0.3)) < 1e-12  # <x> = sqrt(2) <a>
     assert abs(pair.off.mean_q[0]) < 1e-14
     # covariance is the thermal background in both hypotheses
@@ -106,14 +108,14 @@ def test_coherent_pair_through_channel():
 def test_off_state_independent_of_noise_model():
     for model in (NoiseModel.CONSTANT, NoiseModel.NONCONSTANT):
         params = ScenarioParams(kappa=0.3, n_s=0.7, n_b=2.0, noise_model=model)
-        off = hypothesis_pair(SourceKind.TMSV, params).off
+        off = hypothesis_pair(make_tmsv(params.n_s), params).off
         assert np.max(np.abs(off.cov_n - tmsv_output_expected(0.0, 0.7, 2.0))) < 1e-12
 
 
 def test_nonconstant_occupancy():
     params = ScenarioParams(kappa=0.3, n_s=0.5, n_b=2.0,
                             noise_model=NoiseModel.NONCONSTANT)
-    on = hypothesis_pair(SourceKind.TMSV, params).on
+    on = hypothesis_pair(make_tmsv(params.n_s), params).on
     b = 0.3 * 0.5 + 0.7 * 2.0
     assert abs(on.cov_n[0, 0] - b) < 1e-12
 
@@ -121,9 +123,9 @@ def test_nonconstant_occupancy():
 def test_models_coincide_at_kappa_zero():
     base = dict(kappa=0.0, n_s=0.4, n_b=1.5)
     on_c = hypothesis_pair(
-        SourceKind.TMSV, ScenarioParams(**base, noise_model=NoiseModel.CONSTANT)).on
+        make_tmsv(0.4), ScenarioParams(**base, noise_model=NoiseModel.CONSTANT)).on
     on_n = hypothesis_pair(
-        SourceKind.TMSV, ScenarioParams(**base, noise_model=NoiseModel.NONCONSTANT)).on
+        make_tmsv(0.4), ScenarioParams(**base, noise_model=NoiseModel.NONCONSTANT)).on
     assert np.max(np.abs(on_c.cov_n - on_n.cov_n)) == 0.0
 
 
@@ -133,7 +135,7 @@ def test_output_physical_for_random_inputs():
         params = ScenarioParams(kappa=float(rng.uniform(0, 0.9)),
                                 n_s=float(rng.uniform(0, 3)),
                                 n_b=float(rng.uniform(0, 5)))
-        pair = hypothesis_pair(SourceKind.TMSV, params)
+        pair = hypothesis_pair(make_tmsv(params.n_s), params)
         for state in (pair.on, pair.off):
             assert np.all(williamson(state)[0] >= 0.5 - 1e-9)
 
@@ -143,7 +145,7 @@ def test_correlation_strictly_increasing_in_kappa():
     prev = -1.0
     for kappa in np.linspace(0.01, 0.9, 15):
         params = ScenarioParams(kappa=float(kappa), n_s=n_s, n_b=1.0)
-        c = hypothesis_pair(SourceKind.TMSV, params).on.cov_n[0, 2]  # <x_S x_I>
+        c = hypothesis_pair(make_tmsv(params.n_s), params).on.cov_n[0, 2]  # <x_S x_I>
         assert c > prev
         prev = c
 
@@ -206,12 +208,18 @@ def test_param_validation():
         ScenarioParams(kappa=0.1, n_s=-0.1, n_b=0.1)
     with pytest.raises(ValueError):
         ScenarioParams(kappa=0.1, n_s=0.1, n_b=0.1, m_modes=0)
+    for bad in (np.nan, np.inf):
+        for field in ("kappa", "n_s", "n_i", "n_b", "m_modes"):
+            with pytest.raises(ValueError):
+                ScenarioParams(**{"kappa": 0.1, "n_s": 0.1, "n_b": 0.1, field: bad})
 
 
 def test_param_validation_reads_every_array_entry():
     axis = np.linspace(0.01, 0.5, 50)
     ScenarioParams(kappa=axis, n_s=axis, n_i=axis, n_b=1.0)
-    for field, bad in (("kappa", 1.5), ("kappa", -0.1), ("n_s", -0.1), ("n_i", -0.1)):
+    for field, bad in (("kappa", 1.5), ("kappa", -0.1), ("n_s", -0.1), ("n_i", -0.1),
+                       ("kappa", np.nan), ("kappa", np.inf), ("n_s", np.nan),
+                       ("n_s", np.inf), ("n_i", np.nan), ("n_i", np.inf)):
         values = axis.copy()
         values[17] = bad
         with pytest.raises(ValueError):
@@ -219,9 +227,7 @@ def test_param_validation_reads_every_array_entry():
 
 
 def test_hypothesis_pair_rejects_array_parameters():
-    axis = np.linspace(0.01, 0.5, 5)
-    for field in ("kappa", "n_s", "n_i"):
-        params = ScenarioParams(**{"kappa": 0.1, "n_s": 0.1, "n_b": 1.0, field: axis})
-        for source in SourceKind:
-            with pytest.raises(ValueError):
-                hypothesis_pair(source, params)
+    params = ScenarioParams(kappa=np.linspace(0.01, 0.5, 5), n_s=0.1, n_b=1.0)
+    for probe in (make_tmsv(0.1), make_cct(0.1, 0.2), make_coherent(0.3)):
+        with pytest.raises(ValueError):
+            hypothesis_pair(probe, params)

@@ -15,9 +15,9 @@ from gillum import (
     HypothesisPair,
     NoiseModel,
     ScenarioParams,
-    SourceKind,
     coherent_qcb_closed,
     hypothesis_pair,
+    make_cct,
     make_coherent,
     make_thermal,
     make_tmsv,
@@ -69,7 +69,7 @@ def test_williamson_reconstruction_and_symplecticity():
     # 1/2), two equal thermal modes (one 4-dimensional eigenspace) and a
     # three-mode product with a repeated symplectic eigenvalue
     states = [
-        hypothesis_pair(SourceKind.TMSV, ScenarioParams(kappa=0.05, n_s=0.7, n_b=4.0)).on,
+        hypothesis_pair(make_tmsv(0.7), ScenarioParams(kappa=0.05, n_s=0.7, n_b=4.0)).on,
         make_tmsv(0.8),
         tensor(make_thermal(3.0), make_thermal(3.0)),
         tensor(make_tmsv(0.8), make_thermal(2.0)),
@@ -87,8 +87,6 @@ def test_williamson_reconstruction_and_symplecticity():
 def test_identical_states_overlap_one():
     pair = HypothesisPair(on=make_coherent(0.4 + 0.1j), off=make_coherent(0.4 + 0.1j))
     res = qcb(pair, 7)
-    assert res.q_value == 1.0
-    assert res.p_err_bound == 0.5
     assert res.exponent == 0.0
 
 
@@ -108,7 +106,7 @@ def test_coherent_illumination_exponent_matches_closed_form():
         for n_s in (0.1, 1.0, 10.0):
             for n_b in (1.0, 30.0, 100.0):
                 p = ScenarioParams(kappa=kappa, n_s=n_s, n_b=n_b, m_modes=1)
-                num = qcb(hypothesis_pair(SourceKind.COHERENT, p), 1)
+                num = qcb(hypothesis_pair(make_coherent(math.sqrt(p.n_s)), p), 1)
                 closed = coherent_qcb_closed(p)
                 assert abs(num.exponent / closed.exponent - 1) < 1e-8
                 assert abs(num.s_star - 0.5) < 1e-4
@@ -137,17 +135,17 @@ def test_qcb_matches_mp_oracle():
     rng = np.random.default_rng(0)
     m = 10**7
     for n_b, kappa in ((30.0, 0.01), (1.0, 1e-3), (100.0, 0.1)):
-        cases = [(SourceKind.CCT, ScenarioParams(
+        cases = [(make_cct(1.0, n_i), ScenarioParams(
                      kappa=float(10 ** rng.uniform(-3, -1)), n_s=1.0, n_i=n_i,
                      n_b=n_b, m_modes=m)) for n_i in (1.0, 2.0)]
         n_s = float(10 ** rng.uniform(-2, 1))
-        cases.append((SourceKind.CCT, ScenarioParams(
+        cases.append((make_cct(n_s, n_s), ScenarioParams(
             kappa=kappa, n_s=n_s, n_i=n_s, n_b=n_b, m_modes=m)))
-        cases.append((SourceKind.COHERENT, ScenarioParams(
-            kappa=kappa, n_s=float(10 ** rng.uniform(-2, 1)), n_b=n_b, m_modes=m,
-            noise_model=NoiseModel.NONCONSTANT)))
-        for source, p in cases:
-            pair = hypothesis_pair(source, p)
+        n_s = float(10 ** rng.uniform(-2, 1))
+        cases.append((make_coherent(math.sqrt(n_s)), ScenarioParams(
+            kappa=kappa, n_s=n_s, n_b=n_b, m_modes=m, noise_model=NoiseModel.NONCONSTANT)))
+        for probe, p in cases:
+            pair = hypothesis_pair(probe, p)
             ref = orc.chernoff_exponent_mp(pair, m)
             assert abs(qcb(pair, m).exponent - ref) / m <= 8 * np.finfo(float).eps, p
 
@@ -161,7 +159,7 @@ def test_qcb_matches_exact_model_oracle_at_weakest_cct_points():
     for n_s in np.logspace(-2, 1, 200)[:3]:
         p = ScenarioParams(kappa=0.01, n_s=float(n_s), n_i=float(n_s), n_b=30.0, m_modes=m)
         ref = orc.cct_exponent_mp(p, m)
-        assert abs(qcb(hypothesis_pair(SourceKind.CCT, p), m).exponent - ref) / m \
+        assert abs(qcb(hypothesis_pair(make_cct(p.n_s, p.n_i), p), m).exponent - ref) / m \
             <= 8 * np.finfo(float).eps, p
 
 
@@ -171,7 +169,7 @@ def test_qcb_pure_on_state_matches_mp_oracle(n_s, n_b):
     # The search stops at s = _S_EDGE = 1e-6, where Q_s still exceeds that
     # limit by a relative ~1e-6 of the exponent (7.2e-7 to 9.6e-7 measured)
     pytest.importorskip("mpmath")
-    pair = hypothesis_pair(SourceKind.TMSV, ScenarioParams(
+    pair = hypothesis_pair(make_tmsv(n_s), ScenarioParams(
         kappa=1.0, n_s=n_s, n_b=n_b, noise_model=NoiseModel.NONCONSTANT))
     ref = orc.chernoff_exponent_mp(pair, 1)
     assert abs(qcb(pair, 1).exponent / ref - 1) <= 2e-6
@@ -182,9 +180,9 @@ def test_qcb_matches_mp_oracle_on_strongly_separated_pairs():
     # bracket of the search; the relative error must stay at round-off
     pytest.importorskip("mpmath")
     pairs = [
-        hypothesis_pair(SourceKind.TMSV, ScenarioParams(kappa=0.8, n_s=2.0, n_b=0.5)),
-        hypothesis_pair(SourceKind.CCT, ScenarioParams(kappa=0.6, n_s=5.0, n_i=3.0, n_b=0.1)),
-        hypothesis_pair(SourceKind.COHERENT, ScenarioParams(
+        hypothesis_pair(make_tmsv(2.0), ScenarioParams(kappa=0.8, n_s=2.0, n_b=0.5)),
+        hypothesis_pair(make_cct(5.0, 3.0), ScenarioParams(kappa=0.6, n_s=5.0, n_i=3.0, n_b=0.1)),
+        hypothesis_pair(make_coherent(math.sqrt(3.0)), ScenarioParams(
             kappa=0.9, n_s=3.0, n_b=2.0, noise_model=NoiseModel.NONCONSTANT)),
     ]
     for pair in pairs:
@@ -198,37 +196,36 @@ def _log_uniform(lo, hi):
 
 @settings(max_examples=60, deadline=None)
 # batched and one-at-a-time overlaps once differed here by 1.42e-14 at s = 1e-6
-@example(source=SourceKind.TMSV, kappa=10**-0.0625, n_s=10.0, n_i=1.0, n_b=0.1,
+@example(probe=orc.tmsv_probe, kappa=10**-0.0625, n_s=10.0, n_i=1.0, n_b=0.1,
          model=NoiseModel.CONSTANT)
-@given(source=st.sampled_from(SourceKind), kappa=_log_uniform(1e-4, 0.9),
+@given(probe=st.sampled_from(orc.PROBES), kappa=_log_uniform(1e-4, 0.9),
        n_s=_log_uniform(1e-3, 20.0), n_i=_log_uniform(1e-3, 20.0),
        n_b=_log_uniform(1e-3, 20.0), model=st.sampled_from(NoiseModel))
-def test_qcb_search_finds_the_sampled_minimum(source, kappa, n_s, n_i, n_b, model):
+def test_qcb_search_finds_the_sampled_minimum(probe, kappa, n_s, n_i, n_b, model):
     p = ScenarioParams(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b, noise_model=model)
-    pair = hypothesis_pair(source, p)
+    pair = hypothesis_pair(probe(p), p)
     res = qcb(pair, 1)
     assert _S_EDGE <= res.s_star <= 1.0 - _S_EDGE
     data = _PairData(pair)
     grid = np.linspace(_S_EDGE, 1.0 - _S_EDGE, 2001)
     batched = data.overlap(grid)
-    assert res.q_value <= np.min(batched) + 16 * np.finfo(float).eps
+    assert math.exp(-res.exponent) <= np.min(batched) + 16 * np.finfo(float).eps
     single = np.array([data.overlap(float(s)) for s in grid[::20]])
     assert np.max(np.abs(batched[::20] - single)) <= 1e-14
 
 
 def test_identical_hypotheses_give_unit_overlap():
-    for source in SourceKind:
+    for probe in orc.PROBES:
         for model in NoiseModel:
             p = ScenarioParams(kappa=0.0, n_s=1.0, n_i=2.0, n_b=30.0, m_modes=10**7,
                                noise_model=model)
-            res = qcb(hypothesis_pair(source, p), p.m_modes)
-            assert res.q_value == 1.0 and res.p_err_bound == 0.5
+            res = qcb(hypothesis_pair(probe(p), p), p.m_modes)
             assert res.exponent == 0.0 and math.copysign(1.0, res.exponent) == 1.0
 
 
 def test_qcb_pure_modes_raise_no_runtime_warning():
     p = ScenarioParams(kappa=0.05, n_s=0.8, n_b=2.5)
-    pair = hypothesis_pair(SourceKind.TMSV, p)
+    pair = hypothesis_pair(make_tmsv(p.n_s), p)
     padded = HypothesisPair(on=tensor(pair.on, make_vacuum(1)),
                             off=tensor(pair.off, make_vacuum(1)))
     coherent = HypothesisPair(on=make_coherent(0.3 + 0.2j), off=make_coherent(-0.1j))
@@ -245,7 +242,7 @@ def test_qcb_pure_on_state_reaches_the_trace_overlap():
     # the lower edge of the search; round-off in the pure modes' symplectic
     # eigenvalues must not lift it
     for n_s in (0.1, 2.0, 20.0):
-        pair = hypothesis_pair(SourceKind.TMSV, ScenarioParams(
+        pair = hypothesis_pair(make_tmsv(n_s), ScenarioParams(
             kappa=1.0, n_s=n_s, n_b=0.5, noise_model=NoiseModel.NONCONSTANT))
         res = qcb(pair, 1)
         v_sum = pair.on.cov_q + pair.off.cov_q
@@ -263,34 +260,35 @@ def test_coherent_bound_high_noise_limit():
 def test_zero_reflectance_zero_exponent():
     p = ScenarioParams(kappa=0.0, n_s=1.0, n_b=30.0, m_modes=1)
     assert coherent_qcb_closed(p).exponent == 0.0
-    assert qcb(hypothesis_pair(SourceKind.TMSV, p), 1).exponent < 1e-12
+    assert qcb(hypothesis_pair(make_tmsv(p.n_s), p), 1).exponent < 1e-12
 
 
 def test_entangled_probe_exponent_advantage_factor_four():
     p = ScenarioParams(kappa=0.01, n_s=1e-3, n_b=100.0, m_modes=1)
-    tmsv = qcb(hypothesis_pair(SourceKind.TMSV, p), 1)
+    tmsv = qcb(hypothesis_pair(make_tmsv(p.n_s), p), 1)
     coh = coherent_qcb_closed(p)
     assert abs(tmsv.exponent / coh.exponent - 4.0) < 0.4
 
 
 def test_chernoff_below_bhattacharyya():
     cases = [
-        hypothesis_pair(SourceKind.TMSV, ScenarioParams(kappa=0.05, n_s=0.4, n_b=3.0)),
-        hypothesis_pair(SourceKind.CCT, ScenarioParams(kappa=0.1, n_s=1.0, n_i=2.0, n_b=5.0)),
-        hypothesis_pair(SourceKind.COHERENT, ScenarioParams(kappa=0.2, n_s=2.0, n_b=1.0)),
+        hypothesis_pair(make_tmsv(0.4), ScenarioParams(kappa=0.05, n_s=0.4, n_b=3.0)),
+        hypothesis_pair(make_cct(1.0, 2.0), ScenarioParams(kappa=0.1, n_s=1.0, n_i=2.0, n_b=5.0)),
+        hypothesis_pair(make_coherent(math.sqrt(2.0)),
+                        ScenarioParams(kappa=0.2, n_s=2.0, n_b=1.0)),
     ]
     for pair in cases:
         res = qcb(pair, 1)
         bhat = _PairData(pair).overlap(0.5)
-        assert res.q_value <= bhat + 1e-12
+        assert math.exp(-res.exponent) <= bhat + 1e-12
 
 
 def test_swap_symmetry():
     p = ScenarioParams(kappa=0.07, n_s=0.9, n_b=2.0)
-    pair = hypothesis_pair(SourceKind.TMSV, p)
+    pair = hypothesis_pair(make_tmsv(p.n_s), p)
     fwd = qcb(pair, 1)
     rev = qcb(HypothesisPair(on=pair.off, off=pair.on), 1)
-    assert abs(fwd.q_value - rev.q_value) < 1e-9
+    assert abs(math.exp(-fwd.exponent) - math.exp(-rev.exponent)) < 1e-9
     assert abs(fwd.s_star - (1 - rev.s_star)) < 1e-6
 
 
@@ -299,7 +297,7 @@ def test_cct_receiver_attains_the_bound():
     for kappa in np.logspace(-3, -1, 13):
         p = ScenarioParams(kappa=float(kappa), n_s=1.0, n_i=1.0, n_b=30.0,
                            m_modes=10**7)
-        bound = qcb(hypothesis_pair(SourceKind.CCT, p), p.m_modes).exponent
+        bound = qcb(hypothesis_pair(make_cct(p.n_s, p.n_i), p), p.m_modes).exponent
         snr = snr_cct(p).snr
         worst = max(worst, abs(snr / bound - 1))
     assert worst <= 0.10
@@ -307,19 +305,19 @@ def test_cct_receiver_attains_the_bound():
 
 def test_uncoupled_vacuum_mode_is_ignored():
     p = ScenarioParams(kappa=0.05, n_s=0.8, n_b=2.5)
-    pair = hypothesis_pair(SourceKind.TMSV, p)
+    pair = hypothesis_pair(make_tmsv(p.n_s), p)
     base = qcb(pair, 1)
     padded = HypothesisPair(on=tensor(pair.on, make_vacuum(1)),
                             off=tensor(pair.off, make_vacuum(1)))
     grown = qcb(padded, 1)
-    assert abs(grown.q_value - base.q_value) < 1e-10
+    assert abs(math.exp(-grown.exponent) - math.exp(-base.exponent)) < 1e-10
 
 
 def test_nonconstant_noise_pair_has_nonzero_exponent_at_zero_signal():
     # the kappa-dependent background alone distinguishes the hypotheses
     p = ScenarioParams(kappa=0.1, n_s=0.0, n_b=5.0,
                        noise_model=NoiseModel.NONCONSTANT)
-    res = qcb(hypothesis_pair(SourceKind.TMSV, p), 1)
+    res = qcb(hypothesis_pair(make_tmsv(p.n_s), p), 1)
     assert res.exponent > 1e-4
 
 

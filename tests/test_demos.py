@@ -19,6 +19,8 @@ def test_all_demos_found():
 def test_demo_runs(demo, tmp_path):
     # run from an empty directory: demo 02 writes its SVG into the cwd
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    # as in the test run itself, a RuntimeWarning is an error
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert res.returncode == 0, res.stderr

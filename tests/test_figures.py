@@ -130,6 +130,8 @@ def test_config_validation():
         SweepConfig(figure="fig1", sweep_min=2.0, sweep_max=1.0)
     with pytest.raises(ConfigError):  # above the preset's default upper edge
         SweepConfig(figure="fig1", sweep_min=20.0)
+    with pytest.raises(ConfigError):
+        SweepConfig(figure="fig1", n_b=float("nan"))
 
 
 def test_curveset_rejects_empty_and_nonfinite():
@@ -203,8 +205,9 @@ def test_emitters_deterministic():
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "gillum.cli", *args],
-                          capture_output=True, text=True, env=ENV)
+    # as in the test run itself, a RuntimeWarning is an error
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "gillum.cli",
+                           *args], capture_output=True, text=True, env=ENV)
 
 
 def test_cli_csv_stdout():
@@ -274,6 +277,14 @@ def test_cli_rejects_bad_modes_instead_of_clamping(capsys):
     assert climod.main(["figure", "fig1", "--modes", "1e7", "--points", "3"]) == 0
     assert capsys.readouterr().out == default
     assert climod.main(["figure", "fig1", "--modes", "1", "--points", "3"]) == 0
+
+
+@pytest.mark.parametrize("option, value", [("--nb", "nan"), ("--nb", "inf"),
+                                           ("--ns-max", "inf")])
+def test_cli_rejects_nonfinite_scenario(option, value):
+    res = run_cli("figure", "fig1", option, value, "--points", "3")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and res.stdout == ""
 
 
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):

@@ -12,9 +12,9 @@ import oracles as orc
 from gillum import (
     QuadraticObservable,
     ScenarioParams,
-    SourceKind,
     heterodyne,
     hypothesis_pair,
+    make_cct,
     make_coherent,
     make_thermal,
     make_tmsv,
@@ -41,7 +41,7 @@ C = np.sqrt(KAPPA * NS * (NS + 1))
 
 @pytest.fixture(scope="module")
 def tmsv_pair():
-    return hypothesis_pair(SourceKind.TMSV, ScenarioParams(kappa=KAPPA, n_s=NS, n_b=NB))
+    return hypothesis_pair(make_tmsv(NS), ScenarioParams(kappa=KAPPA, n_s=NS, n_b=NB))
 
 
 def random_observable(rng, n):
@@ -82,8 +82,7 @@ def test_quadrature_on_coherent():
 
 def test_random_observables_match_fock_oracle():
     ns, kappa, nb = 0.2, 0.3, 0.4
-    pair = hypothesis_pair(SourceKind.TMSV,
-                           ScenarioParams(kappa=kappa, n_s=ns, n_b=nb))
+    pair = hypothesis_pair(make_tmsv(ns), ScenarioParams(kappa=kappa, n_s=ns, n_b=nb))
     dim_s, dim_i = 30, 24
     rho = orc.tmsv_channel_fock(ns, kappa, nb / (1 - kappa), dim_s, dim_i, 30)
     rng = np.random.RandomState(7)
@@ -166,7 +165,7 @@ def test_dh_mean_difference(tmsv_pair):
 
 def test_off_observable_on_correlated_thermal_pair():
     params = ScenarioParams(kappa=0.01, n_s=1.0, n_i=2.0, n_b=30.0)
-    pair = hypothesis_pair(SourceKind.CCT, params)
+    pair = hypothesis_pair(make_cct(params.n_s, params.n_i), params)
     s_on = stats(obs_off(), pair.on)
     assert abs(s_on.mean - 2 * np.sqrt(0.01 * 1.0 * 2.0)) < 1e-12
 
@@ -196,7 +195,7 @@ def test_number_difference_at_zero_phase_has_imaginary_coupling():
     assert abs(out.h[0, 3]) > 0.45
     # zero mean on correlated-thermal states (their cross moments are real)
     st = stats(out, hypothesis_pair(
-        SourceKind.CCT, ScenarioParams(kappa=0.3, n_s=1.0, n_i=2.0, n_b=0.5)).on)
+        make_cct(1.0, 2.0), ScenarioParams(kappa=0.3, n_s=1.0, n_i=2.0, n_b=0.5)).on)
     assert abs(st.mean) < 1e-12
 
 
@@ -210,7 +209,7 @@ def test_transform_identity():
 def test_transform_heisenberg_schroedinger_consistency():
     rng = np.random.RandomState(19)
     params = ScenarioParams(kappa=0.3, n_s=0.6, n_b=0.8)
-    state = hypothesis_pair(SourceKind.TMSV, params).on
+    state = hypothesis_pair(make_tmsv(params.n_s), params).on
     for _ in range(5):
         obs = random_observable(rng, 2)
         t = np.cos(rng.uniform(0, np.pi / 2))
@@ -265,7 +264,7 @@ def test_double_heterodyne_after_recombiner_rule(tmsv_pair):
 def test_heterodyne_rules_match_enlarged_mode_simulation():
     # the oracle writes the X X - P P readout's vacuum ancillas out by hand
     params = ScenarioParams(kappa=0.05, n_s=0.4, n_i=0.3, n_b=0.3)
-    pair = hypothesis_pair(SourceKind.TMSV, params)
+    pair = hypothesis_pair(make_tmsv(params.n_s), params)
     for state in (pair.on, pair.off):
         big = tensor(tensor(state, make_vacuum(1)), make_vacuum(1))
         sim = stats(orc.heterodyned_cross_observable(-1.0), big)
@@ -302,7 +301,7 @@ def test_heterodyne_keeps_c0_trace_and_vacuum_mean():
 
 def test_stats_pads_missing_modes_with_vacuum():
     rng = np.random.RandomState(29)
-    pair = hypothesis_pair(SourceKind.TMSV, ScenarioParams(kappa=0.2, n_s=1.3, n_b=2.1))
+    pair = hypothesis_pair(make_tmsv(1.3), ScenarioParams(kappa=0.2, n_s=1.3, n_b=2.1))
     displaced = tensor(make_coherent(0.7 - 0.4j), make_thermal(0.9))
     for state in (pair.on, pair.off, displaced, make_thermal(2.5)):
         for extra in (1, 2):
@@ -329,8 +328,7 @@ def test_char_fn_oracle_basics():
 def test_char_fn_oracle_squeeze_square():
     # <(a_S+ a_I+ + a_S a_I)^2> expanded into normal-ordered moments;
     # the derivative oracle is accurate on small-photon-number states
-    st = hypothesis_pair(SourceKind.TMSV,
-                         ScenarioParams(kappa=0.3, n_s=0.2, n_b=0.4)).on
+    st = hypothesis_pair(make_tmsv(0.2), ScenarioParams(kappa=0.3, n_s=0.2, n_b=0.4)).on
     total = (orc.char_fn_moment(st, (2, 2), (0, 0))
              + 2 * orc.char_fn_moment(st, (1, 1), (1, 1))
              + orc.char_fn_moment(st, (1, 0), (1, 0))
@@ -354,7 +352,7 @@ def test_wick_recursion_matches_engine(tmsv_pair):
 def test_means_are_real_on_physical_states():
     rng = np.random.RandomState(23)
     params = ScenarioParams(kappa=0.2, n_s=0.7, n_b=1.1)
-    states = [hypothesis_pair(SourceKind.TMSV, params).on,
+    states = [hypothesis_pair(make_tmsv(params.n_s), params).on,
               make_coherent(0.7 - 0.2j), make_thermal(0.4)]
     for st in states:
         out = stats(random_observable(rng, st.n_modes), st)

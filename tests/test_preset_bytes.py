@@ -1,7 +1,9 @@
 """Every preset's emitted bytes, pinned.
 
 ``data/preset_bytes.json`` holds, for each preset at 25 points under two
-scenarios, the CSV text and the SHA-256 of the JSON and SVG renderings.  A
+scenarios, and for the presets defined for a second noise model under that
+model at the defaults, the CSV text and the SHA-256 of the JSON and SVG
+renderings.  A
 refactor that keeps the numbers keeps these bytes; a CSV mismatch names the
 cells that moved.
 """
@@ -12,13 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from gillum import SweepConfig, run_figure
+from gillum import NoiseModel, SweepConfig, run_figure
 from gillum.emit import render
 from gillum.figures import FIGURE_NAMES
 
 DATA = Path(__file__).resolve().parent / "data" / "preset_bytes.json"
 POINTS = 25
-SCENARIOS = {"defaults": {}, "nb100-kappa0.1": {"n_b": 100.0, "kappa": 0.1}}
+SCENARIOS = {"defaults": {}, "nb100-kappa0.1": {"n_b": 100.0, "kappa": 0.1},
+             "noise-constant": {"noise": NoiseModel.CONSTANT},
+             "noise-nonconstant": {"noise": NoiseModel.NONCONSTANT}}
+CASES = [(figure, scenario) for figure in FIGURE_NAMES
+         for scenario in ("defaults", "nb100-kappa0.1")] + [
+    ("fig1", "noise-nonconstant"), ("fig3", "noise-constant"),
+    ("fig5a", "noise-nonconstant"), ("fig5b", "noise-nonconstant")]
 
 
 def _render(figure, scenario):
@@ -44,8 +52,7 @@ def _moved_cells(got: str, want: str) -> list:
     return moved
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("figure", FIGURE_NAMES)
+@pytest.mark.parametrize("figure, scenario", CASES)
 def test_preset_bytes_are_stable(figure, scenario):
     want = json.loads(DATA.read_text(encoding="utf-8"))[f"{figure}@{scenario}"]
     got = _render(figure, scenario)

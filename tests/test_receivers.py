@@ -16,9 +16,11 @@ from gillum import (
     NoiseModel,
     OPA_GAIN,
     ScenarioParams,
-    SourceKind,
     coherent_qcb_closed,
     hypothesis_pair,
+    make_cct,
+    make_coherent,
+    make_tmsv,
     obs_bound,
     obs_dh,
     obs_number_difference,
@@ -65,7 +67,7 @@ def test_nearly_bound_matches_engine_everywhere():
     for model in (NoiseModel.CONSTANT, NoiseModel.NONCONSTANT):
         for k, ns, nb in GRID:
             p = params_for(k, ns, nb, model=model)
-            pair = hypothesis_pair(SourceKind.TMSV, p)
+            pair = hypothesis_pair(make_tmsv(p.n_s), p)
             closed = snr_nearly_bound(p).snr
             generic = snr_generic(NEARLY_BOUND, pair, M).snr
             assert abs(closed - generic) <= 1e-10 * max(1.0, generic)
@@ -75,7 +77,7 @@ def test_bound_constant_matches_engine():
     for k, ns, nb in GRID:
         p = params_for(k, ns, nb)
         beta = optimal_beta_closed(p)
-        pair = hypothesis_pair(SourceKind.TMSV, p)
+        pair = hypothesis_pair(make_tmsv(p.n_s), p)
         closed = snr_bound_constant(p).snr
         generic = snr_generic(obs_bound(0.0, -beta), pair, M).snr
         assert abs(closed - generic) <= 1e-10 * max(1.0, generic)
@@ -85,7 +87,7 @@ def test_pc_dh_closed_match_engine_both_models():
     for model in (NoiseModel.CONSTANT, NoiseModel.NONCONSTANT):
         for k, ns, nb in GRID:
             p = params_for(k, ns, nb, model=model)
-            pair = hypothesis_pair(SourceKind.TMSV, p)
+            pair = hypothesis_pair(make_tmsv(p.n_s), p)
             pc_c = snr_closed_pc(p).snr
             pc_g = snr_generic(PC, pair, M).snr
             assert abs(pc_c - pc_g) <= 1e-10 * max(1.0, pc_g)
@@ -100,7 +102,7 @@ def test_opa_closed_form_printed_vs_engine_discrepancy():
     worst = 0.0
     for k, ns, nb in GRID:
         p = params_for(k, ns, nb)
-        pair = hypothesis_pair(SourceKind.TMSV, p)
+        pair = hypothesis_pair(make_tmsv(p.n_s), p)
         printed = snr_closed_opa(p).snr
         generic = snr_generic(OPA, pair, M).snr
         corrected = orc_opa_corrected_snr(p)
@@ -147,7 +149,7 @@ def test_cct_matches_engine():
         for k, ns, nb in GRID:
             p = ScenarioParams(kappa=k, n_s=ns, n_i=2 * ns, n_b=nb, m_modes=M,
                                noise_model=model)
-            pair = hypothesis_pair(SourceKind.CCT, p)
+            pair = hypothesis_pair(make_cct(p.n_s, p.n_i), p)
             closed = snr_cct(p).snr
             generic = snr_generic(obs_off(), pair, M).snr
             assert abs(closed - generic) <= 1e-10 * max(1.0, generic)
@@ -157,7 +159,7 @@ def test_pndm_receiver_equals_cross_correlation_receiver():
     # number difference after the 50:50 recombiner is the same measurement
     # as the cross correlation on the incoming modes (up to sign)
     p = ScenarioParams(kappa=0.02, n_s=1.0, n_i=2.0, n_b=30.0, m_modes=M)
-    pair = hypothesis_pair(SourceKind.CCT, p)
+    pair = hypothesis_pair(make_cct(p.n_s, p.n_i), p)
     pndm = snr_generic(PNDM, pair, M).snr
     direct = snr_generic(obs_off(), pair, M).snr
     assert abs(pndm - direct) <= 1e-10 * direct
@@ -166,28 +168,28 @@ def test_pndm_receiver_equals_cross_correlation_receiver():
 def test_coherent_hd_matches_engine():
     for model in (NoiseModel.CONSTANT, NoiseModel.NONCONSTANT):
         p = params_for(0.02, 0.5, 20.0, model=model)
-        pair = hypothesis_pair(SourceKind.COHERENT, p)
+        pair = hypothesis_pair(make_coherent(math.sqrt(p.n_s)), p)
         closed = snr_coherent_hd(p).snr
         generic = snr_generic(obs_quadrature(0, 0.0), pair, M).snr
         assert abs(closed - generic) <= 1e-12 * max(1.0, generic)
 
 
-@pytest.mark.parametrize("source,obs", [
-    (SourceKind.TMSV, NEARLY_BOUND),
-    (SourceKind.TMSV, PC),
-    (SourceKind.TMSV, OPA),
-    (SourceKind.TMSV, obs_dh()),
-    (SourceKind.TMSV, _HETERODYNE["separate HTD"]),
-    (SourceKind.TMSV, _HETERODYNE["dHTD after BS"]),
-    (SourceKind.TMSV, _HETERODYNE["HD product"]),
-    (SourceKind.CCT, obs_off()),
-    (SourceKind.CCT, PNDM),
-    (SourceKind.COHERENT, obs_quadrature(0, 0.0)),
+@pytest.mark.parametrize("probe,obs", [
+    (orc.tmsv_probe, NEARLY_BOUND),
+    (orc.tmsv_probe, PC),
+    (orc.tmsv_probe, OPA),
+    (orc.tmsv_probe, obs_dh()),
+    (orc.tmsv_probe, _HETERODYNE["separate HTD"]),
+    (orc.tmsv_probe, _HETERODYNE["dHTD after BS"]),
+    (orc.tmsv_probe, _HETERODYNE["HD product"]),
+    (orc.cct_probe, obs_off()),
+    (orc.cct_probe, PNDM),
+    (orc.coherent_probe, obs_quadrature(0, 0.0)),
 ], ids=["nearly_bound", "pc", "opa", "dh", "separate_htd", "double_htd", "hd_product",
         "cct_off", "pndm", "coherent_hd"])
-def test_zero_reflectance_gives_zero_snr_and_even_odds(source, obs):
+def test_zero_reflectance_gives_zero_snr_and_even_odds(probe, obs):
     p = ScenarioParams(kappa=0.0, n_s=0.5, n_i=0.7, n_b=3.0, m_modes=M)
-    pair = hypothesis_pair(source, p)
+    pair = hypothesis_pair(probe(p), p)
     rep = snr_generic(obs, pair, M)
     assert rep.snr < 1e-20
     assert p_err(rep.snr) == 0.5
@@ -343,7 +345,7 @@ def test_optimizer_stationary_over_wide_range(kappa, ns, nb):
     # (alpha, beta) cancel down from, and eps times their ratio is the
     # relative round-off of the variances the solver locates the optimum by.
     mags = snr_generic(obs_bound(abs(alpha), abs(beta)),
-                       hypothesis_pair(SourceKind.TMSV, p), M)
+                       hypothesis_pair(make_tmsv(p.n_s), p), M)
     noise = np.finfo(float).eps * max(mags.var_on / rep.var_on, mags.var_off / rep.var_off)
     assert max(abs(ga * alpha), abs(gb * beta)) < (1e-9 + noise) * rep.snr
 
@@ -352,7 +354,7 @@ def test_bound_nonconstant_matches_engine():
     rng = np.random.default_rng(8)
     for k, ns, nb in GRID:
         p = params_for(k, ns, nb, model=NoiseModel.NONCONSTANT)
-        pair = hypothesis_pair(SourceKind.TMSV, p)
+        pair = hypothesis_pair(make_tmsv(p.n_s), p)
         weights = rng.uniform(-3.0, 3.0, size=(2, 3))
         batch = snr_bound_nonconstant(p, weights[0], weights[1])
         for (a, b), value in zip(weights.T, batch):
@@ -367,7 +369,7 @@ def test_dh_is_closest_receiver_under_nonconstant_low_signal():
         bound = optimize_alpha_beta_nonconstant(p)[2].snr
         dh = snr_closed_dh(p).snr
         pc = snr_closed_pc(p).snr
-        opa = snr_generic(OPA, hypothesis_pair(SourceKind.TMSV, p), M).snr
+        opa = snr_generic(OPA, hypothesis_pair(make_tmsv(p.n_s), p), M).snr
         assert bound - dh < bound - pc
         assert bound - dh < bound - opa
 
@@ -431,7 +433,7 @@ def test_receiver_dominance_grid():
     for model in (NoiseModel.CONSTANT, NoiseModel.NONCONSTANT):
         for k, ns, nb in GRID:
             p = params_for(k, ns, nb, model=model)
-            pair = hypothesis_pair(SourceKind.TMSV, p)
+            pair = hypothesis_pair(make_tmsv(p.n_s), p)
             if model is NoiseModel.CONSTANT:
                 bound = snr_bound_constant(p).snr
             else:
@@ -450,7 +452,7 @@ def test_receiver_dominance_grid():
 def test_snr_invariant_under_observable_rescaling():
     rng = np.random.RandomState(31)
     p = params_for(0.05, 0.8, 5.0)
-    pair = hypothesis_pair(SourceKind.TMSV, p)
+    pair = hypothesis_pair(make_tmsv(p.n_s), p)
     base_obs = obs_bound(0.4, -0.2)
     base = snr_generic(base_obs, pair, M).snr
     for _ in range(5):
@@ -462,7 +464,7 @@ def test_snr_invariant_under_observable_rescaling():
 
 def test_snr_linear_in_mode_count():
     p = params_for(0.01, 1.0)
-    pair = hypothesis_pair(SourceKind.TMSV, p)
+    pair = hypothesis_pair(make_tmsv(p.n_s), p)
     one = snr_generic(NEARLY_BOUND, pair, 1).snr
     many = snr_generic(NEARLY_BOUND, pair, 12345).snr
     assert abs(many - 12345 * one) <= 1e-9 * many
@@ -483,7 +485,7 @@ def test_double_heterodyne_after_recombiner_equals_separate_heterodyne():
     for kappa in (1e-3, 0.01, 0.1):
         for nb in (1.0, 3.7, 30.0, 100.0):
             for ns in np.logspace(-2, 1, 7):
-                pair = hypothesis_pair(SourceKind.TMSV, params_for(kappa, float(ns), nb))
+                pair = hypothesis_pair(make_tmsv(float(ns)), params_for(kappa, float(ns), nb))
                 a = snr_generic(double, pair, M).snr
                 b = snr_generic(separate, pair, M).snr
                 assert abs(a - b) <= 1e-14 * b, (kappa, nb, ns)
