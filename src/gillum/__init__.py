@@ -56,7 +56,7 @@ from .receivers import (
     snr_nearly_bound,
 )
 from .chernoff import QcbResult, coherent_qcb_closed, qcb, williamson
-from .figures import Curve, CurveSet, SweepConfig, run_figure
+from .figures import CurveSet, SweepConfig, run_figure
 from .emit import emit, to_csv, to_json, to_svg
 
 __version__ = "0.1.0"

@@ -47,10 +47,11 @@ def _extremes(value):
 class ScenarioParams:
     """One experiment configuration, or a sweep: kappa, n_s, n_i as arrays of one shape.
 
-    kappa: target reflectance in [0, 1]; n_s / n_i / n_b: signal, idler and
-    background mean photon numbers; m_modes: number of independent mode pairs
-    measured, a whole number; noise_model: background convention.  Every
-    check is written so that nan fails it.
+    kappa: target reflectance in [0, 1], below 1 under constant noise;
+    n_s / n_i / n_b: signal, idler and background mean photon numbers;
+    m_modes: number of independent mode pairs measured, a whole number;
+    noise_model: background convention.  Every check is written so that nan
+    fails it.
     """
 
     kappa: float
@@ -65,6 +66,10 @@ class ScenarioParams:
             _extremes, (self.kappa, self.n_s, self.n_i))  # nan extremes for any nan entry
         if not (0.0 <= k_lo and k_hi <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")
+        if k_hi == 1.0 and self.noise_model is NoiseModel.CONSTANT:
+            raise ValueError(
+                "constant-noise channel is undefined at kappa = 1 "
+                "(environment mean n_b / (1 - kappa) diverges)")
         if not (0.0 <= s_lo and s_hi < math.inf and 0.0 <= i_lo and i_hi < math.inf
                 and 0.0 <= self.n_b < math.inf):
             raise ValueError("photon numbers must be finite and >= 0")
@@ -100,10 +105,6 @@ def apply_target(state: GaussianState, params: ScenarioParams,
     reflectance zero, which receives ``n_b`` in both conventions.
     """
     kappa = params.kappa if present else 0.0
-    if kappa >= 1.0 and params.noise_model is NoiseModel.CONSTANT:
-        raise ValueError(
-            "constant-noise channel is undefined at kappa = 1 "
-            "(environment mean n_b / (1 - kappa) diverges)")
     x = np.ones(2 * state.n_modes)
     x[:2] = np.sqrt(kappa)
     cov_n = state.cov_n * np.outer(x, x)

@@ -22,7 +22,8 @@ def _labels(text: str) -> tuple:
 # SweepConfig field it sets (None for output options), the parser applied to
 # flag and file values alike, the flag's help text and its choices.
 _OPTIONS = (
-    ("kappa", "kappa", float, "target reflectance", None),
+    ("kappa", "kappa", float,
+     "target reflectance (fig5a sweeps kappa, so there it is only validated)", None),
     ("nb", "n_b", float, "background mean photon number", None),
     ("ns_min", "sweep_min", float, "sweep lower edge (N_S, or kappa for fig5a)", None),
     ("ns_max", "sweep_max", float, "sweep upper edge", None),

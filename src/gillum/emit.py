@@ -22,12 +22,9 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def to_csv(curves: CurveSet) -> str:
-    x = curves.x
-    header = ",".join(["x"] + [c.label for c in curves.curves])
-    lines = [header]
-    for i in range(x.size):
-        row = [_FMT.format(x[i])] + [_FMT.format(c.y[i]) for c in curves.curves]
-        lines.append(",".join(row))
+    lines = [",".join(["x", *curves.curves])]
+    lines += [",".join(map(_FMT.format, row))
+              for row in zip(curves.x, *curves.curves.values())]
     return "\n".join(lines) + "\n"
 
 
@@ -37,11 +34,11 @@ def to_json(curves: CurveSet) -> str:
     The shared x is formatted once and paired with every curve's values."""
     x = [repr(float(_FMT.format(v))) for v in curves.x.tolist()]
     blocks = []
-    for c in curves.curves:
-        y = [repr(float(_FMT.format(v))) for v in c.y.tolist()]
+    for label, values in curves.curves.items():
+        y = [repr(float(_FMT.format(v))) for v in values.tolist()]
         points = ",\n".join(f"        [\n          {xv},\n          {yv}\n        ]"
                              for xv, yv in zip(x, y))
-        blocks.append(f'    {{\n      "label": {json.dumps(c.label)},\n'
+        blocks.append(f'    {{\n      "label": {json.dumps(label)},\n'
                       f'      "points": [\n{points}\n      ]\n    }}')
     return (f'{{\n  "x_label": {json.dumps(curves.x_label)},\n  "y_label": '
             f'{json.dumps(curves.y_label)},\n  "curves": [\n' + ",\n".join(blocks) + "\n  ]\n}\n")
@@ -68,7 +65,7 @@ def to_svg(curves: CurveSet) -> str:
     x = curves.x
     log_x = bool(np.all(x > 0) and x[-1] / x[0] >= 50)
     xv = np.log10(x) if log_x else x
-    ys = np.concatenate([c.y for c in curves.curves])
+    ys = np.concatenate(list(curves.curves.values()))
     y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
@@ -115,16 +112,16 @@ def to_svg(curves: CurveSet) -> str:
     parts.append(f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" font-size="13" '
                  f'text-anchor="middle" transform="rotate(-90 18 '
                  f'{_MARGIN_T + plot_h / 2:.1f})">{curves.y_label}</text>')
-    for k, c in enumerate(curves.curves):
+    for k, (label, y) in enumerate(curves.curves.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{px(vx):.2f},{py(vy):.2f}" for vx, vy in zip(xv, c.y))
+        pts = " ".join(f"{px(vx):.2f},{py(vy):.2f}" for vx, vy in zip(xv, y))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
         ly = _MARGIN_T + 18 + 18 * k
         lx = _MARGIN_L + plot_w + 12
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="11">{c.label}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="11">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

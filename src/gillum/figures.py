@@ -1,14 +1,14 @@
 """Parameter sweeps producing labeled curve sets for the standard comparisons.
 
-A preset is one row of ``_PRESETS``: a row function from the config and the
-whole sweep axis to {curve label: values}, the axis labels, the noise models
-it is defined for, and its default sweep range.  ``SweepConfig`` resolves the
-preset's defaults and checks its scenario once, before any row runs.  Closed
-forms take the axis as an array; the numerical engines run once per point,
-on probe states the row builds with ``make_tmsv``, ``make_cct`` and
-``make_coherent``.  Defaults follow the canonical working point kappa = 0.01,
-N_B = 30, M = 1e7 with 200 log-spaced sweep points.  Sweep evaluation is
-deterministic.
+A preset is one row of ``_PRESETS``: a row function, the ``ScenarioParams``
+field it sweeps (``_AXES`` gives that field's x label and default range), the
+y label and the noise models it is defined for.  ``SweepConfig.params`` is
+the whole sweep, checked once before any row runs, and a row maps it to
+{curve label: values}.  Closed forms take the sweep as arrays; the numerical
+engines run once per point, on probe states the row builds with
+``make_tmsv``, ``make_cct`` and ``make_coherent``.  Defaults follow the
+canonical working point kappa = 0.01, N_B = 30, M = 1e7 with 200 log-spaced
+sweep points.  Sweep evaluation is deterministic.
 """
 
 from __future__ import annotations
@@ -51,22 +51,14 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Curve:
-    """One receiver's values along its curve set's sweep axis."""
-
-    label: str
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
 class CurveSet:
-    """Curves on one sweep axis ``x``, held once: finite and increasing,
-    with one finite value per point on every curve."""
+    """Curves on one sweep axis ``x``, held once as {label: values}: ``x``
+    finite and increasing, with one finite value per point on every curve."""
 
     x_label: str
     y_label: str
     x: np.ndarray
-    curves: tuple
+    curves: dict
 
     def __post_init__(self):
         if not self.curves or self.x.size < 1:
@@ -75,18 +67,20 @@ class CurveSet:
             raise NumericalError("sweep axis contains non-finite values")
         if np.any(np.diff(self.x) <= 0):
             raise ConfigError("x values must increase")
-        for c in self.curves:
-            if c.y.size != self.x.size:
-                raise ConfigError(f"curve {c.label!r} has mismatched points")
-            if not np.all(np.isfinite(c.y)):
-                raise NumericalError(f"curve {c.label!r} contains non-finite values")
+        for label, y in self.curves.items():
+            if y.size != self.x.size:
+                raise ConfigError(f"curve {label!r} has mismatched points")
+            if not np.all(np.isfinite(y)):
+                raise NumericalError(f"curve {label!r} contains non-finite values")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Figure preset selection plus overrides.  An omitted sweep edge or
-    noise model takes the preset's default, and ``params`` is the scenario
-    every row starts from (n_s = 0), so a bad value fails here."""
+    noise model takes the preset's default.  ``params`` is the whole sweep:
+    the checked scenario (n_s = 0) with the preset's axis field set to the
+    log-spaced sweep, so a bad value or a sweep that leaves the valid range
+    fails here, before any row runs."""
 
     figure: str
     kappa: float = 0.01
@@ -105,10 +99,11 @@ class SweepConfig:
                 f"unknown figure {self.figure!r}; expected one of {FIGURE_NAMES}")
         if self.points < 2:
             raise ConfigError("points must be >= 2")
-        *_, models, (lo, hi) = _PRESETS[self.figure]
+        _, axis, _, models = _PRESETS[self.figure]
         noise = models[0] if self.noise is None else self.noise
         if noise not in models:
             raise ConfigError(f"{self.figure} is defined for {models[0].value} noise only")
+        lo, hi = _AXES[axis][1]
         lo = lo if self.sweep_min is None else self.sweep_min
         hi = hi if self.sweep_max is None else self.sweep_max
         if not (0 < lo < hi < math.inf):
@@ -116,87 +111,83 @@ class SweepConfig:
         try:
             params = ScenarioParams(kappa=self.kappa, n_s=0.0, n_b=self.n_b,
                                     m_modes=self.m_modes, noise_model=noise)
+            params = replace(params, **{axis: np.logspace(math.log10(lo), math.log10(hi),
+                                                          self.points)})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for name, value in (("noise", noise), ("sweep_min", lo), ("sweep_max", hi),
-                            ("params", params)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "params", params)
 
 
-def _points(config: SweepConfig, axis: str, xs) -> list:
-    """The config's scenario with its ``axis`` field at each x, one point each."""
-    return [replace(config.params, **{axis: x}) for x in xs]
+def _points(params: ScenarioParams) -> list:
+    """The sweep split into scalar points, kappa, n_s and n_i broadcast together."""
+    return [replace(params, kappa=k, n_s=s, n_i=i)
+            for k, s, i in np.broadcast(params.kappa, params.n_s, params.n_i)]
 
 
 def _qcb_exponent(probe: GaussianState, params: ScenarioParams) -> float:
-    """M-copy Chernoff exponent of ``probe`` at one point of the scenario."""
+    """M-copy Chernoff exponent of ``probe`` at the scenario's (scalar) kappa."""
     return qcb(hypothesis_pair(probe, params), params.m_modes).exponent
 
 
-def _coherent_baseline_snr(config: SweepConfig, ns):
+def _coherent_baseline_snr(params: ScenarioParams):
     """Coherent-probe bound as an equivalent SNR (M times the QCB exponent)."""
-    if config.noise is NoiseModel.CONSTANT:
-        return coherent_qcb_closed(replace(config.params, n_s=ns)).exponent
-    return np.array([_qcb_exponent(make_coherent(math.sqrt(n)), config.params) for n in ns])
+    if params.noise_model is NoiseModel.CONSTANT:
+        return coherent_qcb_closed(params).exponent
+    return np.array([_qcb_exponent(make_coherent(math.sqrt(n)), params) for n in params.n_s])
 
 
-def _qi_receiver_values(config: SweepConfig, ns) -> dict:
-    params = replace(config.params, n_s=ns)
-    coh = _coherent_baseline_snr(config, ns)
-    if config.noise is NoiseModel.CONSTANT:
+def _qi_receiver_values(params: ScenarioParams) -> dict:
+    if params.noise_model is NoiseModel.CONSTANT:
         ob = snr_bound_constant(params).snr
     else:
-        ob = np.array([optimize_alpha_beta_nonconstant(p)[2].snr
-                       for p in _points(config, "n_s", ns)])
-    return {"Coh": coh, "OB": ob, "nOB": snr_nearly_bound(params).snr,
-            "PC": snr_closed_pc(params).snr, "OPA": snr_closed_opa(params).snr,
-            "DH": snr_closed_dh(params).snr}
+        ob = np.array([optimize_alpha_beta_nonconstant(p)[2].snr for p in _points(params)])
+    return {"Coh": _coherent_baseline_snr(params), "OB": ob,
+            "nOB": snr_nearly_bound(params).snr, "PC": snr_closed_pc(params).snr,
+            "OPA": snr_closed_opa(params).snr, "DH": snr_closed_dh(params).snr}
 
 
-def _differences(config: SweepConfig, ns) -> dict:
-    vals = _qi_receiver_values(config, ns)
+def _differences(params: ScenarioParams) -> dict:
+    vals = _qi_receiver_values(params)
     return {"OB-Coh": vals["OB"] - vals["Coh"], "PC-Coh": vals["PC"] - vals["Coh"]}
 
 
-def _heterodyne_snrs(config: SweepConfig, ns) -> dict:
-    params = config.params
-    pairs = [hypothesis_pair(make_tmsv(n), params) for n in ns]
-    return {"Coh&HD": snr_coherent_hd(replace(params, n_s=ns)).snr, **{
+def _heterodyne_snrs(params: ScenarioParams) -> dict:
+    pairs = [hypothesis_pair(make_tmsv(n), params) for n in params.n_s]
+    return {"Coh&HD": snr_coherent_hd(params).snr, **{
         label: np.array([snr_generic(obs, pair, params.m_modes).snr for pair in pairs])
         for label, obs in _HETERODYNE.items()}}
 
 
-def _cct_over_kappa(config: SweepConfig, kappa) -> dict:
-    points = _points(config, "kappa", kappa)
+def _cct_over_kappa(params: ScenarioParams) -> dict:
+    points = _points(params)
     out = {}
     for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
         probe = make_cct(ns, ni)  # fixed along the kappa axis
         out[f"QCB N_S={ns:g} N_I={ni:g}"] = np.array([_qcb_exponent(probe, p) for p in points])
-        params = replace(config.params, kappa=kappa, n_s=ns, n_i=ni)
-        out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(params).snr
+        out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(replace(params, n_s=ns, n_i=ni)).snr
     return out
 
 
-def _cct_over_ns(config: SweepConfig, ns) -> dict:
+def _cct_over_ns(params: ScenarioParams) -> dict:
     return {
-        "CCT QCB": np.array([_qcb_exponent(make_cct(n, n), config.params) for n in ns]),
-        "CCT O_off": snr_cct(replace(config.params, n_s=ns, n_i=ns)).snr,
-        "Coh QCB": _coherent_baseline_snr(config, ns),
+        "CCT QCB": np.array([_qcb_exponent(make_cct(n, n), params) for n in params.n_s]),
+        "CCT O_off": snr_cct(replace(params, n_i=params.n_s)).snr,
+        "Coh QCB": _coherent_baseline_snr(params),
     }
 
 
-def _optimal_beta(config: SweepConfig, ns) -> dict:
-    return {"|beta|": optimal_beta_closed(replace(config.params, n_s=ns))}
+def _optimal_beta(params: ScenarioParams) -> dict:
+    return {"|beta|": optimal_beta_closed(params)}
 
 
-def _optimal_alpha_beta(config: SweepConfig, ns) -> dict:
-    weights = np.array([optimize_alpha_beta_nonconstant(p)[:2]
-                        for p in _points(config, "n_s", ns)])
+def _optimal_alpha_beta(params: ScenarioParams) -> dict:
+    weights = np.array([optimize_alpha_beta_nonconstant(p)[:2] for p in _points(params)])
     return {"alpha": weights[:, 0], "beta": weights[:, 1]}
 
 
 _CONSTANT, _NONCONSTANT = NoiseModel.CONSTANT, NoiseModel.NONCONSTANT
-_NS_AXIS, _KAPPA_AXIS = (1e-2, 10.0), (1e-3, 0.1)
+# the ScenarioParams field a preset sweeps -> its x label and default range
+_AXES = {"n_s": ("N_S", (1e-2, 10.0)), "kappa": ("kappa", (1e-3, 0.1))}
 # fig4's receiver observables on the signal, the idler and vacuum ancillas;
 # the double heterodyne follows a 50:50 recombiner, read in the Heisenberg
 # picture on the incoming modes
@@ -207,34 +198,32 @@ _HETERODYNE = {
     "separate HTD": heterodyne(obs_bound(0.0, 0.0)),
     "HD product": obs_hd_product(0.0, 0.0),
 }
-# preset -> (row, x label, y label, the noise models the preset is defined
-# for with its default first, default sweep range); the row maps the config
-# and the whole sweep axis to {curve label: values}
+# preset -> (row, the ScenarioParams field it sweeps, y label, the noise
+# models the preset is defined for with its default first); the row maps the
+# whole sweep, SweepConfig.params, to {curve label: values}
 _PRESETS = {
-    "fig1": (_qi_receiver_values, "N_S", "SNR", (_CONSTANT, _NONCONSTANT), _NS_AXIS),
-    "fig2": (_differences, "N_S", "SNR difference", (_CONSTANT,), _NS_AXIS),
-    "fig3": (_qi_receiver_values, "N_S", "SNR", (_NONCONSTANT, _CONSTANT), _NS_AXIS),
-    "fig4": (_heterodyne_snrs, "N_S", "SNR", (_CONSTANT,), _NS_AXIS),
-    "fig5a": (_cct_over_kappa, "kappa", "SNR", (_CONSTANT, _NONCONSTANT), _KAPPA_AXIS),
-    "fig5b": (_cct_over_ns, "N_S", "SNR", (_CONSTANT, _NONCONSTANT), _NS_AXIS),
-    "s1": (_optimal_beta, "N_S", "|beta|", (_CONSTANT,), _NS_AXIS),
-    "s2": (_optimal_alpha_beta, "N_S", "optimal weight", (_NONCONSTANT,), _NS_AXIS),
+    "fig1": (_qi_receiver_values, "n_s", "SNR", (_CONSTANT, _NONCONSTANT)),
+    "fig2": (_differences, "n_s", "SNR difference", (_CONSTANT,)),
+    "fig3": (_qi_receiver_values, "n_s", "SNR", (_NONCONSTANT, _CONSTANT)),
+    "fig4": (_heterodyne_snrs, "n_s", "SNR", (_CONSTANT,)),
+    "fig5a": (_cct_over_kappa, "kappa", "SNR", (_CONSTANT, _NONCONSTANT)),
+    "fig5b": (_cct_over_ns, "n_s", "SNR", (_CONSTANT, _NONCONSTANT)),
+    "s1": (_optimal_beta, "n_s", "|beta|", (_CONSTANT,)),
+    "s2": (_optimal_alpha_beta, "n_s", "optimal weight", (_NONCONSTANT,)),
 }
 FIGURE_NAMES = tuple(_PRESETS)
 
 
 def run_figure(config: SweepConfig) -> CurveSet:
     """Run one figure preset and return its deterministic curve set: the
-    preset's row is called once on the log-spaced axis, and each selected
-    label becomes a curve."""
-    row, x_label, y_label, *_ = _PRESETS[config.figure]
-    xs = np.logspace(math.log10(config.sweep_min), math.log10(config.sweep_max),
-                     config.points)
-    values = row(config, xs)
+    preset's row is called once on the whole sweep, ``config.params``, and
+    each selected label becomes a curve."""
+    row, axis, y_label, _ = _PRESETS[config.figure]
+    values = row(config.params)
     if config.receivers:
         unknown = [r for r in config.receivers if r not in values]
         if unknown:
             raise ConfigError(f"unknown receivers {unknown}; available: {sorted(values)}")
-    return CurveSet(x_label, y_label, xs, tuple(
-        Curve(label, np.asarray(y, dtype=float)) for label, y in values.items()
-        if not config.receivers or label in config.receivers))
+    return CurveSet(_AXES[axis][0], y_label, getattr(config.params, axis), {
+        label: np.asarray(y, dtype=float) for label, y in values.items()
+        if not config.receivers or label in config.receivers})

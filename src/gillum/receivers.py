@@ -48,7 +48,6 @@ class SnrReport:
     gap: float
     var_on: float
     var_off: float
-    m_modes: float
     snr: float
 
 
@@ -73,7 +72,7 @@ def _report(gap: float, var_on: float, var_off: float, m_modes: float) -> SnrRep
     else:  # zero noise: SNR 0 for a zero gap and inf otherwise
         with np.errstate(divide="ignore", invalid="ignore"):
             snr = np.where(gap == 0, 0.0, m_modes * gap * gap / denom)[()]
-    return SnrReport(gap, var_on, var_off, m_modes, snr)
+    return SnrReport(gap, var_on, var_off, snr)
 
 
 def snr_generic(obs: QuadraticObservable, pair: HypothesisPair, m_modes: float) -> SnrReport:
@@ -167,8 +166,8 @@ def snr_bound_constant(params: ScenarioParams) -> SnrReport:
     """
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("snr_bound_constant requires the constant noise model")
-    live = params.kappa * params.n_s > 0  # evaluated at kappa = n_s = 1 elsewhere
-    live_params = replace(params, kappa=np.where(live, params.kappa, 1.0),
+    live = params.kappa * params.n_s > 0  # evaluated at kappa = 0.5, n_s = 1 elsewhere
+    live_params = replace(params, kappa=np.where(live, params.kappa, 0.5),
                           n_s=np.where(live, params.n_s, 1.0))
     beta_abs = np.where(live, optimal_beta_closed(live_params), 0.0)[()]
     return _bound_report(params, 0.0, -beta_abs)

@@ -227,8 +227,7 @@ def test_criterion_07_split_thermal_receiver_attains_bound():
 
 def test_criterion_08_coherent_homodyne_beats_heterodyned_entangled():
     cs = run_figure(SweepConfig(figure="fig4"))
-    by = {c.label: c.y for c in cs.curves}
-    margins = {label: float(np.min(by["Coh&HD"] - by[label]))
+    margins = {label: float(np.min(cs.curves["Coh&HD"] - cs.curves[label]))
                for label in ("dHTD after BS", "separate HTD", "HD product")}
     report(8, "PASS coherent homodyne above every heterodyne variant at all "
               f"{cs.x.size} sweep points (min margins "

@@ -187,11 +187,9 @@ def test_apply_target_matches_beam_splitter_circuit():
 
 
 def test_constant_model_rejects_unit_reflectance():
-    params = ScenarioParams(kappa=1.0, n_s=0.5, n_b=1.0)
-    with pytest.raises(ValueError):
-        apply_target(make_tmsv(0.5), params, present=True)
-    # absent never raises
-    apply_target(make_tmsv(0.5), params, present=False)
+    for kappa in (1.0, np.array([0.5, 1.0, 0.25])):
+        with pytest.raises(ValueError, match="undefined at kappa = 1"):
+            ScenarioParams(kappa=kappa, n_s=0.5, n_b=1.0)
 
 
 def test_nonconstant_model_allows_unit_reflectance():

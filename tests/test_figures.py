@@ -11,7 +11,7 @@ import pytest
 
 from gillum import CurveSet, SweepConfig, run_figure, to_csv, to_json, to_svg
 from gillum.emit import emit
-from gillum.figures import ConfigError, Curve, NumericalError
+from gillum.figures import ConfigError, NumericalError
 
 
 # child interpreters find the checkout's package without an install
@@ -27,63 +27,56 @@ def small(figure, **kw):
 
 def test_fig1_labels_and_ordering():
     cs = small("fig1")
-    labels = [c.label for c in cs.curves]
-    assert labels == ["Coh", "OB", "nOB", "PC", "OPA", "DH"]
-    by = {c.label: c.y for c in cs.curves}
-    assert np.all(by["OB"] >= by["nOB"] - 1e-9 * by["OB"])
-    assert np.all(by["OB"] >= by["PC"] - 1e-9 * by["OB"])
+    assert list(cs.curves) == ["Coh", "OB", "nOB", "PC", "OPA", "DH"]
+    assert np.all(cs.curves["OB"] >= cs.curves["nOB"] - 1e-9 * cs.curves["OB"])
+    assert np.all(cs.curves["OB"] >= cs.curves["PC"] - 1e-9 * cs.curves["OB"])
 
 
 def test_fig2_difference_curves():
     cs = small("fig2")
-    assert [c.label for c in cs.curves] == ["OB-Coh", "PC-Coh"]
-    by = {c.label: c.y for c in cs.curves}
-    assert np.all(by["OB-Coh"] >= by["PC-Coh"] - 1e-9)
+    assert list(cs.curves) == ["OB-Coh", "PC-Coh"]
+    assert np.all(cs.curves["OB-Coh"] >= cs.curves["PC-Coh"] - 1e-9)
 
 
 def test_fig2_gap_values_at_bright_signal():
     # a sweep whose first point sits exactly at N_S = 7
     cs = run_figure(SweepConfig(figure="fig2", points=2,
                                 sweep_min=7.0, sweep_max=10.0))
-    by = {c.label: c.y[0] for c in cs.curves}
+    by = {label: y[0] for label, y in cs.curves.items()}
     assert abs(by["OB-Coh"] - 376.0) <= 37.6
     assert abs(by["PC-Coh"] - 185.0) <= 18.5
 
 
 def test_fig3_nonconstant_bound_dominates():
     cs = small("fig3", points=8)
-    by = {c.label: c.y for c in cs.curves}
     for other in ("nOB", "PC", "OPA", "DH"):
-        assert np.all(by["OB"] >= by[other] * (1 - 1e-9))
+        assert np.all(cs.curves["OB"] >= cs.curves[other] * (1 - 1e-9))
 
 
 def test_fig4_coherent_outperforms_heterodyne_variants():
     cs = small("fig4", points=16)
-    by = {c.label: c.y for c in cs.curves}
     for label in ("dHTD after BS", "separate HTD", "HD product"):
-        assert np.all(by["Coh&HD"] > by[label])
+        assert np.all(cs.curves["Coh&HD"] > cs.curves[label])
 
 
 def test_fig5a_bound_attainment():
     cs = small("fig5a", points=10)
-    by = {c.label: c.y for c in cs.curves}
     for ns, ni in ((1, 1), (1, 2)):
-        q = by[f"QCB N_S={ns:g} N_I={ni:g}"]
-        o = by[f"O_off N_S={ns:g} N_I={ni:g}"]
+        q = cs.curves[f"QCB N_S={ns:g} N_I={ni:g}"]
+        o = cs.curves[f"O_off N_S={ns:g} N_I={ni:g}"]
         assert np.max(np.abs(o / q - 1)) <= 0.10
 
 
 def test_fig5b_coherent_bound_on_top():
     cs = small("fig5b", points=8)
-    by = {c.label: c.y for c in cs.curves}
-    assert np.all(by["Coh QCB"] >= by["CCT QCB"] * (1 - 1e-9))
+    assert np.all(cs.curves["Coh QCB"] >= cs.curves["CCT QCB"] * (1 - 1e-9))
 
 
 def test_s1_matches_closed_form():
     from gillum import ScenarioParams, optimal_beta_closed
 
     cs = small("s1", points=6)
-    for x, y in zip(cs.x, cs.curves[0].y):
+    for x, y in zip(cs.x, cs.curves["|beta|"]):
         p = ScenarioParams(kappa=0.01, n_s=float(x), n_b=30.0)
         assert abs(y - optimal_beta_closed(p)) < 1e-12
 
@@ -98,7 +91,7 @@ def test_s1_cells_are_correctly_rounded(kappa, n_b):
     eps = np.finfo(float).eps
     with mp.workdps(50):
         k, nb = mp.mpf(kappa), mp.mpf(n_b)
-        for x, y, row in zip(cs.x, cs.curves[0].y, rows):
+        for x, y, row in zip(cs.x, cs.curves["|beta|"], rows):
             ns = mp.mpf(float(x))
             f = 1 + ns + nb + 2 * ns * nb
             ref = (1 + 2 * ns) / mp.sqrt(k * ns * (ns + 1) ** 3) * (
@@ -110,13 +103,13 @@ def test_s1_cells_are_correctly_rounded(kappa, n_b):
 
 def test_s2_emits_optimizer_curves():
     cs = small("s2", points=5)
-    assert [c.label for c in cs.curves] == ["alpha", "beta"]
-    assert np.all(cs.curves[0].y < 0)
+    assert list(cs.curves) == ["alpha", "beta"]
+    assert np.all(cs.curves["alpha"] < 0)
 
 
 def test_receiver_subset_selection():
     cs = small("fig1", receivers=("OB", "DH"))
-    assert [c.label for c in cs.curves] == ["OB", "DH"]
+    assert list(cs.curves) == ["OB", "DH"]
     with pytest.raises(ConfigError):
         small("fig1", receivers=("never-heard-of-it",))
 
@@ -132,22 +125,24 @@ def test_config_validation():
         SweepConfig(figure="fig1", sweep_min=20.0)
     with pytest.raises(ConfigError):
         SweepConfig(figure="fig1", n_b=float("nan"))
+    with pytest.raises(ConfigError):  # fig5a's kappa sweep would leave [0, 1]
+        SweepConfig(figure="fig5a", sweep_max=2.0)
 
 
 def test_curveset_rejects_empty_and_nonfinite():
     x = np.array([1.0, 2.0])
     with pytest.raises(ConfigError):
-        CurveSet("x", "y", x, ())
+        CurveSet("x", "y", x, {})
     with pytest.raises(ConfigError):
-        CurveSet("x", "y", np.array([]), (Curve("c", np.array([])),))
+        CurveSet("x", "y", np.array([]), {"c": np.array([])})
     with pytest.raises(NumericalError, match="curve 'c' contains non-finite values"):
-        CurveSet("x", "y", x, (Curve("c", np.array([1.0, np.inf])),))
+        CurveSet("x", "y", x, {"c": np.array([1.0, np.inf])})
     with pytest.raises(NumericalError):
-        CurveSet("x", "y", np.array([1.0, np.nan]), (Curve("c", np.array([1.0, 1.0])),))
+        CurveSet("x", "y", np.array([1.0, np.nan]), {"c": np.array([1.0, 1.0])})
     with pytest.raises(ConfigError):
-        CurveSet("x", "y", x[::-1], (Curve("c", np.array([1.0, 1.0])),))
+        CurveSet("x", "y", x[::-1], {"c": np.array([1.0, 1.0])})
     with pytest.raises(ConfigError):
-        CurveSet("x", "y", x, (Curve("c", np.array([1.0, 1.0, 1.0])),))
+        CurveSet("x", "y", x, {"c": np.array([1.0, 1.0, 1.0])})
 
 
 def test_emit_rejects_before_writing(tmp_path):
@@ -165,11 +160,11 @@ def test_csv_round_trip(tmp_path):
     header = rows[0].split(",")
     assert header[0] == "x"
     data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    for k, curve in enumerate(cs.curves):
-        assert header[k + 1] == curve.label
+    for k, (label, y) in enumerate(cs.curves.items()):
+        assert header[k + 1] == label
         assert np.max(np.abs(data[:, 0] - cs.x) / np.abs(cs.x)) < 1e-10
-        assert np.max(np.abs(data[:, k + 1] - curve.y)
-                      / np.maximum(np.abs(curve.y), 1e-300)) < 1e-10
+        assert np.max(np.abs(data[:, k + 1] - y)
+                      / np.maximum(np.abs(y), 1e-300)) < 1e-10
 
 
 def test_json_mirrors_curves(tmp_path):
@@ -178,17 +173,17 @@ def test_json_mirrors_curves(tmp_path):
     emit(cs, "json", str(path))
     payload = json.loads(path.read_text())
     assert payload["x_label"] == cs.x_label
-    assert [c["label"] for c in payload["curves"]] == [c.label for c in cs.curves]
+    assert [c["label"] for c in payload["curves"]] == list(cs.curves)
     got = np.array(payload["curves"][0]["points"])
-    assert np.max(np.abs(got[:, 1] - cs.curves[0].y)
-                  / np.abs(cs.curves[0].y)) < 1e-10
+    assert np.max(np.abs(got[:, 1] - cs.curves["CCT QCB"])
+                  / np.abs(cs.curves["CCT QCB"])) < 1e-10
 
 
 def test_svg_structure():
-    two_point = CurveSet("x", "y", np.array([1.0, 2.0]), (
-        Curve("a", np.array([0.5, 1.5])),
-        Curve("b", np.array([1.0, 2.0])),
-    ))
+    two_point = CurveSet("x", "y", np.array([1.0, 2.0]), {
+        "a": np.array([0.5, 1.5]),
+        "b": np.array([1.0, 2.0]),
+    })
     svg = to_svg(two_point)
     assert svg.count("<polyline") == 2
     first = svg.split("<polyline")[1].split('points="')[1].split('"')[0]
@@ -287,6 +282,16 @@ def test_cli_rejects_nonfinite_scenario(option, value):
     assert res.stderr.startswith("error: ") and res.stdout == ""
 
 
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "fig5a", "fig5b", "s1"])
+def test_cli_rejects_constant_noise_unit_reflectance(figure, capsys):
+    from gillum import cli as climod
+
+    # every preset defined for constant noise, fig5a too although it sweeps kappa
+    assert climod.main(["figure", figure, "--noise", "constant", "--kappa", "1",
+                        "--points", "3"]) == 2
+    assert "undefined at kappa = 1" in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     from gillum import cli as climod
 
@@ -323,15 +328,15 @@ def test_json_equals_the_standard_encoder():
     from gillum.emit import _FMT
 
     x = np.logspace(-2, 1, 7)
-    cs = CurveSet('x "quoted"', "back\\slash κ", x, (
-        Curve('say "hi"', np.sin(x) * 1e300),
-        Curve("a\\b é中 \U0001f600 \n\t", -np.exp(-x) * 1e-300),
-        Curve("plain", np.array([0.0, -0.0, 1.0, 123456789012345.0, 1e16, 3.0, 0.1]))))
+    cs = CurveSet('x "quoted"', "back\\slash κ", x, {
+        'say "hi"': np.sin(x) * 1e300,
+        "a\\b é中 \U0001f600 \n\t": -np.exp(-x) * 1e-300,
+        "plain": np.array([0.0, -0.0, 1.0, 123456789012345.0, 1e16, 3.0, 0.1])})
     payload = {
         "x_label": cs.x_label,
         "y_label": cs.y_label,
-        "curves": [{"label": c.label,
+        "curves": [{"label": label,
                     "points": [[float(_FMT.format(a)), float(_FMT.format(b))]
-                               for a, b in zip(cs.x, c.y)]} for c in cs.curves],
+                               for a, b in zip(cs.x, y)]} for label, y in cs.curves.items()],
     }
     assert to_json(cs) == json.dumps(payload, indent=2) + "\n"
