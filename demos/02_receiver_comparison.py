@@ -31,14 +31,14 @@ print(f"{'N_S':>8} {'coherent':>10} {'bound':>10} {'nearly':>10} "
 for ns in (0.01, 0.1, 1.0, 7.0):
     p = ScenarioParams(kappa=0.01, n_s=ns, n_b=30.0, m_modes=M)
     pair = hypothesis_pair(make_tmsv(ns), p)
-    opa = snr_generic(obs_opa(OPA_GAIN), pair, M).snr
+    opa = snr_generic(obs_opa(OPA_GAIN), pair, M)
     print(f"{ns:8.2f} {coherent_qcb_closed(p).exponent:10.2f} "
-          f"{snr_bound_constant(p).snr:10.2f} {snr_nearly_bound(p).snr:10.2f} "
-          f"{snr_closed_pc(p).snr:10.2f} {opa:10.2f} {snr_closed_dh(p).snr:10.2f}")
+          f"{snr_bound_constant(p):10.2f} {snr_nearly_bound(p):10.2f} "
+          f"{snr_closed_pc(p):10.2f} {opa:10.2f} {snr_closed_dh(p):10.2f}")
 
 p7 = ScenarioParams(kappa=0.01, n_s=7.0, n_b=30.0, m_modes=M)
-gap_bound = snr_bound_constant(p7).snr - coherent_qcb_closed(p7).exponent
-gap_pc = snr_closed_pc(p7).snr - coherent_qcb_closed(p7).exponent
+gap_bound = snr_bound_constant(p7) - coherent_qcb_closed(p7).exponent
+gap_pc = snr_closed_pc(p7) - coherent_qcb_closed(p7).exponent
 print(f"\nat N_S = 7 the bound receiver leads the coherent baseline by "
       f"{gap_bound:.0f} while the PC receiver leads by {gap_pc:.0f}")
 

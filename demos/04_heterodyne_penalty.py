@@ -48,10 +48,10 @@ for ns in (0.01, 0.1, 1.0, 10.0):
     pp = ScenarioParams(kappa=0.01, n_s=ns, n_b=30.0, m_modes=M)
     pr = hypothesis_pair(make_tmsv(ns), pp)
     row = (
-        snr_nearly_bound(pp).snr,
-        snr_generic(separate, pr, M).snr,
-        snr_generic(double, pr, M).snr,
-        snr_coherent_hd(pp).snr,
+        snr_nearly_bound(pp),
+        snr_generic(separate, pr, M),
+        snr_generic(double, pr, M),
+        snr_coherent_hd(pp),
     )
     print(f"{ns:8.2f} {row[0]:10.2f} {row[1]:13.2f} {row[2]:13.2f} {row[3]:12.2f}")
 

@@ -27,7 +27,7 @@ probe = make_cct(1.0, 1.0)  # one split thermal beam, N_S = N_I = 1, for every k
 print(f"{'kappa':>8} {'cross-corr SNR':>15} {'pair QCB':>10} {'gap':>7}")
 for kappa in (0.001, 0.003, 0.01, 0.03, 0.1):
     p = ScenarioParams(kappa=kappa, n_s=1.0, n_i=1.0, n_b=30.0, m_modes=M)
-    snr = snr_cct(p).snr
+    snr = snr_cct(p)
     bound = qcb(hypothesis_pair(probe, p), M).exponent
     print(f"{kappa:8.3f} {snr:15.2f} {bound:10.2f} {abs(snr/bound-1):7.2%}")
 
@@ -36,13 +36,13 @@ p = ScenarioParams(kappa=0.01, n_s=1.0, n_i=1.0, n_b=30.0, m_modes=M)
 pair = hypothesis_pair(probe, p)
 half = 1 / math.sqrt(2)  # a 50:50 recombiner, read in the Heisenberg picture
 pndm_obs = transform_by_beam_splitter(obs_number_difference(), half, half, math.pi / 2)
-pndm = snr_generic(pndm_obs, pair, M).snr
-print(f"  cross correlation: {snr_cct(p).snr:.6f}   number difference: {pndm:.6f}")
+pndm = snr_generic(pndm_obs, pair, M)
+print(f"  cross correlation: {snr_cct(p):.6f}   number difference: {pndm:.6f}")
 
 print(f"\n{'N_I':>8} {'SNR':>10} {'coherent bound':>15}")
 for ni in (0.5, 1.0, 5.0, 50.0, 500.0):
     p = ScenarioParams(kappa=0.01, n_s=1.0, n_i=ni, n_b=30.0, m_modes=M)
-    print(f"{ni:8.1f} {snr_cct(p).snr:10.2f} "
+    print(f"{ni:8.1f} {snr_cct(p):10.2f} "
           f"{coherent_qcb_closed(p).exponent:15.2f}")
 print("\na brighter reference buys more correlation; in the strong-reference")
 print("limit the split-thermal receiver approaches the coherent-probe bound.")

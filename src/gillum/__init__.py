@@ -41,7 +41,6 @@ from .observables import (
 )
 from .receivers import (
     OPA_GAIN,
-    SnrReport,
     optimal_beta_closed,
     optimize_alpha_beta_nonconstant,
     p_err,

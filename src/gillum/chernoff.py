@@ -40,7 +40,6 @@ _UNIT = np.linspace(0.0, 1.0, _BRACKET)
 # least-squares coefficients (a3, a2, a1, a0) of a3 t^3 + a2 t^2 + a1 t + a0
 # through the bracket's samples, t running over [-1, 1]
 _CUBIC_FIT = np.linalg.pinv(np.vander(2.0 * _UNIT - 1.0, 4))
-_MEAN_SHORTCUT = 1e-14
 _PURE_TOL = 16 * np.finfo(float).eps  # round-off units of a pure mode's 2 nu
 
 
@@ -122,9 +121,8 @@ class _PairData:
             self.log_ratio = np.log1p(-2.0 / (nu + 1.0))
         self.half_sum = (nu + 1.0) / 2.0
         self.is_on = np.arange(2 * self.n) < self.n
-        self.delta = math.sqrt(2.0) * (pair.on.mean_q - pair.off.mean_q)
-        if np.linalg.norm(self.delta) < _MEAN_SHORTCUT:
-            self.delta = None
+        delta = math.sqrt(2.0) * (pair.on.mean_q - pair.off.mean_q)
+        self.delta = delta if delta.any() else None  # no displacement: skip the solve
 
     def overlap(self, s):
         """Single-copy Q_s, clamped to at most 1, at every s of a scalar or array."""

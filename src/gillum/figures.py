@@ -138,12 +138,12 @@ def _coherent_baseline_snr(params: ScenarioParams):
 
 def _qi_receiver_values(params: ScenarioParams) -> dict:
     if params.noise_model is NoiseModel.CONSTANT:
-        ob = snr_bound_constant(params).snr
+        ob = snr_bound_constant(params)
     else:
-        ob = np.array([optimize_alpha_beta_nonconstant(p)[2].snr for p in _points(params)])
+        ob = np.array([optimize_alpha_beta_nonconstant(p)[2] for p in _points(params)])
     return {"Coh": _coherent_baseline_snr(params), "OB": ob,
-            "nOB": snr_nearly_bound(params).snr, "PC": snr_closed_pc(params).snr,
-            "OPA": snr_closed_opa(params).snr, "DH": snr_closed_dh(params).snr}
+            "nOB": snr_nearly_bound(params), "PC": snr_closed_pc(params),
+            "OPA": snr_closed_opa(params), "DH": snr_closed_dh(params)}
 
 
 def _differences(params: ScenarioParams) -> dict:
@@ -153,8 +153,8 @@ def _differences(params: ScenarioParams) -> dict:
 
 def _heterodyne_snrs(params: ScenarioParams) -> dict:
     pairs = [hypothesis_pair(make_tmsv(n), params) for n in params.n_s]
-    return {"Coh&HD": snr_coherent_hd(params).snr, **{
-        label: np.array([snr_generic(obs, pair, params.m_modes).snr for pair in pairs])
+    return {"Coh&HD": snr_coherent_hd(params), **{
+        label: np.array([snr_generic(obs, pair, params.m_modes) for pair in pairs])
         for label, obs in _HETERODYNE.items()}}
 
 
@@ -164,14 +164,14 @@ def _cct_over_kappa(params: ScenarioParams) -> dict:
     for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
         probe = make_cct(ns, ni)  # fixed along the kappa axis
         out[f"QCB N_S={ns:g} N_I={ni:g}"] = np.array([_qcb_exponent(probe, p) for p in points])
-        out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(replace(params, n_s=ns, n_i=ni)).snr
+        out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(replace(params, n_s=ns, n_i=ni))
     return out
 
 
 def _cct_over_ns(params: ScenarioParams) -> dict:
     return {
         "CCT QCB": np.array([_qcb_exponent(make_cct(n, n), params) for n in params.n_s]),
-        "CCT O_off": snr_cct(replace(params, n_i=params.n_s)).snr,
+        "CCT O_off": snr_cct(replace(params, n_i=params.n_s)),
         "Coh QCB": _coherent_baseline_snr(params),
     }
 

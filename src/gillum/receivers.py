@@ -7,10 +7,11 @@ discrimination error is minimized at
     SNR = M (<O>_on - <O>_off)^2 / (2 (sqrt(Var_on) + sqrt(Var_off))^2),
     P_err = erfc(sqrt(SNR)) / 2.
 
-This module evaluates any receiver through the generic observable engine and
-provides the closed-form expressions for the standard receivers, the optimal
-idler weight for constant noise, and the two-parameter optimization needed
-under nonconstant noise.
+Every receiver returns this M-mode SNR: a float for one point, an array for
+a sweep.  This module evaluates any receiver through the generic observable
+engine and provides the closed-form expressions for the standard receivers,
+the optimal idler weight for constant noise, and the two-parameter
+optimization needed under nonconstant noise.
 
 The bound observable O = alpha n_S + beta n_I + gamma S (S the squeeze
 correlation) is a vector x = (alpha, beta, gamma) in the basis
@@ -28,7 +29,7 @@ x(lam) = (lam G_on + (1 - lam) G_off)^-1 d (Ann. Math. Statist. 33, 420
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,48 +41,36 @@ PC_NU = 1.0
 OPA_GAIN = 1.0 + 7.4e-5  # implementable amplifier gain
 
 
-@dataclass(frozen=True)
-class SnrReport:
-    """A receiver's per-mode mean gap <O>_on - <O>_off and on/off variances,
-    and the M-mode SNR they give; arrays for a sweep."""
-
-    gap: float
-    var_on: float
-    var_off: float
-    snr: float
-
-
 def p_err(snr: float) -> float:
     """Minimum discrimination error erfc(sqrt(SNR))/2.
 
     Decreases from 1/2 at SNR = 0; underflows to 0 for SNR beyond roughly 7e2.
     """
-    if snr < 0:
+    if not snr >= 0:  # nan fails too
         raise ValueError("snr must be >= 0")
     return 0.5 * math.erfc(math.sqrt(snr))
 
 
-def _report(gap: float, var_on: float, var_off: float, m_modes: float) -> SnrReport:
-    """SnrReport from per-mode statistics; callers form ``gap`` = <O>_on -
+def _snr(gap: float, var_on: float, var_off: float, m_modes: float) -> float:
+    """M-mode SNR from per-mode statistics; callers form ``gap`` = <O>_on -
     <O>_off without cancellation where they can.  Elementwise over arrays."""
     s_on = np.sqrt(np.maximum(var_on, 0.0))
     s_off = np.sqrt(np.maximum(var_off, 0.0))
     denom = 2.0 * (s_on + s_off) ** 2
     if (denom > 0).all():
-        snr = m_modes * gap * gap / denom
-    else:  # zero noise: SNR 0 for a zero gap and inf otherwise
-        with np.errstate(divide="ignore", invalid="ignore"):
-            snr = np.where(gap == 0, 0.0, m_modes * gap * gap / denom)[()]
-    return SnrReport(gap, var_on, var_off, snr)
+        return m_modes * gap * gap / denom
+    # zero noise: SNR 0 for a zero gap and inf otherwise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap == 0, 0.0, m_modes * gap * gap / denom)[()]
 
 
-def snr_generic(obs: QuadraticObservable, pair: HypothesisPair, m_modes: float) -> SnrReport:
+def snr_generic(obs: QuadraticObservable, pair: HypothesisPair, m_modes: float) -> float:
     """SNR of measuring ``obs`` on every mode pair, through the moment engine.
 
     Modes of ``obs`` beyond the pair's are vacuum ancillas (see ``stats``).
     """
     on, off = stats(obs, pair.on), stats(obs, pair.off)
-    return _report(on.mean - off.mean, on.variance, off.variance, m_modes)
+    return _snr(on.mean - off.mean, on.variance, off.variance, m_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +120,13 @@ def _bound_moments(params: ScenarioParams, alpha, beta):
     return gap, var_on, var_off
 
 
-def _bound_report(params: ScenarioParams, alpha: float, beta: float) -> SnrReport:
-    return _report(*_bound_moments(params, alpha, beta), params.m_modes)
+def _bound_snr(params: ScenarioParams, alpha, beta):
+    return _snr(*_bound_moments(params, alpha, beta), params.m_modes)
 
 
-def snr_nearly_bound(params: ScenarioParams) -> SnrReport:
+def snr_nearly_bound(params: ScenarioParams) -> float:
     """SNR of the bare squeeze-correlation observable (alpha = beta = 0)."""
-    return _bound_report(params, 0.0, 0.0)
+    return _bound_snr(params, 0.0, 0.0)
 
 
 def optimal_beta_closed(params: ScenarioParams) -> float:
@@ -158,7 +147,15 @@ def optimal_beta_closed(params: ScenarioParams) -> float:
         f * g / (f + np.sqrt(f * (f - g))))
 
 
-def snr_bound_constant(params: ScenarioParams) -> SnrReport:
+def _idler_weight(params: ScenarioParams):
+    """``optimal_beta_closed`` elementwise, and 0 where kappa n_s = 0."""
+    live = params.kappa * params.n_s > 0  # evaluated at kappa = 0.5, n_s = 1 elsewhere
+    live_params = replace(params, kappa=np.where(live, params.kappa, 0.5),
+                          n_s=np.where(live, params.n_s, 1.0))
+    return np.where(live, optimal_beta_closed(live_params), 0.0)[()]
+
+
+def snr_bound_constant(params: ScenarioParams) -> float:
     """Bound-receiver SNR under constant noise at alpha = 0 and the idler
     weight -|beta| of ``optimal_beta_closed`` (0 where kappa n_s = 0).
 
@@ -166,11 +163,7 @@ def snr_bound_constant(params: ScenarioParams) -> SnrReport:
     """
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("snr_bound_constant requires the constant noise model")
-    live = params.kappa * params.n_s > 0  # evaluated at kappa = 0.5, n_s = 1 elsewhere
-    live_params = replace(params, kappa=np.where(live, params.kappa, 0.5),
-                          n_s=np.where(live, params.n_s, 1.0))
-    beta_abs = np.where(live, optimal_beta_closed(live_params), 0.0)[()]
-    return _bound_report(params, 0.0, -beta_abs)
+    return _bound_snr(params, 0.0, -_idler_weight(params))
 
 
 def snr_bound_nonconstant(params: ScenarioParams, alpha, beta):
@@ -182,7 +175,7 @@ def snr_bound_nonconstant(params: ScenarioParams, alpha, beta):
     nonconstant noise or 2C + alpha kappa N_S under constant noise.  Accepts
     arrays; scalar weights give a float.
     """
-    snr = _bound_report(params, alpha, beta).snr
+    snr = _bound_snr(params, alpha, beta)
     return snr if np.ndim(snr) else float(snr)
 
 
@@ -226,12 +219,12 @@ def optimize_alpha_beta_nonconstant(params: ScenarioParams):
     the Anderson-Bahadur path, and alpha = x_0 / x_2, beta = x_1 / x_2.
     kappa = 0 carries no signal and returns (0, 0) with SNR 0.  N_S = 0
     raises ValueError: the supremum there lies at |alpha| -> infinity.
-    Returns (alpha, beta, SnrReport).
+    Returns (alpha, beta, SNR).
     """
     if params.noise_model is not NoiseModel.NONCONSTANT:
         raise ValueError("optimizer applies to the nonconstant noise model")
     if params.kappa == 0.0:
-        return 0.0, 0.0, _bound_report(params, 0.0, 0.0)
+        return 0.0, 0.0, _bound_snr(params, 0.0, 0.0)
     if params.n_s == 0.0:
         raise ValueError("optimal weights are singular at n_s = 0: "
                          "the SNR supremum lies at |alpha| -> infinity")
@@ -240,20 +233,19 @@ def optimize_alpha_beta_nonconstant(params: ScenarioParams):
     d = np.array([_numerator_shift(params), 0.0, 2.0 * _cross(params, params.kappa)])
     x = _path_search(g_on, g_off, d)
     alpha, beta = float(x[0] / x[2]), float(x[1] / x[2])
-    return alpha, beta, _bound_report(params, alpha, beta)
+    return alpha, beta, _bound_snr(params, alpha, beta)
 
 
-def snr_closed_pc(params: ScenarioParams) -> SnrReport:
-    """Phase-conjugate receiver closed form at (mu, nu) = (PC_MU, PC_NU):
-    the squeeze-correlation variance plus (mu/nu)^2 N_S of
-    conjugation vacuum noise on each hypothesis."""
+def snr_closed_pc(params: ScenarioParams) -> float:
+    """Phase-conjugate receiver closed form at (mu, nu) = (PC_MU, PC_NU): the
+    nearly-bound statistics with (mu/nu)^2 N_S of conjugation vacuum noise
+    added to each hypothesis' variance."""
     extra = (PC_MU / PC_NU) ** 2 * params.n_s
-    v_on = _gram(params, params.kappa)[5] + extra
-    v_off = _gram(params, 0.0)[5] + extra
-    return _report(2.0 * _cross(params, params.kappa), v_on, v_off, params.m_modes)
+    gap, var_on, var_off = _bound_moments(params, 0.0, 0.0)
+    return _snr(gap, var_on + extra, var_off + extra, params.m_modes)
 
 
-def snr_closed_opa(params: ScenarioParams) -> SnrReport:
+def snr_closed_opa(params: ScenarioParams) -> float:
     """Amplifier-receiver closed form at gain G = OPA_GAIN, in
     squeeze-normalized units.
 
@@ -277,20 +269,19 @@ def snr_closed_opa(params: ScenarioParams) -> SnrReport:
     v_on = _gram(params, params.kappa)[5] + q(params.kappa)
     v_off = _gram(params, 0.0)[5] + q(0.0)
     gap = 2.0 * (c + half_shift)
-    return _report(gap, v_on, v_off, params.m_modes)
+    return _snr(gap, v_on, v_off, params.m_modes)
 
 
-def snr_closed_dh(params: ScenarioParams) -> SnrReport:
+def snr_closed_dh(params: ScenarioParams) -> float:
     """Double-homodyne receiver closed form.
 
-    Its observable is 1 minus the bound observable at alpha = beta = -1, so
-    it has the same variances and the opposite mean gap.
+    Its observable is 1 minus the bound observable at alpha = beta = -1, and
+    an affine map of the observable leaves the SNR unchanged.
     """
-    gap, var_on, var_off = _bound_moments(params, -1.0, -1.0)
-    return _report(-gap, var_on, var_off, params.m_modes)
+    return _bound_snr(params, -1.0, -1.0)
 
 
-def snr_cct(params: ScenarioParams) -> SnrReport:
+def snr_cct(params: ScenarioParams) -> float:
     """Cross-correlation receiver on the split-thermal probe.
 
     Constant noise reproduces 2 M kappa N_S N_I / (sqrt(4 kappa N_S N_I +
@@ -302,12 +293,12 @@ def snr_cct(params: ScenarioParams) -> SnrReport:
     b_on = _occupancy(params, kappa)
     y = ni + nb * (1.0 + 2.0 * ni)
     v_on = 2.0 * d * d + (2.0 * ni + 1.0) * b_on + ni
-    return _report(2.0 * d, v_on, y, params.m_modes)
+    return _snr(2.0 * d, v_on, y, params.m_modes)
 
 
-def snr_coherent_hd(params: ScenarioParams) -> SnrReport:
+def snr_coherent_hd(params: ScenarioParams) -> float:
     """Homodyne receiver on the coherent probe (quadrature mean shift)."""
     v_on = _received_noise(params, params.kappa) + 0.5
     v_off = params.n_b + 0.5
     gap = np.sqrt(2.0 * params.kappa * params.n_s)
-    return _report(gap, v_on, v_off, params.m_modes)
+    return _snr(gap, v_on, v_off, params.m_modes)

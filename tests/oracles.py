@@ -566,9 +566,9 @@ def _chernoff_exponent_mp(hypotheses, m: float) -> float:
 # optimization
 # ---------------------------------------------------------------------------
 
-def bound_snr_gradient_mp(params, alpha: float, beta: float, dps: int = 50):
-    """(dSNR/dalpha, dSNR/dbeta) of the bound receiver on the TMSV pair, by
-    central differences of its SNR in ``dps``-digit arithmetic.
+def bound_snr_mp(params, alpha, beta, dps: int = 50, *, extra_var=0):
+    """SNR of the bound receiver on the TMSV pair in ``dps``-digit arithmetic,
+    as an mpf; ``extra_var`` is added to both variances.
 
     The observable is O = alpha n_S + beta n_I + S, S = a_S a_I + a_S^dag
     a_I^dag.  A hypothesis of reflectance k leaves the signal mode with
@@ -585,25 +585,35 @@ def bound_snr_gradient_mp(params, alpha: float, beta: float, dps: int = 50):
     with mp.workdps(dps):
         kappa, n, n_b, m = (mp.mpf(v) for v in (params.kappa, params.n_s, params.n_b,
                                                 params.m_modes))
+        a, w, extra = mp.mpf(alpha), mp.mpf(beta), mp.mpf(extra_var)
         constant = params.noise_model is NoiseModel.CONSTANT
 
         def moments(k):
             b = k * n + (n_b if constant else (1 - k) * n_b)
             return b, mp.sqrt(k * n * (n + 1))
 
+        def sd(b, c):
+            return mp.sqrt(a * a * b * (b + 1) + w * w * n * (n + 1) + 2 * a * w * c * c
+                           + 2 * a * c * (2 * b + 1) + 2 * w * c * (2 * n + 1)
+                           + (b + 1) * (n + 1) + b * n + 2 * c * c + extra)
+
         (b_on, c_on), (b_off, c_off) = moments(kappa), moments(mp.mpf(0))
+        gap = a * (b_on - b_off) + 2 * c_on
+        return m * gap * gap / (2 * (sd(b_on, c_on) + sd(b_off, c_off)) ** 2)
 
-        def snr(a, w):
-            def sd(b, c):
-                return mp.sqrt(a * a * b * (b + 1) + w * w * n * (n + 1) + 2 * a * w * c * c
-                               + 2 * a * c * (2 * b + 1) + 2 * w * c * (2 * n + 1)
-                               + (b + 1) * (n + 1) + b * n + 2 * c * c)
 
-            gap = a * (b_on - b_off) + 2 * c_on
-            return m * gap * gap / (2 * (sd(b_on, c_on) + sd(b_off, c_off)) ** 2)
+def bound_snr_gradient_mp(params, alpha: float, beta: float, dps: int = 50):
+    """(dSNR/dalpha, dSNR/dbeta) of the bound receiver on the TMSV pair, by
+    central differences of ``bound_snr_mp`` in ``dps``-digit arithmetic."""
+    import mpmath as mp
 
+    with mp.workdps(dps):
         a0, b0 = mp.mpf(alpha), mp.mpf(beta)
         h = mp.mpf(10) ** (-(dps * 2 // 5))
+
+        def snr(a, w):
+            return bound_snr_mp(params, a, w, dps)
+
         return (float((snr(a0 + h, b0) - snr(a0 - h, b0)) / (2 * h)),
                 float((snr(a0, b0 + h) - snr(a0, b0 - h)) / (2 * h)))
 

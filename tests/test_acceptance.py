@@ -65,11 +65,11 @@ def report(num, text):
 def test_criterion_01_bound_and_pc_gaps_to_coherent_baseline():
     t0 = time.perf_counter()
     p = ScenarioParams(kappa=0.01, n_s=7.0, n_b=30.0, m_modes=M)
-    bound = snr_bound_constant(p).snr
-    pc = snr_closed_pc(p).snr
+    bound = snr_bound_constant(p)
+    pc = snr_closed_pc(p)
     baselines = {
         "chernoff-exponent": coherent_qcb_closed(p).exponent,
-        "homodyne": snr_coherent_hd(p).snr,
+        "homodyne": snr_coherent_hd(p),
     }
     matches = {}
     for name, coh in baselines.items():
@@ -91,14 +91,14 @@ def test_criterion_02_published_nonconstant_weights():
     t0 = time.perf_counter()
     p = ScenarioParams(kappa=0.01, n_s=0.01, n_b=30.0, m_modes=M,
                        noise_model=NoiseModel.NONCONSTANT)
-    alpha, beta, rep = optimize_alpha_beta_nonconstant(p)
+    alpha, beta, snr = optimize_alpha_beta_nonconstant(p)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     snr_at_published = snr_bound_nonconstant(p, -0.54, -9.08)
     ok = abs(alpha - (-0.54)) <= 0.05 * 0.54 and abs(beta - (-9.08)) <= 0.05 * 9.08
     status = "PASS" if ok else "FAIL"
     report(2, f"{status} optimizer returned alpha={alpha:.4f}, beta={beta:.4f} "
-              f"(targets -0.54, -9.08 at +-5%); SNR(found)={rep.snr:.4f} vs "
+              f"(targets -0.54, -9.08 at +-5%); SNR(found)={snr:.4f} vs "
               f"SNR(-0.54, -9.08)={snr_at_published:.4f}; {elapsed * 1e3:.0f} ms")
     if not ok:
         print("  the optimum of the published SNR expression is stationary "
@@ -107,9 +107,9 @@ def test_criterion_02_published_nonconstant_weights():
               "at the published point; the published weights sit on a nearly "
               "flat ridge 0.3% below the maximum and are not reproducible "
               "from the expression itself")
-    assert rep.snr >= snr_at_published  # the returned point is never worse
+    assert snr >= snr_at_published  # the returned point is never worse
     assert ok, (f"alpha={alpha:.4f}, beta={beta:.4f} not within 5% of "
-                f"(-0.54, -9.08); SNR comparison: {rep.snr:.4f} vs "
+                f"(-0.54, -9.08); SNR comparison: {snr:.4f} vs "
                 f"{snr_at_published:.4f}")
 
 
@@ -129,25 +129,25 @@ def test_criterion_03_closed_forms_match_engine():
                                        noise_model=model)
                     pair = hypothesis_pair(make_tmsv(p.n_s), p)
                     checks = [
-                        (snr_nearly_bound(p).snr,
-                         snr_generic(obs_bound(0.0, 0.0), pair, M).snr),
-                        (snr_closed_pc(p).snr,
-                         snr_generic(obs_pc(PC_MU, PC_NU), pair, M).snr),
-                        (snr_closed_dh(p).snr,
-                         snr_generic(obs_dh(), pair, M).snr),
-                        (snr_cct(p).snr,
+                        (snr_nearly_bound(p),
+                         snr_generic(obs_bound(0.0, 0.0), pair, M)),
+                        (snr_closed_pc(p),
+                         snr_generic(obs_pc(PC_MU, PC_NU), pair, M)),
+                        (snr_closed_dh(p),
+                         snr_generic(obs_dh(), pair, M)),
+                        (snr_cct(p),
                          snr_generic(obs_off(), hypothesis_pair(make_cct(p.n_s, p.n_i), p),
-                                     M).snr),
+                                     M)),
                     ]
                     if model is NoiseModel.CONSTANT:
                         beta = optimal_beta_closed(p)
                         checks.append(
-                            (snr_bound_constant(p).snr,
-                             snr_generic(obs_bound(0.0, -beta), pair, M).snr))
+                            (snr_bound_constant(p),
+                             snr_generic(obs_bound(0.0, -beta), pair, M)))
                     for closed, generic in checks:
                         worst = max(worst, abs(closed - generic) / max(generic, 1e-300))
-                    opa_closed = snr_closed_opa(p).snr
-                    opa_generic = snr_generic(obs_opa(OPA_GAIN), pair, M).snr
+                    opa_closed = snr_closed_opa(p)
+                    opa_generic = snr_generic(obs_opa(OPA_GAIN), pair, M)
                     worst_opa = max(worst_opa,
                                     abs(opa_closed - opa_generic) / max(opa_generic, 1e-300))
     elapsed = time.perf_counter() - t0
@@ -176,9 +176,9 @@ def test_criterion_04_optimal_idler_weight_oracle():
 
 def test_criterion_05_asymptotic_limits():
     p1 = ScenarioParams(kappa=1e-3, n_s=1e-3, n_b=100.0, m_modes=M)
-    r1 = snr_nearly_bound(p1).snr / (M * p1.kappa * p1.n_s / (2 * p1.n_b))
+    r1 = snr_nearly_bound(p1) / (M * p1.kappa * p1.n_s / (2 * p1.n_b))
     p2 = ScenarioParams(kappa=1e-3, n_s=1e-3, n_i=100.0, n_b=100.0, m_modes=M)
-    r2 = snr_cct(p2).snr / (M * p2.kappa * p2.n_s / (4 * p2.n_b))
+    r2 = snr_cct(p2) / (M * p2.kappa * p2.n_s / (4 * p2.n_b))
     report(5, f"PASS squeeze-correlation ratio {r1:.4f}, split-thermal ratio "
               f"{r2:.4f} (both within [0.98, 1.02])")
     assert 0.98 <= r1 <= 1.02
@@ -220,7 +220,7 @@ def test_criterion_07_split_thermal_receiver_attains_bound():
         p = ScenarioParams(kappa=float(kappa), n_s=1.0, n_i=1.0, n_b=30.0,
                            m_modes=M)
         bound = qcb(hypothesis_pair(make_cct(p.n_s, p.n_i), p), M).exponent
-        worst = max(worst, abs(snr_cct(p).snr / bound - 1))
+        worst = max(worst, abs(snr_cct(p) / bound - 1))
     report(7, f"PASS worst relative gap to the bound {worst:.2%} (tol 10%)")
     assert worst <= 0.10
 
@@ -246,14 +246,14 @@ def test_criterion_09_receiver_dominance():
                                        noise_model=model)
                     pair = hypothesis_pair(make_tmsv(p.n_s), p)
                     if model is NoiseModel.CONSTANT:
-                        bound = snr_bound_constant(p).snr
+                        bound = snr_bound_constant(p)
                     else:
-                        bound = optimize_alpha_beta_nonconstant(p)[2].snr
+                        bound = optimize_alpha_beta_nonconstant(p)[2]
                     others = [
-                        snr_nearly_bound(p).snr,
-                        snr_closed_pc(p).snr,
-                        snr_generic(obs_opa(OPA_GAIN), pair, M).snr,
-                        snr_closed_dh(p).snr,
+                        snr_nearly_bound(p),
+                        snr_closed_pc(p),
+                        snr_generic(obs_opa(OPA_GAIN), pair, M),
+                        snr_closed_dh(p),
                     ]
                     assert others[0] >= 0.0
                     for val in others:

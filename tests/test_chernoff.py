@@ -298,7 +298,7 @@ def test_cct_receiver_attains_the_bound():
         p = ScenarioParams(kappa=float(kappa), n_s=1.0, n_i=1.0, n_b=30.0,
                            m_modes=10**7)
         bound = qcb(hypothesis_pair(make_cct(p.n_s, p.n_i), p), p.m_modes).exponent
-        snr = snr_cct(p).snr
+        snr = snr_cct(p)
         worst = max(worst, abs(snr / bound - 1))
     assert worst <= 0.10
 

@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the current public API."""
+"""Every demo script runs to completion against the current public API and
+prints what it printed when its output was recorded in data/demo_stdout.json."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+STDOUT = json.loads((ROOT / "tests" / "data" / "demo_stdout.json").read_text())
 
 
 def test_all_demos_found():
@@ -24,3 +27,4 @@ def test_demo_runs(demo, tmp_path):
                          cwd=tmp_path, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert res.returncode == 0, res.stderr
+    assert res.stdout == STDOUT[demo.name]

@@ -9,6 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).parent))
+
+import oracles as orc
 from gillum import CurveSet, SweepConfig, run_figure, to_csv, to_json, to_svg
 from gillum.emit import emit
 from gillum.figures import ConfigError, NumericalError
@@ -99,6 +102,25 @@ def test_s1_cells_are_correctly_rounded(kappa, n_b):
             assert abs(mp.mpf(float(y)) / ref - 1) <= 8 * eps, x
             cell = row.split(",")[1]
             assert cell == "{:.12g}".format(float(mp.nstr(ref, 12))), (x, cell)
+
+
+@pytest.mark.parametrize("n_b,kappa", [(30.0, 0.01), (100.0, 0.1), (1.0, 1e-3),
+                                       (3.7, 0.042)])
+def test_fig1_bound_form_cells_match_mpmath(n_b, kappa):
+    # nOB, DH and OB are the bound observable at fixed weights; PC adds its
+    # conjugation vacuum noise (mu/nu)^2 N_S to both variances
+    pytest.importorskip("mpmath")
+    from gillum import ScenarioParams, optimal_beta_closed
+    from gillum.receivers import PC_MU, PC_NU
+
+    cs = run_figure(SweepConfig(figure="fig1", kappa=kappa, n_b=n_b))
+    for k, x in enumerate(cs.x):
+        p = ScenarioParams(kappa=kappa, n_s=float(x), n_b=n_b, m_modes=1e7)
+        refs = {"nOB": orc.bound_snr_mp(p, 0, 0), "DH": orc.bound_snr_mp(p, -1, -1),
+                "OB": orc.bound_snr_mp(p, 0, -optimal_beta_closed(p)),
+                "PC": orc.bound_snr_mp(p, 0, 0, extra_var=(PC_MU / PC_NU) ** 2 * p.n_s)}
+        for label, ref in refs.items():
+            assert abs(cs.curves[label][k] / ref - 1) <= 1e-13, (label, x)
 
 
 def test_s2_emits_optimizer_curves():

@@ -148,8 +148,8 @@ def test_opa_gain_to_one_limit(tmsv_pair):
     # dependence survives, so the SNR collapses
     from gillum import snr_generic, snr_nearly_bound
 
-    snr = snr_generic(obs_opa(1.0 + 1e-12), tmsv_pair, 1).snr
-    ref = snr_nearly_bound(ScenarioParams(kappa=KAPPA, n_s=NS, n_b=NB)).snr
+    snr = snr_generic(obs_opa(1.0 + 1e-12), tmsv_pair, 1)
+    ref = snr_nearly_bound(ScenarioParams(kappa=KAPPA, n_s=NS, n_b=NB))
     assert snr < 1e-6 * ref
 
 
