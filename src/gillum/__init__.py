@@ -54,7 +54,7 @@ from .receivers import (
     snr_generic,
     snr_nearly_bound,
 )
-from .chernoff import QcbResult, coherent_qcb_closed, qcb, williamson
+from .chernoff import QcbResult, coherent_qcb_closed, qcb, qcb_sweep, williamson
 from .figures import CurveSet, SweepConfig, run_figure
 from .emit import emit, to_csv, to_json, to_svg
 

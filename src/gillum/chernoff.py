@@ -16,6 +16,17 @@ the minimiser.  The search evaluates whole rows of s in one batched call,
 zooms into that bracket and, on the last, narrow one, fits a cubic to
 log Q by least squares, which averages the round-off of the samples away.
 
+The search runs on a stack of pairs at once, since log-convexity holds for
+each of them: ``_williamson`` decomposes a stack of covariances,
+``_PairData`` holds one pair per row, and each round is one overlap call
+for all rows, each on its own bracket.  Every step acts on each row alone,
+so a row of a stack has the bits of its pair searched alone.  ``qcb_sweep``
+searches a sweep's pairs together; ``qcb`` is the one-pair form, decomposed
+by two ``williamson`` calls.  A double Q_s near 1 resolves log Q to a few
+eps only, so a per-copy exponent xi = -log Q(s*) is good to about
+64 eps / xi relative; where that exceeds 1e-4 the search raises
+NumericalError rather than return the bound.
+
 Williamson bases come from one eigh of the Hermitian i K, K = sqrt(V) Omega
 sqrt(V): an eigenvector x + i y of +nu is orthogonal to its conjugate, so
 (sqrt(2) y, sqrt(2) x) is an orthonormal pair, degenerate or not, and its
@@ -37,19 +48,55 @@ _S_EDGE = 1e-6
 _BRACKET = 33  # overlaps per batched round of the s search
 _STOP_WIDTH = 1e-3  # bracket width of the fitted last round
 _UNIT = np.linspace(0.0, 1.0, _BRACKET)
+# samples of the first round, on [_S_EDGE, 1 - _S_EDGE] for every pair,
+# formed as the later rounds form theirs
+_FIRST_ROUND = np.minimum(_S_EDGE + (1.0 - _S_EDGE - _S_EDGE) * _UNIT, 1.0 - _S_EDGE)[None]
 # least-squares coefficients (a3, a2, a1, a0) of a3 t^3 + a2 t^2 + a1 t + a0
 # through the bracket's samples, t running over [-1, 1]
 _CUBIC_FIT = np.linalg.pinv(np.vander(2.0 * _UNIT - 1.0, 4))
 _PURE_TOL = 16 * np.finfo(float).eps  # round-off units of a pure mode's 2 nu
+_ROUND_OFF = 64 * np.finfo(float).eps  # relative error of a per-copy exponent, times it
+_MAX_ERROR = 1e-4  # largest relative error of a returned exponent
+
+
+class NumericalError(RuntimeError):
+    """A result that cannot be trusted: a non-finite value, or a Chernoff
+    exponent below what double precision resolves."""
 
 
 @dataclass(frozen=True)
 class QcbResult:
     """Optimized Chernoff data: the argmin s and the M-copy exponent
-    -M log min_s Q_s; the error bound is exp(-exponent) / 2."""
+    -M log min_s Q_s; the error bound is exp(-exponent) / 2.  Floats for one
+    pair, arrays with one entry per pair for a sweep."""
 
-    s_star: float
-    exponent: float
+    s_star: float | np.ndarray
+    exponent: float | np.ndarray
+
+
+def _williamson(cov_q: np.ndarray):
+    """``williamson`` of a stack of quadrature covariances (..., 2n, 2n):
+    nu (..., n) and s (..., 2n, 2n), every matrix decomposed on its own."""
+    n = cov_q.shape[-1] // 2
+    evals, evecs = np.linalg.eigh(cov_q)  # eigenvalues ascend
+    if (evals[..., 0] <= 0).any():
+        raise ValueError("covariance must be positive definite")
+    sq = (evecs * np.sqrt(evals)[..., None, :]) @ evecs.swapaxes(-1, -2)
+    skew = sq @ symplectic_form(n) @ sq
+    skew = 0.5 * (skew - skew.swapaxes(-1, -2))
+    v = np.linalg.eigh(1j * skew)[1][..., n:]  # +nu last
+    z = np.empty(cov_q.shape)
+    z[..., 0::2], z[..., 1::2] = v.imag, v.real
+    z *= math.sqrt(2.0)
+    nus = np.einsum("...ik,...ij,...jk->...k", z[..., 0::2], skew, z[..., 1::2])
+    s = sq @ z / np.sqrt(nus.repeat(2, axis=-1))[..., None, :]
+    col = (s * s).sum(axis=-2)
+    spread = col[..., 0::2] + col[..., 1::2]  # tr(s P_k s^T)
+    gap, tol = 2.0 * nus - 1.0, _PURE_TOL * evals[..., -1:] * spread
+    if (gap < -tol).any():
+        raise ValueError("covariance is not physical: symplectic eigenvalue below 1/2")
+    nus[gap <= tol] = 0.5
+    return nus, s
 
 
 def williamson(state: GaussianState):
@@ -64,23 +111,7 @@ def williamson(state: GaussianState):
     moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k;
     2 nu_k that close to 1 is returned as 1/2 (s unchanged), below that raises.
     """
-    n = state.n_modes
-    evals, evecs = np.linalg.eigh(state.cov_q)  # eigenvalues ascend
-    if evals[0] <= 0:
-        raise ValueError("covariance must be positive definite")
-    sq = (evecs * np.sqrt(evals)) @ evecs.T
-    skew = sq @ symplectic_form(n) @ sq
-    skew = 0.5 * (skew - skew.T)
-    v = np.linalg.eigh(1j * skew)[1][:, n:]  # +nu last
-    z = np.empty((2 * n, 2 * n))
-    z[:, 0::2], z[:, 1::2] = math.sqrt(2.0) * v.imag, math.sqrt(2.0) * v.real
-    nus = np.einsum("ik,ij,jk->k", z[:, 0::2], skew, z[:, 1::2])
-    s = sq @ z / np.sqrt(np.repeat(nus, 2))
-    spread = (s * s).sum(axis=0).reshape(n, 2).sum(axis=1)  # tr(s P_k s^T)
-    gap, tol = 2.0 * nus - 1.0, _PURE_TOL * evals[-1] * spread
-    if np.any(gap < -tol):
-        raise ValueError("covariance is not physical: symplectic eigenvalue below 1/2")
-    return np.where(gap <= tol, 0.5, nus), s
+    return _williamson(state.cov_q)
 
 
 def _g_lambda(log_ratio: np.ndarray, half_sum: np.ndarray, p: np.ndarray):
@@ -92,80 +123,150 @@ def _g_lambda(log_ratio: np.ndarray, half_sum: np.ndarray, p: np.ndarray):
     the difference (x+1)^p - (x-1)^p, which cancels for the large x of
     thermal modes.  Pure modes (x = 1) give e = -1 and g = lambda = 1.
     """
-    e = np.expm1(p * log_ratio)
-    return half_sum ** -p / -e, (2.0 + e) / -e
+    e = p * log_ratio
+    np.expm1(e, out=e)
+    minus_e = -e
+    return half_sum ** -p / minus_e, (2.0 + e) / minus_e
 
 
 def _mode_projectors(s: np.ndarray) -> np.ndarray:
-    """Row k: s P_k s^T flattened, P_k the projector on mode k's (x, p)."""
-    outer = np.einsum("ik,jk->kij", s, s)
-    return (outer[0::2] + outer[1::2]).reshape(s.shape[0] // 2, -1)
+    """Row k of the last two axes: s P_k s^T flattened, P_k the projector on
+    the k-th (x, p) column pair of ``s``, so the on and off bases placed side
+    by side give the on modes' rows, then the off modes'."""
+    outer = np.einsum("...ik,...jk->...kij", s, s)
+    return (outer[..., 0::2, :, :] + outer[..., 1::2, :, :]).reshape(
+        s.shape[:-2] + (s.shape[-1] // 2, -1))
 
 
 class _PairData:
-    """Doubled-convention Williamson data of one hypothesis pair.
+    """Doubled-convention Williamson data of a stack of hypothesis pairs,
+    one pair per row of every array.
 
     The on modes come first and the off modes second in the per-mode arrays
     and in the rows of ``projectors``, so Sigma_s = S_on Lambda_{s}(on) S_on^T +
-    S_off Lambda_{1-s}(off) S_off^T is one product lambda @ projectors.
+    S_off Lambda_{1-s}(off) S_off^T is one product lambda @ projectors per row.
     """
 
-    def __init__(self, pair: HypothesisPair):
-        if pair.on.n_modes != pair.off.n_modes:
-            raise ValueError("hypotheses must have the same mode count")
-        self.n = pair.on.n_modes
-        (nu_on, s_on), (nu_off, s_off) = williamson(pair.on), williamson(pair.off)
-        self.projectors = np.concatenate([_mode_projectors(s_on), _mode_projectors(s_off)])
-        nu = 2.0 * np.concatenate([nu_on, nu_off])  # doubled: pure modes are 1
+    def __init__(self, on, off, delta: np.ndarray):
+        """``on`` and ``off``: the (nu, s) of ``williamson`` for the rows' on
+        and off states, each with a leading row axis; ``delta``: the rows'
+        mean differences mean_on - mean_off."""
+        (nu_on, s_on), (nu_off, s_off) = on, off
+        self.rows, self.n = nu_on.shape
+        self.projectors = _mode_projectors(np.concatenate([s_on, s_off], axis=-1))
+        nu = 2.0 * np.concatenate([nu_on, nu_off], axis=-1)  # doubled: pure modes are 1
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf at nu = 1
-            self.log_ratio = np.log1p(-2.0 / (nu + 1.0))
-        self.half_sum = (nu + 1.0) / 2.0
+            self.log_ratio = np.log1p(-2.0 / (nu + 1.0))[:, None]
+        self.half_sum = ((nu + 1.0) / 2.0)[:, None]
         self.is_on = np.arange(2 * self.n) < self.n
-        delta = math.sqrt(2.0) * (pair.on.mean_q - pair.off.mean_q)
-        self.delta = delta if delta.any() else None  # no displacement: skip the solve
+        delta = math.sqrt(2.0) * delta
+        # no displacement: skip the solve; else right-hand sides as explicit columns
+        self.delta = delta[:, None, :, None] if delta.any() else None
 
-    def overlap(self, s):
-        """Single-copy Q_s, clamped to at most 1, at every s of a scalar or array."""
-        s = np.asarray(s, dtype=float)[..., None]
+    @classmethod
+    def stack(cls, pairs: list) -> _PairData:
+        """The data of ``pairs``, all of one mode count, from one Williamson
+        call over all their states."""
+        rows = len(pairs)
+        nu, s = _williamson(np.array([p.on.cov_q for p in pairs] + [p.off.cov_q for p in pairs]))
+        return cls((nu[:rows], s[:rows]), (nu[rows:], s[rows:]),
+                   np.array([p.on.mean_q - p.off.mean_q for p in pairs]))
+
+    def overlap(self, s: np.ndarray) -> np.ndarray:
+        """Single-copy Q_s, clamped to at most 1: row r of ``s`` (rows, k)
+        samples pair r."""
+        s = s[..., None]
         g, lam = _g_lambda(self.log_ratio, self.half_sum, np.where(self.is_on, s, 1.0 - s))
         # einsum, unlike a BLAS product, rounds a row alike for one s or many
-        sig = np.einsum("...k,kj->...j", lam, self.projectors).reshape(
+        sig = np.einsum("rik,rkj->rij", lam, self.projectors).reshape(
             s.shape[:-1] + (2 * self.n, 2 * self.n))
-        val = 2.0**self.n * np.prod(g, axis=-1) / np.sqrt(np.linalg.det(sig))
+        val = g.prod(axis=-1)
+        val *= 2.0**self.n
+        val /= np.sqrt(np.linalg.det(sig))
         if self.delta is not None:
-            val *= np.exp(-0.5 * (np.linalg.solve(sig, self.delta) @ self.delta))
-        return np.minimum(val, 1.0)
+            x = np.linalg.solve(sig, self.delta)[..., 0]
+            val *= np.exp(-0.5 * (x @ self.delta[:, 0])[..., 0])
+        return np.minimum(val, 1.0, out=val)
 
 
-def _zoom_min(fn, lo: float, hi: float) -> tuple[float, float]:
-    """(s*, log Q(s*)) of a quasi-convex ``fn`` on [lo, hi].
+def _zoom_min(fn, rows: int) -> list:
+    """(s*, log Q(s*)) of each of ``rows`` quasi-convex functions on
+    [_S_EDGE, 1 - _S_EDGE], given ``fn`` mapping samples (rows, _BRACKET),
+    one row per function, to their values.
 
-    Each round samples _BRACKET evenly spaced points in one call and keeps
-    the neighbours of the argmin, which bracket the minimiser.  Once the
-    bracket is at most _STOP_WIDTH wide, a least-squares fit through log Q
-    of that round's samples gives the minimum: averaging over all of them
-    keeps round-off in the samples from selecting the result, and the cubic
-    term keeps the skew of log Q across the bracket from biasing it.  An
-    argmin on the bracket edge, a sample that underflowed to 0, or a fit
-    without a convex minimum inside the bracket falls back to the sampled
-    minimum.
+    Each round samples _BRACKET evenly spaced points of every row's bracket
+    in one call and keeps the neighbours of the row's argmin, which bracket
+    its minimiser.  A row whose bracket is at most _STOP_WIDTH wide keeps it,
+    so its samples repeat, until every row's is.  Then a least-squares fit
+    through log Q of a row's last samples gives its minimum: averaging over
+    all of them keeps round-off in the samples from selecting the result,
+    and the cubic term keeps the skew of log Q across the bracket from
+    biasing it.  An argmin on the bracket edge, a sample that underflowed to
+    0, or a fit without a convex minimum inside the bracket falls back to
+    the sampled minimum.  Brackets stay per-row Python floats, and each
+    row's samples are formed from them as in a scalar search: broadcasting
+    against bracket columns would cost a one-row search more than the
+    per-row loop costs a sweep.
     """
+    lo, hi = [_S_EDGE] * rows, [1.0 - _S_EDGE] * rows
+    s = _FIRST_ROUND.repeat(rows, axis=0)
     while True:
-        s = np.minimum(lo + (hi - lo) * _UNIT, hi)
         q = fn(s)
-        i = int(np.argmin(q))
-        if hi - lo <= _STOP_WIDTH:
+        argmin = q.argmin(axis=1).tolist()
+        wide = [r for r in range(rows) if hi[r] - lo[r] > _STOP_WIDTH]
+        if not wide:
             break
-        lo, hi = s[max(i - 1, 0)], s[min(i + 1, _BRACKET - 1)]
-    if 0 < i < _BRACKET - 1 and q[i] > 0:
-        a3, a2, a1, a0 = _CUBIC_FIT @ np.log(q)
-        disc = a2 * a2 - 3.0 * a3 * a1
-        # the fit's stationary point with second derivative 2 sqrt(disc) > 0
-        t = -a1 / (a2 + math.sqrt(disc)) if a2 > 0 and disc > 0 else math.inf
-        if abs(t) < 1:
-            log_q = ((a3 * t + a2) * t + a1) * t + a0
-            return float(lo + 0.5 * (hi - lo) * (1.0 + t)), min(float(log_q), 0.0)
-    return float(s[i]), math.log(q[i]) if q[i] > 0 else -math.inf
+        for r in wide:
+            i = argmin[r]
+            lo[r], hi[r] = s[r, max(i - 1, 0)], s[r, min(i + 1, _BRACKET - 1)]
+        s = np.array([np.minimum(a + (b - a) * _UNIT, b) for a, b in zip(lo, hi)])
+    out = []
+    for r, i in enumerate(argmin):
+        q_r = q[r]
+        if 0 < i < _BRACKET - 1 and q_r[i] > 0:
+            a3, a2, a1, a0 = _CUBIC_FIT @ np.log(q_r)
+            disc = a2 * a2 - 3.0 * a3 * a1
+            # the fit's stationary point with second derivative 2 sqrt(disc) > 0
+            t = -a1 / (a2 + math.sqrt(disc)) if a2 > 0 and disc > 0 else math.inf
+            if abs(t) < 1:
+                log_q = ((a3 * t + a2) * t + a1) * t + a0
+                out.append((float(lo[r] + 0.5 * (hi[r] - lo[r]) * (1.0 + t)),
+                            min(float(log_q), 0.0)))
+                continue
+        out.append((float(s[r, i]), math.log(q_r[i]) if q_r[i] > 0 else -math.inf))
+    return out
+
+
+def _live_rows(pairs: list) -> list:
+    """Indices of the pairs whose hypotheses differ; all pairs must have one
+    mode count."""
+    n, live = pairs[0].on.n_modes, []
+    for r, p in enumerate(pairs):
+        if p.on.n_modes != n or p.off.n_modes != n:
+            raise ValueError("hypotheses must have the same mode count")
+        if not ((p.on.cov_n == p.off.cov_n).all() and (p.on.mean_q == p.off.mean_q).all()):
+            live.append(r)
+    return live
+
+
+def _bounds(data: _PairData, m_modes: float):
+    """s* and the M-copy exponent of each row of ``data``, as two lists.
+
+    A double Q_s near 1 resolves log Q to a few eps, so a per-copy exponent
+    xi = -log Q(s*) carries a relative error near 64 eps / xi; a row where
+    that exceeds _MAX_ERROR raises NumericalError instead of returning it.
+    """
+    s_star, exponent = [], []
+    for s, log_q in _zoom_min(data.overlap, data.rows):
+        xi = -log_q if log_q < 0 else 0.0
+        if _ROUND_OFF > _MAX_ERROR * xi:
+            raise NumericalError(
+                f"per-copy Chernoff exponent {xi:.3g} is below what double precision "
+                f"resolves (estimated relative error {_ROUND_OFF / xi if xi else math.inf:.2g}"
+                f" > {_MAX_ERROR:g})")
+        s_star.append(s)
+        exponent.append(m_modes * xi)
+    return s_star, exponent
 
 
 def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:
@@ -176,13 +277,33 @@ def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:
     minimiser.  Four batched rounds of 33 overlaps zoom from
     [1e-6, 1 - 1e-6] to a bracket below 1e-3 wide, and a least-squares
     cubic through log Q of the last round's samples gives s* and
-    log Q(s*).  Identical hypotheses give Q = 1 exactly.
+    log Q(s*).  Identical hypotheses give Q = 1 exactly.  It runs the search
+    of ``qcb_sweep`` on a stack of one pair, decomposed by two ``williamson``
+    calls, and raises NumericalError where double precision cannot resolve
+    the exponent.
     """
-    if (np.array_equal(pair.on.cov_n, pair.off.cov_n)
-            and np.array_equal(pair.on.mean_q, pair.off.mean_q)):
+    if not _live_rows([pair]):
         return QcbResult(s_star=0.5, exponent=0.0)
-    s_star, log_q = _zoom_min(_PairData(pair).overlap, _S_EDGE, 1.0 - _S_EDGE)
-    return QcbResult(s_star=s_star, exponent=-m_modes * log_q if log_q < 0 else 0.0)
+    (nu_on, s_on), (nu_off, s_off) = williamson(pair.on), williamson(pair.off)
+    data = _PairData((nu_on[None], s_on[None]), (nu_off[None], s_off[None]),
+                     (pair.on.mean_q - pair.off.mean_q)[None])
+    (s_star,), (exponent,) = _bounds(data, m_modes)
+    return QcbResult(s_star=s_star, exponent=exponent)
+
+
+def qcb_sweep(pairs: list, m_modes: float) -> QcbResult:
+    """``qcb`` of every pair of a sweep, as arrays with one entry per pair.
+
+    The pairs must share a mode count.  One Williamson call decomposes all
+    their states and each round of the s search is one overlap call for all
+    of them; each pair's bits are those ``qcb`` gives it alone.
+    """
+    live = _live_rows(pairs)
+    s_star, exponent = np.full(len(pairs), 0.5), np.zeros(len(pairs))
+    if live:
+        s_star[live], exponent[live] = _bounds(_PairData.stack([pairs[r] for r in live]),
+                                               m_modes)
+    return QcbResult(s_star=s_star, exponent=exponent)
 
 
 def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:

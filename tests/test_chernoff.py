@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from gillum import (
     tensor,
     williamson,
 )
-from gillum.chernoff import _S_EDGE, _PairData
+from gillum.chernoff import _MAX_ERROR, _ROUND_OFF, _S_EDGE, NumericalError, _PairData, qcb_sweep
 
 
 def test_williamson_thermal():
@@ -198,20 +199,75 @@ def _log_uniform(lo, hi):
 # batched and one-at-a-time overlaps once differed here by 1.42e-14 at s = 1e-6
 @example(probe=orc.tmsv_probe, kappa=10**-0.0625, n_s=10.0, n_i=1.0, n_b=0.1,
          model=NoiseModel.CONSTANT)
+# per-copy exponent 4.7e-12, below what a double Q_s resolves: refused
+@example(probe=orc.cct_probe, kappa=1e-4, n_s=1e-3, n_i=1e-3, n_b=20.0,
+         model=NoiseModel.CONSTANT)
 @given(probe=st.sampled_from(orc.PROBES), kappa=_log_uniform(1e-4, 0.9),
        n_s=_log_uniform(1e-3, 20.0), n_i=_log_uniform(1e-3, 20.0),
        n_b=_log_uniform(1e-3, 20.0), model=st.sampled_from(NoiseModel))
 def test_qcb_search_finds_the_sampled_minimum(probe, kappa, n_s, n_i, n_b, model):
     p = ScenarioParams(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b, noise_model=model)
     pair = hypothesis_pair(probe(p), p)
-    res = qcb(pair, 1)
-    assert _S_EDGE <= res.s_star <= 1.0 - _S_EDGE
-    data = _PairData(pair)
+    data = _PairData.stack([pair])
     grid = np.linspace(_S_EDGE, 1.0 - _S_EDGE, 2001)
-    batched = data.overlap(grid)
-    assert math.exp(-res.exponent) <= np.min(batched) + 16 * np.finfo(float).eps
-    single = np.array([data.overlap(float(s)) for s in grid[::20]])
+    batched = data.overlap(grid[None])[0]
+    try:
+        res = qcb(pair, 1)
+    except NumericalError:
+        # refused only where the per-copy exponent is below what doubles resolve
+        assert -math.log(np.min(batched)) <= _ROUND_OFF / _MAX_ERROR + 16 * np.finfo(float).eps
+    else:
+        assert _S_EDGE <= res.s_star <= 1.0 - _S_EDGE
+        assert math.exp(-res.exponent) <= np.min(batched) + 16 * np.finfo(float).eps
+    single = np.array([data.overlap(np.array([[s]]))[0, 0] for s in grid[::20]])
     assert np.max(np.abs(batched[::20] - single)) <= 1e-14
+
+
+_POINT = st.tuples(_log_uniform(1e-4, 0.9), _log_uniform(1e-3, 20.0),
+                   _log_uniform(1e-3, 20.0), _log_uniform(1e-3, 20.0))
+
+
+@settings(max_examples=40, deadline=None)
+@example(probe=orc.cct_probe, model=NoiseModel.CONSTANT,
+         points=[(0.01, 1.0, 1.0, 30.0), (1e-4, 1e-3, 1e-3, 20.0)])
+@given(probe=st.sampled_from(orc.PROBES), model=st.sampled_from(NoiseModel),
+       points=st.lists(_POINT, min_size=1, max_size=4))
+def test_qcb_sweep_rows_equal_qcb_bit_for_bit(probe, model, points):
+    params = [ScenarioParams(kappa=k, n_s=s, n_i=i, n_b=b, noise_model=model)
+              for k, s, i, b in points]
+    pairs = [hypothesis_pair(probe(p), p) for p in params]
+    # identical hypotheses (kappa = 0) second, a pure on-state of the same
+    # mode count (kappa = 1 in nonconstant noise) last
+    same = replace(params[0], kappa=0.0)
+    pure = ScenarioParams(kappa=1.0, n_s=2.0, n_b=0.5, noise_model=NoiseModel.NONCONSTANT)
+    pure_probe = orc.tmsv_probe if probe(same).n_modes == 2 else orc.coherent_probe
+    pairs[1:1] = [hypothesis_pair(probe(same), same)]
+    pairs.append(hypothesis_pair(pure_probe(pure), pure))
+    try:
+        rows = [qcb(pair, 10**7) for pair in pairs]
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            qcb_sweep(pairs, 10**7)
+        return
+    stack = qcb_sweep(pairs, 10**7)
+    assert stack.s_star.tobytes() == np.array([r.s_star for r in rows]).tobytes()
+    assert stack.exponent.tobytes() == np.array([r.exponent for r in rows]).tobytes()
+    assert stack.exponent[1] == 0.0 and math.copysign(1.0, stack.exponent[1]) == 1.0
+    assert stack.s_star[-1] == _S_EDGE
+
+
+def test_qcb_sweep_rejects_mixed_mode_counts():
+    p = ScenarioParams(kappa=0.05, n_s=1.0, n_b=2.0)
+    with pytest.raises(ValueError, match="same mode count"):
+        qcb_sweep([hypothesis_pair(make_tmsv(1.0), p), hypothesis_pair(make_coherent(1.0), p)], 1)
+
+
+def test_qcb_refuses_exponents_below_double_resolution():
+    # fig5b's weakest default point at kappa = 1e-8: the per-copy exponent
+    # is ~3e-14, where round-off in Q_s is a relative error near 0.5
+    p = ScenarioParams(kappa=1e-8, n_s=0.01, n_i=0.01, n_b=30.0, m_modes=10**7)
+    with pytest.raises(NumericalError, match="double precision"):
+        qcb(hypothesis_pair(make_cct(p.n_s, p.n_i), p), p.m_modes)
 
 
 def test_identical_hypotheses_give_unit_overlap():
@@ -279,7 +335,7 @@ def test_chernoff_below_bhattacharyya():
     ]
     for pair in cases:
         res = qcb(pair, 1)
-        bhat = _PairData(pair).overlap(0.5)
+        bhat = _PairData.stack([pair]).overlap(np.array([[0.5]]))[0, 0]
         assert math.exp(-res.exponent) <= bhat + 1e-12
 
 

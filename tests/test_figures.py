@@ -324,6 +324,21 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     assert climod.main(["figure", "fig1", "--points", "4"]) == 3
 
 
+@pytest.mark.parametrize("figure, kappa", [("fig5b", "1e-8"), ("fig3", "1e-12")])
+def test_cli_refuses_chernoff_bounds_below_double_resolution(figure, kappa):
+    # per-copy exponents near 1e-14 leave Q_s within a few eps of 1: fig5b
+    # printed a CCT QCB 1.052x the oracle, fig3 a Coh above OB
+    res = run_cli("figure", figure, "--kappa", kappa)
+    assert res.returncode == 3, res.stderr
+    assert "double precision" in res.stderr and res.stdout == ""
+
+
+def test_cli_keeps_chernoff_bounds_at_the_benchmark_corner():
+    # fig5b's weakest point in the benchmark's range: estimated error 1.7e-5
+    res = run_cli("figure", "fig5b", "--kappa", "1e-3", "--nb", "100")
+    assert res.returncode == 0, res.stderr
+
+
 def test_cli_coherent_bound_where_q_underflows(tmp_path):
     # at N_S = 1e6 the coherent per-copy overlap underflows to 0; the closed
     # form's exponent stays finite, so the sweep succeeds
