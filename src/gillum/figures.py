@@ -138,11 +138,12 @@ def _coherent_baseline_snr(params: ScenarioParams):
 
 
 def _qi_receiver_values(params: ScenarioParams) -> dict:
+    coh = _coherent_baseline_snr(params)  # first: a sweep it refuses skips the optimizer
     if params.noise_model is NoiseModel.CONSTANT:
         ob = snr_bound_constant(params)
     else:
         ob = np.array([optimize_alpha_beta_nonconstant(p)[2] for p in _points(params)])
-    return {"Coh": _coherent_baseline_snr(params), "OB": ob,
+    return {"Coh": coh, "OB": ob,
             "nOB": snr_nearly_bound(params), "PC": snr_closed_pc(params),
             "OPA": snr_closed_opa(params), "DH": snr_closed_dh(params)}
 

@@ -15,15 +15,21 @@ optimization needed under nonconstant noise.
 
 The bound observable O = alpha n_S + beta n_I + gamma S (S the squeeze
 correlation) is a vector x = (alpha, beta, gamma) in the basis
-A = (n_S, n_I, S): its mean gap is d^T x, and its variance on either
-hypothesis is x^T G x with G = Re<dA dA^T> (``_gram``) positive semidefinite.
-The SNR M (d^T x)^2 / (2 (||x||_on + ||x||_off)^2) does not change when x is
-scaled, so maximizing it means minimizing the convex ||x||_on + ||x||_off on
-the plane d^T x = 1, the minimax probability machine of Lanckriet et al.
-(JMLR 3, 555 (2002)).  Its minimizer lies on the Anderson-Bahadur path
-x(lam) = (lam G_on + (1 - lam) G_off)^-1 d (Ann. Math. Statist. 33, 420
-(1962)) at the one sign change of lam ||x||_on - (1 - lam) ||x||_off on
-(0, 1), which a bracket search finds without a grid or derivatives.
+A = (n_S, n_I, S): its mean gap is d^T x (``_gap``), and its variance on
+either hypothesis is x^T G x with G = Re<dA dA^T> (``_gram``) positive
+semidefinite.  Every bound-family receiver is a weight vector on this one
+Gram: nOB at (0, 0, 1), DH at (-1, -1, 1), OB at (0, -|beta|, 1) or the
+optimizer's weights, PC at (0, 0, 1) plus conjugation vacuum noise, and the
+amplifier at (sqrt((G-1)/G), sqrt(G/(G-1)), 1) with its printed slip.
+
+The SNR M (d^T x)^2 / (2 (||x||_on + ||x||_off)^2) does not change when x
+is scaled, so maximizing it means minimizing the convex ||x||_on +
+||x||_off on the plane d^T x = 1, the minimax probability machine of
+Lanckriet et al. (JMLR 3, 555 (2002)).  Its minimizer lies on the
+Anderson-Bahadur path x(lam) = (lam G_on + (1 - lam) G_off)^-1 d (Ann.
+Math. Statist. 33, 420 (1962)) at the one sign change of lam ||x||_on -
+(1 - lam) ||x||_off on (0, 1), which a bracket search finds without a grid
+or derivatives.
 """
 
 from __future__ import annotations
@@ -86,38 +92,41 @@ def _cross(params: ScenarioParams, kappa: float) -> float:
     return np.sqrt(kappa * params.n_s * (params.n_s + 1.0))
 
 
-def _numerator_shift(params: ScenarioParams) -> float:
-    """Occupancy gain on - off: kappa N_S (constant) or kappa (N_S - N_B)."""
-    if params.noise_model is NoiseModel.CONSTANT:
-        return params.kappa * params.n_s
-    return params.kappa * (params.n_s - params.n_b)
-
-
 def _gram(params: ScenarioParams, kappa: float):
-    """Gram-matrix entries (g00, g01, g02, g11, g12, g22) of the basis
-    (n_S, n_I, S) on the hypothesis with reflectance ``kappa``; g22 is the
-    variance of the bare squeeze correlation."""
+    """Gram matrix G = Re<dA dA^T> of the basis A = (n_S, n_I, S) on the
+    hypothesis with reflectance ``kappa``, as three rows; each entry is a
+    float, or an array over a sweep."""
     ns = params.n_s
     b = _occupancy(params, kappa)
     c = _cross(params, kappa)
-    return (b * (b + 1.0), c * c, c * (2.0 * b + 1.0), ns * (ns + 1.0),
-            c * (2.0 * ns + 1.0), (b + 1.0) * (ns + 1.0) + 2.0 * c * c + b * ns)
+    g01, g02, g12 = c * c, c * (2.0 * b + 1.0), c * (2.0 * ns + 1.0)
+    return ((b * (b + 1.0), g01, g02),
+            (g01, ns * (ns + 1.0), g12),
+            (g02, g12, (b + 1.0) * (ns + 1.0) + 2.0 * g01 + b * ns))
+
+
+def _gap(params: ScenarioParams):
+    """Mean gap d = <A>_on - <A>_off of the basis (n_S, n_I, S): the occupancy
+    gain kappa N_S (constant noise) or kappa (N_S - N_B), 0, and 2C."""
+    nonconstant = params.noise_model is NoiseModel.NONCONSTANT
+    shift = params.kappa * (params.n_s - params.n_b if nonconstant else params.n_s)
+    return shift, 0.0, 2.0 * _cross(params, params.kappa)
 
 
 def _bound_moments(params: ScenarioParams, alpha, beta):
-    """Bound-observable statistics (mean_on - mean_off, var_on, var_off).
+    """Statistics (d^T z, z^T G_on z, z^T G_off z) of the family member
+    z = (alpha, beta, 1), with G from ``_gram`` and d from ``_gap``.
 
-    Each variance is z^T G z, z = (alpha, beta, 1), G from ``_gram``; the mean
-    gap d^T z, d = (b_on - b_off, 0, 2c), is formed directly, so it keeps its
-    digits when the means are large.  Accepts arrays.
+    The mean gap is formed from d, not as a difference of means, so it keeps
+    its digits when the means are large.  Accepts arrays.
     """
     var_on, var_off = (
         g22 + (alpha * alpha * g00 + beta * beta * g11 + 2.0 * alpha * g02
                + 2.0 * beta * g12 + 2.0 * alpha * beta * g01)
-        for g00, g01, g02, g11, g12, g22 in (_gram(params, params.kappa),
-                                             _gram(params, 0.0)))
-    gap = 2.0 * _cross(params, params.kappa) + alpha * _numerator_shift(params)
-    return gap, var_on, var_off
+        for (g00, g01, g02), (_, g11, g12), (_, _, g22) in (_gram(params, params.kappa),
+                                                            _gram(params, 0.0)))
+    d0, d1, d2 = _gap(params)
+    return alpha * d0 + beta * d1 + d2, var_on, var_off
 
 
 def _bound_snr(params: ScenarioParams, alpha, beta):
@@ -179,7 +188,6 @@ def snr_bound_nonconstant(params: ScenarioParams, alpha, beta):
     return snr if np.ndim(snr) else float(snr)
 
 
-_GRAM_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # _gram entries -> 3x3
 _PATH_SAMPLES = np.arange(1, 32) / 32.0  # interior points of each bracket
 
 
@@ -228,10 +236,8 @@ def optimize_alpha_beta_nonconstant(params: ScenarioParams):
     if params.n_s == 0.0:
         raise ValueError("optimal weights are singular at n_s = 0: "
                          "the SNR supremum lies at |alpha| -> infinity")
-    g_on, g_off = (np.array(_gram(params, kappa))[_GRAM_INDEX]
-                   for kappa in (params.kappa, 0.0))
-    d = np.array([_numerator_shift(params), 0.0, 2.0 * _cross(params, params.kappa)])
-    x = _path_search(g_on, g_off, d)
+    x = _path_search(np.array(_gram(params, params.kappa)), np.array(_gram(params, 0.0)),
+                     np.array(_gap(params)))
     alpha, beta = float(x[0] / x[2]), float(x[1] / x[2])
     return alpha, beta, _bound_snr(params, alpha, beta)
 
@@ -246,30 +252,19 @@ def snr_closed_pc(params: ScenarioParams) -> float:
 
 
 def snr_closed_opa(params: ScenarioParams) -> float:
-    """Amplifier-receiver closed form at gain G = OPA_GAIN, in
-    squeeze-normalized units.
+    """Amplifier-receiver closed form at gain G = OPA_GAIN, as printed.
 
-    The printed excess-variance term q contains G (4 N_S + 1); the moment
-    engine yields G (4 N_S + 2), so this form deviates from snr_generic by a
-    small documented amount (see tests).
+    The amplifier observable is sqrt(G (G-1)) times the family member
+    z = (sqrt((G-1)/G), sqrt(G/(G-1)), 1), plus a constant.  The printed
+    excess variance has G (4 N_S + 1) where the engine gives G (4 N_S + 2):
+    that slip is the one extra term, -sqrt(G/(G-1)) C_on on the on-variance
+    (C_off = 0), a small documented deviation from snr_generic (see tests).
     """
     g = OPA_GAIN
-    ns = params.n_s
-
-    def q(kappa: float) -> float:
-        a = _occupancy(params, kappa)
-        c = _cross(params, kappa)
-        return ((g - 1.0) / g * a * (a + 1.0) + g / (g - 1.0) * ns * (ns + 1.0)
-                + c / math.sqrt(g * (g - 1.0)) * ((g - 1.0) * (4.0 * a + 2.0)
-                                                  + g * (4.0 * ns + 1.0))
-                + 2.0 * c * c)
-
-    c = _cross(params, params.kappa)
-    half_shift = math.sqrt((g - 1.0) / g) * 0.5 * _numerator_shift(params)
-    v_on = _gram(params, params.kappa)[5] + q(params.kappa)
-    v_off = _gram(params, 0.0)[5] + q(0.0)
-    gap = 2.0 * (c + half_shift)
-    return _snr(gap, v_on, v_off, params.m_modes)
+    beta = math.sqrt(g / (g - 1.0))
+    gap, var_on, var_off = _bound_moments(params, math.sqrt((g - 1.0) / g), beta)
+    slip = beta * _cross(params, params.kappa)
+    return _snr(gap, var_on - slip, var_off, params.m_modes)
 
 
 def snr_closed_dh(params: ScenarioParams) -> float:

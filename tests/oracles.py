@@ -602,6 +602,38 @@ def bound_snr_mp(params, alpha, beta, dps: int = 50, *, extra_var=0):
         return m * gap * gap / (2 * (sd(b_on, c_on) + sd(b_off, c_off)) ** 2)
 
 
+def opa_printed_snr_mp(params, gain, dps: int = 50):
+    """SNR of the amplifier receiver's printed closed form in ``dps``-digit
+    arithmetic, as an mpf, written from the printed excess-variance term
+
+        q(k) = (G-1)/G b (b + 1) + G/(G-1) N_S (N_S + 1)
+               + c / sqrt(G (G-1)) [(G-1)(4 b + 2) + G (4 N_S + 1)] + 2 c^2
+
+    with b and c as in ``bound_snr_mp``: each variance is Var S + q(k) and the
+    gap is 2 [c_on + sqrt((G-1)/G) (b_on - b_off) / 2].  The G (4 N_S + 1)
+    is the printed coefficient, kept as printed.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        kappa, n, n_b, m, g = (mp.mpf(v) for v in (params.kappa, params.n_s, params.n_b,
+                                                   params.m_modes, gain))
+        constant = params.noise_model is NoiseModel.CONSTANT
+
+        def variance(k):
+            b = k * n + (n_b if constant else (1 - k) * n_b)
+            c = mp.sqrt(k * n * (n + 1))
+            q = ((g - 1) / g * b * (b + 1) + g / (g - 1) * n * (n + 1)
+                 + c / mp.sqrt(g * (g - 1)) * ((g - 1) * (4 * b + 2) + g * (4 * n + 1))
+                 + 2 * c * c)
+            return (b + 1) * (n + 1) + b * n + 2 * c * c + q
+
+        shift = kappa * n if constant else kappa * (n - n_b)
+        gap = 2 * (mp.sqrt(kappa * n * (n + 1)) + mp.sqrt((g - 1) / g) * shift / 2)
+        return m * gap * gap / (2 * (mp.sqrt(variance(kappa))
+                                     + mp.sqrt(variance(mp.mpf(0)))) ** 2)
+
+
 def bound_snr_gradient_mp(params, alpha: float, beta: float, dps: int = 50):
     """(dSNR/dalpha, dSNR/dbeta) of the bound receiver on the TMSV pair, by
     central differences of ``bound_snr_mp`` in ``dps``-digit arithmetic."""

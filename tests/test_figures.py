@@ -104,23 +104,57 @@ def test_s1_cells_are_correctly_rounded(kappa, n_b):
             assert cell == "{:.12g}".format(float(mp.nstr(ref, 12))), (x, cell)
 
 
-@pytest.mark.parametrize("n_b,kappa", [(30.0, 0.01), (100.0, 0.1), (1.0, 1e-3),
-                                       (3.7, 0.042)])
-def test_fig1_bound_form_cells_match_mpmath(n_b, kappa):
-    # nOB, DH and OB are the bound observable at fixed weights; PC adds its
-    # conjugation vacuum noise (mu/nu)^2 N_S to both variances
-    pytest.importorskip("mpmath")
-    from gillum import ScenarioParams, optimal_beta_closed
-    from gillum.receivers import PC_MU, PC_NU
+BOUND_FORM_SCENARIOS = [(30.0, 0.01), (100.0, 0.1), (1.0, 1e-3), (3.7, 0.042)]
 
-    cs = run_figure(SweepConfig(figure="fig1", kappa=kappa, n_b=n_b))
+
+def _assert_bound_form_cells(figure, n_b, kappa, ob_weights, extra_refs=lambda p: {}):
+    """Every bound-family cell of ``figure`` within 1e-13 of 50-digit mpmath.
+
+    nOB, DH and OB (at ``ob_weights(p)``) are the bound observable at fixed
+    weights; PC adds its conjugation vacuum noise (mu/nu)^2 N_S to both
+    variances; OPA is the printed amplifier form.
+    """
+    pytest.importorskip("mpmath")
+    from dataclasses import replace
+
+    from gillum.receivers import OPA_GAIN, PC_MU, PC_NU
+
+    config = SweepConfig(figure=figure, kappa=kappa, n_b=n_b)
+    cs = run_figure(config)
     for k, x in enumerate(cs.x):
-        p = ScenarioParams(kappa=kappa, n_s=float(x), n_b=n_b, m_modes=1e7)
+        p = replace(config.params, n_s=float(x))
         refs = {"nOB": orc.bound_snr_mp(p, 0, 0), "DH": orc.bound_snr_mp(p, -1, -1),
-                "OB": orc.bound_snr_mp(p, 0, -optimal_beta_closed(p)),
-                "PC": orc.bound_snr_mp(p, 0, 0, extra_var=(PC_MU / PC_NU) ** 2 * p.n_s)}
+                "OB": orc.bound_snr_mp(p, *ob_weights(p)),
+                "PC": orc.bound_snr_mp(p, 0, 0, extra_var=(PC_MU / PC_NU) ** 2 * p.n_s),
+                "OPA": orc.opa_printed_snr_mp(p, OPA_GAIN), **extra_refs(p)}
         for label, ref in refs.items():
             assert abs(cs.curves[label][k] / ref - 1) <= 1e-13, (label, x)
+
+
+@pytest.mark.parametrize("n_b,kappa", BOUND_FORM_SCENARIOS)
+def test_fig1_bound_form_cells_match_mpmath(n_b, kappa):
+    # OB at the closed-form idler weight; Coh is the coherent bound
+    # M kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2
+    mp = pytest.importorskip("mpmath")
+    from gillum import optimal_beta_closed
+
+    def coh(p):
+        with mp.workdps(50):
+            m, k, ns, nb = (mp.mpf(v) for v in (p.m_modes, p.kappa, p.n_s, p.n_b))
+            return {"Coh": m * k * ns * (mp.sqrt(nb + 1) - mp.sqrt(nb)) ** 2}
+
+    _assert_bound_form_cells("fig1", n_b, kappa, lambda p: (0, -optimal_beta_closed(p)), coh)
+
+
+@pytest.mark.parametrize("n_b,kappa", BOUND_FORM_SCENARIOS)
+def test_fig3_bound_form_cells_match_mpmath(n_b, kappa):
+    # OB at the optimizer's weights; OPA's gap 2C - sqrt((G-1)/G) kappa
+    # (N_B - N_S) crosses zero in the sweep at (100, 0.1), where OPA keeps
+    # the fewest digits
+    from gillum import optimize_alpha_beta_nonconstant
+
+    _assert_bound_form_cells("fig3", n_b, kappa,
+                             lambda p: optimize_alpha_beta_nonconstant(p)[:2])
 
 
 def test_s2_emits_optimizer_curves():
@@ -331,6 +365,22 @@ def test_cli_refuses_chernoff_bounds_below_double_resolution(figure, kappa):
     res = run_cli("figure", figure, "--kappa", kappa)
     assert res.returncode == 3, res.stderr
     assert "double precision" in res.stderr and res.stdout == ""
+
+
+def test_refused_coherent_bound_fails_before_the_optimizer(monkeypatch):
+    # fig3's Coh column refuses kappa = 1e-12; it runs before OB, so the
+    # per-point optimizer never starts on a sweep that will be refused
+    import gillum.figures as figmod
+
+    calls = []
+    optimize = figmod.optimize_alpha_beta_nonconstant
+    monkeypatch.setattr(figmod, "optimize_alpha_beta_nonconstant",
+                        lambda p: calls.append(p) or optimize(p))
+    with pytest.raises(NumericalError, match="double precision"):
+        run_figure(SweepConfig(figure="fig3", kappa=1e-12))
+    assert calls == []
+    assert list(small("fig3", points=3).curves) == ["Coh", "OB", "nOB", "PC", "OPA", "DH"]
+    assert len(calls) == 3
 
 
 def test_cli_keeps_chernoff_bounds_at_the_benchmark_corner():

@@ -143,6 +143,19 @@ def test_opa_rejects_unit_gain():
         obs_opa(1.0)
 
 
+@pytest.mark.parametrize("gain", [1.0 + 7.4e-5, 1.7, 40.0])
+def test_opa_is_a_bound_family_member(gain):
+    # sqrt(G(G-1)) O_bound(sqrt((G-1)/G), sqrt(G/(G-1))) + (G - 1): the
+    # identity behind the amplifier closed form's weight vector; h to 1e-15
+    # of its largest entry
+    scale = np.sqrt(gain * (gain - 1.0))
+    family = obs_bound(np.sqrt((gain - 1.0) / gain), np.sqrt(gain / (gain - 1.0)))
+    opa, ref = obs_opa(gain), family.affine(scale, gain - 1.0)
+    assert np.max(np.abs(opa.h - ref.h)) <= 1e-15 * np.max(np.abs(opa.h))
+    assert np.max(np.abs(opa.lin - ref.lin)) <= 1e-15
+    assert abs(opa.c0 - ref.c0) <= 1e-15
+
+
 def test_opa_gain_to_one_limit(tmsv_pair):
     # as G -> 1+ the observable reduces to the idler number: no reflectance
     # dependence survives, so the SNR collapses
