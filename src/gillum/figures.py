@@ -6,13 +6,14 @@ y label and the noise models it is defined for.  ``SweepConfig.params`` is
 the whole sweep, checked once before any row runs, and a row maps it to
 {curve label: values}.  Closed forms take the sweep as arrays.  Chernoff
 bounds along an N_S axis (fig5b's ``CCT QCB`` and, under nonconstant noise,
-the coherent ``Coh`` / ``Coh QCB``) are one ``qcb_sweep`` call per sweep.
-The other numerical engines run once per point, on probe states the row
-builds with ``make_tmsv``, ``make_cct`` and ``make_coherent``: fig5a's
-``qcb`` and the nonconstant-noise optimizer stay per point, where the
-benchmark pins their calls per point.  Defaults follow the
-canonical working point kappa = 0.01, N_B = 30, M = 1e7 with 200 log-spaced
-sweep points.  Sweep evaluation is deterministic.
+the coherent ``Coh`` / ``Coh QCB``) are one ``qcb_sweep`` call per sweep, and
+the nonconstant-noise ``OB`` of fig1 and fig3 is one optimizer call per
+sweep.  The other numerical engines run once per point, on probe states the
+row builds with ``make_tmsv``, ``make_cct`` and ``make_coherent``: fig5a's
+``qcb`` and s2's optimizer stay per point, where the benchmark pins their
+calls per point.  Defaults follow the canonical working point kappa = 0.01,
+N_B = 30, M = 1e7 with 200 log-spaced sweep points.  Sweep evaluation is
+deterministic.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _qi_receiver_values(params: ScenarioParams) -> dict:
     if params.noise_model is NoiseModel.CONSTANT:
         ob = snr_bound_constant(params)
     else:
-        ob = np.array([optimize_alpha_beta_nonconstant(p)[2] for p in _points(params)])
+        ob = optimize_alpha_beta_nonconstant(params)[2]
     return {"Coh": coh, "OB": ob,
             "nOB": snr_nearly_bound(params), "PC": snr_closed_pc(params),
             "OPA": snr_closed_opa(params), "DH": snr_closed_dh(params)}
@@ -184,6 +185,7 @@ def _optimal_beta(params: ScenarioParams) -> dict:
 
 
 def _optimal_alpha_beta(params: ScenarioParams) -> dict:
+    # one optimizer call per point, which the benchmark pins for s2
     weights = np.array([optimize_alpha_beta_nonconstant(p)[:2] for p in _points(params)])
     return {"alpha": weights[:, 0], "beta": weights[:, 1]}
 

@@ -28,8 +28,9 @@ is scaled, so maximizing it means minimizing the convex ||x||_on +
 Lanckriet et al. (JMLR 3, 555 (2002)).  Its minimizer lies on the
 Anderson-Bahadur path x(lam) = (lam G_on + (1 - lam) G_off)^-1 d (Ann.
 Math. Statist. 33, 420 (1962)) at the one sign change of lam ||x||_on -
-(1 - lam) ||x||_off on (0, 1), which a bracket search finds without a grid
-or derivatives.
+(1 - lam) ||x||_off on (0, 1).  ``_path_search`` finds it by bracketed
+Newton steps on lam^2 ||x||_on^2 - (1 - lam)^2 ||x||_off^2, whose derivative
+in lam has a closed form, for every point of a sweep at once.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .observables import QuadraticObservable, stats
 PC_MU = math.sqrt(2.0)
 PC_NU = 1.0
 OPA_GAIN = 1.0 + 7.4e-5  # implementable amplifier gain
+_EPS = np.finfo(float).eps
 
 
 def p_err(snr: float) -> float:
@@ -62,7 +64,8 @@ def _snr(gap: float, var_on: float, var_off: float, m_modes: float) -> float:
     <O>_off without cancellation where they can.  Elementwise over arrays."""
     s_on = np.sqrt(np.maximum(var_on, 0.0))
     s_off = np.sqrt(np.maximum(var_off, 0.0))
-    denom = 2.0 * (s_on + s_off) ** 2
+    s_sum = s_on + s_off
+    denom = 2.0 * s_sum * s_sum  # not ** 2: a scalar's is pow, off by an ulp at times
     if (denom > 0).all():
         return m_modes * gap * gap / denom
     # zero noise: SNR 0 for a zero gap and inf otherwise
@@ -113,9 +116,10 @@ def _gap(params: ScenarioParams):
     return shift, 0.0, 2.0 * _cross(params, params.kappa)
 
 
-def _bound_moments(params: ScenarioParams, alpha, beta):
+def _family_moments(g_on, g_off, d, alpha, beta):
     """Statistics (d^T z, z^T G_on z, z^T G_off z) of the family member
-    z = (alpha, beta, 1), with G from ``_gram`` and d from ``_gap``.
+    z = (alpha, beta, 1), for Grams given as three rows (``_gram``) and the
+    mean gap d (``_gap``).
 
     The mean gap is formed from d, not as a difference of means, so it keeps
     its digits when the means are large.  Accepts arrays.
@@ -123,10 +127,15 @@ def _bound_moments(params: ScenarioParams, alpha, beta):
     var_on, var_off = (
         g22 + (alpha * alpha * g00 + beta * beta * g11 + 2.0 * alpha * g02
                + 2.0 * beta * g12 + 2.0 * alpha * beta * g01)
-        for (g00, g01, g02), (_, g11, g12), (_, _, g22) in (_gram(params, params.kappa),
-                                                            _gram(params, 0.0)))
-    d0, d1, d2 = _gap(params)
+        for (g00, g01, g02), (_, g11, g12), (_, _, g22) in (g_on, g_off))
+    d0, d1, d2 = d
     return alpha * d0 + beta * d1 + d2, var_on, var_off
+
+
+def _bound_moments(params: ScenarioParams, alpha, beta):
+    """``_family_moments`` of the scenario's Grams and mean gap."""
+    return _family_moments(_gram(params, params.kappa), _gram(params, 0.0), _gap(params),
+                           alpha, beta)
 
 
 def _bound_snr(params: ScenarioParams, alpha, beta):
@@ -188,58 +197,85 @@ def snr_bound_nonconstant(params: ScenarioParams, alpha, beta):
     return snr if np.ndim(snr) else float(snr)
 
 
-_PATH_SAMPLES = np.arange(1, 32) / 32.0  # interior points of each bracket
-
-
 def _path_search(g_on: np.ndarray, g_off: np.ndarray, d: np.ndarray) -> np.ndarray:
     """x maximizing (d^T x)^2 / (||x||_on + ||x||_off)^2, ||x||^2 = x^T G x,
-    for PSD G_on, G_off (any size) with a positive-definite sum.
+    for stacks (..., n, n) of PSD G_on, G_off with positive-definite sums and
+    gaps d (..., n); each row is searched on its own, so it gets the bits it
+    gets alone.
 
     With G_on + G_off = L L^T and L^-1 G_on L^-T = U diag(sigma) U^T,
-    x(lam) = L^-T U y, y = U^T L^-1 d / (lam sigma + (1 - lam)(1 - sigma)),
-    and the norms are sums of sigma y^2 and (1 - sigma) y^2.  Each round keeps
-    the neighbours, among 31 interior samples, of the one sign change of
-    lam ||x||_on - (1 - lam) ||x||_off, until the bracket stops shrinking; no
-    endpoint, where G_on or G_off may be singular, is ever solved.
+    x(lam) = L^-T U z / w, z = U^T L^-1 d, w = 1 - sigma + lam (2 sigma - 1),
+    and the squared norms are on = sum sigma z^2 / w^2 and off = sum
+    (1 - sigma) z^2 / w^2.  The optimum is the one sign change of g(lam) =
+    lam^2 on - (1 - lam)^2 off on (0, 1): in t = lam / (1 - lam) each term of
+    g has derivative 2 sigma (1 - sigma) (t + 1) / (sigma t + 1 - sigma)^3 >= 0,
+    and g'(lam) = 2 sum sigma (1 - sigma) z^2 / w^3 in closed form.  A Newton
+    step on g is taken where it stays inside the row's bracket, bisection
+    elsewhere, until |g| is at round-off level, which collapses the bracket,
+    or the bracket cannot be split.  No endpoint, where G_on or G_off may be
+    singular and w vanish, is ever evaluated: the bracket starts at
+    (eps^2, 1), and below eps^2 lam moves no w with sigma < 1 by more than a
+    few ulps, nor the direction of x if some sigma is 1.
     """
     chol = np.linalg.cholesky(g_on + g_off)
-    sigma, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, g_on).T))
+    sigma, u = np.linalg.eigh(
+        np.linalg.solve(chol, np.linalg.solve(chol, g_on).swapaxes(-1, -2)))
     sigma = np.clip(sigma, 0.0, 1.0)  # round-off of a singular G_on or G_off
-    z = u.T @ np.linalg.solve(chol, d)
+    z = (np.linalg.solve(chol, d[..., None]).swapaxes(-1, -2) @ u)[..., 0, :]
     base, slope = 1.0 - sigma, 2.0 * sigma - 1.0
-    norms = np.stack([sigma, base], axis=1)
-    lo, hi, lam = 0.0, 1.0, _PATH_SAMPLES
-    while lo < lam[0] <= lam[-1] < hi:
-        y = z / (base + lam[:, None] * slope)
-        on, off = ((y * y) @ norms).T
-        k = int(np.count_nonzero(lam * lam * on < (1.0 - lam) ** 2 * off))
-        lo, hi = (lam[k - 1] if k else lo), (lam[k] if k < lam.size else hi)
-        lam = lo + (hi - lo) * _PATH_SAMPLES
-    lam = 0.5 * (lo + hi)
-    return np.linalg.solve(chol.T, u @ (z / (base + lam * slope)))
+    zz = z * z
+    zz_on, zz_off, zz_dg = sigma * zz, base * zz, 2.0 * sigma * base * zz
+    lo, hi = np.full(sigma.shape[:-1], _EPS * _EPS), np.ones(sigma.shape[:-1])
+    lam = np.full(sigma.shape[:-1], 0.5)
+    while True:
+        w = base + lam[..., None] * slope
+        ww = w * w
+        on, off = lam * lam * (zz_on / ww).sum(-1), (1.0 - lam) ** 2 * (zz_off / ww).sum(-1)
+        g, dg = on - off, (zz_dg / (ww * w)).sum(-1)
+        tol = 4.0 * _EPS * (on + off)  # |g| below this is round-off
+        lo, hi = np.where(g > tol, lo, lam), np.where(g < -tol, hi, lam)
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        step = lam - g / np.where(dg > 0.0, dg, np.inf)  # g is flat if each sigma is 0 or 1
+        lam = np.where(live, np.where((lo < step) & (step < hi), step, mid), lam)
+    return np.linalg.solve(chol.swapaxes(-1, -2), u @ (z / w)[..., None])[..., 0]
 
 
 def optimize_alpha_beta_nonconstant(params: ScenarioParams):
-    """Maximize the nonconstant-noise bound-receiver SNR over (alpha, beta).
+    """Maximize the nonconstant-noise bound-receiver SNR over (alpha, beta),
+    at one point or over a whole sweep.
 
     Convex in homogeneous coordinates x ~ (alpha, beta, 1), which cover both
-    signs of the mean gap: ``_path_search`` finds the one sign change along
-    the Anderson-Bahadur path, and alpha = x_0 / x_2, beta = x_1 / x_2.
-    kappa = 0 carries no signal and returns (0, 0) with SNR 0.  N_S = 0
-    raises ValueError: the supremum there lies at |alpha| -> infinity.
-    Returns (alpha, beta, SNR).
+    signs of the mean gap: ``_path_search`` finds each point's sign change
+    along its Anderson-Bahadur path, every point a row of one stack, and
+    alpha = x_0 / x_2, beta = x_1 / x_2.  A point with kappa = 0 carries no
+    signal and gets (0, 0) with SNR 0.  N_S = 0 at any other point raises
+    ValueError: the supremum there lies at |alpha| -> infinity.  Returns
+    (alpha, beta, SNR): floats for one point, arrays over a sweep.
     """
     if params.noise_model is not NoiseModel.NONCONSTANT:
         raise ValueError("optimizer applies to the nonconstant noise model")
-    if params.kappa == 0.0:
-        return 0.0, 0.0, _bound_snr(params, 0.0, 0.0)
-    if params.n_s == 0.0:
+    kappa, n_s = np.broadcast_arrays(params.kappa, params.n_s)
+    live = kappa.ravel() != 0.0
+    if (n_s.ravel()[live] == 0.0).any():
         raise ValueError("optimal weights are singular at n_s = 0: "
                          "the SNR supremum lies at |alpha| -> infinity")
-    x = _path_search(np.array(_gram(params, params.kappa)), np.array(_gram(params, 0.0)),
-                     np.array(_gap(params)))
-    alpha, beta = float(x[0] / x[2]), float(x[1] / x[2])
-    return alpha, beta, _bound_snr(params, alpha, beta)
+    g_on, g_off, d = _gram(params, params.kappa), _gram(params, 0.0), _gap(params)
+    entries = (*g_on[0], *g_on[1], *g_on[2], *g_off[0], *g_off[1], *g_off[2], *d)
+    # a point's entries are all scalars; broadcasting them would cost it a tenth
+    rows = np.array(np.broadcast_arrays(*entries) if kappa.ndim else entries)
+    rows = rows.reshape(21, -1).T[live]  # one row of G_on, G_off and d per point
+    x = _path_search(rows[:, :9].reshape(-1, 3, 3), rows[:, 9:18].reshape(-1, 3, 3),
+                     rows[:, 18:])
+    weights = np.zeros((live.size, 2))
+    weights[live] = x[:, :2] / x[:, 2:]
+    alpha, beta = weights.T.reshape((2,) + kappa.shape)
+    snr = _snr(*_family_moments(g_on, g_off, d, alpha, beta), params.m_modes)
+    if kappa.ndim:
+        return alpha, beta, snr
+    return float(alpha), float(beta), float(snr)
 
 
 def snr_closed_pc(params: ScenarioParams) -> float:

@@ -634,20 +634,62 @@ def opa_printed_snr_mp(params, gain, dps: int = 50):
                                      + mp.sqrt(variance(mp.mpf(0)))) ** 2)
 
 
+def _bound_snr_gradient(params, a, w, dps: int):
+    """(dSNR/dalpha, dSNR/dbeta) of ``bound_snr_mp`` at mpf (a, w), by
+    central differences with step 10^(-2 dps / 5), as mpf; the caller holds
+    ``dps`` digits."""
+    import mpmath as mp
+
+    h = mp.mpf(10) ** (-(dps * 2 // 5))
+
+    def snr(x, y):
+        return bound_snr_mp(params, x, y, dps)
+
+    return ((snr(a + h, w) - snr(a - h, w)) / (2 * h),
+            (snr(a, w + h) - snr(a, w - h)) / (2 * h))
+
+
 def bound_snr_gradient_mp(params, alpha: float, beta: float, dps: int = 50):
     """(dSNR/dalpha, dSNR/dbeta) of the bound receiver on the TMSV pair, by
     central differences of ``bound_snr_mp`` in ``dps``-digit arithmetic."""
     import mpmath as mp
 
     with mp.workdps(dps):
-        a0, b0 = mp.mpf(alpha), mp.mpf(beta)
-        h = mp.mpf(10) ** (-(dps * 2 // 5))
+        return tuple(float(v) for v in _bound_snr_gradient(params, mp.mpf(alpha),
+                                                           mp.mpf(beta), dps))
 
-        def snr(a, w):
-            return bound_snr_mp(params, a, w, dps)
 
-        return (float((snr(a0 + h, b0) - snr(a0 - h, b0)) / (2 * h)),
-                float((snr(a0, b0 + h) - snr(a0, b0 - h)) / (2 * h)))
+def optimal_weights_mp(params, alpha: float, beta: float, dps: int = 50):
+    """The stationary point of ``bound_snr_mp`` near (alpha, beta), as mpf.
+
+    Newton's method on the differenced gradient of ``bound_snr_gradient_mp``
+    from the given weights, with the Jacobian taken once, at the start, by
+    central differences of that gradient with step 10^(-dps / 5)
+    (1 + |weight|).  The gradient carries about 3 dps / 5 digits, and so
+    does the point.  It stops when a step is below 10^(-dps / 2)
+    (1 + |weight|) and raises if 20 steps do not get there.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        x = mp.matrix([alpha, beta])
+        jac = mp.matrix(2, 2)
+        for j in range(2):
+            k = mp.mpf(10) ** (-(dps // 5)) * (1 + abs(x[j]))
+            up, down = x.copy(), x.copy()
+            up[j] += k
+            down[j] -= k
+            grad_up = _bound_snr_gradient(params, up[0], up[1], dps)
+            grad_down = _bound_snr_gradient(params, down[0], down[1], dps)
+            for i in range(2):
+                jac[i, j] = (grad_up[i] - grad_down[i]) / (2 * k)
+        for _ in range(20):
+            step = mp.lu_solve(jac, mp.matrix(_bound_snr_gradient(params, x[0], x[1], dps)))
+            x -= step
+            if all(abs(step[j]) <= mp.mpf(10) ** (-(dps // 2)) * (1 + abs(x[j]))
+                   for j in range(2)):
+                return x[0], x[1]
+    raise ArithmeticError("Newton's method did not reach the stationary point")
 
 
 def nelder_mead_max(fn, starts, max_evals: int = 2000) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,8 @@ from gillum import (
     transform_by_beam_splitter,
 )
 from gillum.figures import _HETERODYNE
-from gillum.receivers import PC_MU, PC_NU, _bound_moments, _idler_weight
+from gillum.receivers import (PC_MU, PC_NU, _bound_moments, _gap, _gram, _idler_weight,
+                             _path_search)
 
 M = 10**7
 HALF = 1 / math.sqrt(2)
@@ -312,10 +314,13 @@ def test_optimizer_degenerate_inputs():
         optimize_alpha_beta_nonconstant(params_for(0.01, 0.0, model=NoiseModel.NONCONSTANT))
 
 
-@pytest.mark.parametrize("kappa,ns,nb", [
+ZERO_VARIANCE = [
     (1.0, 0.025, 0.005), (1.0, 0.14, 0.03), (1.0, 1.0, 30.0),  # pure on-state
     (0.3, 2.0, 0.0), (1.0, 0.5, 0.0),                            # vacuum off-state
-])
+]
+
+
+@pytest.mark.parametrize("kappa,ns,nb", ZERO_VARIANCE)
 def test_optimizer_reaches_oracle_at_zero_variance_directions(kappa, ns, nb):
     # Here one hypothesis gives some weight direction zero variance, and the
     # optimum sits at the kink of its sqrt(Var).  Near Var = 0 a round-off
@@ -327,6 +332,78 @@ def test_optimizer_reaches_oracle_at_zero_variance_directions(kappa, ns, nb):
     snr = optimize_alpha_beta_nonconstant(p)[2]
     best = orc.nelder_mead_max(lambda a, b: snr_bound_nonconstant(p, a, b), starts)
     assert snr >= best * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("n_b,kappa", [(30.0, 0.01), (100.0, 0.1), (1.0, 1e-3),
+                                         (3.7, 0.042), (0.05, 0.5), (1e3, 0.9)])
+def test_optimizer_sweep_rows_equal_point_calls_bit_for_bit(n_b, kappa):
+    # fig3 searches its whole sweep as one stack; each row keeps the bits of
+    # its own one-point call
+    from gillum import SweepConfig
+
+    sweep = SweepConfig(figure="fig3", kappa=kappa, n_b=n_b).params
+    rows = optimize_alpha_beta_nonconstant(sweep)
+    for k, ns in enumerate(sweep.n_s):
+        point = optimize_alpha_beta_nonconstant(replace(sweep, n_s=float(ns)))
+        assert point == tuple(float(r[k]) for r in rows), ns
+
+
+def test_path_search_rows_equal_one_row_calls_at_zero_variance_directions():
+    cases = [params_for(*case, model=NoiseModel.NONCONSTANT) for case in ZERO_VARIANCE]
+    g_on, g_off, d = (np.array([np.array(f(p)) for p in cases])
+                      for f in (lambda p: _gram(p, p.kappa), lambda p: _gram(p, 0.0), _gap))
+    stacked = _path_search(g_on, g_off, d)
+    for k in range(len(cases)):
+        assert np.array_equal(stacked[k], _path_search(g_on[k:k + 1], g_off[k:k + 1],
+                                                       d[k:k + 1])[0])
+    # the two vacuum off-state cases as one sweep
+    sweep = params_for(np.array([0.3, 1.0]), np.array([2.0, 0.5]), 0.0,
+                       model=NoiseModel.NONCONSTANT)
+    rows = optimize_alpha_beta_nonconstant(sweep)
+    for k, p in enumerate(cases[3:]):
+        assert optimize_alpha_beta_nonconstant(p) == tuple(float(r[k]) for r in rows)
+
+
+def test_optimizer_sweep_with_no_target_rows():
+    # kappa = 0 rows get (0, 0) and SNR 0, the others their own bits; N_S = 0
+    # raises only where kappa > 0
+    kappa, ns = np.array([0.0, 0.01, 0.0, 0.5]), np.array([0.1, 0.1, 0.0, 2.0])
+    sweep = params_for(kappa, ns, model=NoiseModel.NONCONSTANT)
+    rows = optimize_alpha_beta_nonconstant(sweep)
+    for k in range(kappa.size):
+        point = replace(sweep, kappa=float(kappa[k]), n_s=float(ns[k]))
+        assert optimize_alpha_beta_nonconstant(point) == tuple(float(r[k]) for r in rows)
+    assert all(np.array_equal(r[::2], [0.0, 0.0]) for r in rows)
+    none = optimize_alpha_beta_nonconstant(
+        params_for(0.0, np.array([0.1, 1.0]), model=NoiseModel.NONCONSTANT))
+    assert all(np.array_equal(r, [0.0, 0.0]) for r in none)
+    with pytest.raises(ValueError, match="n_s = 0"):
+        optimize_alpha_beta_nonconstant(
+            params_for(np.array([0.01, 0.01]), np.array([0.1, 0.0]),
+                       model=NoiseModel.NONCONSTANT))
+
+
+@pytest.mark.filterwarnings("error")
+def test_path_search_where_sigma_is_0_or_1():
+    # G_on and G_off with no common null direction: sigma is exactly 0, 1/2
+    # or 1, so w = lam or 1 - lam on some components, and g is flat in lam
+    # where every sigma is 0 or 1.  No warning may fire on the way.
+    g_on = np.array([np.diag([1.0, 0.0, 1.0]), np.diag([1.0, 0.0, 0.0]),
+                     np.diag([1.0, 0.0, 0.0])])
+    g_off = np.array([np.diag([0.0, 1.0, 1.0]), np.diag([0.0, 1.0, 1.0]),
+                      np.diag([0.0, 1.0, 1.0])])
+    d = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    x = _path_search(g_on, g_off, d)
+    # a sign change at lam = 1/2: x = ((G_on + G_off) / 2)^-1 d
+    assert np.allclose(x[0], [2.0, 2.0, 1.0], rtol=1e-15, atol=0)
+    # flat g > 0: the optimum is G_off's null direction (lam -> 0), flat
+    # g < 0 G_on's (lam -> 1)
+    eps = np.finfo(float).eps
+    assert abs(x[1, 1]) <= eps * x[1, 0] and x[1, 1] == x[1, 2]
+    assert abs(x[2, 0]) <= eps * x[2, 1] and x[2, 1] == x[2, 2]
+    for k in range(3):
+        assert np.array_equal(x[k], _path_search(g_on[k:k + 1], g_off[k:k + 1],
+                                                 d[k:k + 1])[0])
 
 
 def _log_uniform(lo, hi):
