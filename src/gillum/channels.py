@@ -21,6 +21,7 @@ A probe is any ``GaussianState`` with its signal in mode 0 and any other
 modes (an idler) kept at the receiver: ``hypothesis_pair`` sends it through
 both hypotheses.  The paper's probes are ``states.make_tmsv`` (quantum),
 ``states.make_cct`` (split thermal, classical) and ``states.make_coherent``.
+A stacked probe (``states``) goes through at one kappa as a stack of pairs.
 """
 
 from __future__ import annotations
@@ -31,16 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState
+from .states import GaussianState, _extremes
 
 
 class NoiseModel(enum.Enum):
     CONSTANT = "constant"
     NONCONSTANT = "nonconstant"
-
-
-def _extremes(value):
-    return (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
 
 
 @dataclass(frozen=True)
@@ -108,15 +105,16 @@ def apply_target(state: GaussianState, params: ScenarioParams,
     x = np.ones(2 * state.n_modes)
     x[:2] = np.sqrt(kappa)
     cov_n = state.cov_n * np.outer(x, x)
-    cov_n[[0, 1], [0, 1]] += _received_noise(params, kappa)
+    cov_n[..., [0, 1], [0, 1]] += _received_noise(params, kappa)
     return GaussianState(x * state.mean_q, cov_n)
 
 
 def hypothesis_pair(probe: GaussianState, params: ScenarioParams) -> HypothesisPair:
     """Send ``probe``, its signal in mode 0, through both channel hypotheses
-    at one point of the scenario (a scalar kappa)."""
-    if isinstance(params.kappa, np.ndarray):
-        raise ValueError("a hypothesis pair is one point: kappa must be a scalar")
+    at one kappa (a scalar); a stacked probe gives a stack of pairs."""
+    if np.ndim(params.kappa):
+        raise ValueError("a hypothesis pair is at one kappa, a scalar; "
+                         "a sweep over N_S stacks the probe instead")
     return HypothesisPair(
         on=apply_target(probe, params, present=True),
         off=apply_target(probe, params, present=False),

@@ -17,15 +17,14 @@ zooms into that bracket and, on the last, narrow one, fits a cubic to
 log Q by least squares, which averages the round-off of the samples away.
 
 The search runs on a stack of pairs at once, since log-convexity holds for
-each of them: ``_williamson`` decomposes a stack of covariances,
-``_PairData`` holds one pair per row, and each round is one overlap call
-for all rows, each on its own bracket.  Every step acts on each row alone,
-so a row of a stack has the bits of its pair searched alone.  ``qcb_sweep``
-searches a sweep's pairs together; ``qcb`` is the one-pair form, decomposed
-by two ``williamson`` calls.  A double Q_s near 1 resolves log Q to a few
-eps only, so a per-copy exponent xi = -log Q(s*) is good to about
-64 eps / xi relative; where that exceeds 1e-4 the search raises
-NumericalError rather than return the bound.
+each of them: a sweep is one ``HypothesisPair`` of stacked states,
+``williamson`` decomposes each of its matrices, ``_PairData`` holds one pair
+per row, and each round is one overlap call for all rows, each on its own
+bracket.  Every step acts on each row alone, so a row has the bits of its
+pair searched alone: ``qcb`` is the one-pair form of ``qcb_sweep``.  A
+double Q_s near 1 resolves log Q to a few eps only, so a per-copy exponent
+xi = -log Q(s*) is good to about 64 eps / xi relative; where that exceeds
+1e-4 the search raises NumericalError rather than return the bound.
 
 Williamson bases come from one eigh of the Hermitian i K, K = sqrt(V) Omega
 sqrt(V): an eigenvector x + i y of +nu is orthogonal to its conjugate, so
@@ -74,9 +73,21 @@ class QcbResult:
     exponent: float | np.ndarray
 
 
-def _williamson(cov_q: np.ndarray):
-    """``williamson`` of a stack of quadrature covariances (..., 2n, 2n):
-    nu (..., n) and s (..., 2n, 2n), every matrix decomposed on its own."""
+def williamson(state: GaussianState):
+    """Williamson normal form of the state's quadrature covariance ``cov_q``.
+
+    Returns (nu, s) with cov_q = s @ diag(nu_1, nu_1, ..., nu_n, nu_n) @ s.T
+    and s symplectic; nu are the symplectic eigenvalues (>= 1/2 for physical
+    states in this package's convention), read as Rayleigh quotients of pairs
+    of eigenvectors of one Hermitian matrix (see the module docstring).
+
+    It is the package's one purity test: an error E ~ eps lambda_max(cov_q)
+    moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k;
+    2 nu_k that close to 1 is returned as 1/2 (s unchanged), below that raises.
+    A stack of states gives nu (..., n) and s (..., 2n, 2n), every matrix
+    decomposed on its own.
+    """
+    cov_q = state.cov_q
     n = cov_q.shape[-1] // 2
     evals, evecs = np.linalg.eigh(cov_q)  # eigenvalues ascend
     if (evals[..., 0] <= 0).any():
@@ -97,21 +108,6 @@ def _williamson(cov_q: np.ndarray):
         raise ValueError("covariance is not physical: symplectic eigenvalue below 1/2")
     nus[gap <= tol] = 0.5
     return nus, s
-
-
-def williamson(state: GaussianState):
-    """Williamson normal form of the state's quadrature covariance ``cov_q``.
-
-    Returns (nu, s) with cov_q = s @ diag(nu_1, nu_1, ..., nu_n, nu_n) @ s.T
-    and s symplectic; nu are the symplectic eigenvalues (>= 1/2 for physical
-    states in this package's convention), read as Rayleigh quotients of pairs
-    of eigenvectors of one Hermitian matrix (see the module docstring).
-
-    It is the package's one purity test: an error E ~ eps lambda_max(cov_q)
-    moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k;
-    2 nu_k that close to 1 is returned as 1/2 (s unchanged), below that raises.
-    """
-    return _williamson(state.cov_q)
 
 
 def _g_lambda(log_ratio: np.ndarray, half_sum: np.ndarray, p: np.ndarray):
@@ -139,38 +135,28 @@ def _mode_projectors(s: np.ndarray) -> np.ndarray:
 
 
 class _PairData:
-    """Doubled-convention Williamson data of a stack of hypothesis pairs,
-    one pair per row of every array.
+    """Doubled-convention Williamson data of a hypothesis pair, one row of
+    every array per pair of its stack (one row for one pair).
 
     The on modes come first and the off modes second in the per-mode arrays
     and in the rows of ``projectors``, so Sigma_s = S_on Lambda_{s}(on) S_on^T +
     S_off Lambda_{1-s}(off) S_off^T is one product lambda @ projectors per row.
     """
 
-    def __init__(self, on, off, delta: np.ndarray):
-        """``on`` and ``off``: the (nu, s) of ``williamson`` for the rows' on
-        and off states, each with a leading row axis; ``delta``: the rows'
-        mean differences mean_on - mean_off."""
-        (nu_on, s_on), (nu_off, s_off) = on, off
-        self.rows, self.n = nu_on.shape
-        self.projectors = _mode_projectors(np.concatenate([s_on, s_off], axis=-1))
-        nu = 2.0 * np.concatenate([nu_on, nu_off], axis=-1)  # doubled: pure modes are 1
+    def __init__(self, pair: HypothesisPair):
+        self.n = n = pair.on.n_modes
+        (nu_on, s_on), (nu_off, s_off) = williamson(pair.on), williamson(pair.off)
+        self.projectors = _mode_projectors(
+            np.concatenate([s_on, s_off], axis=-1).reshape(-1, 2 * n, 4 * n))
+        nu = 2.0 * np.concatenate([nu_on, nu_off], axis=-1).reshape(-1, 2 * n)  # doubled
+        self.rows = len(nu)
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf at nu = 1
             self.log_ratio = np.log1p(-2.0 / (nu + 1.0))[:, None]
         self.half_sum = ((nu + 1.0) / 2.0)[:, None]
-        self.is_on = np.arange(2 * self.n) < self.n
-        delta = math.sqrt(2.0) * delta
+        self.is_on = np.arange(2 * n) < n
+        delta = math.sqrt(2.0) * (pair.on.mean_q - pair.off.mean_q).reshape(-1, 2 * n)
         # no displacement: skip the solve; else right-hand sides as explicit columns
         self.delta = delta[:, None, :, None] if delta.any() else None
-
-    @classmethod
-    def stack(cls, pairs: list) -> _PairData:
-        """The data of ``pairs``, all of one mode count, from one Williamson
-        call over all their states."""
-        rows = len(pairs)
-        nu, s = _williamson(np.array([p.on.cov_q for p in pairs] + [p.off.cov_q for p in pairs]))
-        return cls((nu[:rows], s[:rows]), (nu[rows:], s[rows:]),
-                   np.array([p.on.mean_q - p.off.mean_q for p in pairs]))
 
     def overlap(self, s: np.ndarray) -> np.ndarray:
         """Single-copy Q_s, clamped to at most 1: row r of ``s`` (rows, k)
@@ -237,18 +223,6 @@ def _zoom_min(fn, rows: int) -> list:
     return out
 
 
-def _live_rows(pairs: list) -> list:
-    """Indices of the pairs whose hypotheses differ; all pairs must have one
-    mode count."""
-    n, live = pairs[0].on.n_modes, []
-    for r, p in enumerate(pairs):
-        if p.on.n_modes != n or p.off.n_modes != n:
-            raise ValueError("hypotheses must have the same mode count")
-        if not ((p.on.cov_n == p.off.cov_n).all() and (p.on.mean_q == p.off.mean_q).all()):
-            live.append(r)
-    return live
-
-
 def _bounds(data: _PairData, m_modes: float):
     """s* and the M-copy exponent of each row of ``data``, as two lists.
 
@@ -269,41 +243,37 @@ def _bounds(data: _PairData, m_modes: float):
     return s_star, exponent
 
 
+def qcb_sweep(pair: HypothesisPair, m_modes: float) -> QcbResult:
+    """Quantum Chernoff bound of every pair of a stacked hypothesis pair, as
+    arrays of the stack's shape, each pair with the bits it has searched alone.
+
+    Q_s is log-convex in s (module docstring), so four batched rounds of 33
+    overlaps zoom from [1e-6, 1 - 1e-6] to a bracket below 1e-3 wide around
+    the minimiser, and a least-squares cubic through log Q of the last
+    round's samples gives s* and log Q(s*).  Identical hypotheses give Q = 1
+    exactly and are not searched.  Raises NumericalError where double
+    precision cannot resolve an exponent.
+    """
+    on, off = pair.on, pair.off
+    if on.mean_q.shape != off.mean_q.shape:
+        raise ValueError("hypotheses must have the same mode count and stack shape")
+    live = (on.cov_n != off.cov_n).any(axis=(-2, -1)) | (on.mean_q != off.mean_q).any(axis=-1)
+    s_star, exponent = np.full(live.shape, 0.5), np.zeros(live.shape)
+    if live.any():
+        if not live.all():  # search the live rows only
+            pair = HypothesisPair(GaussianState(on.mean_q[live], on.cov_n[live]),
+                                  GaussianState(off.mean_q[live], off.cov_n[live]))
+        s_star[live], exponent[live] = _bounds(_PairData(pair), m_modes)
+    return QcbResult(s_star=s_star, exponent=exponent)
+
+
 def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:
-    """Quantum Chernoff bound for an arbitrary Gaussian hypothesis pair.
-
-    Q_s is log-convex in s (see the module docstring), so the neighbours of
-    the smallest of a row of evenly spaced samples always bracket the
-    minimiser.  Four batched rounds of 33 overlaps zoom from
-    [1e-6, 1 - 1e-6] to a bracket below 1e-3 wide, and a least-squares
-    cubic through log Q of the last round's samples gives s* and
-    log Q(s*).  Identical hypotheses give Q = 1 exactly.  It runs the search
-    of ``qcb_sweep`` on a stack of one pair, decomposed by two ``williamson``
-    calls, and raises NumericalError where double precision cannot resolve
-    the exponent.
-    """
-    if not _live_rows([pair]):
-        return QcbResult(s_star=0.5, exponent=0.0)
-    (nu_on, s_on), (nu_off, s_off) = williamson(pair.on), williamson(pair.off)
-    data = _PairData((nu_on[None], s_on[None]), (nu_off[None], s_off[None]),
-                     (pair.on.mean_q - pair.off.mean_q)[None])
-    (s_star,), (exponent,) = _bounds(data, m_modes)
-    return QcbResult(s_star=s_star, exponent=exponent)
-
-
-def qcb_sweep(pairs: list, m_modes: float) -> QcbResult:
-    """``qcb`` of every pair of a sweep, as arrays with one entry per pair.
-
-    The pairs must share a mode count.  One Williamson call decomposes all
-    their states and each round of the s search is one overlap call for all
-    of them; each pair's bits are those ``qcb`` gives it alone.
-    """
-    live = _live_rows(pairs)
-    s_star, exponent = np.full(len(pairs), 0.5), np.zeros(len(pairs))
-    if live:
-        s_star[live], exponent[live] = _bounds(_PairData.stack([pairs[r] for r in live]),
-                                               m_modes)
-    return QcbResult(s_star=s_star, exponent=exponent)
+    """Quantum Chernoff bound of one Gaussian hypothesis pair, as floats:
+    ``qcb_sweep`` on a stack of one."""
+    if pair.on.mean_q.ndim != 1:
+        raise ValueError("qcb takes one pair; qcb_sweep takes a stack")
+    res = qcb_sweep(pair, m_modes)
+    return QcbResult(s_star=float(res.s_star), exponent=float(res.exponent))
 
 
 def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:

@@ -6,14 +6,13 @@ y label and the noise models it is defined for.  ``SweepConfig.params`` is
 the whole sweep, checked once before any row runs, and a row maps it to
 {curve label: values}.  Closed forms take the sweep as arrays.  Chernoff
 bounds along an N_S axis (fig5b's ``CCT QCB`` and, under nonconstant noise,
-the coherent ``Coh`` / ``Coh QCB``) are one ``qcb_sweep`` call per sweep, and
-the nonconstant-noise ``OB`` of fig1 and fig3 is one optimizer call per
-sweep.  The other numerical engines run once per point, on probe states the
-row builds with ``make_tmsv``, ``make_cct`` and ``make_coherent``: fig5a's
-``qcb`` and s2's optimizer stay per point, where the benchmark pins their
-calls per point.  Defaults follow the canonical working point kappa = 0.01,
-N_B = 30, M = 1e7 with 200 log-spaced sweep points.  Sweep evaluation is
-deterministic.
+the coherent ``Coh`` / ``Coh QCB``) are one ``qcb_sweep`` call per sweep, on
+the hypothesis pair of one probe stacked over the axis, and the
+nonconstant-noise ``OB`` of fig1 and fig3 is one optimizer call per sweep.
+fig4's moment engine, fig5a's ``qcb`` and s2's optimizer run once per point,
+on per-point probes, where the benchmark pins their calls per point.
+Defaults follow the canonical working point kappa = 0.01, N_B = 30, M = 1e7
+with 200 log-spaced sweep points.  Sweep evaluation is deterministic.
 """
 
 from __future__ import annotations
@@ -125,17 +124,12 @@ def _points(params: ScenarioParams) -> list:
             for k, s, i in np.broadcast(params.kappa, params.n_s, params.n_i)]
 
 
-def _sweep_exponents(probes: list, params: ScenarioParams) -> np.ndarray:
-    """M-copy Chernoff exponents of the probes, one per point of a sweep at
-    one (scalar) kappa, from one ``qcb_sweep`` call."""
-    return qcb_sweep([hypothesis_pair(probe, params) for probe in probes], params.m_modes).exponent
-
-
 def _coherent_baseline_snr(params: ScenarioParams):
     """Coherent-probe bound as an equivalent SNR (M times the QCB exponent)."""
     if params.noise_model is NoiseModel.CONSTANT:
         return coherent_qcb_closed(params).exponent
-    return _sweep_exponents([make_coherent(math.sqrt(n)) for n in params.n_s], params)
+    pair = hypothesis_pair(make_coherent(np.sqrt(params.n_s)), params)
+    return qcb_sweep(pair, params.m_modes).exponent
 
 
 def _qi_receiver_values(params: ScenarioParams) -> dict:
@@ -174,7 +168,8 @@ def _cct_over_kappa(params: ScenarioParams) -> dict:
 
 def _cct_over_ns(params: ScenarioParams) -> dict:
     return {
-        "CCT QCB": _sweep_exponents([make_cct(n, n) for n in params.n_s], params),
+        "CCT QCB": qcb_sweep(hypothesis_pair(make_cct(params.n_s, params.n_s), params),
+                             params.m_modes).exponent,
         "CCT O_off": snr_cct(replace(params, n_i=params.n_s)),
         "Coh QCB": _coherent_baseline_snr(params),
     }

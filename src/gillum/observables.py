@@ -79,7 +79,7 @@ class ObservableStats:
 
 
 def stats(obs: QuadraticObservable, state: GaussianState) -> ObservableStats:
-    """Exact mean and variance of ``obs`` on ``state``.
+    """Exact mean and variance of ``obs`` on one ``state`` (not a stack).
 
     With m = mean_q, N = cov_n, Omega the symplectic form and b = lin + 2 h m,
 
@@ -93,6 +93,8 @@ def stats(obs: QuadraticObservable, state: GaussianState) -> ObservableStats:
     ``obs`` beyond the state's are vacuum: m and N are zero-padded.
     """
     h, lin, m, cov = obs.h, obs.lin, state.mean_q, state.cov_n
+    if m.ndim != 1:
+        raise ValueError("stats takes one state, not a stack of states")
     k = m.size
     if k > lin.size:
         raise ValueError("state has more modes than the observable")

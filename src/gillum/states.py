@@ -10,6 +10,11 @@ symmetric cov_n gives Hermitian quadrature moments with [x, p] = i, so
 construction checks shape and symmetry only; physicality (symplectic
 eigenvalues >= 1/2) is tested by :func:`gillum.chernoff.williamson` alone.
 Observables read these arrays directly; no mode-operator moments are derived.
+
+A state may also be a stack of states along leading axes, ``mean_q``
+(..., 2n) and ``cov_n`` (..., 2n, 2n), as the probe constructors give for
+arrays: the channel and ``williamson`` map a stack matrix by matrix, each
+with the bits it has alone.  ``tensor`` and ``mean_photon`` take one state.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ def symplectic_form(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Immutable n-mode Gaussian state (``mean_q``, ``cov_n``) as described above."""
+    """Immutable n-mode Gaussian state (``mean_q``, ``cov_n``), or a stack, as above."""
 
     mean_q: np.ndarray
     cov_n: np.ndarray
@@ -44,11 +49,12 @@ class GaussianState:
     def __post_init__(self):
         mean_q = np.array(self.mean_q, dtype=float)
         cov_n = np.array(self.cov_n, dtype=float)
-        if (mean_q.ndim != 1 or mean_q.size < 2 or mean_q.size % 2
-                or cov_n.shape != (mean_q.size, mean_q.size)):
-            raise ValueError("mean_q must have length 2 n_modes >= 2 and cov_n shape (2n, 2n)")
-        asym = np.max(np.abs(cov_n - cov_n.T))  # relative to the largest entry
-        if asym > _SYM_TOL and asym > _SYM_TOL * np.max(np.abs(cov_n)):
+        if (mean_q.ndim < 1 or mean_q.shape[-1] < 2 or mean_q.shape[-1] % 2
+                or cov_n.shape != mean_q.shape + mean_q.shape[-1:]):
+            raise ValueError("mean_q must have shape (..., 2n), n >= 1, and cov_n (..., 2n, 2n)")
+        asym = np.abs(cov_n - cov_n.swapaxes(-1, -2))  # per matrix, relative to its top entry
+        if asym.max() > _SYM_TOL and (asym.max(axis=(-2, -1)) > _SYM_TOL * np.maximum(
+                np.abs(cov_n).max(axis=(-2, -1)), 1.0)).any():
             raise ValueError("cov_n is not symmetric")
         mean_q.setflags(write=False)
         cov_n.setflags(write=False)
@@ -57,12 +63,12 @@ class GaussianState:
 
     @property
     def n_modes(self) -> int:
-        return self.mean_q.size // 2
+        return self.mean_q.shape[-1] // 2
 
     @property
     def cov_q(self) -> np.ndarray:
         """Symmetrized quadrature covariance; vacuum I/2."""
-        return self.cov_n + 0.5 * np.eye(self.mean_q.size)
+        return self.cov_n + 0.5 * np.eye(self.mean_q.shape[-1])
 
     def mean_photon(self, mode: int) -> float:
         """Total <a^dag a> of one mode, including the first-moment part."""
@@ -83,42 +89,55 @@ def make_thermal(n_mean: float) -> GaussianState:
     return GaussianState(np.zeros(2), n_mean * np.eye(2))
 
 
-def make_coherent(amplitude: complex) -> GaussianState:
-    """Single-mode coherent state |alpha>; covariance is the vacuum one."""
-    a = complex(amplitude)
-    return GaussianState(math.sqrt(2.0) * np.array([a.real, a.imag]), np.zeros((2, 2)))
+def make_coherent(amplitude) -> GaussianState:
+    """Coherent state |alpha>, a stack for an array; covariance is the vacuum one."""
+    a = np.asarray(amplitude, dtype=complex)  # viewed as (re, im) pairs below
+    return GaussianState(math.sqrt(2.0) * a[..., None].view(float), np.zeros(a.shape + (2, 2)))
 
 
-def _two_mode(n_s: float, n_i: float, xx: float, pp: float) -> GaussianState:
-    """Undisplaced modes of means n_s, n_i with <x_S x_I> = xx, <p_S p_I> = pp."""
-    return GaussianState(np.zeros(4), np.array([[n_s, 0.0, xx, 0.0], [0.0, n_s, 0.0, pp],
-                                                [xx, 0.0, n_i, 0.0], [0.0, pp, 0.0, n_i]]))
+def _extremes(value):
+    """(min, max) of a number or an array; nan if any entry is nan."""
+    return (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
 
 
-def make_tmsv(n_s: float) -> GaussianState:
-    """Two-mode squeezed vacuum with per-mode mean photon number ``n_s``:
-    <a_S a_I> = sqrt(n_s (n_s + 1)), so <p_S p_I> = -<x_S x_I>."""
-    if n_s < 0:
+def _two_mode(n_s, n_i, xx, pp) -> GaussianState:
+    """Undisplaced modes of means n_s, n_i with <x_S x_I> = xx, <p_S p_I> = pp,
+    one state per entry of the NumPy value ``xx``, whose shape they broadcast to."""
+    cov = np.zeros(xx.shape + (4, 4))
+    cov[..., 0, 0] = cov[..., 1, 1] = n_s
+    cov[..., 2, 2] = cov[..., 3, 3] = n_i
+    cov[..., 0, 2] = cov[..., 2, 0] = xx
+    cov[..., 1, 3] = cov[..., 3, 1] = pp
+    return GaussianState(np.zeros(cov.shape[:-1]), cov)
+
+
+def make_tmsv(n_s) -> GaussianState:
+    """Two-mode squeezed vacuum (a stack for an array) with per-mode mean photon
+    number ``n_s``: <a_S a_I> = sqrt(n_s (n_s + 1)), so <p_S p_I> = -<x_S x_I>."""
+    if _extremes(n_s)[0] < 0:
         raise ValueError("squeezed-vacuum mean photon number must be >= 0")
-    c = math.sqrt(n_s * (n_s + 1.0))
+    c = np.sqrt(n_s * (n_s + 1.0))
     return _two_mode(n_s, n_s, c, -c)
 
 
-def make_cct(n_s: float, n_i: float) -> GaussianState:
-    """Correlated two-mode thermal state, as made by splitting one thermal beam.
+def make_cct(n_s, n_i) -> GaussianState:
+    """Correlated two-mode thermal state (a stack for arrays, one per entry of
+    their broadcast), as made by splitting one thermal beam.
 
     The modes carry means exactly ``n_s`` and ``n_i`` with a real cross
     correlation ``<a_S^dag a_I> = sqrt(n_s n_i)`` and no squeeze
     correlations (<p_S p_I> = <x_S x_I>); zero power gives the two-mode vacuum.
     """
-    if n_s < 0 or n_i < 0:
+    if _extremes(n_s)[0] < 0 or _extremes(n_i)[0] < 0:
         raise ValueError("mode mean photon numbers must be >= 0")
-    c = math.sqrt(n_s * n_i)
+    c = np.sqrt(n_s * n_i)
     return _two_mode(n_s, n_i, c, c)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state of two uncorrelated states, modes of ``a`` first."""
+    if a.mean_q.ndim != 1 or b.mean_q.ndim != 1:
+        raise ValueError("tensor takes one state per factor, not a stack")
     na = a.mean_q.size
     cov_n = np.zeros((na + b.mean_q.size,) * 2)
     cov_n[:na, :na] = a.cov_n

@@ -229,3 +229,37 @@ def test_hypothesis_pair_rejects_array_parameters():
     for probe in (make_tmsv(0.1), make_cct(0.1, 0.2), make_coherent(0.3)):
         with pytest.raises(ValueError):
             hypothesis_pair(probe, params)
+    with pytest.raises(ValueError, match="stacks the probe"):
+        hypothesis_pair(make_tmsv(0.1), params)
+
+
+def test_hypothesis_pair_accepts_a_zero_d_kappa():
+    # ScenarioParams and every closed form take a 0-d array kappa; so does
+    # the channel, with the bits of the float
+    for model in NoiseModel:
+        as_float = ScenarioParams(kappa=0.1, n_s=1.0, n_b=1.0, noise_model=model)
+        as_array = ScenarioParams(kappa=np.array(0.1), n_s=1.0, n_b=1.0, noise_model=model)
+        for probe in (make_tmsv(1.0), make_cct(1.0, 2.0), make_coherent(1.0)):
+            a, b = hypothesis_pair(probe, as_float), hypothesis_pair(probe, as_array)
+            for x, y in ((a.on, b.on), (a.off, b.off)):
+                assert x.mean_q.tobytes() == y.mean_q.tobytes()
+                assert x.cov_n.tobytes() == y.cov_n.tobytes()
+
+
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_stacked_probe_pairs_equal_per_point_pairs(model):
+    # a stacked probe goes through the channel at one kappa as a stack of
+    # pairs, each row with the bytes of its own per-point pair
+    n_s = np.logspace(-2, 1, 12)
+    kappas = (0.0, 0.01, 0.5, 1.0) if model is NoiseModel.NONCONSTANT else (0.0, 0.01, 0.5)
+    for kappa in kappas:
+        params = ScenarioParams(kappa=kappa, n_s=n_s, n_b=30.0, noise_model=model)
+        for make in (make_tmsv, lambda n: make_cct(n, 2.0 * n),
+                     lambda n: make_coherent(np.sqrt(n) * np.exp(1j * n))):
+            for grid in (n_s, n_s.reshape(4, 3)):
+                stack = hypothesis_pair(make(grid), params)
+                rows = [hypothesis_pair(make(n), params) for n in grid.ravel()]
+                for state, states in ((stack.on, [r.on for r in rows]),
+                                      (stack.off, [r.off for r in rows])):
+                    assert state.mean_q.tobytes() == np.array([s.mean_q for s in states]).tobytes()
+                    assert state.cov_n.tobytes() == np.array([s.cov_n for s in states]).tobytes()

@@ -65,6 +65,27 @@ def test_williamson_keeps_modes_beyond_round_off_of_pure():
     assert sorted(nu.tolist()) == [0.5, 0.5 + 1e-9]
 
 
+def test_williamson_on_a_stack_equals_per_state_calls():
+    # every matrix of a stack is decomposed on its own: nu and s of each row
+    # carry the bytes of the per-state call, pure modes snapped alike
+    n_s = np.logspace(-3, 4, 12)
+    for model in NoiseModel:
+        p = ScenarioParams(kappa=0.3, n_s=n_s, n_b=2.0, noise_model=model)
+        for make in (make_tmsv, lambda n: make_cct(n, 3.0 * n), make_coherent):
+            for state in (make(n_s), hypothesis_pair(make(n_s), p).on,
+                          hypothesis_pair(make(n_s.reshape(3, 4)), p).off):
+                nu, s = williamson(state)
+                rows = [williamson(GaussianState(m, c)) for m, c in
+                        zip(state.mean_q.reshape(-1, state.mean_q.shape[-1]),
+                            state.cov_n.reshape((-1,) + state.cov_n.shape[-2:]))]
+                assert nu.shape == state.mean_q.shape[:-1] + (state.n_modes,)
+                assert nu.tobytes() == np.array([r[0] for r in rows]).tobytes()
+                assert s.tobytes() == np.array([r[1] for r in rows]).tobytes()
+    bad = np.stack([np.zeros((2, 2)), np.diag([-0.4, 1.5])])
+    with pytest.raises(ValueError, match="not physical"):
+        williamson(GaussianState(np.zeros((2, 2)), bad))
+
+
 def test_williamson_reconstruction_and_symplecticity():
     # a mixed two-mode state, then degenerate spectra: a pure TMSV (nu = 1/2,
     # 1/2), two equal thermal modes (one 4-dimensional eigenspace) and a
@@ -208,7 +229,7 @@ def _log_uniform(lo, hi):
 def test_qcb_search_finds_the_sampled_minimum(probe, kappa, n_s, n_i, n_b, model):
     p = ScenarioParams(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b, noise_model=model)
     pair = hypothesis_pair(probe(p), p)
-    data = _PairData.stack([pair])
+    data = _PairData(pair)
     grid = np.linspace(_S_EDGE, 1.0 - _S_EDGE, 2001)
     batched = data.overlap(grid[None])[0]
     try:
@@ -221,6 +242,14 @@ def test_qcb_search_finds_the_sampled_minimum(probe, kappa, n_s, n_i, n_b, model
         assert math.exp(-res.exponent) <= np.min(batched) + 16 * np.finfo(float).eps
     single = np.array([data.overlap(np.array([[s]]))[0, 0] for s in grid[::20]])
     assert np.max(np.abs(batched[::20] - single)) <= 1e-14
+
+
+def _stack_pairs(pairs: list) -> HypothesisPair:
+    """One stacked pair from pairs of one mode count, each at its own scenario."""
+    def stack(states):
+        return GaussianState(np.stack([s.mean_q for s in states]),
+                             np.stack([s.cov_n for s in states]))
+    return HypothesisPair(on=stack([p.on for p in pairs]), off=stack([p.off for p in pairs]))
 
 
 _POINT = st.tuples(_log_uniform(1e-4, 0.9), _log_uniform(1e-3, 20.0),
@@ -243,23 +272,49 @@ def test_qcb_sweep_rows_equal_qcb_bit_for_bit(probe, model, points):
     pure_probe = orc.tmsv_probe if probe(same).n_modes == 2 else orc.coherent_probe
     pairs[1:1] = [hypothesis_pair(probe(same), same)]
     pairs.append(hypothesis_pair(pure_probe(pure), pure))
+    stacked = _stack_pairs(pairs)
     try:
         rows = [qcb(pair, 10**7) for pair in pairs]
     except NumericalError:
         with pytest.raises(NumericalError):
-            qcb_sweep(pairs, 10**7)
+            qcb_sweep(stacked, 10**7)
         return
-    stack = qcb_sweep(pairs, 10**7)
+    stack = qcb_sweep(stacked, 10**7)
     assert stack.s_star.tobytes() == np.array([r.s_star for r in rows]).tobytes()
     assert stack.exponent.tobytes() == np.array([r.exponent for r in rows]).tobytes()
     assert stack.exponent[1] == 0.0 and math.copysign(1.0, stack.exponent[1]) == 1.0
     assert stack.s_star[-1] == _S_EDGE
 
 
-def test_qcb_sweep_rejects_mixed_mode_counts():
+@pytest.mark.parametrize("model", list(NoiseModel))
+@pytest.mark.parametrize("probe", ["cct", "coherent"])
+def test_qcb_sweep_of_a_stacked_probe_equals_per_point_qcb(probe, model):
+    # the figures' path: one stacked probe through the channel at one kappa,
+    # a 2-D stack included; every row has the bits of its own per-point qcb
+    n_s = np.logspace(-2, 1, 12).reshape(3, 4)
+    params = ScenarioParams(kappa=0.01, n_s=n_s, n_b=30.0, m_modes=10**7, noise_model=model)
+    make = (lambda n: make_cct(n, n)) if probe == "cct" else (lambda n: make_coherent(np.sqrt(n)))
+    stack = qcb_sweep(hypothesis_pair(make(n_s), params), params.m_modes)
+    rows = [qcb(hypothesis_pair(make(n), params), params.m_modes) for n in n_s.ravel()]
+    assert stack.s_star.shape == stack.exponent.shape == n_s.shape
+    assert stack.s_star.tobytes() == np.array([r.s_star for r in rows]).tobytes()
+    assert stack.exponent.tobytes() == np.array([r.exponent for r in rows]).tobytes()
+
+
+def test_qcb_sweep_rejects_on_off_mode_count_mismatch():
+    # a stack holds one mode count; on and off of different counts cannot pair
     p = ScenarioParams(kappa=0.05, n_s=1.0, n_b=2.0)
-    with pytest.raises(ValueError, match="same mode count"):
-        qcb_sweep([hypothesis_pair(make_tmsv(1.0), p), hypothesis_pair(make_coherent(1.0), p)], 1)
+    tmsv = hypothesis_pair(make_tmsv(np.ones(3)), p)
+    coh = hypothesis_pair(make_coherent(np.ones(3)), p)
+    for pair in (HypothesisPair(on=tmsv.on, off=coh.off), HypothesisPair(on=coh.on, off=tmsv.off)):
+        with pytest.raises(ValueError, match="same mode count"):
+            qcb_sweep(pair, 1)
+
+
+def test_qcb_takes_one_pair_and_returns_floats():
+    p = ScenarioParams(kappa=0.05, n_s=1.0, n_b=2.0)
+    res = qcb(hypothesis_pair(make_tmsv(p.n_s), p), 1)
+    assert type(res.s_star) is float and type(res.exponent) is float
 
 
 def test_qcb_refuses_exponents_below_double_resolution():
@@ -335,7 +390,7 @@ def test_chernoff_below_bhattacharyya():
     ]
     for pair in cases:
         res = qcb(pair, 1)
-        bhat = _PairData.stack([pair]).overlap(np.array([[0.5]]))[0, 0]
+        bhat = _PairData(pair).overlap(np.array([[0.5]]))[0, 0]
         assert math.exp(-res.exponent) <= bhat + 1e-12
 
 

@@ -332,6 +332,18 @@ def test_stats_rejects_state_with_more_modes_than_observable(tmsv_pair):
         stats(heterodyne(obs_bound(0.0, 0.0)), tensor(tmsv_pair.on, make_vacuum(3)))
 
 
+def test_one_state_operations_reject_stacks():
+    # stats and tensor read one state; a stack of one or more rows is refused
+    for stack in (make_tmsv(np.array([0.3, 1.2])), make_tmsv(np.array([0.3])),
+                  make_coherent(np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="stack"):
+            stats(obs_number(0, 2), stack)
+        with pytest.raises(ValueError, match="stack"):
+            tensor(stack, make_vacuum(1))
+        with pytest.raises(ValueError, match="stack"):
+            tensor(make_vacuum(1), stack)
+
+
 def test_char_fn_oracle_basics():
     assert abs(orc.char_fn_moment(make_thermal(2.0), (1,), (1,)) - 2.0) < 1e-6
     assert abs(orc.char_fn_moment(make_tmsv(1.0), (0, 0), (1, 1))

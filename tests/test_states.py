@@ -225,3 +225,56 @@ def test_symmetry_check_is_relative_to_the_largest_entry():
     assert abs(bright.mean_photon(0) + bright.mean_photon(1) - 1.37e6) <= 1e-9 * 1.37e6
     with pytest.raises(ValueError):  # a real asymmetry of a bright state
         GaussianState(np.zeros(2), np.array([[1e6, 1.0], [0.0, 1e6]]))
+
+
+def test_symmetry_check_is_per_matrix_in_a_stack():
+    # a bright row's round-off asymmetry must not lend its tolerance to a dim
+    # row: each matrix is checked relative to its own largest entry
+    bright = np.array([[1e6, 1e-5], [0.0, 1e6]])  # 1e-11 relative: symmetric
+    dim = np.array([[1.0, 1e-8], [0.0, 1.0]])  # 1e-8 relative: not symmetric
+    GaussianState(np.zeros(2), bright)
+    with pytest.raises(ValueError, match="not symmetric"):
+        GaussianState(np.zeros(2), dim)
+    GaussianState(np.zeros((2, 2)), np.stack([bright, np.eye(2)]))
+    for stack in (np.stack([bright, dim]), np.stack([dim, bright]),
+                  np.stack([[bright, bright], [bright, dim]])):
+        with pytest.raises(ValueError, match="not symmetric"):
+            GaussianState(np.zeros(stack.shape[:-1]), stack)
+
+
+def test_stack_shapes_are_checked():
+    GaussianState(np.zeros((3, 4)), np.zeros((3, 4, 4)))
+    for mean_q, cov_n in ((np.zeros((3, 4)), np.zeros((2, 4, 4))),
+                          (np.zeros((3, 4)), np.zeros((4, 4))),
+                          (np.zeros(()), np.zeros(())), (np.zeros((3, 3)), np.zeros((3, 3, 3)))):
+        with pytest.raises(ValueError, match="shape"):
+            GaussianState(mean_q, cov_n)
+
+
+def _same_bytes(state, states):
+    assert state.mean_q.tobytes() == np.array([s.mean_q for s in states]).tobytes()
+    assert state.cov_n.tobytes() == np.array([s.cov_n for s in states]).tobytes()
+
+
+def test_stacked_constructors_equal_per_point_calls():
+    # arrays of photon numbers or amplitudes give a stack whose rows carry
+    # the bytes of the per-point calls, n_s = 0 (a -0.0 entry for TMSV) included
+    n_s = np.concatenate([[0.0], np.logspace(-3, 3, 11)])
+    for grid in (n_s, n_s.reshape(3, 4)):
+        flat = grid.ravel()
+        stack = make_tmsv(grid)
+        assert stack.mean_q.shape == grid.shape + (4,) and stack.n_modes == 2
+        _same_bytes(stack, [make_tmsv(n) for n in flat])
+        _same_bytes(make_cct(grid, grid), [make_cct(n, n) for n in flat])
+        _same_bytes(make_cct(grid, 0.7), [make_cct(n, 0.7) for n in flat])
+        _same_bytes(make_cct(2.5, grid), [make_cct(2.5, n) for n in flat])
+        _same_bytes(make_coherent(np.sqrt(grid)), [make_coherent(np.sqrt(n)) for n in flat])
+        amp = np.sqrt(grid) * np.exp(0.3j * grid)
+        _same_bytes(make_coherent(amp), [make_coherent(a) for a in amp.ravel()])
+    for bad in (np.array([0.5, -0.1]), np.array(-1.0)):
+        with pytest.raises(ValueError):
+            make_tmsv(bad)
+        with pytest.raises(ValueError):
+            make_cct(bad, 1.0)
+        with pytest.raises(ValueError):
+            make_cct(1.0, bad)
