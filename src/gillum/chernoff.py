@@ -19,12 +19,13 @@ log Q by least squares, which averages the round-off of the samples away.
 The search runs on a stack of pairs at once, since log-convexity holds for
 each of them: a sweep is one ``HypothesisPair`` of stacked states,
 ``williamson`` decomposes each of its matrices, ``_PairData`` holds one pair
-per row, and each round is one overlap call for all rows, each on its own
-bracket.  Every step acts on each row alone, so a row has the bits of its
-pair searched alone: ``qcb`` is the one-pair form of ``qcb_sweep``.  A
-double Q_s near 1 resolves log Q to a few eps only, so a per-copy exponent
-xi = -log Q(s*) is good to about 64 eps / xi relative; where that exceeds
-1e-4 the search raises NumericalError rather than return the bound.
+per row, each round is one overlap call for all rows on their own brackets,
+and one pass over the rows fits, checks and scales each (identical
+hypotheses give s* = 1/2, exponent 0).  Every step acts on each row alone,
+so a row has the bits of its pair searched alone: ``qcb`` is the one-pair
+form of ``qcb_sweep``.  A double Q_s near 1 resolves log Q to a few eps
+only, so a per-copy exponent xi = -log Q(s*) is good to about 64 eps / xi
+relative; where that exceeds 1e-4 the search raises NumericalError.
 
 Williamson bases come from one eigh of the Hermitian i K, K = sqrt(V) Omega
 sqrt(V): an eigenvector x + i y of +nu is orthogonal to its conjugate, so
@@ -149,7 +150,6 @@ class _PairData:
         self.projectors = _mode_projectors(
             np.concatenate([s_on, s_off], axis=-1).reshape(-1, 2 * n, 4 * n))
         nu = 2.0 * np.concatenate([nu_on, nu_off], axis=-1).reshape(-1, 2 * n)  # doubled
-        self.rows = len(nu)
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf at nu = 1
             self.log_ratio = np.log1p(-2.0 / (nu + 1.0))[:, None]
         self.half_sum = ((nu + 1.0) / 2.0)[:, None]
@@ -175,29 +175,34 @@ class _PairData:
         return np.minimum(val, 1.0, out=val)
 
 
-def _zoom_min(fn, rows: int) -> list:
-    """(s*, log Q(s*)) of each of ``rows`` quasi-convex functions on
-    [_S_EDGE, 1 - _S_EDGE], given ``fn`` mapping samples (rows, _BRACKET),
-    one row per function, to their values.
+def _search(data: _PairData, live: list, m_modes: float):
+    """s* and the M-copy exponent -M log min_s Q_s of each row of ``data``,
+    as two lists; ``live[r]`` is False where row r's hypotheses are identical.
 
-    Each round samples _BRACKET evenly spaced points of every row's bracket
-    in one call and keeps the neighbours of the row's argmin, which bracket
-    its minimiser.  A row whose bracket is at most _STOP_WIDTH wide keeps it,
-    so its samples repeat, until every row's is.  Then a least-squares fit
-    through log Q of a row's last samples gives its minimum: averaging over
-    all of them keeps round-off in the samples from selecting the result,
-    and the cubic term keeps the skew of log Q across the bracket from
-    biasing it.  An argmin on the bracket edge, a sample that underflowed to
-    0, or a fit without a convex minimum inside the bracket falls back to
-    the sampled minimum.  Brackets stay per-row Python floats, and each
-    row's samples are formed from them as in a scalar search: broadcasting
-    against bracket columns would cost a one-row search more than the
-    per-row loop costs a sweep.
+    Each round samples _BRACKET evenly spaced points of every row's bracket,
+    first [_S_EDGE, 1 - _S_EDGE], in one overlap call and keeps the
+    neighbours of the row's argmin, which bracket its minimiser.  A row whose
+    bracket is at most _STOP_WIDTH wide keeps it, so its samples repeat,
+    until every row's is.  Then a least-squares fit through log Q of a row's
+    last samples gives its minimum: averaging over all of them keeps
+    round-off in the samples from selecting the result, and the cubic term
+    keeps the skew of log Q across the bracket from biasing it.  An argmin on
+    the bracket edge, a sample that underflowed to 0, or a fit without a
+    convex minimum inside the bracket falls back to the sampled minimum.
+    Brackets stay per-row Python floats, and each row's samples are formed
+    from them as in a scalar search: broadcasting against bracket columns
+    would cost a one-row search more than the per-row loop costs a sweep.
+
+    Dead rows are sampled with the rest and keep s* = 1/2 and exponent +0.0.
+    A live row's per-copy exponent xi = -log Q(s*) carries a relative error
+    near 64 eps / xi (module docstring); where that exceeds _MAX_ERROR the
+    search raises NumericalError instead of returning it.
     """
+    rows = len(live)
     lo, hi = [_S_EDGE] * rows, [1.0 - _S_EDGE] * rows
     s = _FIRST_ROUND.repeat(rows, axis=0)
     while True:
-        q = fn(s)
+        q = data.overlap(s)
         argmin = q.argmin(axis=1).tolist()
         wide = [r for r in range(rows) if hi[r] - lo[r] > _STOP_WIDTH]
         if not wide:
@@ -206,40 +211,29 @@ def _zoom_min(fn, rows: int) -> list:
             i = argmin[r]
             lo[r], hi[r] = s[r, max(i - 1, 0)], s[r, min(i + 1, _BRACKET - 1)]
         s = np.array([np.minimum(a + (b - a) * _UNIT, b) for a, b in zip(lo, hi)])
-    out = []
+    s_star, exponent = [0.5] * rows, [0.0] * rows  # kept by dead rows
     for r, i in enumerate(argmin):
-        q_r = q[r]
+        if not live[r]:
+            continue
+        q_r, s_r, t = q[r], float(s[r, i]), math.inf
         if 0 < i < _BRACKET - 1 and q_r[i] > 0:
             a3, a2, a1, a0 = _CUBIC_FIT @ np.log(q_r)
             disc = a2 * a2 - 3.0 * a3 * a1
             # the fit's stationary point with second derivative 2 sqrt(disc) > 0
-            t = -a1 / (a2 + math.sqrt(disc)) if a2 > 0 and disc > 0 else math.inf
-            if abs(t) < 1:
-                log_q = ((a3 * t + a2) * t + a1) * t + a0
-                out.append((float(lo[r] + 0.5 * (hi[r] - lo[r]) * (1.0 + t)),
-                            min(float(log_q), 0.0)))
-                continue
-        out.append((float(s[r, i]), math.log(q_r[i]) if q_r[i] > 0 else -math.inf))
-    return out
-
-
-def _bounds(data: _PairData, m_modes: float):
-    """s* and the M-copy exponent of each row of ``data``, as two lists.
-
-    A double Q_s near 1 resolves log Q to a few eps, so a per-copy exponent
-    xi = -log Q(s*) carries a relative error near 64 eps / xi; a row where
-    that exceeds _MAX_ERROR raises NumericalError instead of returning it.
-    """
-    s_star, exponent = [], []
-    for s, log_q in _zoom_min(data.overlap, data.rows):
+            if a2 > 0 and disc > 0:
+                t = -a1 / (a2 + math.sqrt(disc))
+        if abs(t) < 1:
+            s_r = float(lo[r] + 0.5 * (hi[r] - lo[r]) * (1.0 + t))
+            log_q = float(((a3 * t + a2) * t + a1) * t + a0)
+        else:
+            log_q = math.log(q_r[i]) if q_r[i] > 0 else -math.inf
         xi = -log_q if log_q < 0 else 0.0
         if _ROUND_OFF > _MAX_ERROR * xi:
             raise NumericalError(
                 f"per-copy Chernoff exponent {xi:.3g} is below what double precision "
                 f"resolves (estimated relative error {_ROUND_OFF / xi if xi else math.inf:.2g}"
                 f" > {_MAX_ERROR:g})")
-        s_star.append(s)
-        exponent.append(m_modes * xi)
+        s_star[r], exponent[r] = s_r, m_modes * xi
     return s_star, exponent
 
 
@@ -250,21 +244,18 @@ def qcb_sweep(pair: HypothesisPair, m_modes: float) -> QcbResult:
     Q_s is log-convex in s (module docstring), so four batched rounds of 33
     overlaps zoom from [1e-6, 1 - 1e-6] to a bracket below 1e-3 wide around
     the minimiser, and a least-squares cubic through log Q of the last
-    round's samples gives s* and log Q(s*).  Identical hypotheses give Q = 1
-    exactly and are not searched.  Raises NumericalError where double
-    precision cannot resolve an exponent.
+    round's samples gives s* and log Q(s*).  Rows of identical hypotheses
+    (Q = 1 exactly) go through the same pass and return s* = 1/2 and
+    exponent 0.  Raises NumericalError where double precision cannot resolve
+    an exponent.
     """
     on, off = pair.on, pair.off
     if on.mean_q.shape != off.mean_q.shape:
         raise ValueError("hypotheses must have the same mode count and stack shape")
     live = (on.cov_n != off.cov_n).any(axis=(-2, -1)) | (on.mean_q != off.mean_q).any(axis=-1)
-    s_star, exponent = np.full(live.shape, 0.5), np.zeros(live.shape)
-    if live.any():
-        if not live.all():  # search the live rows only
-            pair = HypothesisPair(GaussianState(on.mean_q[live], on.cov_n[live]),
-                                  GaussianState(off.mean_q[live], off.cov_n[live]))
-        s_star[live], exponent[live] = _bounds(_PairData(pair), m_modes)
-    return QcbResult(s_star=s_star, exponent=exponent)
+    s_star, exponent = _search(_PairData(pair), live.ravel().tolist(), m_modes)
+    return QcbResult(s_star=np.reshape(s_star, live.shape),
+                     exponent=np.reshape(exponent, live.shape))
 
 
 def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:

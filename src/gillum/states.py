@@ -72,6 +72,8 @@ class GaussianState:
 
     def mean_photon(self, mode: int) -> float:
         """Total <a^dag a> of one mode, including the first-moment part."""
+        if self.mean_q.ndim != 1:
+            raise ValueError("mean_photon takes one state, not a stack of states")
         c, x, p = self.cov_n, self.mean_q[2 * mode], self.mean_q[2 * mode + 1]
         return float(0.5 * (c[2 * mode, 2 * mode] + c[2 * mode + 1, 2 * mode + 1]
                             + x * x + p * p))

@@ -334,6 +334,21 @@ def test_identical_hypotheses_give_unit_overlap():
             assert res.exponent == 0.0 and math.copysign(1.0, res.exponent) == 1.0
 
 
+@pytest.mark.parametrize("n_b", [30.0, 0.0])
+def test_qcb_sweep_of_identical_hypotheses_only(n_b):
+    # a sweep at kappa = 0 is dead in every row: each row is searched with
+    # the rest and returns s* = 1/2 and exponent +0.0
+    n_s = np.logspace(-2, 1, 6).reshape(2, 3)
+    for probe in (make_tmsv(n_s), make_cct(n_s, n_s), make_coherent(np.sqrt(n_s))):
+        for model in NoiseModel:
+            p = ScenarioParams(kappa=0.0, n_s=n_s, n_b=n_b, m_modes=10**7, noise_model=model)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = qcb_sweep(hypothesis_pair(probe, p), p.m_modes)
+            assert res.s_star.tobytes() == np.full(n_s.shape, 0.5).tobytes()
+            assert res.exponent.tobytes() == np.zeros(n_s.shape).tobytes()
+
+
 def test_qcb_pure_modes_raise_no_runtime_warning():
     p = ScenarioParams(kappa=0.05, n_s=0.8, n_b=2.5)
     pair = hypothesis_pair(make_tmsv(p.n_s), p)

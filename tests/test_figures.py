@@ -414,6 +414,20 @@ def test_refused_coherent_bound_fails_before_the_optimizer(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("nb", [[], ["--nb", "0"]])
+@pytest.mark.parametrize("figure, names", [(["fig5b"], ["CCT QCB", "Coh QCB"]),
+                                           (["fig3", "--noise", "nonconstant"], ["Coh"])])
+def test_cli_chernoff_columns_vanish_without_a_target(figure, names, nb):
+    # at kappa = 0 the hypotheses are identical in every row of the sweep:
+    # the Chernoff columns are 0 throughout, with no warning or refusal
+    res = run_cli("figure", *figure, "--kappa", "0", *nb, "--points", "5")
+    assert res.returncode == 0, res.stderr
+    header, *rows = [line.split(",") for line in res.stdout.strip().split("\n")]
+    columns = [header.index(name) for name in names]
+    assert len(rows) == 5
+    assert all(row[c] == "0" for row in rows for c in columns)
+
+
 def test_cli_keeps_chernoff_bounds_at_the_benchmark_corner():
     # fig5b's weakest point in the benchmark's range: estimated error 1.7e-5
     res = run_cli("figure", "fig5b", "--kappa", "1e-3", "--nb", "100")

@@ -333,9 +333,11 @@ def test_stats_rejects_state_with_more_modes_than_observable(tmsv_pair):
 
 
 def test_one_state_operations_reject_stacks():
-    # stats and tensor read one state; a stack of one or more rows is refused
+    # stats, tensor and mean_photon read one state; a stack of one or more rows is refused
     for stack in (make_tmsv(np.array([0.3, 1.2])), make_tmsv(np.array([0.3])),
                   make_coherent(np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="stack"):
+            stack.mean_photon(0)
         with pytest.raises(ValueError, match="stack"):
             stats(obs_number(0, 2), stack)
         with pytest.raises(ValueError, match="stack"):
