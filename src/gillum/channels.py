@@ -92,7 +92,9 @@ def _received_noise(params: ScenarioParams, kappa: float) -> float:
 
 def apply_target(state: GaussianState, params: ScenarioParams,
                  present: bool) -> GaussianState:
-    """Send the signal, mode 0 of ``state``, through the target channel.
+    """Send the signal, mode 0 of ``state``, through the target channel at
+    one kappa, a scalar (a float or a 0-d array); a stacked ``state`` maps
+    row by row.
 
     The signal mode a becomes sqrt(kappa) a + sqrt(1 - kappa) e with e an
     environment thermal mode (mean set by the noise model) that is traced
@@ -101,20 +103,23 @@ def apply_target(state: GaussianState, params: ScenarioParams,
     received occupancy ``_received_noise``.  ``present=False`` always uses
     reflectance zero, which receives ``n_b`` in both conventions.
     """
+    if isinstance(params.kappa, np.ndarray) and params.kappa.ndim:
+        raise ValueError("the target channel is at one kappa, a scalar; "
+                         "a sweep over N_S stacks the probe instead")
     kappa = params.kappa if present else 0.0
     x = np.ones(2 * state.n_modes)
     x[:2] = np.sqrt(kappa)
-    cov_n = state.cov_n * np.outer(x, x)
-    cov_n[..., [0, 1], [0, 1]] += _received_noise(params, kappa)
+    cov_n = state.cov_n * (x[:, None] * x)
+    noise = _received_noise(params, kappa)
+    cov_n[..., 0, 0] += noise
+    cov_n[..., 1, 1] += noise
     return GaussianState(x * state.mean_q, cov_n)
 
 
 def hypothesis_pair(probe: GaussianState, params: ScenarioParams) -> HypothesisPair:
     """Send ``probe``, its signal in mode 0, through both channel hypotheses
-    at one kappa (a scalar); a stacked probe gives a stack of pairs."""
-    if np.ndim(params.kappa):
-        raise ValueError("a hypothesis pair is at one kappa, a scalar; "
-                         "a sweep over N_S stacks the probe instead")
+    at one kappa (a scalar, as ``apply_target`` requires); a stacked probe
+    gives a stack of pairs."""
     return HypothesisPair(
         on=apply_target(probe, params, present=True),
         off=apply_target(probe, params, present=False),

@@ -7,6 +7,7 @@ Options may also come from a ``key=value`` config file; flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .channels import NoiseModel
@@ -38,6 +39,7 @@ _OPTIONS = (
 _PARSERS = {key: parse for key, _, parse, _, _ in _OPTIONS}
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gillum",

@@ -37,6 +37,7 @@ class QuadraticObservable:
     h: np.ndarray
     lin: np.ndarray
     _vacuum_quad_var: float = field(init=False, repr=False, compare=False)
+    _has_lin: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.iscomplexobj(self.h) or np.iscomplexobj(self.lin):
@@ -54,6 +55,7 @@ class QuadraticObservable:
         object.__setattr__(self, "lin", lin)
         omega = symplectic_form(self.n_modes)
         object.__setattr__(self, "_vacuum_quad_var", 0.5 * np.vdot(h, h + omega @ h @ omega))
+        object.__setattr__(self, "_has_lin", bool(lin.any()))
 
     @property
     def n_modes(self) -> int:
@@ -90,7 +92,13 @@ def stats(obs: QuadraticObservable, state: GaussianState) -> ObservableStats:
     the Gaussian 2 tr(hVhV) + tr(h Omega h Omega)/2 + b^T V b at the
     symmetrized covariance V = N + I/2, expanded in N so that the vacuum
     terms cancel exactly (h + Omega h Omega = 0 for a passive h).  Modes of
-    ``obs`` beyond the state's are vacuum: m and N are zero-padded.
+    ``obs`` beyond the state's are vacuum: N is zero-padded.
+
+    The displacement terms lin.m, m^T h m, b^T N b and b^T b / 2 (with m
+    zero-padded too) are formed only when ``obs`` has a linear part or the
+    state has a mean.  Otherwise m = 0 and b = 0, each of those terms is an
+    exact +0.0, and adding it leaves every sum's bits as they are, so both
+    branches give the bits of the one formula above.
     """
     h, lin, m, cov = obs.h, obs.lin, state.mean_q, state.cov_n
     if m.ndim != 1:
@@ -99,16 +107,18 @@ def stats(obs: QuadraticObservable, state: GaussianState) -> ObservableStats:
     if k > lin.size:
         raise ValueError("state has more modes than the observable")
     if k < lin.size:
-        m = np.concatenate((m, np.zeros(lin.size - k)))
-        cov = np.zeros_like(h)
+        cov = np.zeros(h.shape)
         cov[:k, :k] = state.cov_n
-    hm = h @ m
     hn = h @ cov
+    var = 2.0 * np.vdot(hn, hn.T + h) + obs._vacuum_quad_var
+    if not (obs._has_lin or np.count_nonzero(m)):
+        return ObservableStats(obs.c0 + np.vdot(h, cov), var)
+    if k < lin.size:
+        m = np.concatenate((m, np.zeros(lin.size - k)))
+    hm = h @ m
     b = lin + 2.0 * hm
     mean = obs.c0 + lin @ m + m @ hm + np.vdot(h, cov)
-    var = (2.0 * np.vdot(hn, hn.T + h) + obs._vacuum_quad_var
-           + b @ cov @ b + 0.5 * (b @ b))
-    return ObservableStats(mean, var)
+    return ObservableStats(mean, var + b @ cov @ b + 0.5 * (b @ b))
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,43 @@ def target_channel_reference(state: GaussianState, signal_mode: int, params,
 
 
 # ---------------------------------------------------------------------------
+# bitwise references: the engine's formulas written out in full, with every
+# term formed whatever its value, in the library's order of operations
+# ---------------------------------------------------------------------------
+
+def target_channel_formula(state: GaussianState, params, present: bool) -> GaussianState:
+    """The lossy thermal map X N X + noise on the signal's (x, p), mode 0, with
+    the scale as ``np.outer`` and the noise added through fancy indexing."""
+    kappa = params.kappa if present else 0.0
+    noise = params.n_b if params.noise_model is NoiseModel.CONSTANT else (1.0 - kappa) * params.n_b
+    x = np.ones(2 * state.n_modes)
+    x[:2] = np.sqrt(kappa)
+    cov_n = state.cov_n * np.outer(x, x)
+    cov_n[..., [0, 1], [0, 1]] += noise
+    return GaussianState(x * state.mean_q, cov_n)
+
+
+def stats_formula(obs: QuadraticObservable, state: GaussianState):
+    """(mean, variance) of ``obs`` on one state by the moment formula with the
+    displacement terms always formed, m and N zero-padded to the observable's
+    modes; the variance unclamped."""
+    h, lin, m, cov = obs.h, obs.lin, state.mean_q, state.cov_n
+    k = m.size
+    if k < lin.size:
+        m = np.concatenate((m, np.zeros(lin.size - k)))
+        cov = np.zeros_like(h)
+        cov[:k, :k] = state.cov_n
+    omega = symplectic_form(obs.n_modes)
+    hm = h @ m
+    hn = h @ cov
+    b = lin + 2.0 * hm
+    mean = obs.c0 + lin @ m + m @ hm + np.vdot(h, cov)
+    var = (2.0 * np.vdot(hn, hn.T + h) + 0.5 * np.vdot(h, h + omega @ h @ omega)
+           + b @ cov @ b + 0.5 * (b @ b))
+    return float(mean), float(var)
+
+
+# ---------------------------------------------------------------------------
 # quadrature-product observables and the enlarged-mode heterodyne simulation
 # ---------------------------------------------------------------------------
 

@@ -225,12 +225,42 @@ def test_param_validation_reads_every_array_entry():
 
 
 def test_hypothesis_pair_rejects_array_parameters():
-    params = ScenarioParams(kappa=np.linspace(0.01, 0.5, 5), n_s=0.1, n_b=1.0)
-    for probe in (make_tmsv(0.1), make_cct(0.1, 0.2), make_coherent(0.3)):
-        with pytest.raises(ValueError):
-            hypothesis_pair(probe, params)
-    with pytest.raises(ValueError, match="stacks the probe"):
-        hypothesis_pair(make_tmsv(0.1), params)
+    # the channel refuses an array kappa in either hypothesis, and the pair
+    # inherits that; two entries once scaled x_S and p_S by different roots
+    # and three raised a broadcast error
+    for size in (2, 3, 5):
+        params = ScenarioParams(kappa=np.linspace(0.01, 0.5, size), n_s=0.1, n_b=1.0,
+                                noise_model=NoiseModel.NONCONSTANT)
+        for probe in (make_tmsv(0.1), make_cct(0.1, 0.2), make_coherent(0.3),
+                      make_tmsv(np.array([0.1, 1.0]))):
+            with pytest.raises(ValueError, match="kappa"):
+                hypothesis_pair(probe, params)
+            for present in (True, False):
+                with pytest.raises(ValueError, match="kappa"):
+                    apply_target(probe, params, present)
+        with pytest.raises(ValueError, match="stacks the probe"):
+            hypothesis_pair(make_tmsv(0.1), params)
+
+
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_apply_target_bits_equal_the_outer_product_formula(model):
+    # the scale x[:, None] * x and the two diagonal adds give the bits of
+    # np.outer(x, x) and one fancy-index add, for single and stacked probes
+    n_s = np.array([0.0, 1e-3, 0.4, 10.0])
+    kappas = (0.0, 1e-4, 0.01, 0.5) + ((1.0,) if model is NoiseModel.NONCONSTANT else ())
+    rng = np.random.default_rng(11)
+    for kappa in kappas:
+        for n_b in (0.0, 0.7, 30.0):
+            params = ScenarioParams(kappa=kappa, n_s=0.1, n_b=n_b, noise_model=model)
+            probes = [make_tmsv(n_s), make_cct(n_s, 2.0 * n_s), make_coherent(np.sqrt(n_s) + 0.2j),
+                      make_tmsv(n_s.reshape(2, 2)), seeded_state(rng, 3)]
+            probes += [make_tmsv(n) for n in n_s]
+            for probe in probes:
+                for present in (True, False):
+                    got = apply_target(probe, params, present)
+                    ref = orc.target_channel_formula(probe, params, present)
+                    assert got.mean_q.tobytes() == ref.mean_q.tobytes()
+                    assert got.cov_n.tobytes() == ref.cov_n.tobytes()
 
 
 def test_hypothesis_pair_accepts_a_zero_d_kappa():

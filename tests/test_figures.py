@@ -329,6 +329,41 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     assert len(json.loads(res2.stdout)["curves"][0]["points"]) == 3
 
 
+def test_cli_parser_is_built_once_and_leaks_no_option(tmp_path, capsys):
+    # main reuses one parser per process; every call's bytes equal those of a
+    # call on a freshly built parser, whatever the calls before it set
+    from gillum import cli
+
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("points=3\nnb=5\nformat=json\n")
+    calls = (
+        ["figure", "fig1", "--points", "4", "--nb", "3", "--kappa", "0.1", "--format", "json"],
+        ["figure", "fig1", "--points", "4"],
+        ["figure", "fig2", "--config", str(cfg)],
+        ["figure", "fig2", "--points", "3"],
+        ["figure", "fig1", "--config", str(cfg), "--format", "csv", "--receivers", "DH,OB"],
+        ["figure", "s1", "--points", "1"],  # exit 2
+        ["figure", "fig1", "--points", "4", "--noise", "nonconstant"],
+        ["figure", "fig1", "--points", "4"],
+    )
+
+    def run(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli._build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert reused[1] == reused[-1] and reused[0] != reused[1]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 0]
+
+
 def test_cli_rejects_out_of_range_parameters():
     assert run_cli("figure", "fig1", "--kappa", "1.5",
                    "--points", "4").returncode == 2

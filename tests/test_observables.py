@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles as orc
 from gillum import (
+    NoiseModel,
     QuadraticObservable,
     ScenarioParams,
     heterodyne,
@@ -33,6 +34,7 @@ from gillum import (
     tensor,
     transform_by_beam_splitter,
 )
+from gillum.figures import _HETERODYNE
 
 KAPPA, NS, NB = 0.01, 0.01, 30.0
 A = KAPPA * NS + NB
@@ -323,6 +325,42 @@ def test_stats_pads_missing_modes_with_vacuum():
             full = stats(obs, tensor(state, make_vacuum(extra)))
             assert abs(short.mean - full.mean) <= 1e-15 * max(abs(full.mean), 1e-300)
             assert abs(short.variance - full.variance) <= 1e-15 * full.variance
+
+
+def _bitwise_stats_cases():
+    """fig4's observables on TMSV and CCT pairs over an (N_S, kappa, N_B) grid
+    from N_S = 0 (no linear part, no mean), the same observables on coherent
+    pairs (a mean), and quadratures on every pair (a linear part)."""
+    quadratures = (obs_quadrature(0, 0.3, 2), obs_quadrature(1, 2.2, 4))
+    for model in NoiseModel:
+        for n_s in (0.0, 1e-3, 0.01, 0.4, 10.0):
+            for kappa in (0.0, 0.01, 0.3):
+                for n_b in (0.0, 1.0, 30.0):
+                    params = ScenarioParams(kappa=kappa, n_s=n_s, n_i=2.0 * n_s, n_b=n_b,
+                                            noise_model=model)
+                    for probe, observables in (
+                            (make_tmsv(n_s), (*_HETERODYNE.values(), *quadratures)),
+                            (make_cct(n_s, 2.0 * n_s), (*_HETERODYNE.values(), *quadratures)),
+                            (make_coherent(np.sqrt(n_s) * np.exp(0.6j)),
+                             (*_HETERODYNE.values(), obs_quadrature(0, 0.3, 1)))):
+                        pair = hypothesis_pair(probe, params)
+                        for obs in observables:
+                            yield obs, pair.on
+                            yield obs, pair.off
+
+
+def test_stats_bits_equal_the_full_formula():
+    # the undisplaced branch skips terms that are exact zeros, so every case,
+    # displaced or not, carries the bits of the formula with every term formed
+    branches = set()
+    for obs, state in _bitwise_stats_cases():
+        got = stats(obs, state)
+        mean, var = orc.stats_formula(obs, state)
+        assert np.array([got.mean, got.variance]).tobytes() == \
+            np.array([mean, max(0.0, var)]).tobytes()
+        branches.add(bool(obs.lin.any() or state.mean_q.any()))
+    assert branches == {False, True}
+    assert not any(obs.lin.any() for obs in _HETERODYNE.values())
 
 
 def test_stats_rejects_state_with_more_modes_than_observable(tmsv_pair):
