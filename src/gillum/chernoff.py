@@ -22,8 +22,9 @@ each of them: a sweep is one ``HypothesisPair`` of stacked states,
 per row, each round is one overlap call for all rows on their own brackets,
 and one pass over the rows fits, checks and scales each (identical
 hypotheses give s* = 1/2, exponent 0).  Every step acts on each row alone,
-so a row has the bits of its pair searched alone: ``qcb`` is the one-pair
-form of ``qcb_sweep``.  A double Q_s near 1 resolves log Q to a few eps
+so a row has the bits of its pair searched alone: ``qcb`` (one pair, floats)
+and ``qcb_sweep`` (a stack, arrays) both call the one search, ``_search``.
+A double Q_s near 1 resolves log Q to a few eps
 only, so a per-copy exponent xi = -log Q(s*) is good to about 64 eps / xi
 relative; where that exceeds 1e-4 the search raises NumericalError.
 
@@ -32,6 +33,9 @@ sqrt(V): an eigenvector x + i y of +nu is orthogonal to its conjugate, so
 (sqrt(2) y, sqrt(2) x) is an orthonormal pair, degenerate or not, and its
 Rayleigh quotient 2 y^T K x is a more accurate nu than the eigenvalue.
 ``williamson`` is the one symplectic spectrum; pure modes come out as exactly 1/2.
+It keeps the decompositions of its last few distinct matrices, keyed on
+their exact bytes, so a sweep that asks for one matrix at every point (the
+off state of a kappa sweep) decomposes it once.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ _CUBIC_FIT = np.linalg.pinv(np.vander(2.0 * _UNIT - 1.0, 4))
 _PURE_TOL = 16 * np.finfo(float).eps  # round-off units of a pure mode's 2 nu
 _ROUND_OFF = 64 * np.finfo(float).eps  # relative error of a per-copy exponent, times it
 _MAX_ERROR = 1e-4  # largest relative error of a returned exponent
+_MEMO_SIZE = 8  # distinct matrices whose decompositions williamson keeps
+_memo: dict = {}  # (cov_n.shape, cov_n.tobytes()) -> read-only (nu, s), oldest use first
 
 
 class NumericalError(RuntimeError):
@@ -85,10 +91,30 @@ def williamson(state: GaussianState):
     It is the package's one purity test: an error E ~ eps lambda_max(cov_q)
     moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k;
     2 nu_k that close to 1 is returned as 1/2 (s unchanged), below that raises.
-    A stack of states gives nu (..., n) and s (..., 2n, 2n), every matrix
-    decomposed on its own.
+    A non-finite entry raises too.  A stack of states gives nu (..., n) and
+    s (..., 2n, 2n), every matrix decomposed on its own.
+
+    The last _MEMO_SIZE (8) distinct ``cov_n`` decomposed are kept, keyed on
+    ``(cov_n.shape, cov_n.tobytes())``: a hit returns the bits a fresh call
+    gives, since the key holds every bit of the input (+0.0 and -0.0 differ,
+    and a state differs from its one-row stack).  So nu and s are read-only
+    arrays, shared between the calls; a refusal is not kept.
     """
-    cov_q = state.cov_q
+    cov_n = state.cov_n
+    key = (cov_n.shape, cov_n.tobytes())
+    result = _memo.pop(key, None)
+    if result is None:
+        result = _decompose(state.cov_q)
+        if len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]  # the least recently used
+    _memo[key] = result
+    return result
+
+
+def _decompose(cov_q: np.ndarray):
+    """``williamson`` without its memo, on a finite covariance or a stack."""
+    if not np.isfinite(cov_q).all():
+        raise ValueError("covariance must be finite")
     n = cov_q.shape[-1] // 2
     evals, evecs = np.linalg.eigh(cov_q)  # eigenvalues ascend
     if (evals[..., 0] <= 0).any():
@@ -108,6 +134,8 @@ def williamson(state: GaussianState):
     if (gap < -tol).any():
         raise ValueError("covariance is not physical: symplectic eigenvalue below 1/2")
     nus[gap <= tol] = 0.5
+    nus.setflags(write=False)
+    s.setflags(write=False)
     return nus, s
 
 
@@ -237,6 +265,15 @@ def _search(data: _PairData, live: list, m_modes: float):
     return s_star, exponent
 
 
+def _live(pair: HypothesisPair) -> np.ndarray:
+    """Whether each pair of the stack has distinct hypotheses, as a bool
+    array of the stack's shape; on and off must stack alike."""
+    on, off = pair.on, pair.off
+    if on.mean_q.shape != off.mean_q.shape:
+        raise ValueError("hypotheses must have the same mode count and stack shape")
+    return (on.cov_n != off.cov_n).any(axis=(-2, -1)) | (on.mean_q != off.mean_q).any(axis=-1)
+
+
 def qcb_sweep(pair: HypothesisPair, m_modes: float) -> QcbResult:
     """Quantum Chernoff bound of every pair of a stacked hypothesis pair, as
     arrays of the stack's shape, each pair with the bits it has searched alone.
@@ -249,22 +286,21 @@ def qcb_sweep(pair: HypothesisPair, m_modes: float) -> QcbResult:
     exponent 0.  Raises NumericalError where double precision cannot resolve
     an exponent.
     """
-    on, off = pair.on, pair.off
-    if on.mean_q.shape != off.mean_q.shape:
-        raise ValueError("hypotheses must have the same mode count and stack shape")
-    live = (on.cov_n != off.cov_n).any(axis=(-2, -1)) | (on.mean_q != off.mean_q).any(axis=-1)
+    live = _live(pair)
     s_star, exponent = _search(_PairData(pair), live.ravel().tolist(), m_modes)
     return QcbResult(s_star=np.reshape(s_star, live.shape),
                      exponent=np.reshape(exponent, live.shape))
 
 
 def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:
-    """Quantum Chernoff bound of one Gaussian hypothesis pair, as floats:
-    ``qcb_sweep`` on a stack of one."""
+    """Quantum Chernoff bound of one Gaussian hypothesis pair, as floats.
+
+    Like ``qcb_sweep``, it calls ``_search``, here on the pair's one row, so
+    the pair has the bits it has as a row of a sweep."""
     if pair.on.mean_q.ndim != 1:
         raise ValueError("qcb takes one pair; qcb_sweep takes a stack")
-    res = qcb_sweep(pair, m_modes)
-    return QcbResult(s_star=float(res.s_star), exponent=float(res.exponent))
+    (s_star,), (exponent,) = _search(_PairData(pair), [bool(_live(pair))], m_modes)
+    return QcbResult(s_star=float(s_star), exponent=float(exponent))
 
 
 def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:

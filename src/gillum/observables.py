@@ -74,8 +74,8 @@ class ObservableStats:
     variance: float
 
     def __post_init__(self):
-        if self.variance < -_VAR_CLAMP:
-            raise ValueError(f"variance {self.variance} below clamp window")
+        if not self.variance >= -_VAR_CLAMP:  # NaN fails it too
+            raise ValueError(f"variance {self.variance} is NaN or below the clamp window")
         object.__setattr__(self, "variance", max(0.0, float(self.variance)))
         object.__setattr__(self, "mean", float(self.mean))
 

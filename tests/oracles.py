@@ -639,6 +639,48 @@ def bound_snr_mp(params, alpha, beta, dps: int = 50, *, extra_var=0):
         return m * gap * gap / (2 * (sd(b_on, c_on) + sd(b_off, c_off)) ** 2)
 
 
+def tmsv_moment_snr_mp(obs: QuadraticObservable, params, dps: int = 50):
+    """SNR of ``obs`` (no linear part) on the TMSV pair in ``dps``-digit
+    arithmetic, as an mpf, by the moment formula of ``stats``.
+
+    The pair's normally ordered covariances are written from the scenario:
+    the signal (x, p) block k N_S + noise, the idler N_S, and the cross
+    entries +-sqrt(k) sqrt(N_S (N_S + 1)) on (x_S x_I, p_S p_I), for k =
+    kappa and 0; modes of ``obs`` beyond the two are vacuum.  With N that
+    covariance, <O> = c0 + tr(h N) and Var(O) = 2 tr(hN (hN + h)) +
+    tr(h (h + Omega h Omega)) / 2, exact in the float entries of ``h``.
+    """
+    import mpmath as mp
+
+    if obs.lin.any():
+        raise ValueError("linear parts are not covered")
+    with mp.workdps(dps):
+        n, n_b, m = (mp.mpf(v) for v in (params.n_s, params.n_b, params.m_modes))
+        h = mp.matrix(obs.h.tolist())
+        omega = mp.matrix(symplectic_form(obs.n_modes).tolist())
+        rows = range(h.rows)
+
+        def trace(a):
+            return mp.fsum(a[i, i] for i in rows)
+
+        vacuum = trace(h * (h + omega * h * omega)) / 2
+        constant = params.noise_model is NoiseModel.CONSTANT
+
+        def moments(k):
+            cov = mp.zeros(h.rows)
+            cov[0, 0] = cov[1, 1] = k * n + (n_b if constant else (1 - k) * n_b)
+            cov[2, 2] = cov[3, 3] = n
+            c = mp.sqrt(k) * mp.sqrt(n * (n + 1))
+            cov[0, 2] = cov[2, 0] = c
+            cov[1, 3] = cov[3, 1] = -c
+            hn = h * cov
+            return obs.c0 + trace(hn), 2 * trace(hn * (hn + h)) + vacuum
+
+        (mean_on, var_on), (mean_off, var_off) = moments(mp.mpf(params.kappa)), moments(0)
+        gap = mean_on - mean_off
+        return m * gap * gap / (2 * (mp.sqrt(var_on) + mp.sqrt(var_off)) ** 2)
+
+
 def opa_printed_snr_mp(params, gain, dps: int = 50):
     """SNR of the amplifier receiver's printed closed form in ``dps``-digit
     arithmetic, as an mpf, written from the printed excess-variance term

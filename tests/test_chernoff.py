@@ -29,7 +29,17 @@ from gillum import (
     tensor,
     williamson,
 )
-from gillum.chernoff import _MAX_ERROR, _ROUND_OFF, _S_EDGE, NumericalError, _PairData, qcb_sweep
+from gillum.chernoff import (
+    _MAX_ERROR,
+    _MEMO_SIZE,
+    _ROUND_OFF,
+    _S_EDGE,
+    NumericalError,
+    _decompose,
+    _memo,
+    _PairData,
+    qcb_sweep,
+)
 
 
 def test_williamson_thermal():
@@ -104,6 +114,90 @@ def test_williamson_reconstruction_and_symplecticity():
         assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-9
         assert np.allclose(np.sort(nu), orc.symplectic_eigenvalues(state), rtol=0, atol=1e-9)
         assert np.all(nu >= 0.5 - 1e-9)
+
+
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_williamson_memo_hit_has_the_bits_of_a_fresh_decomposition(model):
+    # a second call on equal bytes is a hit (the same arrays come back) and
+    # carries the bits of a decomposition that never saw the memo
+    p = ScenarioParams(kappa=0.05, n_s=0.7, n_i=1.3, n_b=4.0, noise_model=model)
+    for probe in orc.PROBES:
+        pair = hypothesis_pair(probe(p), p)
+        for state in (pair.on, pair.off):
+            _memo.clear()
+            first = williamson(state)
+            hit = williamson(GaussianState(state.mean_q.copy(), state.cov_n.copy()))
+            assert hit[0] is first[0] and hit[1] is first[1]
+            fresh = _decompose(state.cov_q)
+            assert hit[0].tobytes() == fresh[0].tobytes()
+            assert hit[1].tobytes() == fresh[1].tobytes()
+
+
+def test_williamson_memo_keys_on_exact_bytes_and_shape():
+    # -0.0 and +0.0 compare equal but are different bytes: keyed apart, each
+    # with its own decomposition's bits; a state and its one-row stack too
+    _memo.clear()
+    plus = GaussianState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0]))
+    cov = plus.cov_n.copy()
+    cov[2, 2] = cov[0, 1] = cov[1, 0] = -0.0
+    minus = GaussianState(np.zeros(4), cov)
+    assert np.array_equal(plus.cov_n, minus.cov_n)
+    assert plus.cov_n.tobytes() != minus.cov_n.tobytes()
+    for state in (plus, minus):
+        nu, s = williamson(state)
+        fresh = _decompose(state.cov_q)
+        assert nu.tobytes() == fresh[0].tobytes() and s.tobytes() == fresh[1].tobytes()
+    assert williamson(plus)[0] is not williamson(minus)[0]
+    assert len(_memo) == 2
+    stack = GaussianState(plus.mean_q[None], plus.cov_n[None])
+    assert plus.cov_n.tobytes() == stack.cov_n.tobytes()
+    nu, s = williamson(stack)
+    assert nu.shape == (1, 2) and s.shape == (1, 4, 4)
+    assert williamson(plus)[0].shape == (2,)
+
+
+def test_williamson_results_are_read_only():
+    p = ScenarioParams(kappa=0.05, n_s=0.7, n_b=4.0)
+    for state in (make_thermal(2.0), hypothesis_pair(make_tmsv(np.ones(3)), p).on):
+        for _ in range(2):  # the miss, then the hit
+            nu, s = williamson(state)
+            assert not nu.flags.writeable and not s.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                nu[..., 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                s[..., 0, 0] = 1.0
+
+
+def test_williamson_memo_stays_bounded_and_keeps_a_repeated_matrix():
+    # fig5a's traffic: a new on state at every point, one off state asked
+    # after each of them; the off state stays a hit however many pass
+    p = ScenarioParams(kappa=0.01, n_s=1.0, n_i=1.0, n_b=30.0)
+    off = williamson(hypothesis_pair(make_cct(1.0, 1.0), p).off)
+    for kappa in np.linspace(0.01, 0.5, 5 * _MEMO_SIZE):
+        pair = hypothesis_pair(make_cct(1.0, 1.0), replace(p, kappa=kappa))
+        williamson(pair.on)
+        assert williamson(pair.off)[1] is off[1]
+        assert len(_memo) <= _MEMO_SIZE
+    for n in np.linspace(1.0, 2.0, 5 * _MEMO_SIZE):
+        williamson(make_thermal(n))
+    assert len(_memo) == _MEMO_SIZE
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_williamson_refuses_non_finite_covariances(bad):
+    # before: inf gave nu = [nan] and a NaN in a 4x4 raised LinAlgError
+    cov = np.diag([1.0, 1.0, 2.0, 2.0])
+    cov[2, 2] = bad
+    with np.errstate(invalid="ignore"):  # the symmetry check's inf - inf
+        states = (GaussianState(np.zeros(4), cov),
+                  GaussianState(np.zeros((2, 4)), np.stack([np.eye(4), cov])),
+                  GaussianState(np.zeros(2), np.diag([bad, 1.0])))
+    for state in states:
+        size = len(_memo)
+        for _ in range(2):  # a refusal is not kept: the second call refuses too
+            with pytest.raises(ValueError, match="finite"):
+                williamson(state)
+        assert len(_memo) == size
 
 
 def test_identical_states_overlap_one():

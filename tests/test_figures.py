@@ -132,6 +132,29 @@ def _assert_bound_form_cells(figure, n_b, kappa, ob_weights, extra_refs=lambda p
 
 
 @pytest.mark.parametrize("n_b,kappa", BOUND_FORM_SCENARIOS)
+def test_fig4_engine_cells_match_mpmath(n_b, kappa):
+    # the three moment-engine columns against stats' formula in 50-digit
+    # mpmath on the scenario's TMSV pair (within 7e-16 when written); Coh&HD
+    # is the homodyne closed form M 2 kappa N_S / (8 (N_B + 1/2))
+    mp = pytest.importorskip("mpmath")
+    from dataclasses import replace
+
+    from gillum.figures import _HETERODYNE
+
+    config = SweepConfig(figure="fig4", kappa=kappa, n_b=n_b, points=8)
+    cs = run_figure(config)
+    for k, x in enumerate(cs.x):
+        p = replace(config.params, n_s=float(x))
+        refs = {label: orc.tmsv_moment_snr_mp(obs, p) for label, obs in _HETERODYNE.items()}
+        with mp.workdps(50):
+            m, kap, ns, nb = (mp.mpf(v) for v in (p.m_modes, p.kappa, p.n_s, p.n_b))
+            refs["Coh&HD"] = m * 2 * kap * ns / (8 * (nb + mp.mpf(0.5)))
+        assert sorted(refs) == sorted(cs.curves)
+        for label, ref in refs.items():
+            assert abs(cs.curves[label][k] / ref - 1) <= 1e-12, (label, x)
+
+
+@pytest.mark.parametrize("n_b,kappa", BOUND_FORM_SCENARIOS)
 def test_fig1_bound_form_cells_match_mpmath(n_b, kappa):
     # OB at the closed-form idler weight; Coh is the coherent bound
     # M kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2

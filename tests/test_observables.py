@@ -10,7 +10,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles as orc
 from gillum import (
+    GaussianState,
     NoiseModel,
+    ObservableStats,
     QuadraticObservable,
     ScenarioParams,
     heterodyne,
@@ -440,6 +442,20 @@ def test_variance_nonnegative_after_clamp():
     # pure-state squeeze correlations can cancel to zero variance numerically
     st = stats(obs_quadrature(0, 0.0, 2), make_tmsv(0.0))
     assert st.variance >= 0.0
+
+
+def test_nan_variance_is_refused_not_clamped():
+    # max(0.0, nan) is 0.0: before, a NaN variance read as an exact zero
+    with pytest.raises(ValueError, match="NaN"):
+        ObservableStats(1.0, float("nan"))
+    with np.errstate(invalid="ignore"):  # inf - inf in the symmetry check and in h N
+        state = GaussianState(np.zeros(4), np.diag([1.0, 1.0, np.inf, np.inf]))
+        with pytest.raises(ValueError, match="NaN"):
+            stats(obs_bound(0.0, 0.0), state)
+    # the clamp window itself stays: -1e-10 reads as 0, below it raises
+    assert ObservableStats(1.0, -1e-10).variance == 0.0
+    with pytest.raises(ValueError, match="clamp window"):
+        ObservableStats(1.0, -2e-10)
 
 
 def test_invalid_coefficient_blocks_rejected():
