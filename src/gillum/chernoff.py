@@ -23,7 +23,8 @@ per row, each round is one overlap call for all rows on their own brackets,
 and one pass over the rows fits, checks and scales each (identical
 hypotheses give s* = 1/2, exponent 0).  Every step acts on each row alone,
 so a row has the bits of its pair searched alone: ``qcb`` (one pair, floats)
-and ``qcb_sweep`` (a stack, arrays) both call the one search, ``_search``.
+and ``qcb_sweep`` (a stack, arrays) both call ``_search(pair, m_modes)``, which
+checks the pair, marks its identical rows and builds its ``_PairData`` itself.
 A double Q_s near 1 resolves log Q to a few eps
 only, so a per-copy exponent xi = -log Q(s*) is good to about 64 eps / xi
 relative; where that exceeds 1e-4 the search raises NumericalError.
@@ -33,13 +34,14 @@ sqrt(V): an eigenvector x + i y of +nu is orthogonal to its conjugate, so
 (sqrt(2) y, sqrt(2) x) is an orthonormal pair, degenerate or not, and its
 Rayleigh quotient 2 y^T K x is a more accurate nu than the eigenvalue.
 ``williamson`` is the one symplectic spectrum; pure modes come out as exactly 1/2.
-It keeps the decompositions of its last few distinct matrices, keyed on
-their exact bytes, so a sweep that asks for one matrix at every point (the
-off state of a kappa sweep) decomposes it once.
+An ``lru_cache`` keyed on the exact bytes and shape of ``cov_n`` keeps its last
+few distinct matrices' decompositions, so a sweep that asks for one matrix at
+every point (the off state of a kappa sweep) decomposes it once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,9 +54,6 @@ _S_EDGE = 1e-6
 _BRACKET = 33  # overlaps per batched round of the s search
 _STOP_WIDTH = 1e-3  # bracket width of the fitted last round
 _UNIT = np.linspace(0.0, 1.0, _BRACKET)
-# samples of the first round, on [_S_EDGE, 1 - _S_EDGE] for every pair,
-# formed as the later rounds form theirs
-_FIRST_ROUND = np.minimum(_S_EDGE + (1.0 - _S_EDGE - _S_EDGE) * _UNIT, 1.0 - _S_EDGE)[None]
 # least-squares coefficients (a3, a2, a1, a0) of a3 t^3 + a2 t^2 + a1 t + a0
 # through the bracket's samples, t running over [-1, 1]
 _CUBIC_FIT = np.linalg.pinv(np.vander(2.0 * _UNIT - 1.0, 4))
@@ -62,7 +61,6 @@ _PURE_TOL = 16 * np.finfo(float).eps  # round-off units of a pure mode's 2 nu
 _ROUND_OFF = 64 * np.finfo(float).eps  # relative error of a per-copy exponent, times it
 _MAX_ERROR = 1e-4  # largest relative error of a returned exponent
 _MEMO_SIZE = 8  # distinct matrices whose decompositions williamson keeps
-_memo: dict = {}  # (cov_n.shape, cov_n.tobytes()) -> read-only (nu, s), oldest use first
 
 
 class NumericalError(RuntimeError):
@@ -94,21 +92,19 @@ def williamson(state: GaussianState):
     A non-finite entry raises too.  A stack of states gives nu (..., n) and
     s (..., 2n, 2n), every matrix decomposed on its own.
 
-    The last _MEMO_SIZE (8) distinct ``cov_n`` decomposed are kept, keyed on
-    ``(cov_n.shape, cov_n.tobytes())``: a hit returns the bits a fresh call
+    An ``lru_cache`` of ``(cov_n.shape, cov_n.tobytes())`` keeps the last
+    _MEMO_SIZE (8) distinct ``cov_n``: a hit returns the bits a fresh call
     gives, since the key holds every bit of the input (+0.0 and -0.0 differ,
     and a state differs from its one-row stack).  So nu and s are read-only
-    arrays, shared between the calls; a refusal is not kept.
+    arrays, shared between the calls; a refusal raises and is not kept.
     """
-    cov_n = state.cov_n
-    key = (cov_n.shape, cov_n.tobytes())
-    result = _memo.pop(key, None)
-    if result is None:
-        result = _decompose(state.cov_q)
-        if len(_memo) >= _MEMO_SIZE:
-            del _memo[next(iter(_memo))]  # the least recently used
-    _memo[key] = result
-    return result
+    return _decompose_bytes(state.cov_n.shape, state.cov_n.tobytes())
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _decompose_bytes(shape: tuple, data: bytes):
+    """``_decompose`` of the ``cov_q`` of these ``cov_n`` bytes, formed as ``cov_q`` is."""
+    return _decompose(np.frombuffer(data).reshape(shape) + 0.5 * np.eye(shape[-1]))
 
 
 def _decompose(cov_q: np.ndarray):
@@ -203,9 +199,9 @@ class _PairData:
         return np.minimum(val, 1.0, out=val)
 
 
-def _search(data: _PairData, live: list, m_modes: float):
-    """s* and the M-copy exponent -M log min_s Q_s of each row of ``data``,
-    as two lists; ``live[r]`` is False where row r's hypotheses are identical.
+def _search(pair: HypothesisPair, m_modes: float):
+    """s* and the M-copy exponent -M log min_s Q_s of each pair of the
+    (stacked) ``pair``, as two flat lists; on and off must stack alike.
 
     Each round samples _BRACKET evenly spaced points of every row's bracket,
     first [_S_EDGE, 1 - _S_EDGE], in one overlap call and keeps the
@@ -221,15 +217,21 @@ def _search(data: _PairData, live: list, m_modes: float):
     from them as in a scalar search: broadcasting against bracket columns
     would cost a one-row search more than the per-row loop costs a sweep.
 
-    Dead rows are sampled with the rest and keep s* = 1/2 and exponent +0.0.
-    A live row's per-copy exponent xi = -log Q(s*) carries a relative error
-    near 64 eps / xi (module docstring); where that exceeds _MAX_ERROR the
-    search raises NumericalError instead of returning it.
+    Rows of identical hypotheses are sampled with the rest and keep s* = 1/2,
+    exponent +0.0; a NaN overlap raises NumericalError.  A row's per-copy
+    exponent xi = -log Q(s*) carries a relative error near 64 eps / xi (module
+    docstring); where that exceeds _MAX_ERROR the search raises NumericalError.
     """
+    on, off = pair.on, pair.off
+    if on.mean_q.shape != off.mean_q.shape:
+        raise ValueError("hypotheses must have the same mode count and stack shape")
+    live = ((on.cov_n != off.cov_n).any(axis=(-2, -1))
+            | (on.mean_q != off.mean_q).any(axis=-1)).ravel().tolist()
+    data = _PairData(pair)
     rows = len(live)
     lo, hi = [_S_EDGE] * rows, [1.0 - _S_EDGE] * rows
-    s = _FIRST_ROUND.repeat(rows, axis=0)
     while True:
+        s = np.array([np.minimum(a + (b - a) * _UNIT, b) for a, b in zip(lo, hi)])
         q = data.overlap(s)
         argmin = q.argmin(axis=1).tolist()
         wide = [r for r in range(rows) if hi[r] - lo[r] > _STOP_WIDTH]
@@ -238,12 +240,13 @@ def _search(data: _PairData, live: list, m_modes: float):
         for r in wide:
             i = argmin[r]
             lo[r], hi[r] = s[r, max(i - 1, 0)], s[r, min(i + 1, _BRACKET - 1)]
-        s = np.array([np.minimum(a + (b - a) * _UNIT, b) for a, b in zip(lo, hi)])
-    s_star, exponent = [0.5] * rows, [0.0] * rows  # kept by dead rows
+    s_star, exponent = [0.5] * rows, [0.0] * rows  # kept by identical-hypothesis rows
     for r, i in enumerate(argmin):
         if not live[r]:
             continue
         q_r, s_r, t = q[r], float(s[r, i]), math.inf
+        if not q_r[i] >= 0:
+            raise NumericalError(f"Chernoff overlap Q_s is {q_r[i]} at s = {s_r:.6g}")
         if 0 < i < _BRACKET - 1 and q_r[i] > 0:
             a3, a2, a1, a0 = _CUBIC_FIT @ np.log(q_r)
             disc = a2 * a2 - 3.0 * a3 * a1
@@ -265,15 +268,6 @@ def _search(data: _PairData, live: list, m_modes: float):
     return s_star, exponent
 
 
-def _live(pair: HypothesisPair) -> np.ndarray:
-    """Whether each pair of the stack has distinct hypotheses, as a bool
-    array of the stack's shape; on and off must stack alike."""
-    on, off = pair.on, pair.off
-    if on.mean_q.shape != off.mean_q.shape:
-        raise ValueError("hypotheses must have the same mode count and stack shape")
-    return (on.cov_n != off.cov_n).any(axis=(-2, -1)) | (on.mean_q != off.mean_q).any(axis=-1)
-
-
 def qcb_sweep(pair: HypothesisPair, m_modes: float) -> QcbResult:
     """Quantum Chernoff bound of every pair of a stacked hypothesis pair, as
     arrays of the stack's shape, each pair with the bits it has searched alone.
@@ -286,10 +280,9 @@ def qcb_sweep(pair: HypothesisPair, m_modes: float) -> QcbResult:
     exponent 0.  Raises NumericalError where double precision cannot resolve
     an exponent.
     """
-    live = _live(pair)
-    s_star, exponent = _search(_PairData(pair), live.ravel().tolist(), m_modes)
-    return QcbResult(s_star=np.reshape(s_star, live.shape),
-                     exponent=np.reshape(exponent, live.shape))
+    s_star, exponent = _search(pair, m_modes)
+    shape = pair.on.mean_q.shape[:-1]
+    return QcbResult(s_star=np.reshape(s_star, shape), exponent=np.reshape(exponent, shape))
 
 
 def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:
@@ -299,7 +292,7 @@ def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:
     the pair has the bits it has as a row of a sweep."""
     if pair.on.mean_q.ndim != 1:
         raise ValueError("qcb takes one pair; qcb_sweep takes a stack")
-    (s_star,), (exponent,) = _search(_PairData(pair), [bool(_live(pair))], m_modes)
+    (s_star,), (exponent,) = _search(pair, m_modes)
     return QcbResult(s_star=float(s_star), exponent=float(exponent))
 
 

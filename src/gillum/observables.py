@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import GaussianState, beam_splitter_matrix, symplectic_form
+from .states import GaussianState, _two_mode_matrix, beam_splitter_matrix, symplectic_form
 
 _COEFF_TOL = 1e-12
 _VAR_CLAMP = 1e-10
@@ -42,15 +42,18 @@ class QuadraticObservable:
     def __post_init__(self):
         if np.iscomplexobj(self.h) or np.iscomplexobj(self.lin):
             raise ValueError("h and lin must be real")
+        c0 = float(self.c0)
         h = np.array(self.h, dtype=float)
         lin = np.array(self.lin, dtype=float)
         if lin.ndim != 1 or lin.size < 2 or lin.size % 2 or h.shape != (lin.size, lin.size):
             raise ValueError("lin must have length 2 n_modes >= 2 and h shape (2n, 2n)")
+        if not (math.isfinite(c0) and np.isfinite(h).all() and np.isfinite(lin).all()):
+            raise ValueError("c0, h and lin must be finite")
         if np.max(np.abs(h - h.T)) > _COEFF_TOL * max(1.0, float(np.max(np.abs(h)))):
             raise ValueError("h must be symmetric")
         h.setflags(write=False)
         lin.setflags(write=False)
-        object.__setattr__(self, "c0", float(self.c0))
+        object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "lin", lin)
         omega = symplectic_form(self.n_modes)
@@ -131,10 +134,7 @@ def stats(obs: QuadraticObservable, state: GaussianState) -> ObservableStats:
 def _two_mode(c0: float, diag, xx: float, pp: float) -> QuadraticObservable:
     """Two-mode observable with h = diag(diag) on (x_S, p_S, x_I, p_I) and
     cross entries h[x_S, x_I] = xx, h[p_S, p_I] = pp."""
-    h = np.diag(np.asarray(diag, dtype=float))
-    h[0, 2] = h[2, 0] = xx
-    h[1, 3] = h[3, 1] = pp
-    return QuadraticObservable(c0, h, np.zeros(4))
+    return QuadraticObservable(c0, _two_mode_matrix(diag, xx, pp), np.zeros(4))
 
 
 def obs_bound(alpha: float, beta: float) -> QuadraticObservable:

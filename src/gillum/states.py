@@ -86,14 +86,17 @@ def make_vacuum(n_modes: int) -> GaussianState:
 
 def make_thermal(n_mean: float) -> GaussianState:
     """Single-mode thermal state with mean photon number ``n_mean``."""
-    if n_mean < 0:
-        raise ValueError("thermal mean photon number must be >= 0")
+    lo, hi = _extremes(n_mean)
+    if not (0 <= lo and hi < math.inf):
+        raise ValueError("thermal mean photon number must be finite and >= 0")
     return GaussianState(np.zeros(2), n_mean * np.eye(2))
 
 
 def make_coherent(amplitude) -> GaussianState:
     """Coherent state |alpha>, a stack for an array; covariance is the vacuum one."""
     a = np.asarray(amplitude, dtype=complex)  # viewed as (re, im) pairs below
+    if not np.isfinite(a).all():
+        raise ValueError("coherent amplitude must be finite")
     return GaussianState(math.sqrt(2.0) * a[..., None].view(float), np.zeros(a.shape + (2, 2)))
 
 
@@ -102,24 +105,25 @@ def _extremes(value):
     return (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
 
 
-def _two_mode(n_s, n_i, xx, pp) -> GaussianState:
-    """Undisplaced modes of means n_s, n_i with <x_S x_I> = xx, <p_S p_I> = pp,
-    one state per entry of the NumPy value ``xx``, whose shape they broadcast to."""
-    cov = np.zeros(xx.shape + (4, 4))
-    cov[..., 0, 0] = cov[..., 1, 1] = n_s
-    cov[..., 2, 2] = cov[..., 3, 3] = n_i
-    cov[..., 0, 2] = cov[..., 2, 0] = xx
-    cov[..., 1, 3] = cov[..., 3, 1] = pp
-    return GaussianState(np.zeros(cov.shape[:-1]), cov)
+def _two_mode_matrix(diag, xx, pp) -> np.ndarray:
+    """(..., 4, 4) matrix on (x_S, p_S, x_I, p_I) with diagonal ``diag`` (four
+    entries), [x_S, x_I] = xx and [p_S, p_I] = pp, one per entry of ``xx``,
+    whose shape they broadcast to."""
+    m = np.zeros(np.asarray(xx).shape + (4, 4))
+    m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = diag
+    m[..., 0, 2] = m[..., 2, 0] = xx
+    m[..., 1, 3] = m[..., 3, 1] = pp
+    return m
 
 
 def make_tmsv(n_s) -> GaussianState:
     """Two-mode squeezed vacuum (a stack for an array) with per-mode mean photon
     number ``n_s``: <a_S a_I> = sqrt(n_s (n_s + 1)), so <p_S p_I> = -<x_S x_I>."""
-    if _extremes(n_s)[0] < 0:
-        raise ValueError("squeezed-vacuum mean photon number must be >= 0")
+    lo, hi = _extremes(n_s)
+    if not (0 <= lo and hi < math.inf):
+        raise ValueError("squeezed-vacuum mean photon number must be finite and >= 0")
     c = np.sqrt(n_s * (n_s + 1.0))
-    return _two_mode(n_s, n_s, c, -c)
+    return GaussianState(np.zeros(c.shape + (4,)), _two_mode_matrix((n_s,) * 4, c, -c))
 
 
 def make_cct(n_s, n_i) -> GaussianState:
@@ -130,10 +134,11 @@ def make_cct(n_s, n_i) -> GaussianState:
     correlation ``<a_S^dag a_I> = sqrt(n_s n_i)`` and no squeeze
     correlations (<p_S p_I> = <x_S x_I>); zero power gives the two-mode vacuum.
     """
-    if _extremes(n_s)[0] < 0 or _extremes(n_i)[0] < 0:
-        raise ValueError("mode mean photon numbers must be >= 0")
+    (s_lo, s_hi), (i_lo, i_hi) = _extremes(n_s), _extremes(n_i)
+    if not (0 <= s_lo and s_hi < math.inf and 0 <= i_lo and i_hi < math.inf):
+        raise ValueError("mode mean photon numbers must be finite and >= 0")
     c = np.sqrt(n_s * n_i)
-    return _two_mode(n_s, n_i, c, c)
+    return GaussianState(np.zeros(c.shape + (4,)), _two_mode_matrix((n_s, n_s, n_i, n_i), c, c))
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:

@@ -36,7 +36,7 @@ from gillum.chernoff import (
     _S_EDGE,
     NumericalError,
     _decompose,
-    _memo,
+    _decompose_bytes,
     _PairData,
     qcb_sweep,
 )
@@ -124,7 +124,7 @@ def test_williamson_memo_hit_has_the_bits_of_a_fresh_decomposition(model):
     for probe in orc.PROBES:
         pair = hypothesis_pair(probe(p), p)
         for state in (pair.on, pair.off):
-            _memo.clear()
+            _decompose_bytes.cache_clear()
             first = williamson(state)
             hit = williamson(GaussianState(state.mean_q.copy(), state.cov_n.copy()))
             assert hit[0] is first[0] and hit[1] is first[1]
@@ -136,7 +136,7 @@ def test_williamson_memo_hit_has_the_bits_of_a_fresh_decomposition(model):
 def test_williamson_memo_keys_on_exact_bytes_and_shape():
     # -0.0 and +0.0 compare equal but are different bytes: keyed apart, each
     # with its own decomposition's bits; a state and its one-row stack too
-    _memo.clear()
+    _decompose_bytes.cache_clear()
     plus = GaussianState(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0]))
     cov = plus.cov_n.copy()
     cov[2, 2] = cov[0, 1] = cov[1, 0] = -0.0
@@ -148,7 +148,7 @@ def test_williamson_memo_keys_on_exact_bytes_and_shape():
         fresh = _decompose(state.cov_q)
         assert nu.tobytes() == fresh[0].tobytes() and s.tobytes() == fresh[1].tobytes()
     assert williamson(plus)[0] is not williamson(minus)[0]
-    assert len(_memo) == 2
+    assert _decompose_bytes.cache_info().currsize == 2
     stack = GaussianState(plus.mean_q[None], plus.cov_n[None])
     assert plus.cov_n.tobytes() == stack.cov_n.tobytes()
     nu, s = williamson(stack)
@@ -177,10 +177,10 @@ def test_williamson_memo_stays_bounded_and_keeps_a_repeated_matrix():
         pair = hypothesis_pair(make_cct(1.0, 1.0), replace(p, kappa=kappa))
         williamson(pair.on)
         assert williamson(pair.off)[1] is off[1]
-        assert len(_memo) <= _MEMO_SIZE
+        assert _decompose_bytes.cache_info().currsize <= _MEMO_SIZE
     for n in np.linspace(1.0, 2.0, 5 * _MEMO_SIZE):
         williamson(make_thermal(n))
-    assert len(_memo) == _MEMO_SIZE
+    assert _decompose_bytes.cache_info().currsize == _MEMO_SIZE
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -193,11 +193,11 @@ def test_williamson_refuses_non_finite_covariances(bad):
                   GaussianState(np.zeros((2, 4)), np.stack([np.eye(4), cov])),
                   GaussianState(np.zeros(2), np.diag([bad, 1.0])))
     for state in states:
-        size = len(_memo)
+        size = _decompose_bytes.cache_info().currsize
         for _ in range(2):  # a refusal is not kept: the second call refuses too
             with pytest.raises(ValueError, match="finite"):
                 williamson(state)
-        assert len(_memo) == size
+        assert _decompose_bytes.cache_info().currsize == size
 
 
 def test_identical_states_overlap_one():
@@ -544,3 +544,36 @@ def test_nonconstant_noise_pair_has_nonzero_exponent_at_zero_signal():
 def test_qcb_rejects_mismatched_modes():
     with pytest.raises(ValueError):
         qcb(HypothesisPair(on=make_vacuum(1), off=make_vacuum(2)), 1)
+
+
+def test_williamson_refuses_covariances_that_are_not_positive_definite():
+    for cov_n in (-0.5 * np.eye(2), np.diag([1.0, 1.0, -0.7, 2.0])):
+        with pytest.raises(ValueError, match="positive definite"):
+            williamson(GaussianState(np.zeros(len(cov_n)), cov_n))
+
+
+def test_qcb_refuses_a_stack():
+    p = ScenarioParams(kappa=0.05, n_s=1.0, n_b=2.0)
+    with pytest.raises(ValueError, match="qcb takes one pair; qcb_sweep takes a stack"):
+        qcb(hypothesis_pair(make_tmsv(np.ones(3)), p), 1)
+
+
+def test_coherent_closed_form_refuses_nonconstant_noise():
+    p = ScenarioParams(kappa=0.05, n_s=1.0, n_b=2.0, noise_model=NoiseModel.NONCONSTANT)
+    with pytest.raises(ValueError, match="constant noise model"):
+        coherent_qcb_closed(p)
+
+
+def test_nan_overlap_is_refused_not_read_as_underflow():
+    # before: argmin picked a NaN sample, Q > 0 was False and the row took the
+    # underflow branch, returning s* = 1e-6 and exponent inf
+    p = ScenarioParams(kappa=0.05, n_s=1.0, n_b=2.0)
+    good = hypothesis_pair(make_coherent(np.array([0.5, 1.0, 1.5])), p)
+    mean = good.on.mean_q.copy()
+    mean[1, 0] = math.nan
+    bad = HypothesisPair(on=GaussianState(mean, good.on.cov_n), off=good.off)
+    one = HypothesisPair(on=GaussianState(mean[1], good.on.cov_n[1]), off=make_vacuum(1))
+    with pytest.raises(NumericalError, match="overlap Q_s is nan"):
+        qcb(one, 10)
+    with pytest.raises(NumericalError, match="overlap Q_s is nan"):  # one row of three
+        qcb_sweep(bad, 10)

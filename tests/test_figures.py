@@ -300,6 +300,26 @@ def test_svg_structure():
     assert "</svg>" in svg and "width=\"800\"" in svg and "height=\"600\"" in svg
 
 
+@pytest.mark.parametrize("x,y,points", [
+    ([0.3], [1.0], "70.00,526.36"),  # one point: a unit-wide x axis with one tick
+    ([1.0, 2.0], [1.0, 1.0], "70.00,526.36 630.00,526.36"),  # constant: a unit-high y axis
+])
+def test_svg_of_a_degenerate_axis(x, y, points):
+    svg = to_svg(CurveSet("x", "y", np.array(x), {"a": np.array(y)}))
+    assert f'<polyline points="{points}"' in svg
+    assert "nan" not in svg and "inf" not in svg
+
+
+def test_svg_drops_x_ticks_that_round_outside_the_axis():
+    # at x ~ 6e9 the tick k * step rounds 1e-6 below the first x, beyond the
+    # 1e-9 tolerance: it is skipped, so every x tick lies on the plot's edge or inside
+    svg = to_svg(CurveSet("x", "y", np.array([6186788384.648035, 6186788384.648063]),
+                          {"a": np.array([0.0, 1.0])}))
+    ticks = [float(line.split('"')[1]) for line in svg.splitlines()
+             if line.startswith("<line x1=") and 'y1="550"' in line]
+    assert ticks and all(70.0 <= xp <= 630.0 for xp in ticks)
+
+
 def test_emitters_deterministic():
     a = small("fig4", points=10)
     b = small("fig4", points=10)
@@ -385,6 +405,22 @@ def test_cli_parser_is_built_once_and_leaks_no_option(tmp_path, capsys):
     assert reused == fresh
     assert reused[1] == reused[-1] and reused[0] != reused[1]
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("text,code,message", [
+    ("# a comment\n\npoints=3\n", 0, ""),
+    ("points=3\ncolour=red\n", 2, "error: unknown config key 'colour'\n"),
+    ("points=three\n", 2, "error: bad value for 'points': 'three'\n"),
+])
+def test_cli_config_file_lines(tmp_path, capsys, text, code, message):
+    from gillum import cli
+
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(text)
+    assert cli.main(["figure", "fig2", "--config", str(cfg)]) == code
+    out = capsys.readouterr()
+    assert out.err == message
+    assert len(out.out.splitlines()) == (4 if code == 0 else 0)  # header and 3 points
 
 
 def test_cli_rejects_out_of_range_parameters():

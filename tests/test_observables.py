@@ -521,3 +521,22 @@ def test_catalog_constructor_equals_documented_operator(name):
     keep = np.all(np.indices((dim,) * n).reshape(n, -1) < dim - 2, axis=0)
     got = orc.observable_matrix(obs, (dim,) * n)
     assert np.max(np.abs((got - expected)[np.ix_(keep, keep)])) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected(bad):
+    # before: the symmetry test let NaN through, so obs_bound(nan, 0) built
+    # and snr_generic of a NaN c0 silently returned nan
+    h = np.eye(4)
+    h[2, 2] = bad
+    lin = np.zeros(4)
+    lin[1] = bad
+    for c0, hh, ll in ((bad, np.eye(4), np.zeros(4)), (0.0, h, np.zeros(4)),
+                       (0.0, np.eye(4), lin)):
+        with pytest.raises(ValueError, match="c0, h and lin must be finite"):
+            QuadraticObservable(c0, hh, ll)
+    with pytest.raises(ValueError, match="c0, h and lin must be finite"):
+        obs_bound(bad, 0.0)
+    for a, b in ((np.nan, 0.0), (1.0, bad)):  # an infinite factor times a zero of h warns
+        with pytest.raises(ValueError, match="c0, h and lin must be finite"):
+            obs_dh().affine(a, b)

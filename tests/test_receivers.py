@@ -16,6 +16,7 @@ import oracles as orc
 from gillum import (
     NoiseModel,
     OPA_GAIN,
+    QuadraticObservable,
     ScenarioParams,
     coherent_qcb_closed,
     hypothesis_pair,
@@ -45,7 +46,7 @@ from gillum import (
 )
 from gillum.figures import _HETERODYNE
 from gillum.receivers import (PC_MU, PC_NU, _bound_moments, _gap, _gram, _idler_weight,
-                             _path_search)
+                             _path_search, _snr)
 
 M = 10**7
 HALF = 1 / math.sqrt(2)
@@ -616,3 +617,20 @@ def test_bound_constant_zero_signal_rule_is_elementwise():
     assert whole[0] == 0.0 and p_err(whole[0]) == 0.5
     with pytest.raises(ValueError):
         optimal_beta_closed(params_for(0.01, ns))
+
+
+def test_bound_receivers_refuse_the_other_noise_model():
+    p = ScenarioParams(kappa=0.05, n_s=0.1, n_b=2.0)
+    with pytest.raises(ValueError, match="snr_bound_constant requires the constant noise model"):
+        snr_bound_constant(replace(p, noise_model=NoiseModel.NONCONSTANT))
+    with pytest.raises(ValueError, match="optimizer applies to the nonconstant noise model"):
+        optimize_alpha_beta_nonconstant(p)
+
+
+def test_zero_noise_snr_is_zero_without_a_gap_and_inf_with_one():
+    zero = ScenarioParams(kappa=0.5, n_s=0.0, n_i=0.0, n_b=0.0)
+    assert snr_cct(zero) == 0.0
+    pair = hypothesis_pair(make_tmsv(0.3), ScenarioParams(kappa=0.05, n_s=0.3, n_b=2.0))
+    assert snr_generic(QuadraticObservable(1.0, np.zeros((4, 4)), np.zeros(4)), pair, M) == 0.0
+    assert _snr(1.0, 0.0, 0.0, 1) == math.inf
+    assert _snr(np.array([0.0, 2.0]), 0.0, np.array([0.0, 1.0]), 1).tolist() == [0.0, 2.0]

@@ -278,3 +278,24 @@ def test_stacked_constructors_equal_per_point_calls():
             make_cct(bad, 1.0)
         with pytest.raises(ValueError):
             make_cct(1.0, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructors_refuse_non_finite_inputs(bad):
+    # before: nan built NaN states (each check was `< 0`), inf warned from
+    # inf - inf in the symmetry check, and make_coherent checked nothing
+    row = np.array([0.3, bad, 1.0])
+    for make, args in ((make_thermal, (bad,)), (make_tmsv, (bad,)), (make_tmsv, (row,)),
+                       (make_cct, (bad, 1.0)), (make_cct, (1.0, bad)), (make_cct, (row, 1.0)),
+                       (make_cct, (0.5, row))):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            make(*args)
+    for amplitude in (bad, complex(0.5, bad), row, np.array([0.3, complex(0.5, bad)])):
+        with pytest.raises(ValueError, match="coherent amplitude must be finite"):
+            make_coherent(amplitude)
+
+
+@pytest.mark.parametrize("mode_i,mode_j", [(1, 1), (0, 2), (-1, 0), (0, 5)])
+def test_beam_splitter_matrix_refuses_equal_or_out_of_range_modes(mode_i, mode_j):
+    with pytest.raises(ValueError, match="mode indices must be distinct and in range"):
+        beam_splitter_matrix(2, mode_i, mode_j, 0.6, 0.8, 0.0)
