@@ -37,6 +37,14 @@ Rayleigh quotient 2 y^T K x is a more accurate nu than the eigenvalue.
 An ``lru_cache`` keyed on the exact bytes and shape of ``cov_n`` keeps its last
 few distinct matrices' decompositions, so a sweep that asks for one matrix at
 every point (the off state of a kappa sweep) decomposes it once.
+
+Phase-insensitive states, ``cov_q`` exactly A (x) I_2 with A = N + I/2 (vacuum,
+thermal, coherent and split-thermal states and their channel images: every
+Chernoff pair the presets build, but not the TMSV), take an n x n path: one
+real eigh of A gives nu and s = O (x) I_2, and a pair row of two such states
+has Sigma_s = Sigma_c (x) I_2, n x n (Pirandola & Lloyd, PRA 78, 012331
+(2008)).  Each matrix and pair row is routed on its own, so a row keeps its
+bits in any stack.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import HypothesisPair, NoiseModel, ScenarioParams
-from .states import GaussianState, symplectic_form
+from .states import GaussianState, _phase_insensitive, symplectic_form
 
 _S_EDGE = 1e-6
 _BRACKET = 33  # overlaps per batched round of the s search
@@ -84,7 +92,9 @@ def williamson(state: GaussianState):
     Returns (nu, s) with cov_q = s @ diag(nu_1, nu_1, ..., nu_n, nu_n) @ s.T
     and s symplectic; nu are the symplectic eigenvalues (>= 1/2 for physical
     states in this package's convention), read as Rayleigh quotients of pairs
-    of eigenvectors of one Hermitian matrix (see the module docstring).
+    of eigenvectors of one Hermitian matrix (see the module docstring); for a
+    phase-insensitive cov_q = A (x) I_2, nu are A's eigenvalues and s = O (x) I_2,
+    O its eigenvectors, so s is orthogonal too.
 
     It is the package's one purity test: an error E ~ eps lambda_max(cov_q)
     moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k;
@@ -108,9 +118,43 @@ def _decompose_bytes(shape: tuple, data: bytes):
 
 
 def _decompose(cov_q: np.ndarray):
-    """``williamson`` without its memo, on a finite covariance or a stack."""
+    """``williamson`` without its memo, on a finite covariance or a stack: a
+    phase-insensitive matrix by ``_orthogonal_basis``, any other by
+    ``_symplectic_basis`` (a stack of both matrix by matrix), then the purity rule."""
     if not np.isfinite(cov_q).all():
         raise ValueError("covariance must be finite")
+    plain = _phase_insensitive(cov_q)
+    if plain.all() or not plain.any():
+        nus, s, top = (_orthogonal_basis if plain.all() else _symplectic_basis)(cov_q)
+    else:
+        rows = [(_orthogonal_basis if p else _symplectic_basis)(c) for p, c in
+                zip(plain.ravel(), cov_q.reshape((-1,) + cov_q.shape[-2:]))]
+        nus, s, top = (np.stack(a).reshape(cov_q.shape[:-2] + a[0].shape) for a in zip(*rows))
+    col = (s * s).sum(axis=-2)
+    spread = col[..., 0::2] + col[..., 1::2]  # tr(s P_k s^T)
+    gap, tol = 2.0 * nus - 1.0, _PURE_TOL * top * spread
+    if (gap < -tol).any():
+        raise ValueError("covariance is not physical: symplectic eigenvalue below 1/2")
+    nus[gap <= tol] = 0.5
+    nus.setflags(write=False)
+    s.setflags(write=False)
+    return nus, s
+
+
+def _orthogonal_basis(cov_q: np.ndarray):
+    """(nu, s, lambda_max(cov_q)) of cov_q = A (x) I_2: one real eigh gives
+    A = O diag(nu) O^T, and s = O (x) I_2 is orthogonal and symplectic."""
+    nus, o = np.linalg.eigh(cov_q[..., 0::2, 0::2])  # eigenvalues ascend
+    if (nus[..., 0] <= 0).any():
+        raise ValueError("covariance must be positive definite")
+    s = np.zeros(cov_q.shape)
+    s[..., 0::2, 0::2] = s[..., 1::2, 1::2] = o
+    return nus, s, nus[..., -1:]
+
+
+def _symplectic_basis(cov_q: np.ndarray):
+    """(nu, s, lambda_max(cov_q)) of any covariance, from the Hermitian i K
+    (module docstring)."""
     n = cov_q.shape[-1] // 2
     evals, evecs = np.linalg.eigh(cov_q)  # eigenvalues ascend
     if (evals[..., 0] <= 0).any():
@@ -123,16 +167,7 @@ def _decompose(cov_q: np.ndarray):
     z[..., 0::2], z[..., 1::2] = v.imag, v.real
     z *= math.sqrt(2.0)
     nus = np.einsum("...ik,...ij,...jk->...k", z[..., 0::2], skew, z[..., 1::2])
-    s = sq @ z / np.sqrt(nus.repeat(2, axis=-1))[..., None, :]
-    col = (s * s).sum(axis=-2)
-    spread = col[..., 0::2] + col[..., 1::2]  # tr(s P_k s^T)
-    gap, tol = 2.0 * nus - 1.0, _PURE_TOL * evals[..., -1:] * spread
-    if (gap < -tol).any():
-        raise ValueError("covariance is not physical: symplectic eigenvalue below 1/2")
-    nus[gap <= tol] = 0.5
-    nus.setflags(write=False)
-    s.setflags(write=False)
-    return nus, s
+    return nus, sq @ z / np.sqrt(nus.repeat(2, axis=-1))[..., None, :], evals[..., -1:]
 
 
 def _g_lambda(log_ratio: np.ndarray, half_sum: np.ndarray, p: np.ndarray):
@@ -164,38 +199,54 @@ class _PairData:
     every array per pair of its stack (one row for one pair).
 
     The on modes come first and the off modes second in the per-mode arrays
-    and in the rows of ``projectors``, so Sigma_s = S_on Lambda_{s}(on) S_on^T +
-    S_off Lambda_{1-s}(off) S_off^T is one product lambda @ projectors per row.
+    and in the rows of the projectors, so Sigma_s = S_on Lambda_{s}(on) S_on^T
+    + S_off Lambda_{1-s}(off) S_off^T is one product lambda @ projectors per
+    row.  Where both states of a row are phase-insensitive (s = O (x) I_2),
+    Sigma_s = Sigma_c (x) I_2 with Sigma_c = sum_k lambda_k o_k o_k^T (n x n), so
+    sqrt(det Sigma_s) = det Sigma_c and the x and p parts of delta are two
+    right-hand sides of Sigma_c.  ``blocks`` holds (rows, projectors, n x n?,
+    delta) for each branch some row takes.
     """
 
     def __init__(self, pair: HypothesisPair):
         self.n = n = pair.on.n_modes
         (nu_on, s_on), (nu_off, s_off) = williamson(pair.on), williamson(pair.off)
-        self.projectors = _mode_projectors(
-            np.concatenate([s_on, s_off], axis=-1).reshape(-1, 2 * n, 4 * n))
+        s = np.concatenate([s_on, s_off], axis=-1).reshape(-1, 2 * n, 4 * n)
         nu = 2.0 * np.concatenate([nu_on, nu_off], axis=-1).reshape(-1, 2 * n)  # doubled
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf at nu = 1
             self.log_ratio = np.log1p(-2.0 / (nu + 1.0))[:, None]
         self.half_sum = ((nu + 1.0) / 2.0)[:, None]
         self.is_on = np.arange(2 * n) < n
         delta = math.sqrt(2.0) * (pair.on.mean_q - pair.off.mean_q).reshape(-1, 2 * n)
-        # no displacement: skip the solve; else right-hand sides as explicit columns
-        self.delta = delta[:, None, :, None] if delta.any() else None
+        plain = _phase_insensitive(np.concatenate([pair.on.cov_n, pair.off.cov_n], axis=-1))
+        kinds, self.blocks = set(plain.ravel().tolist()), []
+        for orth in kinds:  # each branch on its rows, all of them when one branch
+            rows = slice(None) if len(kinds) == 1 else np.flatnonzero(plain == orth)
+            if orth:
+                o = s[rows, 0::2, 0::2]
+                proj = np.einsum("rik,rjk->rkij", o, o).reshape(-1, 2 * n, n * n)
+                d = delta[rows].reshape(-1, 1, n, 2)
+            else:
+                proj, d = _mode_projectors(s[rows]), delta[rows][:, None, :, None]
+            self.blocks.append((rows, proj, orth, d if d.any() else None))  # d = 0: no solve
 
     def overlap(self, s: np.ndarray) -> np.ndarray:
         """Single-copy Q_s, clamped to at most 1: row r of ``s`` (rows, k)
         samples pair r."""
         s = s[..., None]
         g, lam = _g_lambda(self.log_ratio, self.half_sum, np.where(self.is_on, s, 1.0 - s))
-        # einsum, unlike a BLAS product, rounds a row alike for one s or many
-        sig = np.einsum("rik,rkj->rij", lam, self.projectors).reshape(
-            s.shape[:-1] + (2 * self.n, 2 * self.n))
         val = g.prod(axis=-1)
         val *= 2.0**self.n
-        val /= np.sqrt(np.linalg.det(sig))
-        if self.delta is not None:
-            x = np.linalg.solve(sig, self.delta)[..., 0]
-            val *= np.exp(-0.5 * (x @ self.delta[:, 0])[..., 0])
+        for rows, proj, orth, delta in self.blocks:
+            lam_r, m = lam[rows], self.n if orth else 2 * self.n
+            # einsum, unlike a BLAS product, rounds a row alike for one s or many
+            sig = np.einsum("rik,rkj->rij", lam_r, proj).reshape(lam_r.shape[:-1] + (m, m))
+            det = np.linalg.det(sig)
+            val[rows] /= det if orth else np.sqrt(det)
+            if delta is not None:
+                x = np.linalg.solve(sig, delta)
+                quad = x.reshape(x.shape[:-2] + (-1,)) @ delta.reshape(len(delta), -1, 1)
+                val[rows] *= np.exp(-0.5 * quad[..., 0])
         return np.minimum(val, 1.0, out=val)
 
 

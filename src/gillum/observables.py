@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import GaussianState, _two_mode_matrix, beam_splitter_matrix, symplectic_form
+from .states import (GaussianState, _check_mode, _two_mode_matrix, beam_splitter_matrix,
+                     symplectic_form)
 
 _COEFF_TOL = 1e-12
 _VAR_CLAMP = 1e-10
@@ -192,6 +193,7 @@ def obs_off() -> QuadraticObservable:
 
 def obs_number(mode: int, n_modes: int) -> QuadraticObservable:
     """Photon number of one mode, (x^2 + p^2)/2 - 1/2."""
+    _check_mode(mode, n_modes)
     h = np.zeros((2 * n_modes, 2 * n_modes))
     h[2 * mode, 2 * mode] = h[2 * mode + 1, 2 * mode + 1] = 0.5
     return QuadraticObservable(0.0, h, np.zeros(2 * n_modes))
@@ -205,6 +207,7 @@ def obs_number_difference() -> QuadraticObservable:
 def obs_quadrature(mode: int, angle: float, n_modes: int = 1) -> QuadraticObservable:
     """Rotated quadrature X(angle) = (a^dag e^{i angle} + a e^{-i angle})/sqrt(2)
     = x cos(angle) + p sin(angle)."""
+    _check_mode(mode, n_modes)
     lin = np.zeros(2 * n_modes)
     lin[2 * mode:2 * mode + 2] = np.cos(angle), np.sin(angle)
     return QuadraticObservable(0.0, np.zeros((2 * n_modes, 2 * n_modes)), lin)

@@ -74,6 +74,7 @@ class GaussianState:
         """Total <a^dag a> of one mode, including the first-moment part."""
         if self.mean_q.ndim != 1:
             raise ValueError("mean_photon takes one state, not a stack of states")
+        _check_mode(mode, self.n_modes)
         c, x, p = self.cov_n, self.mean_q[2 * mode], self.mean_q[2 * mode + 1]
         return float(0.5 * (c[2 * mode, 2 * mode] + c[2 * mode + 1, 2 * mode + 1]
                             + x * x + p * p))
@@ -84,12 +85,13 @@ def make_vacuum(n_modes: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), np.zeros((2 * n_modes, 2 * n_modes)))
 
 
-def make_thermal(n_mean: float) -> GaussianState:
-    """Single-mode thermal state with mean photon number ``n_mean``."""
+def make_thermal(n_mean) -> GaussianState:
+    """Single-mode thermal state (a stack for an array) with mean photon number ``n_mean``."""
     lo, hi = _extremes(n_mean)
     if not (0 <= lo and hi < math.inf):
         raise ValueError("thermal mean photon number must be finite and >= 0")
-    return GaussianState(np.zeros(2), n_mean * np.eye(2))
+    n = np.asarray(n_mean, dtype=float)
+    return GaussianState(np.zeros(n.shape + (2,)), n[..., None, None] * np.eye(2))
 
 
 def make_coherent(amplitude) -> GaussianState:
@@ -103,6 +105,23 @@ def make_coherent(amplitude) -> GaussianState:
 def _extremes(value):
     """(min, max) of a number or an array; nan if any entry is nan."""
     return (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
+
+
+def _check_mode(mode: int, n_modes: int) -> None:
+    """Refuse a mode index outside 0 <= mode < n_modes (no wrap-around)."""
+    if not 0 <= mode < n_modes:
+        raise ValueError(f"mode {mode} is out of range for {n_modes} mode(s)")
+
+
+def _phase_insensitive(cov: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack (..., 2n, 2m) with rows and columns in the order
+    (x_1, p_1, ...): whether it is exactly A (x) I_2, i.e. its p-p block equals
+    its x-x block A = cov[..., 0::2, 0::2] and both x-p blocks are zero; for a
+    covariance, no squeezing and real <a_i^dag a_j>, as in vacuum, thermal,
+    coherent and split-thermal states and their channel images (not the TMSV).
+    Two covariances side by side pass where both do."""
+    return ((cov[..., 0::2, 0::2] == cov[..., 1::2, 1::2]) & (cov[..., 0::2, 1::2] == 0)
+            & (cov[..., 1::2, 0::2] == 0)).all(axis=(-2, -1))
 
 
 def _two_mode_matrix(diag, xx, pp) -> np.ndarray:

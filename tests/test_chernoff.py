@@ -1,8 +1,10 @@
 """Williamson decomposition and quantum Chernoff bounds vs analytic oracles."""
 
+import contextlib
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from gillum import (
     tensor,
     williamson,
 )
+from gillum import chernoff
 from gillum.chernoff import (
     _MAX_ERROR,
     _MEMO_SIZE,
@@ -40,6 +43,7 @@ from gillum.chernoff import (
     _PairData,
     qcb_sweep,
 )
+from gillum.states import _phase_insensitive
 
 
 def test_williamson_thermal():
@@ -577,3 +581,118 @@ def test_nan_overlap_is_refused_not_read_as_underflow():
         qcb(one, 10)
     with pytest.raises(NumericalError, match="overlap Q_s is nan"):  # one row of three
         qcb_sweep(bad, 10)
+
+
+@contextlib.contextmanager
+def _general_path():
+    """Every matrix and every pair row through the 2n x 2n path, the oracle of
+    the n x n one; the memo is emptied on entry and exit, so no result of one
+    path is served to the other."""
+    _decompose_bytes.cache_clear()
+    with mock.patch.object(chernoff, "_phase_insensitive",
+                           lambda cov: np.zeros(cov.shape[:-2], dtype=bool)):
+        try:
+            yield
+        finally:
+            _decompose_bytes.cache_clear()
+
+
+def _phase_insensitive_pairs() -> list:
+    """Pairs whose rows all take the n x n path: split-thermal and coherent
+    probes through the channel, thermal stacks, vacuum against a thermal
+    state, and a three-mode product with a pure mode and a repeated
+    symplectic eigenvalue (a CCT's 0.5 and 3.5 beside a thermal 3.5)."""
+    pairs = []
+    for model in NoiseModel:
+        for n_s, n_i, kappa, n_b in ((1.0, 1.0, 0.01, 30.0), (1.0, 2.0, 0.1, 100.0),
+                                     (0.01, 0.01, 1e-3, 3.7), (5.0, 3.0, 0.6, 0.1)):
+            p = ScenarioParams(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b, noise_model=model)
+            pairs += [hypothesis_pair(make_cct(n_s, n_i), p),
+                      hypothesis_pair(make_coherent(math.sqrt(n_s)), p)]
+    pairs.append(HypothesisPair(on=make_thermal(np.array([[0.0, 0.3], [2.0, 40.0]])),
+                                off=make_thermal(np.array([[1.0, 0.0], [2.5, 30.0]]))))
+    pairs.append(HypothesisPair(on=make_vacuum(1), off=make_thermal(0.2)))
+    pairs.append(HypothesisPair(on=tensor(make_cct(1.0, 2.0), make_thermal(3.0)),
+                                off=tensor(make_cct(2.0, 2.0), make_thermal(1.0))))
+    for pair in pairs:
+        assert _phase_insensitive(pair.on.cov_n).all() and _phase_insensitive(pair.off.cov_n).all()
+    return pairs
+
+
+def test_orthogonal_williamson_agrees_with_the_symplectic_path():
+    # nu within 16 ulp of the largest nu of its matrix, the 2n x 2n path's own
+    # round-off: it puts a CCT on-state's nu = 1.4997 7.8 eps (relative) and
+    # another's nu = 6.55 6 eps off a 40-digit eigsy of A, where the n x n
+    # eigh is within 1 eps (next test)
+    eps = np.finfo(float).eps
+    for pair in _phase_insensitive_pairs():
+        for state in (pair.on, pair.off):
+            nu, s = williamson(state)
+            with _general_path():
+                ref = williamson(state)[0]
+            top = ref.max(axis=-1, keepdims=True)
+            assert np.all(np.abs(np.sort(nu, axis=-1) - np.sort(ref, axis=-1)) <= 16 * eps * top)
+            recon = (s * nu.repeat(2, axis=-1)[..., None, :]) @ s.swapaxes(-1, -2)
+            assert np.max(np.abs(recon - state.cov_q)) <= 1e-12 * np.abs(state.cov_q).max()
+            omega = symplectic_form(state.n_modes)
+            assert np.max(np.abs(s @ omega @ s.swapaxes(-1, -2) - omega)) <= 1e-12
+
+
+def test_orthogonal_williamson_matches_mp_eigenvalues():
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for pair in _phase_insensitive_pairs():
+        for state in (pair.on, pair.off):
+            nus = williamson(state)[0].reshape(-1, state.n_modes)
+            for nu, cov in zip(nus, state.cov_q.reshape((len(nus),) + state.cov_q.shape[-2:])):
+                with mp.workdps(40):
+                    ref = sorted(mp.eigsy(mp.matrix(cov[0::2, 0::2].tolist()))[0])
+                for got, want in zip(np.sort(nu), ref):
+                    assert abs(float((got - want) / want)) <= 2 * eps
+
+
+def test_orthogonal_overlap_agrees_with_the_symplectic_path():
+    # 1e-13 relative at 33 values of s, but 1e-9 at s = 1e-6 and 1 - 1e-6
+    # where a state has a pure mode: there the 1/s weight of the other state's
+    # modes conditions Sigma_s, and both paths miss a 50-digit overlap of the
+    # three-mode pair by up to 4e-11 (n x n) and 2.5e-10 (2n x 2n)
+    grid = np.linspace(_S_EDGE, 1.0 - _S_EDGE, 33)
+    for pair in _phase_insensitive_pairs():
+        rows = pair.on.mean_q[..., 0].size
+        got = _PairData(pair).overlap(np.tile(grid, (rows, 1)))
+        assert [orth for _, _, orth, _ in _PairData(pair).blocks] == [True]
+        with _general_path():
+            data = _PairData(pair)
+            assert [orth for _, _, orth, _ in data.blocks] == [False]
+            ref = data.overlap(np.tile(grid, (rows, 1)))
+        tol = np.full(grid.shape, 1e-13)
+        if (williamson(pair.on)[0] == 0.5).any() or (williamson(pair.off)[0] == 0.5).any():
+            tol[[0, -1]] = 1e-9
+        assert np.all(np.abs(got / ref - 1) <= tol)
+
+
+def test_williamson_of_a_mixed_stack_carries_each_matrix_bytes():
+    # CCT (n x n branch) and TMSV (2n x 2n branch) rows in one stack: each
+    # matrix has the bits of its own call, in either order
+    p = ScenarioParams(kappa=0.05, n_s=0.7, n_i=1.3, n_b=4.0)
+    cct, tmsv = hypothesis_pair(make_cct(0.7, 1.3), p).on, hypothesis_pair(make_tmsv(0.7), p).on
+    for states in ((cct, tmsv), (tmsv, cct, cct), (make_cct(0.7, 1.3), make_tmsv(0.7), tmsv)):
+        stack = GaussianState(np.stack([s.mean_q for s in states]),
+                              np.stack([s.cov_n for s in states]))
+        assert _phase_insensitive(stack.cov_n).tolist() == [
+            s.cov_n[0, 2] == s.cov_n[1, 3] for s in states]  # <x_S x_I> = <p_S p_I>
+        nu, s = williamson(stack)
+        rows = [williamson(state) for state in states]
+        assert nu.tobytes() == np.array([r[0] for r in rows]).tobytes()
+        assert s.tobytes() == np.array([r[1] for r in rows]).tobytes()
+        assert not nu.flags.writeable and not s.flags.writeable
+
+
+@pytest.mark.parametrize("cov_n", [-0.1 * np.eye(2), np.diag([0.5, 0.5, -1e-9, -1e-9])])
+def test_orthogonal_williamson_keeps_the_sub_vacuum_refusal(cov_n):
+    assert _phase_insensitive(cov_n)
+    state = GaussianState(np.zeros(len(cov_n)), cov_n)
+    with pytest.raises(ValueError, match="not physical"):
+        williamson(state)
+    with pytest.raises(ValueError, match="not physical"):
+        williamson(GaussianState(np.zeros((2, len(cov_n))), np.stack([np.zeros_like(cov_n), cov_n])))

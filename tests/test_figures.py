@@ -12,7 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles as orc
-from gillum import CurveSet, SweepConfig, run_figure, to_csv, to_json, to_svg
+from gillum import CurveSet, NoiseModel, SweepConfig, run_figure, to_csv, to_json, to_svg
 from gillum.emit import emit
 from gillum.figures import ConfigError, NumericalError
 
@@ -152,6 +152,32 @@ def test_fig4_engine_cells_match_mpmath(n_b, kappa):
         assert sorted(refs) == sorted(cs.curves)
         for label, ref in refs.items():
             assert abs(cs.curves[label][k] / ref - 1) <= 1e-12, (label, x)
+
+
+@pytest.mark.parametrize("noise", list(NoiseModel))
+def test_cct_qcb_cells_match_mpmath(noise):
+    # fig5a's two QCB curves and fig5b's CCT QCB at four points each, against
+    # the CCT bound written from the model in 40-digit mpmath: each unrounded
+    # value within the search's own error estimate, 64 eps / xi relative at
+    # per-copy exponent xi (12 oracle calls per noise model)
+    pytest.importorskip("mpmath")
+    from dataclasses import replace
+
+    eps = np.finfo(float).eps
+    for figure, probes in (("fig5a", {"QCB N_S=1 N_I=1": (1.0, 1.0),
+                                      "QCB N_S=1 N_I=2": (1.0, 2.0)}),
+                           ("fig5b", {"CCT QCB": None})):
+        config = SweepConfig(figure=figure, noise=noise, points=25)
+        cs = run_figure(config)
+        for k in (0, 8, 16, 24):
+            x = float(cs.x[k])
+            for label, n_s_i in probes.items():
+                n_s, n_i = n_s_i or (x, x)
+                p = replace(config.params, n_s=n_s, n_i=n_i,
+                            **({"kappa": x} if figure == "fig5a" else {}))
+                ref = orc.cct_exponent_mp(p, p.m_modes)
+                xi = ref / p.m_modes
+                assert abs(cs.curves[label][k] / ref - 1) <= 64 * eps / xi, (figure, label, x)
 
 
 @pytest.mark.parametrize("n_b,kappa", BOUND_FORM_SCENARIOS)

@@ -540,3 +540,12 @@ def test_non_finite_coefficients_rejected(bad):
     for a, b in ((np.nan, 0.0), (1.0, bad)):  # an infinite factor times a zero of h warns
         with pytest.raises(ValueError, match="c0, h and lin must be finite"):
             obs_dh().affine(a, b)
+
+
+@pytest.mark.parametrize("mode,n_modes", [(-1, 2), (2, 2), (3, 1), (-1, 1)])
+def test_mode_observables_refuse_modes_out_of_range(mode, n_modes):
+    # before: obs_number(-1, 2) built mode 1's number operator, obs_number(2, 2)
+    # raised IndexError and obs_quadrature NumPy's broadcast error
+    for build in (lambda: obs_number(mode, n_modes), lambda: obs_quadrature(mode, 0.3, n_modes)):
+        with pytest.raises(ValueError, match=f"mode {mode} is out of range for {n_modes} mode"):
+            build()

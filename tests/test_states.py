@@ -299,3 +299,27 @@ def test_constructors_refuse_non_finite_inputs(bad):
 def test_beam_splitter_matrix_refuses_equal_or_out_of_range_modes(mode_i, mode_j):
     with pytest.raises(ValueError, match="mode indices must be distinct and in range"):
         beam_splitter_matrix(2, mode_i, mode_j, 0.6, 0.8, 0.0)
+
+
+def test_thermal_of_an_array_is_a_stack_of_thermal_states():
+    # before: a 2-element array gave one single-mode state with cov_n =
+    # diag(n_1, n_2), and a 3-element array raised NumPy's broadcast error
+    n = np.array([0.0, 0.3, 2.0, 1e4, 7.5, 0.01])
+    assert make_thermal(2.0).cov_n.tolist() == [[2.0, 0.0], [0.0, 2.0]]
+    assert make_thermal(np.float64(2.0)).cov_n.tobytes() == make_thermal(2.0).cov_n.tobytes()
+    for grid in (n, n.reshape(2, 3), n[:2]):
+        stack = make_thermal(grid)
+        assert stack.mean_q.shape == grid.shape + (2,) and stack.n_modes == 1
+        _same_bytes(stack, [make_thermal(float(v)) for v in grid.ravel()])
+        nu, s = williamson(stack)  # through the n x n branch
+        assert nu.tobytes() == (grid[..., None] + 0.5).tobytes()
+        assert s.tobytes() == np.broadcast_to(np.eye(2), grid.shape + (2, 2)).tobytes()
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        make_thermal(np.array([0.5, -0.1]))
+
+
+@pytest.mark.parametrize("mode", [-1, 2, 5])
+def test_mean_photon_refuses_modes_out_of_range(mode):
+    # before: -1 read mode 1 of two, and 2 raised IndexError
+    with pytest.raises(ValueError, match=f"mode {mode} is out of range for 2 mode"):
+        make_tmsv(0.5).mean_photon(mode)
