@@ -27,12 +27,11 @@ A stacked probe (``states``) goes through at one kappa as a stack of pairs.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, _extremes
+from .states import GaussianState, _check_photons, _extremes
 
 
 class NoiseModel(enum.Enum):
@@ -45,8 +44,8 @@ class ScenarioParams:
     """One experiment configuration, or a sweep: kappa, n_s, n_i as arrays of one shape.
 
     kappa: target reflectance in [0, 1], below 1 under constant noise;
-    n_s / n_i / n_b: signal, idler and background mean photon numbers;
-    m_modes: number of independent mode pairs measured, a whole number;
+    n_s / n_i / n_b: signal, idler and background mean photon numbers, n_b a scalar;
+    m_modes: number of independent mode pairs measured, one whole number >= 1;
     noise_model: background convention.  Every check is written so that nan
     fails it.
     """
@@ -59,19 +58,24 @@ class ScenarioParams:
     noise_model: NoiseModel = NoiseModel.CONSTANT
 
     def __post_init__(self):
-        (k_lo, k_hi), (s_lo, s_hi), (i_lo, i_hi) = map(
-            _extremes, (self.kappa, self.n_s, self.n_i))  # nan extremes for any nan entry
+        k_lo, k_hi = _extremes(self.kappa)  # nan extremes for any nan entry
         if not (0.0 <= k_lo and k_hi <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")
         if k_hi == 1.0 and self.noise_model is NoiseModel.CONSTANT:
             raise ValueError(
                 "constant-noise channel is undefined at kappa = 1 "
                 "(environment mean n_b / (1 - kappa) diverges)")
-        if not (0.0 <= s_lo and s_hi < math.inf and 0.0 <= i_lo and i_hi < math.inf
-                and 0.0 <= self.n_b < math.inf):
-            raise ValueError("photon numbers must be finite and >= 0")
-        if not (self.m_modes >= 1 and float(self.m_modes).is_integer()):
-            raise ValueError(f"m_modes must be a whole number >= 1, got {self.m_modes!r}")
+        if isinstance(self.n_b, np.ndarray) and self.n_b.ndim:
+            raise ValueError("n_b must be a scalar, one background for the whole sweep")
+        _check_photons("photon numbers", self.n_s, self.n_i, self.n_b)
+        _check_m_modes(self.m_modes)
+
+
+def _check_m_modes(m_modes) -> None:
+    """Refuse an M that is not one whole number >= 1 (nan, inf and arrays fail)."""
+    if (isinstance(m_modes, np.ndarray) and m_modes.ndim
+            or not (m_modes >= 1 and float(m_modes).is_integer())):
+        raise ValueError(f"m_modes must be a whole number >= 1, got {m_modes!r}")
 
 
 @dataclass(frozen=True)

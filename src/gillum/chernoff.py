@@ -41,10 +41,10 @@ every point (the off state of a kappa sweep) decomposes it once.
 Phase-insensitive states, ``cov_q`` exactly A (x) I_2 with A = N + I/2 (vacuum,
 thermal, coherent and split-thermal states and their channel images: every
 Chernoff pair the presets build, but not the TMSV), take an n x n path: one
-real eigh of A gives nu and s = O (x) I_2, and a pair row of two such states
-has Sigma_s = Sigma_c (x) I_2, n x n (Pirandola & Lloyd, PRA 78, 012331
-(2008)).  Each matrix and pair row is routed on its own, so a row keeps its
-bits in any stack.
+real eigh of A gives nu and s = O (x) I_2, and a pair row whose two bases are
+both O (x) I_2, read from the bases, has Sigma_s = Sigma_c (x) I_2, n x n
+(Pirandola & Lloyd, PRA 78, 012331 (2008)).  Each matrix and pair row is
+routed on its own, so a row keeps its bits in any stack.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import HypothesisPair, NoiseModel, ScenarioParams
+from .channels import HypothesisPair, NoiseModel, ScenarioParams, _check_m_modes
 from .states import GaussianState, _phase_insensitive, symplectic_form
 
 _S_EDGE = 1e-6
@@ -201,11 +201,11 @@ class _PairData:
     The on modes come first and the off modes second in the per-mode arrays
     and in the rows of the projectors, so Sigma_s = S_on Lambda_{s}(on) S_on^T
     + S_off Lambda_{1-s}(off) S_off^T is one product lambda @ projectors per
-    row.  Where both states of a row are phase-insensitive (s = O (x) I_2),
-    Sigma_s = Sigma_c (x) I_2 with Sigma_c = sum_k lambda_k o_k o_k^T (n x n), so
-    sqrt(det Sigma_s) = det Sigma_c and the x and p parts of delta are two
-    right-hand sides of Sigma_c.  ``blocks`` holds (rows, projectors, n x n?,
-    delta) for each branch some row takes.
+    row.  Where a row's on and off bases side by side are O (x) I_2 (as
+    ``williamson`` gives phase-insensitive states), Sigma_s = Sigma_c (x) I_2,
+    Sigma_c = sum_k lambda_k o_k o_k^T (n x n), so sqrt(det Sigma_s) =
+    det Sigma_c and the x and p parts of delta are two right-hand sides of
+    Sigma_c.  ``blocks`` holds (rows, projectors, n x n?, delta) per branch.
     """
 
     def __init__(self, pair: HypothesisPair):
@@ -218,7 +218,7 @@ class _PairData:
         self.half_sum = ((nu + 1.0) / 2.0)[:, None]
         self.is_on = np.arange(2 * n) < n
         delta = math.sqrt(2.0) * (pair.on.mean_q - pair.off.mean_q).reshape(-1, 2 * n)
-        plain = _phase_insensitive(np.concatenate([pair.on.cov_n, pair.off.cov_n], axis=-1))
+        plain = _phase_insensitive(s)
         kinds, self.blocks = set(plain.ravel().tolist()), []
         for orth in kinds:  # each branch on its rows, all of them when one branch
             rows = slice(None) if len(kinds) == 1 else np.flatnonzero(plain == orth)
@@ -268,11 +268,13 @@ def _search(pair: HypothesisPair, m_modes: float):
     from them as in a scalar search: broadcasting against bracket columns
     would cost a one-row search more than the per-row loop costs a sweep.
 
+    M must be one whole number >= 1, as in ``ScenarioParams``.
     Rows of identical hypotheses are sampled with the rest and keep s* = 1/2,
     exponent +0.0; a NaN overlap raises NumericalError.  A row's per-copy
     exponent xi = -log Q(s*) carries a relative error near 64 eps / xi (module
     docstring); where that exceeds _MAX_ERROR the search raises NumericalError.
     """
+    _check_m_modes(m_modes)
     on, off = pair.on, pair.off
     if on.mean_q.shape != off.mean_q.shape:
         raise ValueError("hypotheses must have the same mode count and stack shape")

@@ -252,14 +252,10 @@ def heterodyne(obs: QuadraticObservable) -> QuadraticObservable:
     Mode k is split 50:50 with the vacuum mode n + k; x is read on one output
     port and p on the other, which gives the commuting pair
     (x_k + x_{n+k})/sqrt(2) and (p_k - p_{n+k})/sqrt(2) in place of (x_k, p_k).
-    That is r -> A r with A A^T = I, so h -> A^T h A, lin -> A^T lin and c0
-    stays: quadratic means halve and the open ports add vacuum noise.
+    That is r -> A r, A = [I | diag(1, -1, ..., 1, -1)] / sqrt(2) (2n x 4n) with
+    A A^T = I, so h -> A^T h A, lin -> A^T lin and c0 stays: quadratic means
+    halve and the open ports add vacuum noise.
     """
-    n, amp = obs.n_modes, 1 / math.sqrt(2)
-    s = np.eye(4 * n)
-    for k in range(n):
-        s = beam_splitter_matrix(2 * n, k, n + k, amp, amp, math.pi / 2) @ s
-    rows = np.arange(2 * n)
-    rows[0::2] += 2 * n  # x from port n + k, p from port k
-    a = s[rows]
+    n = obs.n_modes
+    a = np.hstack([np.eye(2 * n), np.diag(np.tile([1.0, -1.0], n))]) / math.sqrt(2)
     return QuadraticObservable(obs.c0, a.T @ obs.h @ a, a.T @ obs.lin)

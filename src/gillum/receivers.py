@@ -40,7 +40,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channels import HypothesisPair, NoiseModel, ScenarioParams, _received_noise
+from .channels import HypothesisPair, NoiseModel, ScenarioParams, _check_m_modes, _received_noise
 from .observables import QuadraticObservable, stats
 
 PC_MU = math.sqrt(2.0)
@@ -76,8 +76,10 @@ def _snr(gap: float, var_on: float, var_off: float, m_modes: float) -> float:
 def snr_generic(obs: QuadraticObservable, pair: HypothesisPair, m_modes: float) -> float:
     """SNR of measuring ``obs`` on every mode pair, through the moment engine.
 
-    Modes of ``obs`` beyond the pair's are vacuum ancillas (see ``stats``).
+    Modes of ``obs`` beyond the pair's are vacuum ancillas (see ``stats``);
+    M must be one whole number >= 1, as in ``ScenarioParams``.
     """
+    _check_m_modes(m_modes)
     on, off = stats(obs, pair.on), stats(obs, pair.off)
     return _snr(on.mean - off.mean, on.variance, off.variance, m_modes)
 

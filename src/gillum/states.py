@@ -87,9 +87,7 @@ def make_vacuum(n_modes: int) -> GaussianState:
 
 def make_thermal(n_mean) -> GaussianState:
     """Single-mode thermal state (a stack for an array) with mean photon number ``n_mean``."""
-    lo, hi = _extremes(n_mean)
-    if not (0 <= lo and hi < math.inf):
-        raise ValueError("thermal mean photon number must be finite and >= 0")
+    _check_photons("thermal mean photon number", n_mean)
     n = np.asarray(n_mean, dtype=float)
     return GaussianState(np.zeros(n.shape + (2,)), n[..., None, None] * np.eye(2))
 
@@ -107,6 +105,13 @@ def _extremes(value):
     return (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
 
 
+def _check_photons(subject: str, *values) -> None:
+    """Refuse photon numbers (numbers or arrays) unless finite and >= 0; nan fails."""
+    for lo, hi in map(_extremes, values):
+        if not (0 <= lo and hi < math.inf):
+            raise ValueError(f"{subject} must be finite and >= 0")
+
+
 def _check_mode(mode: int, n_modes: int) -> None:
     """Refuse a mode index outside 0 <= mode < n_modes (no wrap-around)."""
     if not 0 <= mode < n_modes:
@@ -119,7 +124,7 @@ def _phase_insensitive(cov: np.ndarray) -> np.ndarray:
     its x-x block A = cov[..., 0::2, 0::2] and both x-p blocks are zero; for a
     covariance, no squeezing and real <a_i^dag a_j>, as in vacuum, thermal,
     coherent and split-thermal states and their channel images (not the TMSV).
-    Two covariances side by side pass where both do."""
+    Two matrices side by side, covariances or Williamson bases, pass where both do."""
     return ((cov[..., 0::2, 0::2] == cov[..., 1::2, 1::2]) & (cov[..., 0::2, 1::2] == 0)
             & (cov[..., 1::2, 0::2] == 0)).all(axis=(-2, -1))
 
@@ -138,9 +143,7 @@ def _two_mode_matrix(diag, xx, pp) -> np.ndarray:
 def make_tmsv(n_s) -> GaussianState:
     """Two-mode squeezed vacuum (a stack for an array) with per-mode mean photon
     number ``n_s``: <a_S a_I> = sqrt(n_s (n_s + 1)), so <p_S p_I> = -<x_S x_I>."""
-    lo, hi = _extremes(n_s)
-    if not (0 <= lo and hi < math.inf):
-        raise ValueError("squeezed-vacuum mean photon number must be finite and >= 0")
+    _check_photons("squeezed-vacuum mean photon number", n_s)
     c = np.sqrt(n_s * (n_s + 1.0))
     return GaussianState(np.zeros(c.shape + (4,)), _two_mode_matrix((n_s,) * 4, c, -c))
 
@@ -153,9 +156,7 @@ def make_cct(n_s, n_i) -> GaussianState:
     correlation ``<a_S^dag a_I> = sqrt(n_s n_i)`` and no squeeze
     correlations (<p_S p_I> = <x_S x_I>); zero power gives the two-mode vacuum.
     """
-    (s_lo, s_hi), (i_lo, i_hi) = _extremes(n_s), _extremes(n_i)
-    if not (0 <= s_lo and s_hi < math.inf and 0 <= i_lo and i_hi < math.inf):
-        raise ValueError("mode mean photon numbers must be finite and >= 0")
+    _check_photons("mode mean photon numbers", n_s, n_i)
     c = np.sqrt(n_s * n_i)
     return GaussianState(np.zeros(c.shape + (4,)), _two_mode_matrix((n_s, n_s, n_i, n_i), c, c))
 

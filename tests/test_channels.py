@@ -212,6 +212,17 @@ def test_param_validation():
                 ScenarioParams(**{"kappa": 0.1, "n_s": 0.1, "n_b": 0.1, field: bad})
 
 
+def test_param_validation_refuses_array_background_and_mode_count():
+    # before: both raised NumPy's ambiguous-truth-value error; a 0-d array
+    # stays a scalar
+    for field, name in (("n_b", "n_b"), ("m_modes", "m_modes")):
+        for values in (np.array([1.0, 2.0]), np.array([[3.0]])):
+            with pytest.raises(ValueError, match=name):
+                ScenarioParams(**{"kappa": 0.1, "n_s": 0.1, "n_b": 0.1, field: values})
+    params = ScenarioParams(kappa=0.1, n_s=0.1, n_b=np.array(2.0), m_modes=np.array(3.0))
+    assert params.n_b == 2.0 and params.m_modes == 3.0
+
+
 def test_param_validation_reads_every_array_entry():
     axis = np.linspace(0.01, 0.5, 50)
     ScenarioParams(kappa=axis, n_s=axis, n_i=axis, n_b=1.0)

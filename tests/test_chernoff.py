@@ -17,7 +17,9 @@ from gillum import (
     GaussianState,
     HypothesisPair,
     NoiseModel,
+    QcbResult,
     ScenarioParams,
+    SweepConfig,
     coherent_qcb_closed,
     hypothesis_pair,
     make_cct,
@@ -26,12 +28,13 @@ from gillum import (
     make_tmsv,
     make_vacuum,
     qcb,
+    run_figure,
     snr_cct,
     symplectic_form,
     tensor,
     williamson,
 )
-from gillum import chernoff
+from gillum import chernoff, figures
 from gillum.chernoff import (
     _MAX_ERROR,
     _MEMO_SIZE,
@@ -696,3 +699,80 @@ def test_orthogonal_williamson_keeps_the_sub_vacuum_refusal(cov_n):
         williamson(state)
     with pytest.raises(ValueError, match="not physical"):
         williamson(GaussianState(np.zeros((2, len(cov_n))), np.stack([np.zeros_like(cov_n), cov_n])))
+
+
+@pytest.mark.parametrize("m_modes", [-5, 0, 0.5, math.nan, math.inf])
+def test_chernoff_entry_points_refuse_an_m_that_is_not_a_whole_number(m_modes):
+    # before: qcb(pair, -5) returned a negative exponent, nan a nan one, and
+    # 0.5 was accepted; ScenarioParams' M rule now guards both entry points
+    p = ScenarioParams(kappa=0.01, n_s=1.0, n_i=1.0, n_b=30.0)
+    coherent = hypothesis_pair(make_coherent(np.array([0.5, 1.0])), p)
+    with pytest.raises(ValueError, match="m_modes must be a whole number >= 1"):
+        qcb(hypothesis_pair(make_cct(1.0, 1.0), p), m_modes)
+    with pytest.raises(ValueError, match="m_modes must be a whole number >= 1"):
+        qcb_sweep(coherent, m_modes)
+
+
+def test_pair_row_takes_the_route_of_its_williamson_bases():
+    # the on cov_n is not A (x) I_2 but its cov_q is (1e-17 + 0.5 rounds to
+    # 0.5), so williamson takes the n x n route; before, the row's route was
+    # read from cov_n and it went to the 2n x 2n overlap with n x n bases
+    pair = HypothesisPair(on=GaussianState(np.zeros(2), np.diag([1e-17, 0.0])),
+                          off=make_thermal(0.3))
+    assert not _phase_insensitive(pair.on.cov_n) and _phase_insensitive(pair.on.cov_q)
+    assert williamson(pair.on)[1].tolist() == np.eye(2).tolist()
+    data = _PairData(pair)
+    assert [orth for _, _, orth, _ in data.blocks] == [True]
+    grid = np.linspace(_S_EDGE, 1.0 - _S_EDGE, 33)[None, :]
+    m_modes = 10
+    got, result = data.overlap(grid), qcb(pair, m_modes)
+    with _general_path():
+        ref_data = _PairData(pair)
+        assert [orth for _, _, orth, _ in ref_data.blocks] == [False]
+        ref, ref_result = ref_data.overlap(grid), qcb(pair, m_modes)
+    tol = np.full(grid.shape, 1e-13)  # as in the overlap test above: a pure mode
+    tol[:, [0, -1]] = 1e-9
+    assert np.all(np.abs(got / ref - 1) <= tol)
+    xi = ref_result.exponent / m_modes  # the guard's 64 eps / xi
+    assert abs(result.exponent / ref_result.exponent - 1) <= _ROUND_OFF / xi
+    assert abs(result.s_star - ref_result.s_star) <= 1e-9
+
+
+def _preset_pairs(figure: str, model: NoiseModel, **overrides) -> list:
+    """Every hypothesis pair the preset hands to qcb or qcb_sweep, at 25
+    points, captured before any search runs."""
+    pairs = []
+
+    def one(pair, m_modes):
+        pairs.append(pair)
+        return QcbResult(s_star=0.5, exponent=0.0)
+
+    def stack(pair, m_modes):
+        pairs.append(pair)
+        shape = pair.on.mean_q.shape[:-1]
+        return QcbResult(s_star=np.full(shape, 0.5), exponent=np.zeros(shape))
+
+    with mock.patch.object(figures, "qcb", one), mock.patch.object(figures, "qcb_sweep", stack):
+        run_figure(SweepConfig(figure, points=25, noise=model, **overrides))
+    return pairs
+
+
+@pytest.mark.parametrize("overrides", [{}, {"n_b": 100.0, "kappa": 0.1}])
+def test_every_preset_chernoff_pair_takes_the_n_by_n_route(overrides):
+    # fig1's and fig3's nonconstant Coh, fig5a's two QCB curves, fig5b's CCT
+    # QCB and its nonconstant Coh QCB: every row n x n, so no preset reaches
+    # the 2n x 2n overlap; a TMSV pair's rows do
+    counts = {}
+    for figure, models in (("fig1", [NoiseModel.NONCONSTANT]), ("fig3", [NoiseModel.NONCONSTANT]),
+                           ("fig5a", list(NoiseModel)), ("fig5b", list(NoiseModel))):
+        for model in models:
+            pairs = _preset_pairs(figure, model, **overrides)
+            counts[figure, model] = sum(pair.on.mean_q[..., 0].size for pair in pairs)
+            for pair in pairs:
+                assert [orth for _, _, orth, _ in _PairData(pair).blocks] == [True]
+    assert counts == {("fig1", NoiseModel.NONCONSTANT): 25, ("fig3", NoiseModel.NONCONSTANT): 25,
+                      ("fig5a", NoiseModel.CONSTANT): 50, ("fig5a", NoiseModel.NONCONSTANT): 50,
+                      ("fig5b", NoiseModel.CONSTANT): 25, ("fig5b", NoiseModel.NONCONSTANT): 50}
+    p = SweepConfig("fig5b", points=25, **overrides).params
+    assert [orth for _, _, orth, _ in _PairData(hypothesis_pair(make_tmsv(p.n_s), p)).blocks] == [
+        False]

@@ -316,6 +316,15 @@ def test_heterodyne_keeps_c0_trace_and_vacuum_mean():
         assert abs(stats(het, make_vacuum(n)).mean - stats(obs, make_vacuum(n)).mean) < 1e-13
 
 
+def test_heterodyne_readout_map_is_exact():
+    # the map (x_k + x_{n+k})/sqrt2, (p_k - p_{n+k})/sqrt2 has no round-off
+    # entries; before, the beam-splitter product left 12 entries of ~3e-17
+    # (r cos(pi/2)) in each of these
+    for obs in (obs_bound(0.0, 0.0), obs_squeeze_difference()):
+        h = np.abs(heterodyne(obs).h)
+        assert not ((h > 0) & (h < 1e-12)).any()
+
+
 def test_stats_pads_missing_modes_with_vacuum():
     rng = np.random.RandomState(29)
     pair = hypothesis_pair(make_tmsv(1.3), ScenarioParams(kappa=0.2, n_s=1.3, n_b=2.1))

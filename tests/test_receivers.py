@@ -634,3 +634,12 @@ def test_zero_noise_snr_is_zero_without_a_gap_and_inf_with_one():
     assert snr_generic(QuadraticObservable(1.0, np.zeros((4, 4)), np.zeros(4)), pair, M) == 0.0
     assert _snr(1.0, 0.0, 0.0, 1) == math.inf
     assert _snr(np.array([0.0, 2.0]), 0.0, np.array([0.0, 1.0]), 1).tolist() == [0.0, 2.0]
+
+
+@pytest.mark.parametrize("m_modes", [-5, 0, 0.5, math.nan, math.inf])
+def test_snr_generic_refuses_an_m_that_is_not_a_whole_number(m_modes):
+    # before: snr_generic(obs_off(), pair, -3) returned a negative SNR
+    pair = hypothesis_pair(make_cct(1.0, 1.0), ScenarioParams(kappa=0.01, n_s=1.0, n_i=1.0,
+                                                              n_b=30.0))
+    with pytest.raises(ValueError, match="m_modes must be a whole number >= 1"):
+        snr_generic(obs_off(), pair, m_modes)
