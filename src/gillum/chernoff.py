@@ -41,10 +41,11 @@ every point (the off state of a kappa sweep) decomposes it once.
 Phase-insensitive states, ``cov_q`` exactly A (x) I_2 with A = N + I/2 (vacuum,
 thermal, coherent and split-thermal states and their channel images: every
 Chernoff pair the presets build, but not the TMSV), take an n x n path: one
-real eigh of A gives nu and s = O (x) I_2, and a pair row whose two bases are
-both O (x) I_2, read from the bases, has Sigma_s = Sigma_c (x) I_2, n x n
-(Pirandola & Lloyd, PRA 78, 012331 (2008)).  Each matrix and pair row is
-routed on its own, so a row keeps its bits in any stack.
+real eigh of A gives nu and s = O (x) I_2.  A pair row forms Sigma_s from its
+basis columns per mode: one x column each where both bases are O (x) I_2, read
+from the bases, as Sigma_s = Sigma_c (x) I_2 (Pirandola & Lloyd, PRA 78, 012331
+(2008)), n x n; x and p columns, 2n x 2n, otherwise.  Each matrix and pair row
+is routed on its own, so a row keeps its bits in any stack.
 """
 
 from __future__ import annotations
@@ -185,27 +186,18 @@ def _g_lambda(log_ratio: np.ndarray, half_sum: np.ndarray, p: np.ndarray):
     return half_sum ** -p / minus_e, (2.0 + e) / minus_e
 
 
-def _mode_projectors(s: np.ndarray) -> np.ndarray:
-    """Row k of the last two axes: s P_k s^T flattened, P_k the projector on
-    the k-th (x, p) column pair of ``s``, so the on and off bases placed side
-    by side give the on modes' rows, then the off modes'."""
-    outer = np.einsum("...ik,...jk->...kij", s, s)
-    return (outer[..., 0::2, :, :] + outer[..., 1::2, :, :]).reshape(
-        s.shape[:-2] + (s.shape[-1] // 2, -1))
-
-
 class _PairData:
     """Doubled-convention Williamson data of a hypothesis pair, one row of
     every array per pair of its stack (one row for one pair).
 
-    The on modes come first and the off modes second in the per-mode arrays
-    and in the rows of the projectors, so Sigma_s = S_on Lambda_{s}(on) S_on^T
-    + S_off Lambda_{1-s}(off) S_off^T is one product lambda @ projectors per
-    row.  Where a row's on and off bases side by side are O (x) I_2 (as
-    ``williamson`` gives phase-insensitive states), Sigma_s = Sigma_c (x) I_2,
-    Sigma_c = sum_k lambda_k o_k o_k^T (n x n), so sqrt(det Sigma_s) =
-    det Sigma_c and the x and p parts of delta are two right-hand sides of
-    Sigma_c.  ``blocks`` holds (rows, projectors, n x n?, delta) per branch.
+    On modes come first and off modes second in the per-mode arrays and the
+    projectors' rows: Sigma_s = sum_k lambda_k b_k b_k^T, b_k the (m, c) basis
+    columns of mode k in a row's on and off bases side by side, is one product
+    lambda @ projectors.  Where those bases are O (x) I_2 (as ``williamson``
+    gives phase-insensitive states), b is their x-x block (m = n, c = 1) and
+    Sigma_s = Sigma_c (x) I_2, so sqrt(det Sigma_s) = det Sigma_c; otherwise
+    b is all of s (m = 2n, c = 2).  delta gives 2n / m right-hand sides of the
+    m x m Sigma.  ``blocks`` holds (rows, projectors, n x n?, delta) per branch.
     """
 
     def __init__(self, pair: HypothesisPair):
@@ -222,12 +214,10 @@ class _PairData:
         kinds, self.blocks = set(plain.ravel().tolist()), []
         for orth in kinds:  # each branch on its rows, all of them when one branch
             rows = slice(None) if len(kinds) == 1 else np.flatnonzero(plain == orth)
-            if orth:
-                o = s[rows, 0::2, 0::2]
-                proj = np.einsum("rik,rjk->rkij", o, o).reshape(-1, 2 * n, n * n)
-                d = delta[rows].reshape(-1, 1, n, 2)
-            else:
-                proj, d = _mode_projectors(s[rows]), delta[rows][:, None, :, None]
+            step, m = (2, n) if orth else (1, 2 * n)  # the x-x block, or all of s
+            b = s[rows, ::step, ::step].reshape(-1, m, 2 * n, 2 // step)  # (rows, m, mode, c)
+            proj = np.einsum("rikc,rjkc->rkij", b, b).reshape(-1, 2 * n, m * m)
+            d = delta[rows].reshape(-1, 1, m, step)
             self.blocks.append((rows, proj, orth, d if d.any() else None))  # d = 0: no solve
 
     def overlap(self, s: np.ndarray) -> np.ndarray:

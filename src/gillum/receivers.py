@@ -49,14 +49,18 @@ OPA_GAIN = 1.0 + 7.4e-5  # implementable amplifier gain
 _EPS = np.finfo(float).eps
 
 
-def p_err(snr: float) -> float:
-    """Minimum discrimination error erfc(sqrt(SNR))/2.
+def p_err(snr: float | np.ndarray) -> float | np.ndarray:
+    """Minimum discrimination error erfc(sqrt(SNR))/2 entry by entry, like
+    the receivers' SNRs: a float for one SNR, an array for a sweep.
 
     Decreases from 1/2 at SNR = 0; underflows to 0 for SNR beyond roughly 7e2.
+    A NaN or negative entry is refused.
     """
-    if not snr >= 0:  # nan fails too
+    x = np.asarray(snr, dtype=float)
+    if not (x >= 0).all():  # nan fails too
         raise ValueError("snr must be >= 0")
-    return 0.5 * math.erfc(math.sqrt(snr))
+    out = 0.5 * np.array([math.erfc(math.sqrt(v)) for v in x.ravel().tolist()]).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _snr(gap: float, var_on: float, var_off: float, m_modes: float) -> float:

@@ -175,9 +175,12 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 def beam_splitter_matrix(n: int, mode_i: int, mode_j: int, t: float, r: float,
                          phase: float) -> np.ndarray:
     """Real orthogonal symplectic S with r -> S r for the substitution
-    a_i -> t a_i + i e^{i phase} r a_j, a_j -> t a_j + i e^{-i phase} r a_i."""
-    if abs(t * t + r * r - 1.0) > 1e-12:
+    a_i -> t a_i + i e^{i phase} r a_j, a_j -> t a_j + i e^{-i phase} r a_i.
+    A NaN or infinite t, r or phase is refused."""
+    if not abs(t * t + r * r - 1.0) <= 1e-12:  # nan fails too
         raise ValueError("beam splitter requires t^2 + r^2 = 1")
+    if not math.isfinite(phase):
+        raise ValueError(f"beam splitter phase must be finite, got {phase!r}")
     if mode_i == mode_j or not (0 <= mode_i < n and 0 <= mode_j < n):
         raise ValueError("mode indices must be distinct and in range")
     # i e^{+-i phase} r = -+r sin(phase) + i r cos(phase), as a 2x2 rotation on (x, p)

@@ -738,6 +738,30 @@ def test_pair_row_takes_the_route_of_its_williamson_bases():
     assert abs(result.s_star - ref_result.s_star) <= 1e-9
 
 
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_a_stack_of_both_routes_keeps_each_pair_bits(model):
+    # a CCT row (n x n) between TMSV rows (2n x 2n): two blocks, each on its
+    # own rows, and every row of the sweep with the bits of its pair alone
+    p = ScenarioParams(kappa=0.05, n_s=0.7, n_i=1.3, n_b=4.0, noise_model=model)
+    pairs = [hypothesis_pair(probe, p) for probe in (make_tmsv(0.7), make_cct(0.7, 1.3),
+                                                     make_tmsv(2.0))]
+    stack = HypothesisPair(*(GaussianState(np.stack([getattr(q, side).mean_q for q in pairs]),
+                                           np.stack([getattr(q, side).cov_n for q in pairs]))
+                             for side in ("on", "off")))
+    data = _PairData(stack)
+    assert [(orth, rows.tolist()) for rows, _, orth, _ in data.blocks] == [
+        (False, [0, 2]), (True, [1])]
+    grid = np.linspace(_S_EDGE, 1.0 - _S_EDGE, 33)
+    got = data.overlap(np.tile(grid, (3, 1)))
+    for row, pair in zip(got, pairs):
+        assert row.tobytes() == _PairData(pair).overlap(grid[None, :])[0].tobytes()
+    result = qcb_sweep(stack, 10**6)
+    for r, pair in enumerate(pairs):
+        alone = qcb(pair, 10**6)
+        assert np.array([result.s_star[r], result.exponent[r]]).tobytes() == np.array(
+            [alone.s_star, alone.exponent]).tobytes()
+
+
 def _preset_pairs(figure: str, model: NoiseModel, **overrides) -> list:
     """Every hypothesis pair the preset hands to qcb or qcb_sweep, at 25
     points, captured before any search runs."""

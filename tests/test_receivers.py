@@ -486,6 +486,21 @@ def test_p_err_endpoints_and_bound():
     assert abs(p_err(1.0) - 0.5 * orc.erfc_reference(1.0)) < 1e-15
 
 
+def test_p_err_is_elementwise_over_a_sweep():
+    # before: an array raised NumPy's ambiguous-truth-value error, though
+    # every receiver returns an array of SNRs for a sweep
+    snrs = np.array([0.0, 0.25, 1.0, 7.5, 40.0, 800.0])
+    for grid in (snrs, snrs.reshape(2, 3), snrs[:1]):
+        got = p_err(grid)
+        assert isinstance(got, np.ndarray) and got.shape == grid.shape
+        assert got.ravel().tolist() == [0.5 * math.erfc(math.sqrt(s)) for s in grid.ravel()]
+    assert p_err(np.float64(2.0)) == p_err(np.array(2.0)) == 0.5 * math.erfc(math.sqrt(2.0))
+    assert type(p_err(np.array(2.0))) is float and p_err(np.array([])).shape == (0,)
+    for bad in (np.array([1.0, -1e-300]), np.array([[0.5], [float("nan")]])):
+        with pytest.raises(ValueError, match="snr must be >= 0"):
+            p_err(bad)
+
+
 def test_p_err_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):

@@ -301,6 +301,17 @@ def test_beam_splitter_matrix_refuses_equal_or_out_of_range_modes(mode_i, mode_j
         beam_splitter_matrix(2, mode_i, mode_j, 0.6, 0.8, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["t", "r", "phase"])
+def test_beam_splitter_matrix_refuses_a_non_finite_parameter(field, bad):
+    # before: a NaN t, r or phase gave a matrix with NaN entries (the
+    # t^2 + r^2 check is False for NaN) and an infinite phase a math domain error
+    args = {"t": 0.6, "r": 0.8, "phase": 0.3, field: bad}
+    match = "phase must be finite" if field == "phase" else "requires t\\^2 \\+ r\\^2 = 1"
+    with pytest.raises(ValueError, match=match):
+        beam_splitter_matrix(2, 0, 1, **args)
+
+
 def test_thermal_of_an_array_is_a_stack_of_thermal_states():
     # before: a 2-element array gave one single-mode state with cov_n =
     # diag(n_1, n_2), and a 3-element array raised NumPy's broadcast error
