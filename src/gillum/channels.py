@@ -41,7 +41,8 @@ class NoiseModel(enum.Enum):
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """One experiment configuration, or a sweep: kappa, n_s, n_i as arrays of one shape.
+    """One experiment configuration, or a sweep: kappa, n_s, n_i as numbers or
+    non-empty arrays that broadcast together.
 
     kappa: target reflectance in [0, 1], below 1 under constant noise;
     n_s / n_i / n_b: signal, idler and background mean photon numbers, n_b a scalar;
@@ -58,7 +59,7 @@ class ScenarioParams:
     noise_model: NoiseModel = NoiseModel.CONSTANT
 
     def __post_init__(self):
-        k_lo, k_hi = _extremes(self.kappa)  # nan extremes for any nan entry
+        k_lo, k_hi = _extremes("kappa", self.kappa)  # nan extremes for any nan entry
         if not (0.0 <= k_lo and k_hi <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")
         if k_hi == 1.0 and self.noise_model is NoiseModel.CONSTANT:
@@ -67,8 +68,16 @@ class ScenarioParams:
                 "(environment mean n_b / (1 - kappa) diverges)")
         if isinstance(self.n_b, np.ndarray) and self.n_b.ndim:
             raise ValueError("n_b must be a scalar, one background for the whole sweep")
-        _check_photons("photon numbers", self.n_s, self.n_i, self.n_b)
+        _check_photons("photon numbers", n_s=self.n_s, n_i=self.n_i, n_b=self.n_b)
         _check_m_modes(self.m_modes)
+        shapes = {name: value.shape for name, value in
+                  (("kappa", self.kappa), ("n_s", self.n_s), ("n_i", self.n_i))
+                  if isinstance(value, np.ndarray) and value.ndim}
+        if len(shapes) > 1:  # floats and 0-d arrays broadcast with anything
+            try:
+                np.broadcast_shapes(*shapes.values())
+            except ValueError:
+                raise ValueError(f"sweep shapes {shapes} do not broadcast together") from None
 
 
 def _check_m_modes(m_modes) -> None:

@@ -44,8 +44,8 @@ Chernoff pair the presets build, but not the TMSV), take an n x n path: one
 real eigh of A gives nu and s = O (x) I_2.  A pair row forms Sigma_s from its
 basis columns per mode: one x column each where both bases are O (x) I_2, read
 from the bases, as Sigma_s = Sigma_c (x) I_2 (Pirandola & Lloyd, PRA 78, 012331
-(2008)), n x n; x and p columns, 2n x 2n, otherwise.  Each matrix and pair row
-is routed on its own, so a row keeps its bits in any stack.
+(2008)), n x n; x and p columns, 2n x 2n, otherwise.  In a stack the n x n basis
+is written over the general one on the rows it fits, so every row keeps its bits.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def williamson(state: GaussianState):
     moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k;
     2 nu_k that close to 1 is returned as 1/2 (s unchanged), below that raises.
     A non-finite entry raises too.  A stack of states gives nu (..., n) and
-    s (..., 2n, 2n), every matrix decomposed on its own.
+    s (..., 2n, 2n), every matrix with the bits of its own call.
 
     An ``lru_cache`` of ``(cov_n.shape, cov_n.tobytes())`` keeps the last
     _MEMO_SIZE (8) distinct ``cov_n``: a hit returns the bits a fresh call
@@ -119,18 +119,15 @@ def _decompose_bytes(shape: tuple, data: bytes):
 
 
 def _decompose(cov_q: np.ndarray):
-    """``williamson`` without its memo, on a finite covariance or a stack: a
-    phase-insensitive matrix by ``_orthogonal_basis``, any other by
-    ``_symplectic_basis`` (a stack of both matrix by matrix), then the purity rule."""
+    """``williamson`` without its memo on a finite covariance or a stack, then the
+    purity rule: ``_symplectic_basis`` fits any matrix, and ``_orthogonal_basis``
+    is written over the phase-insensitive ones (alone if all of them are)."""
     if not np.isfinite(cov_q).all():
         raise ValueError("covariance must be finite")
     plain = _phase_insensitive(cov_q)
-    if plain.all() or not plain.any():
-        nus, s, top = (_orthogonal_basis if plain.all() else _symplectic_basis)(cov_q)
-    else:
-        rows = [(_orthogonal_basis if p else _symplectic_basis)(c) for p, c in
-                zip(plain.ravel(), cov_q.reshape((-1,) + cov_q.shape[-2:]))]
-        nus, s, top = (np.stack(a).reshape(cov_q.shape[:-2] + a[0].shape) for a in zip(*rows))
+    nus, s, top = (_orthogonal_basis if plain.all() else _symplectic_basis)(cov_q)
+    if plain.any() and not plain.all():
+        nus[plain], s[plain], top[plain] = _orthogonal_basis(cov_q[plain])
     col = (s * s).sum(axis=-2)
     spread = col[..., 0::2] + col[..., 1::2]  # tr(s P_k s^T)
     gap, tol = 2.0 * nus - 1.0, _PURE_TOL * top * spread
@@ -221,8 +218,8 @@ class _PairData:
             self.blocks.append((rows, proj, orth, d if d.any() else None))  # d = 0: no solve
 
     def overlap(self, s: np.ndarray) -> np.ndarray:
-        """Single-copy Q_s, clamped to at most 1: row r of ``s`` (rows, k)
-        samples pair r."""
+        """Single-copy Q_s as computed, row r of ``s`` (rows, k) sampling pair
+        r; a round-off Q_s above 1 reads as xi = 0 in ``_search``."""
         s = s[..., None]
         g, lam = _g_lambda(self.log_ratio, self.half_sum, np.where(self.is_on, s, 1.0 - s))
         val = g.prod(axis=-1)
@@ -237,7 +234,7 @@ class _PairData:
                 x = np.linalg.solve(sig, delta)
                 quad = x.reshape(x.shape[:-2] + (-1,)) @ delta.reshape(len(delta), -1, 1)
                 val[rows] *= np.exp(-0.5 * quad[..., 0])
-        return np.minimum(val, 1.0, out=val)
+        return val
 
 
 def _search(pair: HypothesisPair, m_modes: float):
@@ -345,10 +342,10 @@ def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:
     Per-copy exponent kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2, evaluated as
     kappa N_S / (sqrt(N_B + 1) + sqrt(N_B))^2 and returned without a round
     trip through Q, so it stays finite where Q would underflow to 0; optimal
-    s = 1/2 (the hypotheses differ only by a displacement); elementwise.
+    s = 1/2 (a pure displacement); elementwise: floats for a point, arrays for a sweep.
     """
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("closed form assumes the constant noise model")
-    per_copy = params.kappa * params.n_s / (
-        math.sqrt(params.n_b + 1.0) + math.sqrt(params.n_b)) ** 2
-    return QcbResult(s_star=0.5, exponent=params.m_modes * per_copy)
+    exponent = params.m_modes * (params.kappa * params.n_s / (
+        math.sqrt(params.n_b + 1.0) + math.sqrt(params.n_b)) ** 2)
+    return QcbResult(np.full_like(exponent, 0.5) if np.ndim(exponent) else 0.5, exponent)

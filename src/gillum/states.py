@@ -52,6 +52,8 @@ class GaussianState:
         if (mean_q.ndim < 1 or mean_q.shape[-1] < 2 or mean_q.shape[-1] % 2
                 or cov_n.shape != mean_q.shape + mean_q.shape[-1:]):
             raise ValueError("mean_q must have shape (..., 2n), n >= 1, and cov_n (..., 2n, 2n)")
+        if not mean_q.size:
+            raise ValueError("mean_q and cov_n must not be an empty stack of states")
         asym = np.abs(cov_n - cov_n.swapaxes(-1, -2))  # per matrix, relative to its top entry
         if asym.max() > _SYM_TOL and (asym.max(axis=(-2, -1)) > _SYM_TOL * np.maximum(
                 np.abs(cov_n).max(axis=(-2, -1)), 1.0)).any():
@@ -87,7 +89,7 @@ def make_vacuum(n_modes: int) -> GaussianState:
 
 def make_thermal(n_mean) -> GaussianState:
     """Single-mode thermal state (a stack for an array) with mean photon number ``n_mean``."""
-    _check_photons("thermal mean photon number", n_mean)
+    _check_photons("thermal mean photon number", n_mean=n_mean)
     n = np.asarray(n_mean, dtype=float)
     return GaussianState(np.zeros(n.shape + (2,)), n[..., None, None] * np.eye(2))
 
@@ -95,19 +97,28 @@ def make_thermal(n_mean) -> GaussianState:
 def make_coherent(amplitude) -> GaussianState:
     """Coherent state |alpha>, a stack for an array; covariance is the vacuum one."""
     a = np.asarray(amplitude, dtype=complex)  # viewed as (re, im) pairs below
+    if not a.size:
+        raise ValueError("amplitude must not be an empty array")
     if not np.isfinite(a).all():
         raise ValueError("coherent amplitude must be finite")
     return GaussianState(math.sqrt(2.0) * a[..., None].view(float), np.zeros(a.shape + (2, 2)))
 
 
-def _extremes(value):
-    """(min, max) of a number or an array; nan if any entry is nan."""
-    return (value.min(), value.max()) if isinstance(value, np.ndarray) else (value, value)
+def _extremes(name: str, value):
+    """(min, max) of a number or an array; nan if any entry is nan.  An empty
+    array is refused by ``name``."""
+    if not isinstance(value, np.ndarray):
+        return value, value
+    if not value.size:
+        raise ValueError(f"{name} must not be an empty array")
+    return value.min(), value.max()
 
 
-def _check_photons(subject: str, *values) -> None:
-    """Refuse photon numbers (numbers or arrays) unless finite and >= 0; nan fails."""
-    for lo, hi in map(_extremes, values):
+def _check_photons(subject: str, **values) -> None:
+    """Refuse photon numbers (numbers or non-empty arrays, by keyword) unless
+    finite and >= 0; nan fails."""
+    for name, value in values.items():
+        lo, hi = _extremes(name, value)
         if not (0 <= lo and hi < math.inf):
             raise ValueError(f"{subject} must be finite and >= 0")
 
@@ -143,7 +154,7 @@ def _two_mode_matrix(diag, xx, pp) -> np.ndarray:
 def make_tmsv(n_s) -> GaussianState:
     """Two-mode squeezed vacuum (a stack for an array) with per-mode mean photon
     number ``n_s``: <a_S a_I> = sqrt(n_s (n_s + 1)), so <p_S p_I> = -<x_S x_I>."""
-    _check_photons("squeezed-vacuum mean photon number", n_s)
+    _check_photons("squeezed-vacuum mean photon number", n_s=n_s)
     c = np.sqrt(n_s * (n_s + 1.0))
     return GaussianState(np.zeros(c.shape + (4,)), _two_mode_matrix((n_s,) * 4, c, -c))
 
@@ -156,7 +167,7 @@ def make_cct(n_s, n_i) -> GaussianState:
     correlation ``<a_S^dag a_I> = sqrt(n_s n_i)`` and no squeeze
     correlations (<p_S p_I> = <x_S x_I>); zero power gives the two-mode vacuum.
     """
-    _check_photons("mode mean photon numbers", n_s, n_i)
+    _check_photons("mode mean photon numbers", n_s=n_s, n_i=n_i)
     c = np.sqrt(n_s * n_i)
     return GaussianState(np.zeros(c.shape + (4,)), _two_mode_matrix((n_s, n_s, n_i, n_i), c, c))
 

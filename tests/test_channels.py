@@ -235,6 +235,21 @@ def test_param_validation_reads_every_array_entry():
             ScenarioParams(**{"kappa": 0.1, "n_s": 0.1, "n_b": 0.1, field: values})
 
 
+def test_param_validation_refuses_sweep_fields_that_do_not_broadcast():
+    # before: the mismatch built, and snr_cct failed later with NumPy's
+    # broadcast error
+    three, two = np.array([0.01, 0.02, 0.03]), np.array([1.0, 2.0])
+    for fields, names in (({"kappa": three, "n_s": two}, "'kappa'.*'n_s'"),
+                          ({"kappa": 0.1, "n_s": three, "n_i": two}, "'n_s'.*'n_i'"),
+                          ({"kappa": three, "n_s": two[:, None], "n_i": two}, "'n_i'")):
+        with pytest.raises(ValueError, match=f"{names}.*do not broadcast together"):
+            ScenarioParams(n_b=30.0, **fields)
+    # shapes that broadcast, and arrays beside floats and 0-d arrays, still build
+    for fields in ({"kappa": three, "n_s": two[:, None]}, {"kappa": three, "n_s": np.array(1.0)},
+                   {"kappa": 0.1, "n_s": three, "n_i": three[:1]}):
+        ScenarioParams(n_b=30.0, **fields)
+
+
 def test_hypothesis_pair_rejects_array_parameters():
     # the channel refuses an array kappa in either hypothesis, and the pair
     # inherits that; two entries once scaled x_S and p_S by different roots

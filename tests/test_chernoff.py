@@ -565,6 +565,18 @@ def test_qcb_refuses_a_stack():
         qcb(hypothesis_pair(make_tmsv(np.ones(3)), p), 1)
 
 
+def test_coherent_closed_form_is_elementwise_in_both_fields():
+    # before: s_star was the float 0.5 for a sweep too
+    n_s = np.logspace(-2, 1, 6).reshape(2, 3)
+    sweep = coherent_qcb_closed(ScenarioParams(kappa=0.05, n_s=n_s, n_b=2.0))
+    assert sweep.s_star.shape == sweep.exponent.shape == n_s.shape
+    assert sweep.s_star.tobytes() == np.full(n_s.shape, 0.5).tobytes()
+    for n, exponent in zip(n_s.ravel(), sweep.exponent.ravel()):
+        point = coherent_qcb_closed(ScenarioParams(kappa=0.05, n_s=n, n_b=2.0))
+        assert type(point.s_star) is float and point.s_star == 0.5
+        assert point.exponent == exponent
+
+
 def test_coherent_closed_form_refuses_nonconstant_noise():
     p = ScenarioParams(kappa=0.05, n_s=1.0, n_b=2.0, noise_model=NoiseModel.NONCONSTANT)
     with pytest.raises(ValueError, match="constant noise model"):
@@ -689,6 +701,31 @@ def test_williamson_of_a_mixed_stack_carries_each_matrix_bytes():
         assert nu.tobytes() == np.array([r[0] for r in rows]).tobytes()
         assert s.tobytes() == np.array([r[1] for r in rows]).tobytes()
         assert not nu.flags.writeable and not s.flags.writeable
+    # pure rows of both routes: TMSV at N_S = 0 is the vacuum (n x n rows,
+    # written over the 2n x 2n basis of the stack), and so is its on-state
+    # at kappa = 1 under nonconstant noise, where the others stay pure TMSV;
+    # the off-states are phase-insensitive in every row
+    probe = make_tmsv(np.array([0.0, 0.5, 0.0, 2.0]))
+    pure = ScenarioParams(kappa=1.0, n_s=0.7, n_b=4.0, noise_model=NoiseModel.NONCONSTANT)
+    pairs = [hypothesis_pair(probe, replace(p, noise_model=model)) for model in NoiseModel]
+    pairs.append(hypothesis_pair(probe, pure))
+    mixed = [True, False, True, False]
+    for stack, routes in [(probe, mixed)] + [(x, r) for pair in pairs
+                                             for x, r in ((pair.on, mixed), (pair.off, [True] * 4))]:
+        assert _phase_insensitive(stack.cov_n).tolist() == routes
+        nu, s = williamson(stack)
+        rows = [williamson(GaussianState(m, c)) for m, c in zip(stack.mean_q, stack.cov_n)]
+        assert nu.tobytes() == np.array([r[0] for r in rows]).tobytes()
+        assert s.tobytes() == np.array([r[1] for r in rows]).tobytes()
+    for state in (probe, pairs[-1].on):
+        assert (williamson(state)[0] == 0.5).all()
+    for pair in pairs:
+        result = qcb_sweep(pair, 10**6)
+        for r in range(4):
+            alone = qcb(HypothesisPair(*(GaussianState(x.mean_q[r], x.cov_n[r])
+                                         for x in (pair.on, pair.off))), 10**6)
+            assert np.array([result.s_star[r], result.exponent[r]]).tobytes() == np.array(
+                [alone.s_star, alone.exponent]).tobytes()
 
 
 @pytest.mark.parametrize("cov_n", [-0.1 * np.eye(2), np.diag([0.5, 0.5, -1e-9, -1e-9])])

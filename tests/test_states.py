@@ -6,6 +6,7 @@ import pytest
 
 from gillum import (
     GaussianState,
+    ScenarioParams,
     make_cct,
     make_coherent,
     make_thermal,
@@ -334,3 +335,24 @@ def test_mean_photon_refuses_modes_out_of_range(mode):
     # before: -1 read mode 1 of two, and 2 raised IndexError
     with pytest.raises(ValueError, match=f"mode {mode} is out of range for 2 mode"):
         make_tmsv(0.5).mean_photon(mode)
+
+
+_EMPTY = np.array([])
+
+
+@pytest.mark.parametrize("build,args,name", [
+    (make_cct, (_EMPTY, 0.1), "n_s"),
+    (make_cct, (0.1, _EMPTY), "n_i"),
+    (make_thermal, (_EMPTY,), "n_mean"),
+    (make_tmsv, (_EMPTY,), "n_s"),
+    (make_coherent, (_EMPTY,), "amplitude"),
+    (lambda k, s: ScenarioParams(kappa=k, n_s=s, n_b=1.0), (_EMPTY, _EMPTY), "kappa"),
+    (lambda i: ScenarioParams(kappa=0.1, n_s=0.1, n_i=i, n_b=1.0), (_EMPTY,), "n_i"),
+    (GaussianState, (np.zeros((0, 2)), np.zeros((0, 2, 2))), "mean_q"),
+], ids=["make_cct-n_s", "make_cct-n_i", "make_thermal", "make_tmsv", "make_coherent",
+        "ScenarioParams-kappa", "ScenarioParams-n_i", "GaussianState"])
+def test_empty_arrays_are_refused_by_name(build, args, name):
+    # before: NumPy's "zero-size array to reduction operation" error, which
+    # names no argument
+    with pytest.raises(ValueError, match=f"{name} .*must not be an empty"):
+        build(*args)

@@ -10,6 +10,22 @@ Two sets of values enter the digest, each as the raw bytes of its float64s:
   noise models, kappa log-uniform over 1e-6-0.9, N_S, N_I and N_B over
   1e-3-1e2 and whole M up to 1e6.
 
+Their digest is printed first.  A second digest continues the first over
+three more sets, which reach the Williamson and Chernoff code that routes
+each matrix and pair row on its own:
+
+- 60 seeded ``williamson`` stacks of 2 to 7 rows that mix phase-insensitive
+  and other matrices and hold pure rows: two-mode stacks of TMSV (N_S = 0,
+  the vacuum, included), CCT and their channel images, kappa = 1 under
+  nonconstant noise among them; one-mode stacks of thermal, vacuum and
+  squeezed-vacuum states;
+- 60 ``qcb_sweep`` results of stacked pairs whose rows mix TMSV and CCT
+  probes, each row at its own scenario, with identical-hypothesis
+  (kappa = 0) and pure on-state rows;
+- 300 near-pure one-pair ``qcb`` corners: TMSV, CCT and coherent probes,
+  N_B log-uniform over 1e-9-1e-3 or exactly 0, kappa log-uniform over
+  1e-3-1 under both models and exactly 1 under nonconstant noise.
+
 A refusal enters as its exception type and message.  Only public names are
 used, so the script runs unchanged on any revision that has them:
 
@@ -23,14 +39,17 @@ import math
 
 import numpy as np
 
-from gillum import (NoiseModel, ScenarioParams, SweepConfig, hypothesis_pair, make_cct,
-                    make_coherent, make_tmsv, qcb, run_figure)
+from gillum import (GaussianState, HypothesisPair, NoiseModel, ScenarioParams, SweepConfig,
+                    hypothesis_pair, make_cct, make_coherent, make_thermal, make_tmsv, qcb,
+                    qcb_sweep, run_figure, williamson)
 from gillum.chernoff import NumericalError
 from gillum.figures import FIGURE_NAMES, ConfigError
 
 SCENARIOS = ({}, {"n_b": 100.0, "kappa": 0.1}, {"n_b": 1.0, "kappa": 1e-3})
 QCB_CASES = 300
 SEED = 2027
+STACKS = 60
+CORNERS = 300
 
 
 def _curves(digest) -> int:
@@ -84,11 +103,122 @@ def _qcb_cases(digest) -> tuple:
     return results, refusals
 
 
+def _stack(states: list) -> GaussianState:
+    return GaussianState(np.stack([s.mean_q for s in states]), np.stack([s.cov_n for s in states]))
+
+
+def _refusal(digest, exc: Exception) -> int:
+    digest.update(f"{type(exc).__name__}: {exc}".encode())
+    return 1
+
+
+def _two_mode_row(rng):
+    """A seeded TMSV (the vacuum for N_S = 0) or CCT probe and a scenario for
+    it, kappa = 0 or 1 (nonconstant noise) at times."""
+    n_s = 0.0 if rng.uniform() < 0.25 else _log_uniform(rng, 1e-3, 1e2)
+    probe = make_tmsv(n_s) if rng.uniform() < 0.6 else make_cct(n_s, _log_uniform(rng, 1e-3, 1e2))
+    model = list(NoiseModel)[int(rng.integers(2))]
+    kappa = float(rng.choice([0.0, 1.0, _log_uniform(rng, 1e-3, 0.9)], p=[0.1, 0.2, 0.7]))
+    if model is NoiseModel.CONSTANT:  # its channel is undefined at kappa = 1
+        kappa = min(kappa, 0.9)
+    params = ScenarioParams(kappa=kappa, n_s=n_s, n_b=_log_uniform(rng, 1e-3, 1e2),
+                            noise_model=model)
+    return probe, params
+
+
+def _one_mode_row(rng) -> GaussianState:
+    """A thermal state, the vacuum or a squeezed vacuum (pure, not phase-insensitive)."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return make_thermal(_log_uniform(rng, 1e-3, 1e2))
+    if kind == 1:
+        return make_thermal(0.0)
+    r = rng.uniform(0.05, 2.0)
+    return GaussianState(np.zeros(2), np.diag([np.expm1(2 * r) / 2, np.expm1(-2 * r) / 2]))
+
+
+def _williamson_stacks(digest) -> tuple:
+    """Feed STACKS seeded mixed-route ``williamson`` stacks to ``digest``;
+    return the counts of decomposed matrices and refusals."""
+    rng = np.random.default_rng(SEED + 1)
+    matrices = refusals = 0
+    for case in range(STACKS):
+        rows = int(rng.integers(2, 8))
+        if case % 3 == 2:
+            states = [_one_mode_row(rng) for _ in range(rows)]
+        else:
+            states = []
+            for _ in range(rows):
+                probe, params = _two_mode_row(rng)
+                pair = hypothesis_pair(probe, params)
+                states.append((probe, pair.on, pair.off)[int(rng.choice(3, p=[0.3, 0.5, 0.2]))])
+        try:
+            nu, s = williamson(_stack(states))
+        except ValueError as exc:
+            refusals += _refusal(digest, exc)
+            continue
+        digest.update(nu.tobytes())
+        digest.update(s.tobytes())
+        matrices += rows
+    return matrices, refusals
+
+
+def _sweeps(digest) -> tuple:
+    """Feed STACKS seeded ``qcb_sweep`` results of mixed-route pair stacks to
+    ``digest``; return the counts of rows and refused stacks."""
+    rng = np.random.default_rng(SEED + 2)
+    results = refusals = 0
+    for _ in range(STACKS):
+        pairs = [hypothesis_pair(*_two_mode_row(rng)) for _ in range(int(rng.integers(2, 8)))]
+        stacked = HypothesisPair(_stack([p.on for p in pairs]), _stack([p.off for p in pairs]))
+        try:
+            result = qcb_sweep(stacked, int(rng.integers(1, 10 ** 6)))
+        except NumericalError as exc:
+            refusals += _refusal(digest, exc)
+            continue
+        digest.update(np.asarray(result.s_star, dtype=float).tobytes())
+        digest.update(np.asarray(result.exponent, dtype=float).tobytes())
+        results += len(pairs)
+    return results, refusals
+
+
+def _corners(digest) -> tuple:
+    """Feed CORNERS seeded near-pure one-pair ``qcb`` results to ``digest``;
+    return the counts of results and refusals."""
+    rng = np.random.default_rng(SEED + 3)
+    results = refusals = 0
+    for case in range(CORNERS):
+        model = list(NoiseModel)[int(rng.integers(2))]
+        n_b = 0.0 if rng.uniform() < 0.25 else _log_uniform(rng, 1e-9, 1e-3)
+        if model is NoiseModel.NONCONSTANT and rng.uniform() < 0.3:
+            kappa = 1.0
+        else:
+            kappa = _log_uniform(rng, 1e-3, 1.0 if model is NoiseModel.NONCONSTANT else 0.999)
+        n_s, n_i = _log_uniform(rng, 1e-3, 1e2), _log_uniform(rng, 1e-3, 1e2)
+        params = ScenarioParams(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b, noise_model=model)
+        probe = (make_tmsv(n_s), make_cct(n_s, n_i),
+                 make_coherent(math.sqrt(n_s) * np.exp(1j * rng.uniform(0, 2 * math.pi))))[case % 3]
+        try:
+            result = qcb(hypothesis_pair(probe, params), int(rng.integers(1, 1000)))
+        except NumericalError as exc:
+            refusals += _refusal(digest, exc)
+            continue
+        digest.update(np.array([result.s_star, result.exponent]).tobytes())
+        results += 1
+    return results, refusals
+
+
 def main() -> None:
     digest = hashlib.sha256()
     values = _curves(digest)
     results, refusals = _qcb_cases(digest)
     print(f"{values} curve values, {results} qcb results, {refusals} refusals")
+    print(digest.hexdigest())
+    matrices, w_refusals = _williamson_stacks(digest)
+    rows, s_refusals = _sweeps(digest)
+    corners, c_refusals = _corners(digest)
+    print(f"then {matrices} williamson matrices ({w_refusals} stacks refused), {rows} qcb_sweep "
+          f"rows ({s_refusals} stacks refused), {corners} corner results ({c_refusals} refused)")
     print(digest.hexdigest())
 
 
