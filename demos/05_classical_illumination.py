@@ -9,13 +9,15 @@ the reference brightness grows.
 
 import math
 
+import numpy as np
+
 from gillum import (
     ScenarioParams,
     coherent_qcb_closed,
     hypothesis_pair,
     make_cct,
     obs_number_difference,
-    qcb,
+    qcb_sweep,
     snr_cct,
     snr_generic,
     transform_by_beam_splitter,
@@ -24,11 +26,12 @@ from gillum import (
 M = 10**7
 
 probe = make_cct(1.0, 1.0)  # one split thermal beam, N_S = N_I = 1, for every kappa
+kappas = np.array([0.001, 0.003, 0.01, 0.03, 0.1])
+sweep = ScenarioParams(kappa=kappas, n_s=1.0, n_i=1.0, n_b=30.0, m_modes=M)
+snrs = snr_cct(sweep)
+bounds = qcb_sweep(hypothesis_pair(probe, sweep), M).exponent  # one pair per kappa
 print(f"{'kappa':>8} {'cross-corr SNR':>15} {'pair QCB':>10} {'gap':>7}")
-for kappa in (0.001, 0.003, 0.01, 0.03, 0.1):
-    p = ScenarioParams(kappa=kappa, n_s=1.0, n_i=1.0, n_b=30.0, m_modes=M)
-    snr = snr_cct(p)
-    bound = qcb(hypothesis_pair(probe, p), M).exponent
+for kappa, snr, bound in zip(kappas, snrs, bounds):
     print(f"{kappa:8.3f} {snr:15.2f} {bound:10.2f} {abs(snr/bound-1):7.2%}")
 
 print("\nthe photon-number-difference receiver is the same measurement:")

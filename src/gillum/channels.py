@@ -21,7 +21,7 @@ A probe is any ``GaussianState`` with its signal in mode 0 and any other
 modes (an idler) kept at the receiver: ``hypothesis_pair`` sends it through
 both hypotheses.  The paper's probes are ``states.make_tmsv`` (quantum),
 ``states.make_cct`` (split thermal, classical) and ``states.make_coherent``.
-A stacked probe (``states``) goes through at one kappa as a stack of pairs.
+A kappa axis or a stacked probe gives a stack of pairs: see ``apply_target``.
 """
 
 from __future__ import annotations
@@ -105,9 +105,7 @@ def _received_noise(params: ScenarioParams, kappa: float) -> float:
 
 def apply_target(state: GaussianState, params: ScenarioParams,
                  present: bool) -> GaussianState:
-    """Send the signal, mode 0 of ``state``, through the target channel at
-    one kappa, a scalar (a float or a 0-d array); a stacked ``state`` maps
-    row by row.
+    """Send the signal, mode 0 of ``state``, through the target channel.
 
     The signal mode a becomes sqrt(kappa) a + sqrt(1 - kappa) e with e an
     environment thermal mode (mean set by the noise model) that is traced
@@ -115,14 +113,18 @@ def apply_target(state: GaussianState, params: ScenarioParams,
     cov_n scale by sqrt(kappa), and its two diagonal entries gain the
     received occupancy ``_received_noise``.  ``present=False`` always uses
     reflectance zero, which receives ``n_b`` in both conventions.
+
+    Axis rule: kappa (a float or an array) broadcasts with the stack axes of
+    ``state``: entry i of a kappa axis pairs with row i of a stack, or with a
+    single probe, and the absent hypothesis stacks alike at kappa = 0.  Shapes
+    that do not broadcast raise NumPy's ``ValueError``, which names both.
     """
-    if isinstance(params.kappa, np.ndarray) and params.kappa.ndim:
-        raise ValueError("the target channel is at one kappa, a scalar; "
-                         "a sweep over N_S stacks the probe instead")
-    kappa = params.kappa if present else 0.0
-    x = np.ones(2 * state.n_modes)
-    x[:2] = np.sqrt(kappa)
-    cov_n = state.cov_n * (x[:, None] * x)
+    kappa = np.asarray(params.kappa)
+    if not present:
+        kappa = np.zeros(kappa.shape)
+    x = np.ones(kappa.shape + (2 * state.n_modes,))
+    x[..., :2] = np.sqrt(kappa[..., None])
+    cov_n = state.cov_n * (x[..., :, None] * x[..., None, :])
     noise = _received_noise(params, kappa)
     cov_n[..., 0, 0] += noise
     cov_n[..., 1, 1] += noise
@@ -130,9 +132,9 @@ def apply_target(state: GaussianState, params: ScenarioParams,
 
 
 def hypothesis_pair(probe: GaussianState, params: ScenarioParams) -> HypothesisPair:
-    """Send ``probe``, its signal in mode 0, through both channel hypotheses
-    at one kappa (a scalar, as ``apply_target`` requires); a stacked probe
-    gives a stack of pairs."""
+    """Send ``probe``, its signal in mode 0, through both channel hypotheses;
+    a kappa axis or a stacked probe gives a stack of pairs under
+    ``apply_target``'s axis rule."""
     return HypothesisPair(
         on=apply_target(probe, params, present=True),
         off=apply_target(probe, params, present=False),

@@ -18,6 +18,7 @@ with 200 log-spaced sweep points.  Sweep evaluation is deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,8 +98,14 @@ class SweepConfig:
         if self.figure not in FIGURE_NAMES:
             raise ConfigError(
                 f"unknown figure {self.figure!r}; expected one of {FIGURE_NAMES}")
-        if self.points < 2:
-            raise ConfigError("points must be >= 2")
+        if not isinstance(self.points, numbers.Integral) or self.points < 2:  # np.int64 too
+            raise ConfigError(f"points must be a whole number >= 2, got {self.points!r}")
+        if self.noise is not None and not isinstance(self.noise, NoiseModel):
+            raise ConfigError(f"noise must be a NoiseModel, one of "
+                              f"{', '.join(map(str, NoiseModel))}, got {self.noise!r}")
+        if isinstance(self.receivers, str):
+            raise ConfigError(
+                f"receivers must be a sequence of labels, got the string {self.receivers!r}")
         _, axis, _, models = _PRESETS[self.figure]
         noise = models[0] if self.noise is None else self.noise
         if noise not in models:

@@ -250,22 +250,46 @@ def test_param_validation_refuses_sweep_fields_that_do_not_broadcast():
         ScenarioParams(n_b=30.0, **fields)
 
 
-def test_hypothesis_pair_rejects_array_parameters():
-    # the channel refuses an array kappa in either hypothesis, and the pair
-    # inherits that; two entries once scaled x_S and p_S by different roots
-    # and three raised a broadcast error
-    for size in (2, 3, 5):
-        params = ScenarioParams(kappa=np.linspace(0.01, 0.5, size), n_s=0.1, n_b=1.0,
-                                noise_model=NoiseModel.NONCONSTANT)
-        for probe in (make_tmsv(0.1), make_cct(0.1, 0.2), make_coherent(0.3),
-                      make_tmsv(np.array([0.1, 1.0]))):
-            with pytest.raises(ValueError, match="kappa"):
-                hypothesis_pair(probe, params)
-            for present in (True, False):
-                with pytest.raises(ValueError, match="kappa"):
-                    apply_target(probe, params, present)
-        with pytest.raises(ValueError, match="stacks the probe"):
-            hypothesis_pair(make_tmsv(0.1), params)
+def _row(state: GaussianState, index: tuple) -> GaussianState:
+    return GaussianState(state.mean_q[index], state.cov_n[index])
+
+
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_kappa_axis_entries_equal_their_per_point_pairs(model):
+    # a kappa axis broadcasts with the probe's stack axes: entry i pairs with
+    # the single probe or with row i of a stack (a column stack gives every
+    # pairing), the off state stacks alike at kappa = 0, and every output
+    # row has the bytes of its per-point pair at the float kappa and N_S
+    last = 1.0 if model is NoiseModel.NONCONSTANT else 0.9
+    kappa = np.array([0.0, 1e-3, 0.01, 0.3, last])
+    n_s = np.array([0.0, 1e-2, 0.4, 3.0, 50.0])
+    for n_b in (0.0, 30.0):
+        params = ScenarioParams(kappa=kappa, n_s=0.1, n_b=n_b, noise_model=model)
+        for make in (make_tmsv, lambda n: make_cct(n, 2.0 * n + 0.1),
+                     lambda n: make_coherent(np.sqrt(n) * np.exp(1j * n))):
+            for n in (0.4, n_s, n_s[:3, None]):
+                pair = hypothesis_pair(make(n), params)
+                shape = np.broadcast_shapes(np.shape(n), kappa.shape)
+                assert pair.on.cov_n.shape[:-2] == pair.off.cov_n.shape[:-2] == shape
+                for index in np.ndindex(shape):
+                    point = ScenarioParams(kappa=float(kappa[index[-1]]), n_s=0.1, n_b=n_b,
+                                           noise_model=model)
+                    ref = hypothesis_pair(make(np.broadcast_to(n, shape)[index]), point)
+                    for got, want in ((pair.on, ref.on), (pair.off, ref.off)):
+                        assert _row(got, index).mean_q.tobytes() == want.mean_q.tobytes()
+                        assert _row(got, index).cov_n.tobytes() == want.cov_n.tobytes()
+
+
+def test_kappa_axis_and_probe_stack_that_do_not_broadcast_raise():
+    # NumPy's broadcast error names both shapes, in either hypothesis
+    params = ScenarioParams(kappa=np.linspace(0.01, 0.5, 3), n_s=0.1, n_b=1.0,
+                            noise_model=NoiseModel.NONCONSTANT)
+    for probe in (make_tmsv(np.array([0.1, 1.0])), make_coherent(np.ones(5))):
+        with pytest.raises(ValueError, match="broadcast"):
+            hypothesis_pair(probe, params)
+        for present in (True, False):
+            with pytest.raises(ValueError, match=r"broadcast.*\(3,"):
+                apply_target(probe, params, present)
 
 
 @pytest.mark.parametrize("model", list(NoiseModel))

@@ -70,6 +70,25 @@ def test_fig5a_bound_attainment():
         assert np.max(np.abs(o / q - 1)) <= 0.10
 
 
+@pytest.mark.parametrize("model", list(NoiseModel))
+@pytest.mark.parametrize("n_b,kappa", [(30.0, 0.01), (100.0, 0.1), (0.0, 0.01)])
+def test_fig5a_qcb_columns_equal_one_stacked_qcb_sweep_per_curve(model, n_b, kappa):
+    # the gate for computing fig5a as a stack: one qcb_sweep on the hypothesis
+    # pair of one probe over the whole kappa axis gives each per-point QCB
+    # column byte for byte, with no decomposition memoized between the two
+    from gillum import hypothesis_pair, make_cct, qcb_sweep
+    from gillum.chernoff import _decompose_bytes
+
+    config = SweepConfig(figure="fig5a", n_b=n_b, kappa=kappa, points=25, noise=model)
+    _decompose_bytes.cache_clear()
+    curves = run_figure(config).curves
+    for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
+        _decompose_bytes.cache_clear()
+        stacked = qcb_sweep(hypothesis_pair(make_cct(ns, ni), config.params),
+                            config.params.m_modes)
+        assert stacked.exponent.tobytes() == curves[f"QCB N_S={ns:g} N_I={ni:g}"].tobytes()
+
+
 def test_fig5b_coherent_bound_on_top():
     cs = small("fig5b", points=8)
     assert np.all(cs.curves["Coh QCB"] >= cs.curves["CCT QCB"] * (1 - 1e-9))
@@ -262,6 +281,22 @@ def test_config_validation():
         SweepConfig(figure="fig1", n_b=float("nan"))
     with pytest.raises(ConfigError):  # fig5a's kappa sweep would leave [0, 1]
         SweepConfig(figure="fig5a", sweep_max=2.0)
+    assert SweepConfig(figure="fig1", points=np.int64(3)).params.n_s.size == 3
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"figure": "fig1", "noise": "constant"}, r"noise must be a NoiseModel.*'constant'"),
+    ({"figure": "fig2", "noise": "bogus"}, r"noise must be a NoiseModel.*'bogus'"),
+    ({"figure": "fig1", "points": 2.5}, r"points must be a whole number.*2\.5"),
+    ({"figure": "fig1", "points": "5"}, r"points must be a whole number.*'5'"),
+    ({"figure": "fig1", "receivers": "OB"}, r"receivers must be a sequence of labels.*'OB'"),
+], ids=["noise-value-string", "noise-bogus", "points-fraction", "points-string",
+        "receivers-string"])
+def test_config_refuses_mistyped_values_by_name(overrides, message):
+    # before: a self-contradicting noise message, NumPy's TypeError for
+    # points, and a bare string read letter by letter as receiver labels
+    with pytest.raises(ConfigError, match=message):
+        SweepConfig(**overrides)
 
 
 def test_curveset_rejects_empty_and_nonfinite():
@@ -437,15 +472,20 @@ def test_cli_parser_is_built_once_and_leaks_no_option(tmp_path, capsys):
     ("# a comment\n\npoints=3\n", 0, ""),
     ("points=3\ncolour=red\n", 2, "error: unknown config key 'colour'\n"),
     ("points=three\n", 2, "error: bad value for 'points': 'three'\n"),
+    ("nonsense\n", 2, "error: {path}:1: expected key=value, got 'nonsense'\n"),
+    (None, 2, "error: cannot read config file {path}: "
+              "[Errno 2] No such file or directory: '{path}'\n"),
 ])
 def test_cli_config_file_lines(tmp_path, capsys, text, code, message):
+    # text None: the config file does not exist
     from gillum import cli
 
     cfg = tmp_path / "opts.cfg"
-    cfg.write_text(text)
+    if text is not None:
+        cfg.write_text(text)
     assert cli.main(["figure", "fig2", "--config", str(cfg)]) == code
     out = capsys.readouterr()
-    assert out.err == message
+    assert out.err == message.format(path=cfg)
     assert len(out.out.splitlines()) == (4 if code == 0 else 0)  # header and 3 points
 
 

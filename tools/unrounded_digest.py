@@ -26,6 +26,14 @@ each matrix and pair row on its own:
   N_B log-uniform over 1e-9-1e-3 or exactly 0, kappa log-uniform over
   1e-3-1 under both models and exactly 1 under nonconstant noise.
 
+A third digest continues the second over one more set, which reaches the
+channel's kappa axis:
+
+- 60 seeded ``qcb_sweep`` results of pairs over a kappa axis of 2 to 7
+  entries (exactly 0 at times, and exactly 1 under nonconstant noise): TMSV,
+  CCT and coherent probes, single or stacked one row per entry, both noise
+  models.  A revision whose channel takes one scalar kappa refuses them all.
+
 A refusal enters as its exception type and message.  Only public names are
 used, so the script runs unchanged on any revision that has them:
 
@@ -50,6 +58,7 @@ QCB_CASES = 300
 SEED = 2027
 STACKS = 60
 CORNERS = 300
+AXES = 60
 
 
 def _curves(digest) -> int:
@@ -208,6 +217,35 @@ def _corners(digest) -> tuple:
     return results, refusals
 
 
+def _kappa_axes(digest) -> tuple:
+    """Feed AXES seeded kappa-axis ``qcb_sweep`` results to ``digest``; return
+    the counts of rows and refused stacks."""
+    rng = np.random.default_rng(SEED + 4)
+    results = refusals = 0
+    for case in range(AXES):
+        model = list(NoiseModel)[int(rng.integers(2))]
+        top = 1.0 if model is NoiseModel.NONCONSTANT else 0.0  # constant noise: no kappa = 1
+        kappa = np.array([float(rng.choice([0.0, top, _log_uniform(rng, 1e-3, 0.9)],
+                                           p=[0.15, 0.15, 0.7]))
+                          for _ in range(int(rng.integers(2, 8)))])
+        stacked = case % 2 == 1
+        n_s = np.array([_log_uniform(rng, 1e-3, 1e2) for _ in kappa]) if stacked \
+            else _log_uniform(rng, 1e-3, 1e2)
+        probe = (make_tmsv(n_s), make_cct(n_s, _log_uniform(rng, 1e-3, 1e2)),
+                 make_coherent(np.sqrt(n_s) * np.exp(1j * rng.uniform(0, 2 * math.pi))))[case % 3]
+        params = ScenarioParams(kappa=kappa, n_s=n_s, n_b=_log_uniform(rng, 1e-3, 1e2),
+                                noise_model=model)
+        try:
+            result = qcb_sweep(hypothesis_pair(probe, params), int(rng.integers(1, 10 ** 6)))
+        except (ValueError, NumericalError) as exc:
+            refusals += _refusal(digest, exc)
+            continue
+        digest.update(np.asarray(result.s_star, dtype=float).tobytes())
+        digest.update(np.asarray(result.exponent, dtype=float).tobytes())
+        results += kappa.size
+    return results, refusals
+
+
 def main() -> None:
     digest = hashlib.sha256()
     values = _curves(digest)
@@ -219,6 +257,9 @@ def main() -> None:
     corners, c_refusals = _corners(digest)
     print(f"then {matrices} williamson matrices ({w_refusals} stacks refused), {rows} qcb_sweep "
           f"rows ({s_refusals} stacks refused), {corners} corner results ({c_refusals} refused)")
+    print(digest.hexdigest())
+    rows, a_refusals = _kappa_axes(digest)
+    print(f"then {rows} kappa-axis qcb_sweep rows ({a_refusals} stacks refused)")
     print(digest.hexdigest())
 
 
