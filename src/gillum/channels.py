@@ -21,7 +21,7 @@ A probe is any ``GaussianState`` with its signal in mode 0 and any other
 modes (an idler) kept at the receiver: ``hypothesis_pair`` sends it through
 both hypotheses.  The paper's probes are ``states.make_tmsv`` (quantum),
 ``states.make_cct`` (split thermal, classical) and ``states.make_coherent``.
-A kappa axis or a stacked probe gives a stack of pairs: see ``apply_target``.
+A kappa or n_b axis or a stacked probe gives a stack of pairs: see ``apply_target``.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ class NoiseModel(enum.Enum):
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """One experiment configuration, or a sweep: kappa, n_s, n_i as numbers or
-    non-empty arrays that broadcast together.
+    """One experiment configuration, or a sweep: kappa, n_s, n_i and n_b as
+    numbers or non-empty arrays that broadcast together, each checked entry by
+    entry; m_modes is one number for the whole sweep.
 
     kappa: target reflectance in [0, 1], below 1 under constant noise;
-    n_s / n_i / n_b: signal, idler and background mean photon numbers, n_b a scalar;
+    n_s / n_i / n_b: signal, idler and background mean photon numbers;
     m_modes: number of independent mode pairs measured, one whole number >= 1;
     noise_model: background convention.  Every check is written so that nan
     fails it.
@@ -66,12 +67,10 @@ class ScenarioParams:
             raise ValueError(
                 "constant-noise channel is undefined at kappa = 1 "
                 "(environment mean n_b / (1 - kappa) diverges)")
-        if isinstance(self.n_b, np.ndarray) and self.n_b.ndim:
-            raise ValueError("n_b must be a scalar, one background for the whole sweep")
         _check_photons("photon numbers", n_s=self.n_s, n_i=self.n_i, n_b=self.n_b)
         _check_m_modes(self.m_modes)
         shapes = {name: value.shape for name, value in
-                  (("kappa", self.kappa), ("n_s", self.n_s), ("n_i", self.n_i))
+                  (("kappa", self.kappa), ("n_s", self.n_s), ("n_i", self.n_i), ("n_b", self.n_b))
                   if isinstance(value, np.ndarray) and value.ndim}
         if len(shapes) > 1:  # floats and 0-d arrays broadcast with anything
             try:
@@ -114,12 +113,14 @@ def apply_target(state: GaussianState, params: ScenarioParams,
     received occupancy ``_received_noise``.  ``present=False`` always uses
     reflectance zero, which receives ``n_b`` in both conventions.
 
-    Axis rule: kappa (a float or an array) broadcasts with the stack axes of
-    ``state``: entry i of a kappa axis pairs with row i of a stack, or with a
-    single probe, and the absent hypothesis stacks alike at kappa = 0.  Shapes
-    that do not broadcast raise NumPy's ``ValueError``, which names both.
+    Axis rule: kappa and n_b (each a float or an array) broadcast together and
+    with the stack axes of ``state``: entry i of an axis pairs with row i of a
+    stack, or with a single probe, and the absent hypothesis stacks alike at
+    kappa = 0, so both hypotheses carry the axes of kappa and n_b under either
+    noise model.  Shapes that do not broadcast raise NumPy's ``ValueError``,
+    which names both.
     """
-    kappa = np.asarray(params.kappa)
+    kappa = np.asarray(params.kappa + 0.0 * params.n_b)  # kappa on the axes of kappa and n_b
     if not present:
         kappa = np.zeros(kappa.shape)
     x = np.ones(kappa.shape + (2 * state.n_modes,))
@@ -133,7 +134,7 @@ def apply_target(state: GaussianState, params: ScenarioParams,
 
 def hypothesis_pair(probe: GaussianState, params: ScenarioParams) -> HypothesisPair:
     """Send ``probe``, its signal in mode 0, through both channel hypotheses;
-    a kappa axis or a stacked probe gives a stack of pairs under
+    a kappa or n_b axis or a stacked probe gives a stack of pairs under
     ``apply_target``'s axis rule."""
     return HypothesisPair(
         on=apply_target(probe, params, present=True),

@@ -347,5 +347,5 @@ def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("closed form assumes the constant noise model")
     exponent = params.m_modes * (params.kappa * params.n_s / (
-        math.sqrt(params.n_b + 1.0) + math.sqrt(params.n_b)) ** 2)
+        np.sqrt(params.n_b + 1.0) + np.sqrt(params.n_b)) ** 2)
     return QcbResult(np.full_like(exponent, 0.5) if np.ndim(exponent) else 0.5, exponent)

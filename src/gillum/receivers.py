@@ -263,7 +263,7 @@ def optimize_alpha_beta_nonconstant(params: ScenarioParams):
     """
     if params.noise_model is not NoiseModel.NONCONSTANT:
         raise ValueError("optimizer applies to the nonconstant noise model")
-    kappa, n_s = np.broadcast_arrays(params.kappa, params.n_s)
+    kappa, n_s, _ = np.broadcast_arrays(params.kappa, params.n_s, params.n_b)
     live = kappa.ravel() != 0.0
     if (n_s.ravel()[live] == 0.0).any():
         raise ValueError("optimal weights are singular at n_s = 0: "

@@ -212,23 +212,22 @@ def test_param_validation():
                 ScenarioParams(**{"kappa": 0.1, "n_s": 0.1, "n_b": 0.1, field: bad})
 
 
-def test_param_validation_refuses_array_background_and_mode_count():
-    # before: both raised NumPy's ambiguous-truth-value error; a 0-d array
-    # stays a scalar
-    for field, name in (("n_b", "n_b"), ("m_modes", "m_modes")):
-        for values in (np.array([1.0, 2.0]), np.array([[3.0]])):
-            with pytest.raises(ValueError, match=name):
-                ScenarioParams(**{"kappa": 0.1, "n_s": 0.1, "n_b": 0.1, field: values})
+def test_param_validation_refuses_an_array_mode_count():
+    # before: NumPy's ambiguous-truth-value error; a 0-d array stays a scalar
+    for values in (np.array([1.0, 2.0]), np.array([[3.0]])):
+        with pytest.raises(ValueError, match="m_modes"):
+            ScenarioParams(kappa=0.1, n_s=0.1, n_b=0.1, m_modes=values)
     params = ScenarioParams(kappa=0.1, n_s=0.1, n_b=np.array(2.0), m_modes=np.array(3.0))
     assert params.n_b == 2.0 and params.m_modes == 3.0
 
 
 def test_param_validation_reads_every_array_entry():
     axis = np.linspace(0.01, 0.5, 50)
-    ScenarioParams(kappa=axis, n_s=axis, n_i=axis, n_b=1.0)
+    ScenarioParams(kappa=axis, n_s=axis, n_i=axis, n_b=axis)
     for field, bad in (("kappa", 1.5), ("kappa", -0.1), ("n_s", -0.1), ("n_i", -0.1),
-                       ("kappa", np.nan), ("kappa", np.inf), ("n_s", np.nan),
-                       ("n_s", np.inf), ("n_i", np.nan), ("n_i", np.inf)):
+                       ("n_b", -0.1), ("kappa", np.nan), ("kappa", np.inf), ("n_s", np.nan),
+                       ("n_s", np.inf), ("n_i", np.nan), ("n_i", np.inf), ("n_b", np.nan),
+                       ("n_b", np.inf)):
         values = axis.copy()
         values[17] = bad
         with pytest.raises(ValueError):
@@ -241,13 +240,16 @@ def test_param_validation_refuses_sweep_fields_that_do_not_broadcast():
     three, two = np.array([0.01, 0.02, 0.03]), np.array([1.0, 2.0])
     for fields, names in (({"kappa": three, "n_s": two}, "'kappa'.*'n_s'"),
                           ({"kappa": 0.1, "n_s": three, "n_i": two}, "'n_s'.*'n_i'"),
-                          ({"kappa": three, "n_s": two[:, None], "n_i": two}, "'n_i'")):
+                          ({"kappa": three, "n_s": two[:, None], "n_i": two}, "'n_i'"),
+                          ({"kappa": three, "n_s": 0.1, "n_b": two}, "'kappa'.*'n_b'"),
+                          ({"kappa": 0.1, "n_s": two, "n_b": three}, "'n_s'.*'n_b'")):
         with pytest.raises(ValueError, match=f"{names}.*do not broadcast together"):
-            ScenarioParams(n_b=30.0, **fields)
+            ScenarioParams(**{"n_b": 30.0, **fields})
     # shapes that broadcast, and arrays beside floats and 0-d arrays, still build
     for fields in ({"kappa": three, "n_s": two[:, None]}, {"kappa": three, "n_s": np.array(1.0)},
-                   {"kappa": 0.1, "n_s": three, "n_i": three[:1]}):
-        ScenarioParams(n_b=30.0, **fields)
+                   {"kappa": 0.1, "n_s": three, "n_i": three[:1]},
+                   {"kappa": three, "n_s": 0.1, "n_b": two[:, None]}):
+        ScenarioParams(**{"n_b": 30.0, **fields})
 
 
 def _row(state: GaussianState, index: tuple) -> GaussianState:

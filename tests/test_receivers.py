@@ -33,6 +33,8 @@ from gillum import (
     optimal_beta_closed,
     optimize_alpha_beta_nonconstant,
     p_err,
+    qcb,
+    qcb_sweep,
     snr_bound_constant,
     snr_bound_nonconstant,
     snr_cct,
@@ -617,6 +619,56 @@ def test_array_closed_forms_equal_per_point_calls(model, axis):
         assert np.shape(got) in (xs.shape, () if axis == "n_i" else xs.shape)
         scale = np.maximum(np.abs(ref), np.finfo(float).tiny)
         assert np.max(np.abs(got - ref) / scale) <= 4 * np.finfo(float).eps
+
+
+N_B_AXIS = np.array([0.0, 0.5, 3.0, 30.0, 100.0])
+
+
+@pytest.mark.parametrize("model", list(NoiseModel))
+@pytest.mark.parametrize("beside", [None, "kappa", "n_s"])
+def test_n_b_axis_entries_equal_their_per_point_calls(model, beside):
+    # an n_b axis (N_B = 0 included), alone or across a kappa axis (kappa = 1
+    # under nonconstant noise) or an N_S axis: every entry of each closed
+    # form, of the optimizer, of both hypotheses and of qcb_sweep on single
+    # and stacked probes has the bytes of its per-point call
+    top = 1.0 if model is NoiseModel.NONCONSTANT else 0.9
+    fields = dict(kappa=0.02, n_s=0.4, n_i=1.3, n_b=N_B_AXIS, m_modes=M, noise_model=model)
+    if beside is not None:
+        fields["n_b"] = N_B_AXIS[:, None]
+        fields[beside] = {"kappa": np.array([1e-3, 0.05, 0.3, top]),
+                          "n_s": np.array([0.01, 0.4, 3.0, 50.0])}[beside]
+    whole = ScenarioParams(**fields)
+    axes = {name: fields[name] for name in ("kappa", "n_s", "n_b")}
+    shape = np.broadcast_shapes(*(np.shape(v) for v in axes.values()))
+    indices = list(np.ndindex(shape))
+    points = [replace(whole, **{name: float(np.broadcast_to(v, shape)[i])
+                                for name, v in axes.items()}) for i in indices]
+    for form in _closed_forms(model):
+        got = np.broadcast_to(form(whole), shape)
+        assert [got[i].tobytes() for i in indices] == [
+            np.float64(form(p)).tobytes() for p in points]
+    if model is NoiseModel.NONCONSTANT:
+        rows = optimize_alpha_beta_nonconstant(whole)
+        for p, i in zip(points, indices):
+            assert (np.array(optimize_alpha_beta_nonconstant(p)).tobytes()
+                    == np.array([r[i] for r in rows]).tobytes())
+    stacked = np.linspace(0.05, 2.0, len(indices)).reshape(shape)
+    for make in (make_tmsv, lambda n: make_cct(n, 2.0 * n + 0.1),
+                 lambda n: make_coherent(np.sqrt(n) * np.exp(1j * n))):
+        for n in (0.4, stacked):
+            pair = hypothesis_pair(make(n), whole)  # the channel does not read n_s
+            lead = pair.on.mean_q.ndim - 1
+            states = [np.broadcast_to(a, shape + a.shape[lead:])
+                      for a in (pair.on.mean_q, pair.on.cov_n, pair.off.mean_q, pair.off.cov_n)]
+            bound = qcb_sweep(pair, M)
+            s_star, exponent = (np.broadcast_to(a, shape) for a in (bound.s_star, bound.exponent))
+            for p, i in zip(points, indices):
+                ref = hypothesis_pair(make(np.broadcast_to(n, shape)[i]), p)
+                want = (ref.on.mean_q, ref.on.cov_n, ref.off.mean_q, ref.off.cov_n)
+                assert [a[i].tobytes() for a in states] == [a.tobytes() for a in want]
+                point = qcb(ref, M)
+                assert (np.array([s_star[i], exponent[i]]).tobytes()
+                        == np.array([point.s_star, point.exponent]).tobytes())
 
 
 def test_bound_constant_zero_signal_rule_is_elementwise():

@@ -34,6 +34,16 @@ channel's kappa axis:
   CCT and coherent probes, single or stacked one row per entry, both noise
   models.  A revision whose channel takes one scalar kappa refuses them all.
 
+A fourth digest continues the third over one more set, which reaches the
+background axis:
+
+- 60 seeded scenarios over an n_b axis of 2 to 7 entries (exactly 0 at
+  times), alone or across a kappa axis (exactly 1 at times under
+  nonconstant noise) or an N_S axis, both noise models: every closed form,
+  the optimizer, the coherent closed-form bound, and ``qcb_sweep`` of a
+  TMSV, CCT or coherent probe, single or stacked one row per entry.  A
+  revision whose ``ScenarioParams`` takes one scalar n_b refuses them all.
+
 A refusal enters as its exception type and message.  Only public names are
 used, so the script runs unchanged on any revision that has them:
 
@@ -48,8 +58,11 @@ import math
 import numpy as np
 
 from gillum import (GaussianState, HypothesisPair, NoiseModel, ScenarioParams, SweepConfig,
-                    hypothesis_pair, make_cct, make_coherent, make_thermal, make_tmsv, qcb,
-                    qcb_sweep, run_figure, williamson)
+                    coherent_qcb_closed, hypothesis_pair, make_cct, make_coherent, make_thermal,
+                    make_tmsv, optimal_beta_closed, optimize_alpha_beta_nonconstant, qcb,
+                    qcb_sweep, run_figure, snr_bound_constant, snr_bound_nonconstant, snr_cct,
+                    snr_closed_dh, snr_closed_opa, snr_closed_pc, snr_coherent_hd,
+                    snr_nearly_bound, williamson)
 from gillum.chernoff import NumericalError
 from gillum.figures import FIGURE_NAMES, ConfigError
 
@@ -246,6 +259,70 @@ def _kappa_axes(digest) -> tuple:
     return results, refusals
 
 
+def _closed_forms(model: NoiseModel) -> list:
+    """Every closed form of a scenario under ``model``, each giving arrays."""
+    forms = [snr_nearly_bound, snr_closed_pc, snr_closed_opa, snr_closed_dh, snr_cct,
+             snr_coherent_hd, lambda p: snr_bound_nonconstant(p, -0.3, 0.7)]
+    if model is NoiseModel.NONCONSTANT:
+        return forms + [optimize_alpha_beta_nonconstant]
+    return forms + [snr_bound_constant, optimal_beta_closed,
+                    lambda p: _bound_values(coherent_qcb_closed(p))]
+
+
+def _bound_values(result) -> tuple:
+    return result.s_star, result.exponent
+
+
+def _result(digest, form, params) -> int:
+    """Feed the float64 bytes of ``form(params)`` to ``digest``, or its
+    refusal; return 1 for a refusal and 0 otherwise."""
+    try:
+        result = form(params)
+    except (ValueError, NumericalError) as exc:
+        return _refusal(digest, exc)
+    digest.update(np.asarray(result, dtype=float).tobytes())
+    return 0
+
+
+def _background_axes(digest) -> tuple:
+    """Feed AXES seeded n_b-axis scenarios to ``digest``: each closed form and
+    one ``qcb_sweep``; return the counts of results and refusals."""
+    rng = np.random.default_rng(SEED + 5)
+    results = refusals = 0
+    for case in range(AXES):
+        model = list(NoiseModel)[int(rng.integers(2))]
+        n_b = np.array([0.0 if rng.uniform() < 0.2 else _log_uniform(rng, 1e-3, 1e2)
+                        for _ in range(int(rng.integers(2, 8)))])
+        kappa, n_s = _log_uniform(rng, 1e-3, 0.9), _log_uniform(rng, 1e-3, 1e2)
+        beside = case % 3  # the n_b axis alone, across a kappa axis or across an N_S axis
+        if beside:
+            n_b = n_b[:, None]
+            across = range(int(rng.integers(2, 5)))
+        if beside == 1:
+            kappa = np.array([1.0 if model is NoiseModel.NONCONSTANT and rng.uniform() < 0.3
+                              else _log_uniform(rng, 1e-3, 0.9) for _ in across])
+        elif beside == 2:
+            n_s = np.array([_log_uniform(rng, 1e-3, 1e2) for _ in across])
+        n_i, m_modes = _log_uniform(rng, 1e-3, 1e2), int(rng.integers(1, 10 ** 6))
+        shape = np.broadcast_shapes(np.shape(kappa), np.shape(n_s), n_b.shape)
+        n = np.exp(rng.uniform(math.log(1e-3), math.log(1e2), shape)) if rng.uniform() < 0.5 \
+            else n_s  # a probe stacked one row per entry, or the scenario's own
+        phase = rng.uniform(0, 2 * math.pi)
+        probe = (make_tmsv, lambda x: make_cct(x, n_i),
+                 lambda x: make_coherent(np.sqrt(x) * np.exp(1j * phase)))[case // 3 % 3]
+        try:
+            params = ScenarioParams(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b, m_modes=m_modes,
+                                    noise_model=model)
+        except ValueError as exc:
+            refusals += _refusal(digest, exc)
+            continue
+        for form in _closed_forms(model) + [
+                lambda p: _bound_values(qcb_sweep(hypothesis_pair(probe(n), p), p.m_modes))]:
+            refused = _result(digest, form, params)
+            results, refusals = results + 1 - refused, refusals + refused
+    return results, refusals
+
+
 def main() -> None:
     digest = hashlib.sha256()
     values = _curves(digest)
@@ -260,6 +337,9 @@ def main() -> None:
     print(digest.hexdigest())
     rows, a_refusals = _kappa_axes(digest)
     print(f"then {rows} kappa-axis qcb_sweep rows ({a_refusals} stacks refused)")
+    print(digest.hexdigest())
+    results, b_refusals = _background_axes(digest)
+    print(f"then {results} n_b-axis results ({b_refusals} refused)")
     print(digest.hexdigest())
 
 
