@@ -340,12 +340,14 @@ def coherent_qcb_closed(params: ScenarioParams) -> QcbResult:
     """Closed-form bound for the coherent probe in constant thermal noise.
 
     Per-copy exponent kappa N_S (sqrt(N_B + 1) - sqrt(N_B))^2, evaluated as
-    kappa N_S / (sqrt(N_B + 1) + sqrt(N_B))^2 and returned without a round
-    trip through Q, so it stays finite where Q would underflow to 0; optimal
-    s = 1/2 (a pure displacement); elementwise: floats for a point, arrays for a sweep.
+    kappa N_S / (sqrt(N_B + 1) + sqrt(N_B))^2, the square as a product (a
+    scalar's ``**`` is pow, off by an ulp at times, so a sweep entry keeps
+    the bits of its point call), and returned without a round trip through
+    Q, so it stays finite where Q would underflow to 0; optimal s = 1/2 (a
+    pure displacement); elementwise: floats for a point, arrays for a sweep.
     """
     if params.noise_model is not NoiseModel.CONSTANT:
         raise ValueError("closed form assumes the constant noise model")
-    exponent = params.m_modes * (params.kappa * params.n_s / (
-        np.sqrt(params.n_b + 1.0) + np.sqrt(params.n_b)) ** 2)
+    root = np.sqrt(params.n_b + 1.0) + np.sqrt(params.n_b)
+    exponent = params.m_modes * (params.kappa * params.n_s / (root * root))
     return QcbResult(np.full_like(exponent, 0.5) if np.ndim(exponent) else 0.5, exponent)

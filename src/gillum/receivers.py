@@ -158,16 +158,18 @@ def optimal_beta_closed(params: ScenarioParams) -> float:
 
     |beta| = (1 + 2 N_S)/sqrt(kappa N_S (N_S+1)^3) [f - sqrt(f (f - g))],
     f = 1 + N_S + N_B + 2 N_S N_B, g = kappa (N_S + 1), evaluated as
-    f g / (f + sqrt(f (f - g))), which does not cancel when g << f;
-    converges to sqrt(kappa) for large N_S.  Singular at kappa N_S = 0,
-    where callers fall back to beta = 0.
+    f g / (f + sqrt(f (f - g))), which does not cancel when g << f, over
+    (N_S + 1) sqrt(g N_S) without ``**`` (pow for a scalar, not for an
+    array), so a sweep entry has the bits of its point call; converges to
+    sqrt(kappa) for large N_S.  Singular at kappa N_S = 0, where callers
+    fall back to beta = 0.
     """
     ns, nb, kappa = params.n_s, params.n_b, params.kappa
     if np.any(kappa * ns <= 0.0):
         raise ValueError("optimal beta is singular at kappa * n_s = 0")
     f = 1.0 + ns + nb + 2.0 * ns * nb
     g = kappa * (ns + 1.0)
-    return (1.0 + 2.0 * ns) / np.sqrt(kappa * ns * (ns + 1.0) ** 3) * (
+    return (1.0 + 2.0 * ns) / ((ns + 1.0) * np.sqrt(g * ns)) * (
         f * g / (f + np.sqrt(f * (f - g))))
 
 

@@ -621,6 +621,27 @@ def test_array_closed_forms_equal_per_point_calls(model, axis):
         assert np.max(np.abs(got - ref) / scale) <= 4 * np.finfo(float).eps
 
 
+def test_closed_form_powers_give_sweep_entries_the_bits_of_their_point_calls():
+    # before: a sweep formed (N_S + 1) ** 3 in optimal_beta_closed and
+    # (sqrt(N_B + 1) + sqrt(N_B)) ** 2 in coherent_qcb_closed as array
+    # powers, a point as pow, which differ by an ulp at times: 4 of s1's 200
+    # |beta| entries, 27 |beta| and 1 exponent of this draw's 1,500
+    from gillum import SweepConfig
+
+    rng = np.random.default_rng(5)
+    n = 1500
+    kappa = np.exp(rng.uniform(math.log(1e-4), math.log(0.9), n))
+    n_s = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+    n_b = np.where(rng.uniform(size=n) < 0.1, 0.0,
+                   np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n)))
+    for whole in (SweepConfig("s1").params, params_for(kappa, n_s, n_b)):
+        axes = np.broadcast_arrays(whole.kappa, whole.n_s, whole.n_b)
+        points = [replace(whole, kappa=float(k), n_s=float(s), n_b=float(b))
+                  for k, s, b in zip(*axes)]
+        for form in (optimal_beta_closed, lambda p: coherent_qcb_closed(p).exponent):
+            assert form(whole).tobytes() == np.array([form(p) for p in points]).tobytes()
+
+
 N_B_AXIS = np.array([0.0, 0.5, 3.0, 30.0, 100.0])
 
 
