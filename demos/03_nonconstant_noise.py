@@ -7,6 +7,8 @@ its keep: the optimizer returns a distinctly nonzero signal weight, and the
 SNR no longer vanishes with the probe brightness.
 """
 
+import numpy as np
+
 from gillum import (
     NoiseModel,
     ScenarioParams,
@@ -17,14 +19,15 @@ from gillum import (
 
 M = 10**7
 
+signals = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
+sweep = ScenarioParams(kappa=0.01, n_s=signals, n_b=30.0, m_modes=M,
+                       noise_model=NoiseModel.NONCONSTANT)  # one call per receiver
+alphas, betas, snrs = optimize_alpha_beta_nonconstant(sweep)
 print(f"{'N_S':>10} {'alpha*':>9} {'beta*':>9} {'SNR(opt)':>10} "
       f"{'SNR(bare)':>10} {'SNR(DH)':>10}")
-for ns in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0):
-    p = ScenarioParams(kappa=0.01, n_s=ns, n_b=30.0, m_modes=M,
-                       noise_model=NoiseModel.NONCONSTANT)
-    alpha, beta, snr = optimize_alpha_beta_nonconstant(p)
-    print(f"{ns:10.4f} {alpha:9.4f} {beta:9.4f} {snr:10.2f} "
-          f"{snr_nearly_bound(p):10.4f} {snr_closed_dh(p):10.2f}")
+for ns, alpha, beta, snr, bare, dh in zip(signals, alphas, betas, snrs,
+                                          snr_nearly_bound(sweep), snr_closed_dh(sweep)):
+    print(f"{ns:10.4f} {alpha:9.4f} {beta:9.4f} {snr:10.2f} {bare:10.4f} {dh:10.2f}")
 
 print("\nas N_S -> 0 the optimized SNR converges to a nonzero value: the")
 print("transmitted background alone distinguishes the hypotheses, and the")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, _check_photons, _extremes
+from .states import GaussianState, _check_photons, _extremes, _not_real
 
 
 class NoiseModel(enum.Enum):
@@ -60,8 +60,12 @@ class ScenarioParams:
     noise_model: NoiseModel = NoiseModel.CONSTANT
 
     def __post_init__(self):
-        k_lo, k_hi = _extremes("kappa", self.kappa)  # nan extremes for any nan entry
-        if not (0.0 <= k_lo and k_hi <= 1.0):
+        try:
+            k_lo, k_hi = _extremes("kappa", self.kappa)  # nan extremes for any nan entry
+            valid = 0.0 <= k_lo and k_hi <= 1.0
+        except TypeError:
+            raise _not_real("kappa", self.kappa) from None
+        if not valid:
             raise ValueError("kappa must lie in [0, 1]")
         if k_hi == 1.0 and self.noise_model is NoiseModel.CONSTANT:
             raise ValueError(
@@ -80,9 +84,14 @@ class ScenarioParams:
 
 
 def _check_m_modes(m_modes) -> None:
-    """Refuse an M that is not one whole number >= 1 (nan, inf and arrays fail)."""
-    if (isinstance(m_modes, np.ndarray) and m_modes.ndim
-            or not (m_modes >= 1 and float(m_modes).is_integer())):
+    """Refuse an M that is not one whole number >= 1 (nan, inf, arrays, strings
+    and None fail)."""
+    try:
+        valid = not (isinstance(m_modes, np.ndarray) and m_modes.ndim) and (
+            m_modes >= 1 and float(m_modes).is_integer())
+    except TypeError:
+        valid = False
+    if not valid:
         raise ValueError(f"m_modes must be a whole number >= 1, got {m_modes!r}")
 
 

@@ -77,8 +77,10 @@ class CurveSet:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Figure preset selection plus overrides.  An omitted sweep edge or
-    noise model takes the preset's default.  ``params`` is the whole sweep:
+    """Figure preset selection plus overrides.  ``kappa``, ``n_b``,
+    ``m_modes`` and the sweep edges are each one real number, so a figure
+    has one background; an omitted sweep edge or noise model takes the
+    preset's default.  ``params`` is the whole sweep:
     the checked scenario (n_s = 0) with the preset's axis field set to the
     log-spaced sweep, so a bad value or a sweep that leaves the valid range
     fails here, before any row runs."""
@@ -103,6 +105,12 @@ class SweepConfig:
         if self.noise is not None and not isinstance(self.noise, NoiseModel):
             raise ConfigError(f"noise must be a NoiseModel, one of "
                               f"{', '.join(map(str, NoiseModel))}, got {self.noise!r}")
+        for name in ("kappa", "n_b", "m_modes", "sweep_min", "sweep_max"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) or (  # NumPy scalars too
+                isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf")
+            if not (real or value is None and name.startswith("sweep")):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if isinstance(self.receivers, str):
             raise ConfigError(
                 f"receivers must be a sequence of labels, got the string {self.receivers!r}")

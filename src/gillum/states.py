@@ -114,12 +114,22 @@ def _extremes(name: str, value):
     return value.min(), value.max()
 
 
+def _not_real(name: str, value) -> ValueError:
+    """The refusal of a value that does not compare as a number (a string, None)."""
+    return ValueError(f"{name} must be a real number or an array of them, got {value!r}")
+
+
 def _check_photons(subject: str, **values) -> None:
     """Refuse photon numbers (numbers or non-empty arrays, by keyword) unless
-    finite and >= 0; nan fails."""
+    finite and >= 0; nan fails, and a value that is not a number is refused
+    by name."""
     for name, value in values.items():
-        lo, hi = _extremes(name, value)
-        if not (0 <= lo and hi < math.inf):
+        try:
+            lo, hi = _extremes(name, value)
+            valid = 0 <= lo and hi < math.inf
+        except TypeError:
+            raise _not_real(name, value) from None
+        if not valid:
             raise ValueError(f"{subject} must be finite and >= 0")
 
 

@@ -12,7 +12,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles as orc
-from gillum import CurveSet, NoiseModel, SweepConfig, run_figure, to_csv, to_json, to_svg
+from gillum import (CurveSet, NoiseModel, ScenarioParams, SweepConfig, hypothesis_pair,
+                    make_thermal, make_tmsv, qcb, run_figure, to_csv, to_json, to_svg)
 from gillum.emit import emit
 from gillum.figures import ConfigError, NumericalError
 
@@ -297,6 +298,34 @@ def test_config_refuses_mistyped_values_by_name(overrides, message):
     # points, and a bare string read letter by letter as receiver labels
     with pytest.raises(ConfigError, match=message):
         SweepConfig(**overrides)
+
+
+def _qcb_with_m(m_modes):
+    pair = hypothesis_pair(make_tmsv(0.1), ScenarioParams(kappa=0.1, n_s=0.1, n_b=1.0))
+    return qcb(pair, m_modes)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: SweepConfig("fig1", kappa="0.1"), ConfigError, r"kappa must be a real.*'0\.1'"),
+    (lambda: SweepConfig("fig1", n_b="30"), ConfigError, r"n_b must be a real.*'30'"),
+    (lambda: SweepConfig("fig1", m_modes="1e7"), ConfigError, r"m_modes must be a real.*'1e7'"),
+    (lambda: SweepConfig("fig1", sweep_min="0.1"), ConfigError, r"sweep_min must be a real"),
+    (lambda: SweepConfig("fig1", kappa=None), ConfigError, r"kappa must be a real.*None"),
+    (lambda: SweepConfig("fig1", n_b=np.array([1.0, 2.0])), ConfigError, r"n_b must be a"),
+    (lambda: ScenarioParams(kappa="0.1", n_s=0.1, n_b=1.0), ValueError,
+     r"kappa must be a real.*'0\.1'"),
+    (lambda: ScenarioParams(kappa=0.1, n_s=0.1, n_b=1.0, m_modes="7"), ValueError,
+     r"m_modes must be a whole number.*'7'"),
+    (lambda: make_thermal("1"), ValueError, r"n_mean must be a real.*'1'"),
+    (lambda: make_tmsv(None), ValueError, r"n_s must be a real.*None"),
+    (lambda: _qcb_with_m("5"), ValueError, r"m_modes must be a whole number.*'5'"),
+], ids=["config-kappa", "config-n_b", "config-m_modes", "config-sweep_min", "config-kappa-none",
+        "config-n_b-array", "params-kappa", "params-m_modes", "thermal", "tmsv", "qcb-m_modes"])
+def test_mistyped_scenario_values_are_refused_by_name(call, error, message):
+    # before: each comparison raised a bare TypeError ("'<=' not supported
+    # ..."); an n_b array stays refused, since a figure has one background
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_curveset_rejects_empty_and_nonfinite():
