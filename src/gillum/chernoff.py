@@ -12,9 +12,16 @@ b_j^(1-s) with c_ij = |<a_i|b_j>|^2 >= 0 (Audenaert et al., PRL 98, 160501
 (2007); Nussbaum & Szkola, Ann. Stat. 37, 1040 (2009)).  Each term is
 log-linear in s, so Q_s is log-convex and strictly quasi-convex on (0, 1):
 the neighbours of the smallest of a row of evenly spaced samples bracket
-the minimiser.  The search evaluates whole rows of s in one batched call,
-zooms into that bracket and, on the last, narrow one, fits a cubic to
-log Q by least squares, which averages the round-off of the samples away.
+the minimiser.  The search evaluates whole rows of s in one batched call:
+33 samples of (0, 1) first, whose 5 around the smallest predict s* by a
+cubic through log Q.  Float arithmetic alone then narrows the bracket as a
+zoom into the neighbours of each round's argmin would, taking the sample
+nearest the prediction as the argmin, down to a bracket below 1e-3 wide,
+and the second call samples it.  Where the smallest of those samples is
+interior (or on the edge of the s range) the minimiser is inside, and a
+cubic fitted to log Q by least squares, which averages the round-off of the
+samples away, gives it; otherwise the row zooms on from its first bracket,
+up to three more calls.
 
 The search runs on a stack of pairs at once, since log-convexity holds for
 each of them: a sweep is one ``HypothesisPair`` of stacked states,
@@ -60,12 +67,18 @@ from .channels import HypothesisPair, NoiseModel, ScenarioParams, _check_m_modes
 from .states import GaussianState, _phase_insensitive, symplectic_form
 
 _S_EDGE = 1e-6
+_TOP = 1.0 - _S_EDGE
 _BRACKET = 33  # overlaps per batched round of the s search
 _STOP_WIDTH = 1e-3  # bracket width of the fitted last round
 _UNIT = np.linspace(0.0, 1.0, _BRACKET)
+_UNIT_S = _UNIT.tolist()
+_FIRST = np.minimum(_S_EDGE + (_TOP - _S_EDGE) * _UNIT, _TOP)  # round 1's samples
+_FIRST_S = _FIRST.tolist()
 # least-squares coefficients (a3, a2, a1, a0) of a3 t^3 + a2 t^2 + a1 t + a0
 # through the bracket's samples, t running over [-1, 1]
 _CUBIC_FIT = np.linalg.pinv(np.vander(2.0 * _UNIT - 1.0, 4))
+# the same through 5 samples of round 1, t in sample steps over [-2, 2]
+_GUESS_FIT = np.linalg.pinv(np.vander(np.arange(-2.0, 3.0), 4))
 _PURE_TOL = 16 * np.finfo(float).eps  # round-off units of a pure mode's 2 nu
 _ROUND_OFF = 64 * np.finfo(float).eps  # relative error of a per-copy exponent, times it
 _MAX_ERROR = 1e-4  # largest relative error of a returned exponent
@@ -237,23 +250,76 @@ class _PairData:
         return val
 
 
+def _zoom(data: _PairData, lo: list, hi: list):
+    """Sample _BRACKET evenly spaced points of every row's bracket [lo, hi]
+    in one overlap call, narrow each bracket wider than _STOP_WIDTH to the
+    neighbours of its row's argmin, which bracket the minimiser, and repeat
+    until none is wider; a narrow row keeps its bracket, so its samples
+    repeat.  Returns the last round's samples, overlaps and argmins.
+    Brackets stay per-row Python floats, and each row's samples are formed
+    from them as in a scalar search: broadcasting against bracket columns
+    would cost a one-row search more than the per-row loop costs a sweep."""
+    while True:
+        s = np.array([np.minimum(a + (b - a) * _UNIT, b) for a, b in zip(lo, hi)])
+        q = data.overlap(s)
+        argmin = q.argmin(axis=1).tolist()
+        wide = [r for r in range(len(lo)) if hi[r] - lo[r] > _STOP_WIDTH]
+        if not wide:
+            return s, q, argmin
+        for r in wide:
+            i = argmin[r]
+            lo[r], hi[r] = s[r, max(i - 1, 0)], s[r, min(i + 1, _BRACKET - 1)]
+
+
+def _guess(q_r: np.ndarray, i: int) -> float:
+    """s* of a row predicted from its round-1 overlaps ``q_r``, argmin ``i``:
+    the convex stationary point of a least-squares cubic through log Q at the
+    5 samples around i, if it lies within 2 steps of i; else i's own s."""
+    if 2 <= i <= _BRACKET - 3 and q_r[i] > 0:
+        a3, a2, a1, _ = _GUESS_FIT @ np.log(q_r[i - 2:i + 3])
+        disc = a2 * a2 - 3.0 * a3 * a1
+        if a2 > 0 and disc > 0:
+            t = float(-a1 / (a2 + math.sqrt(disc)))
+            if abs(t) < 2:
+                return _FIRST_S[i] + t * (_TOP - _S_EDGE) / (_BRACKET - 1)
+    return _FIRST_S[i]
+
+
+def _walk(a: float, b: float, guess: float) -> tuple:
+    """The bracket ``_zoom`` reaches from [a, b] where each round's argmin is
+    the sample nearest ``guess``, in float arithmetic: each end is formed as
+    ``_zoom`` forms that sample, so it has the zoom's bits where the guess
+    picks the zoom's argmins."""
+    while b - a > _STOP_WIDTH:
+        k = min(max(round((guess - a) / (b - a) * (_BRACKET - 1)), 0), _BRACKET - 1)
+        u, v = _UNIT_S[max(k - 1, 0)], _UNIT_S[min(k + 1, _BRACKET - 1)]
+        a, b = min(a + (b - a) * u, b), min(a + (b - a) * v, b)
+    return a, b
+
+
 def _search(pair: HypothesisPair, m_modes: float):
     """s* and the M-copy exponent -M log min_s Q_s of each pair of the
     (stacked) ``pair``, as two flat lists; on and off must stack alike.
 
-    Each round samples _BRACKET evenly spaced points of every row's bracket,
-    first [_S_EDGE, 1 - _S_EDGE], in one overlap call and keeps the
-    neighbours of the row's argmin, which bracket its minimiser.  A row whose
-    bracket is at most _STOP_WIDTH wide keeps it, so its samples repeat,
-    until every row's is.  Then a least-squares fit through log Q of a row's
-    last samples gives its minimum: averaging over all of them keeps
-    round-off in the samples from selecting the result, and the cubic term
-    keeps the skew of log Q across the bracket from biasing it.  An argmin on
-    the bracket edge, a sample that underflowed to 0, or a fit without a
-    convex minimum inside the bracket falls back to the sampled minimum.
-    Brackets stay per-row Python floats, and each row's samples are formed
-    from them as in a scalar search: broadcasting against bracket columns
-    would cost a one-row search more than the per-row loop costs a sweep.
+    Two overlap calls in the common case.  Round 1 samples _BRACKET evenly
+    spaced points of [_S_EDGE, 1 - _S_EDGE] for every row; the neighbours of
+    a row's argmin bracket its minimiser (round 2's bracket of ``_zoom``).  A
+    cubic through log Q at the 5 samples around the argmin predicts s*, and
+    ``_walk`` narrows the bracket around the prediction as the zoom's rounds
+    2 and 3 would, to a bracket at most _STOP_WIDTH wide, whose samples are
+    the second call.  A row is done if the argmin of those samples is
+    interior, so its minimiser lies inside, or sits on the global edge
+    _S_EDGE or 1 - _S_EDGE.  Any other row zooms on from its round-2 bracket
+    in ``_zoom`` (up to three more calls) while the done rows keep their brackets
+    and repeat their samples bit for bit, so every row has the bits of its
+    pair searched alone.
+
+    Then a least-squares fit through log Q of a row's last samples gives its
+    minimum: averaging over all of them keeps round-off in the samples from
+    selecting the result, and the cubic term keeps the skew of log Q across
+    the bracket from biasing it.  An argmin on the bracket edge, a sample
+    that underflowed to 0, or a fit without a convex minimum inside the
+    bracket falls back to the sampled minimum.
 
     M must be one whole number >= 1, as in ``ScenarioParams``.
     Rows of identical hypotheses are sampled with the rest and keep s* = 1/2,
@@ -268,19 +334,19 @@ def _search(pair: HypothesisPair, m_modes: float):
     live = ((on.cov_n != off.cov_n).any(axis=(-2, -1))
             | (on.mean_q != off.mean_q).any(axis=-1)).ravel().tolist()
     data = _PairData(pair)
-    rows = len(live)
-    lo, hi = [_S_EDGE] * rows, [1.0 - _S_EDGE] * rows
-    while True:
-        s = np.array([np.minimum(a + (b - a) * _UNIT, b) for a, b in zip(lo, hi)])
-        q = data.overlap(s)
-        argmin = q.argmin(axis=1).tolist()
-        wide = [r for r in range(rows) if hi[r] - lo[r] > _STOP_WIDTH]
-        if not wide:
-            break
-        for r in wide:
-            i = argmin[r]
-            lo[r], hi[r] = s[r, max(i - 1, 0)], s[r, min(i + 1, _BRACKET - 1)]
-    s_star, exponent = [0.5] * rows, [0.0] * rows  # kept by identical-hypothesis rows
+    q = data.overlap(np.broadcast_to(_FIRST, (len(live), _BRACKET)))
+    first = q.argmin(axis=1).tolist()
+    start = [(_FIRST_S[max(i - 1, 0)], _FIRST_S[min(i + 1, _BRACKET - 1)]) for i in first]
+    ends = [_walk(a, b, _guess(q[r], first[r])) for r, (a, b) in enumerate(start)]
+    lo, hi = [a for a, _ in ends], [b for _, b in ends]
+    s, q, argmin = _zoom(data, lo, hi)  # one call: every walked bracket is narrow
+    retry = [r for r, i in enumerate(argmin) if live[r] and not (
+        0 < i < _BRACKET - 1 or s[r, i] == _S_EDGE or s[r, i] == _TOP)]
+    if retry:
+        for r in retry:
+            lo[r], hi[r] = start[r]
+        s, q, argmin = _zoom(data, lo, hi)
+    s_star, exponent = [0.5] * len(live), [0.0] * len(live)  # kept by identical-hypothesis rows
     for r, i in enumerate(argmin):
         if not live[r]:
             continue
@@ -312,13 +378,16 @@ def qcb_sweep(pair: HypothesisPair, m_modes: float) -> QcbResult:
     """Quantum Chernoff bound of every pair of a stacked hypothesis pair, as
     arrays of the stack's shape, each pair with the bits it has searched alone.
 
-    Q_s is log-convex in s (module docstring), so four batched rounds of 33
-    overlaps zoom from [1e-6, 1 - 1e-6] to a bracket below 1e-3 wide around
-    the minimiser, and a least-squares cubic through log Q of the last
-    round's samples gives s* and log Q(s*).  Rows of identical hypotheses
-    (Q = 1 exactly) go through the same pass and return s* = 1/2 and
-    exponent 0.  Raises NumericalError where double precision cannot resolve
-    an exponent.
+    Q_s is log-convex in s (module docstring), so two batched rounds of 33
+    overlaps find the minimiser: round 1 over [1e-6, 1 - 1e-6] predicts it,
+    and round 2 samples the bracket below 1e-3 wide that zooming around the
+    prediction reaches.  A row whose round-2 argmin is on its bracket's edge
+    (not the range's) zooms on from its round-1 bracket in up to three
+    more rounds, the other rows repeating their samples.  A least-squares
+    cubic through log Q of the last round's samples gives s* and log Q(s*).
+    Rows of identical hypotheses (Q = 1 exactly) go through the same pass
+    and return s* = 1/2 and exponent 0.  Raises NumericalError where double
+    precision cannot resolve an exponent.
     """
     s_star, exponent = _search(pair, m_modes)
     shape = pair.on.mean_q.shape[:-1]

@@ -791,3 +791,55 @@ def nelder_mead_max(fn, starts, max_evals: int = 2000) -> float:
                                 "maxiter": max_evals, "maxfev": max_evals})
         best = min(best, res.fun)
     return math.exp(-best)
+
+
+def zoom_qcb(pair, m_modes: float):
+    """(s*, exponent) lists of ``gillum.chernoff._search`` as it was before
+    its two-call search, the reference of that search: four batched rounds of
+    33 overlaps zoom every row from [1e-6, 1 - 1e-6] into the neighbours of
+    its argmin until every bracket is at most 1e-3 wide, then the same
+    least-squares cubic through log Q of the last samples.  Only the overlap
+    (``_PairData``) and the constants are the library's."""
+    from gillum import chernoff as ch
+
+    on, off = pair.on, pair.off
+    live = ((on.cov_n != off.cov_n).any(axis=(-2, -1))
+            | (on.mean_q != off.mean_q).any(axis=-1)).ravel().tolist()
+    data = ch._PairData(pair)
+    rows = len(live)
+    lo, hi = [ch._S_EDGE] * rows, [1.0 - ch._S_EDGE] * rows
+    while True:
+        s = np.array([np.minimum(a + (b - a) * ch._UNIT, b) for a, b in zip(lo, hi)])
+        q = data.overlap(s)
+        argmin = q.argmin(axis=1).tolist()
+        wide = [r for r in range(rows) if hi[r] - lo[r] > ch._STOP_WIDTH]
+        if not wide:
+            break
+        for r in wide:
+            i = argmin[r]
+            lo[r], hi[r] = s[r, max(i - 1, 0)], s[r, min(i + 1, ch._BRACKET - 1)]
+    s_star, exponent = [0.5] * rows, [0.0] * rows
+    for r, i in enumerate(argmin):
+        if not live[r]:
+            continue
+        q_r, s_r, t = q[r], float(s[r, i]), math.inf
+        if not q_r[i] >= 0:
+            raise ch.NumericalError(f"Chernoff overlap Q_s is {q_r[i]} at s = {s_r:.6g}")
+        if 0 < i < ch._BRACKET - 1 and q_r[i] > 0:
+            a3, a2, a1, a0 = ch._CUBIC_FIT @ np.log(q_r)
+            disc = a2 * a2 - 3.0 * a3 * a1
+            if a2 > 0 and disc > 0:
+                t = -a1 / (a2 + math.sqrt(disc))
+        if abs(t) < 1:
+            s_r = float(lo[r] + 0.5 * (hi[r] - lo[r]) * (1.0 + t))
+            log_q = float(((a3 * t + a2) * t + a1) * t + a0)
+        else:
+            log_q = math.log(q_r[i]) if q_r[i] > 0 else -math.inf
+        xi = -log_q if log_q < 0 else 0.0
+        if ch._ROUND_OFF > ch._MAX_ERROR * xi:
+            raise ch.NumericalError(
+                f"per-copy Chernoff exponent {xi:.3g} is below what double precision "
+                f"resolves (estimated relative error {ch._ROUND_OFF / xi if xi else math.inf:.2g}"
+                f" > {ch._MAX_ERROR:g})")
+        s_star[r], exponent[r] = s_r, m_modes * xi
+    return s_star, exponent

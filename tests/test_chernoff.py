@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
+import test_preset_bytes as preset_cases
 
 from gillum import (
     GaussianState,
@@ -837,3 +838,111 @@ def test_every_preset_chernoff_pair_takes_the_n_by_n_route(overrides):
     p = SweepConfig("fig5b", points=25, **overrides).params
     assert [orth for _, _, orth, _ in _PairData(hypothesis_pair(make_tmsv(p.n_s), p)).blocks] == [
         False]
+
+
+def _overlap_calls(search, pair, m_modes=10**7) -> int:
+    """How many overlap calls ``search(pair, m_modes)`` makes."""
+    with mock.patch.object(_PairData, "overlap", autospec=True,
+                           side_effect=_PairData.overlap) as spy:
+        search(pair, m_modes)
+    return spy.call_count
+
+
+def test_the_search_makes_two_overlap_calls_on_every_preset_pair():
+    # fig5a's per-point CCT pairs, fig5b's stacked CCT column and the
+    # nonconstant coherent sweeps of fig1, fig3 and fig5b, at the defaults:
+    # round 1 and the walked last bracket, no fallback
+    for figure, models in (("fig1", [NoiseModel.NONCONSTANT]), ("fig3", [NoiseModel.NONCONSTANT]),
+                           ("fig5a", list(NoiseModel)), ("fig5b", list(NoiseModel))):
+        for model in models:
+            for pair in _preset_pairs(figure, model):
+                search = qcb if pair.on.mean_q.ndim == 1 else qcb_sweep
+                assert _overlap_calls(search, pair) == 2, (figure, model, search.__name__)
+
+
+def _exponent_pairs(seed: int, count: int) -> list:
+    """Seeded one-pair scenarios over a wide range: TMSV, CCT and coherent
+    probes, kappa 1e-3-0.9, N_S and N_I 1e-3-1e2, N_B 0.1-1e3, both models."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    pairs = []
+    for case in range(count):
+        n_s, n_i = log_uniform(1e-3, 1e2), log_uniform(1e-3, 1e2)
+        p = ScenarioParams(kappa=log_uniform(1e-3, 0.9), n_s=n_s, n_i=n_i,
+                           n_b=log_uniform(0.1, 1e3), noise_model=list(NoiseModel)[case % 2])
+        pairs.append(hypothesis_pair(orc.PROBES[case % 3](p), p))
+    return pairs
+
+
+def _assert_near_the_zoom(pairs: list) -> None:
+    """Each pair's qcb exponent within 64 eps / xi of the four-round zoom's
+    (per-copy xi, M = 1), or both refused."""
+    for pair in pairs:
+        try:
+            (_,), (want,) = orc.zoom_qcb(pair, 1)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                qcb(pair, 1)
+            continue
+        assert abs(qcb(pair, 1).exponent - want) <= _ROUND_OFF, want
+
+
+@pytest.mark.parametrize("figure, scenario", preset_cases.CASES)
+def test_preset_chernoff_cells_equal_the_four_round_zoom(figure, scenario):
+    # the two-call search walks the zoom's own brackets on every preset pair
+    config = SweepConfig(figure=figure, points=preset_cases.POINTS,
+                         **preset_cases.SCENARIOS[scenario])
+    got = run_figure(config)
+    with mock.patch.object(chernoff, "_search", orc.zoom_qcb):
+        want = run_figure(config)
+    assert list(got.curves) == list(want.curves)
+    for label, y in want.curves.items():
+        assert np.asarray(got.curves[label], dtype=float).tobytes() == np.asarray(
+            y, dtype=float).tobytes(), label
+
+
+def test_the_search_is_near_the_four_round_zoom_on_a_wide_draw():
+    _assert_near_the_zoom(_exponent_pairs(31, 300))
+
+
+@pytest.mark.parametrize("offset", [-2e-3, -1.2e-4, 1.2e-4, 2e-3])
+def test_a_mispredicted_s_star_stays_near_the_four_round_zoom(offset):
+    # one round-3 sample spacing off: the walked bracket mostly still holds
+    # the minimiser; one round-2 spacing off: it never does, and every row
+    # zooms on from its round-2 bracket
+    guess = chernoff._guess
+    pairs = _exponent_pairs(32, 60)
+    with mock.patch.object(chernoff, "_guess", lambda q_r, i: guess(q_r, i) + offset):
+        _assert_near_the_zoom(pairs)
+        calls = [_overlap_calls(qcb, pair, 1) for pair in pairs[:12]]
+    assert min(calls) > 2 if abs(offset) > 1e-3 else 2 in calls
+
+
+def test_a_row_that_zooms_on_keeps_the_bits_of_its_pair_searched_alone():
+    # the pure on-state row's s* sits on the lower edge (round-1 argmin 0);
+    # mispredicted by one round-2 spacing, it misses its last bracket and
+    # zooms on alone, in the zoom's own brackets, while the other rows keep
+    # theirs and repeat their samples: the strong CCT row's walked bracket is
+    # not the zoom's, so its bits are not the zoom's either
+    weak = ScenarioParams(kappa=0.01, n_s=1.0, n_i=1.0, n_b=30.0)
+    pure = ScenarioParams(kappa=1.0, n_s=2.0, n_b=0.5, noise_model=NoiseModel.NONCONSTANT)
+    strong = ScenarioParams(kappa=0.6, n_s=5.0, n_i=3.0, n_b=0.1)
+    pairs = [hypothesis_pair(make_cct(1.0, 1.0), weak), hypothesis_pair(make_tmsv(2.0), pure),
+             hypothesis_pair(make_cct(5.0, 3.0), strong),
+             hypothesis_pair(make_cct(1.0, 1.0), replace(weak, kappa=0.0))]
+    stacked = _stack_pairs(pairs)
+    guess = chernoff._guess
+    with mock.patch.object(chernoff, "_guess",
+                           lambda q_r, i: guess(q_r, i) + (2e-3 if i == 0 else 0.0)):
+        # the zoom from the edge's half-width bracket takes 2 rounds, not 3
+        assert [_overlap_calls(qcb, pair) for pair in pairs] == [2, 4, 2, 2]
+        assert _overlap_calls(qcb_sweep, stacked) == 4
+        rows = [qcb(pair, 10**7) for pair in pairs]
+        stack = qcb_sweep(stacked, 10**7)
+    assert stack.s_star.tobytes() == np.array([r.s_star for r in rows]).tobytes()
+    assert stack.exponent.tobytes() == np.array([r.exponent for r in rows]).tobytes()
+    assert [rows[1].s_star, rows[1].exponent] == [v[0] for v in orc.zoom_qcb(pairs[1], 10**7)]
+    assert rows[2].exponent != orc.zoom_qcb(pairs[2], 10**7)[1][0]
