@@ -47,12 +47,20 @@ background axis:
 A refusal enters as its exception type and message.  Only public names are
 used, so the script runs unchanged on any revision that has them:
 
-    PYTHONPATH=src python tools/unrounded_digest.py
+    PYTHONPATH=src python tools/unrounded_digest.py [--dump PATH]
+
+``--dump PATH`` also writes every hashed value as one JSON line: its set,
+its index within the set, and ``float.hex()`` of a float or the text of a
+label or refusal.  The digests print as without it, and the dumps of two
+revisions can be compared line by line to list the values that moved.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -74,6 +82,39 @@ CORNERS = 300
 AXES = 60
 
 
+class _Digest:
+    """One SHA-256 over the values fed to it: the raw bytes of float64s, and
+    text (labels, refusals) as UTF-8.  With a ``dump`` file it also writes
+    each value as one JSON line: its set (the function that fed it), its
+    index within the set, and ``float.hex()`` or the text."""
+
+    def __init__(self, dump=None):
+        self._sha, self._dump, self._set, self._index = hashlib.sha256(), dump, "", 0
+
+    def run(self, feed):
+        """``feed(self)``, its values dumped under the set ``feed``'s name."""
+        self._set, self._index = feed.__name__.lstrip("_"), 0
+        return feed(self)
+
+    def floats(self, values) -> None:
+        values = np.asarray(values, dtype=float)
+        self._sha.update(values.tobytes())
+        for value in values.ravel().tolist() if self._dump else ():
+            self._write("hex", value.hex())
+
+    def text(self, text: str) -> None:
+        self._sha.update(text.encode())
+        if self._dump:
+            self._write("text", text)
+
+    def _write(self, kind: str, value: str) -> None:
+        self._dump.write(json.dumps({"set": self._set, "index": self._index, kind: value}) + "\n")
+        self._index += 1
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
 def _curves(digest) -> int:
     """Feed every preset curve to ``digest``; return the count of values."""
     count = 0
@@ -85,11 +126,11 @@ def _curves(digest) -> int:
                 except ConfigError:  # a noise model the preset is not defined for
                     continue
                 curves = run_figure(config)
-                digest.update(f"{figure} {model.value} {sorted(overrides.items())}".encode())
-                digest.update(np.asarray(curves.x, dtype=float).tobytes())
+                digest.text(f"{figure} {model.value} {sorted(overrides.items())}")
+                digest.floats(curves.x)
                 for label, y in curves.curves.items():
-                    digest.update(label.encode())
-                    digest.update(np.asarray(y, dtype=float).tobytes())
+                    digest.text(label)
+                    digest.floats(y)
                     count += y.size
     return count
 
@@ -117,10 +158,10 @@ def _qcb_cases(digest) -> tuple:
         try:
             result = qcb(hypothesis_pair(probe, params), m_modes)
         except NumericalError as exc:
-            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            digest.text(f"{type(exc).__name__}: {exc}")
             refusals += 1
             continue
-        digest.update(np.array([result.s_star, result.exponent]).tobytes())
+        digest.floats([result.s_star, result.exponent])
         results += 1
     return results, refusals
 
@@ -130,7 +171,7 @@ def _stack(states: list) -> GaussianState:
 
 
 def _refusal(digest, exc: Exception) -> int:
-    digest.update(f"{type(exc).__name__}: {exc}".encode())
+    digest.text(f"{type(exc).__name__}: {exc}")
     return 1
 
 
@@ -179,8 +220,8 @@ def _williamson_stacks(digest) -> tuple:
         except ValueError as exc:
             refusals += _refusal(digest, exc)
             continue
-        digest.update(nu.tobytes())
-        digest.update(s.tobytes())
+        digest.floats(nu)
+        digest.floats(s)
         matrices += rows
     return matrices, refusals
 
@@ -198,8 +239,8 @@ def _sweeps(digest) -> tuple:
         except NumericalError as exc:
             refusals += _refusal(digest, exc)
             continue
-        digest.update(np.asarray(result.s_star, dtype=float).tobytes())
-        digest.update(np.asarray(result.exponent, dtype=float).tobytes())
+        digest.floats(result.s_star)
+        digest.floats(result.exponent)
         results += len(pairs)
     return results, refusals
 
@@ -225,7 +266,7 @@ def _corners(digest) -> tuple:
         except NumericalError as exc:
             refusals += _refusal(digest, exc)
             continue
-        digest.update(np.array([result.s_star, result.exponent]).tobytes())
+        digest.floats([result.s_star, result.exponent])
         results += 1
     return results, refusals
 
@@ -253,8 +294,8 @@ def _kappa_axes(digest) -> tuple:
         except (ValueError, NumericalError) as exc:
             refusals += _refusal(digest, exc)
             continue
-        digest.update(np.asarray(result.s_star, dtype=float).tobytes())
-        digest.update(np.asarray(result.exponent, dtype=float).tobytes())
+        digest.floats(result.s_star)
+        digest.floats(result.exponent)
         results += kappa.size
     return results, refusals
 
@@ -280,7 +321,7 @@ def _result(digest, form, params) -> int:
         result = form(params)
     except (ValueError, NumericalError) as exc:
         return _refusal(digest, exc)
-    digest.update(np.asarray(result, dtype=float).tobytes())
+    digest.floats(result)
     return 0
 
 
@@ -323,24 +364,31 @@ def _background_axes(digest) -> tuple:
     return results, refusals
 
 
-def main() -> None:
-    digest = hashlib.sha256()
-    values = _curves(digest)
-    results, refusals = _qcb_cases(digest)
-    print(f"{values} curve values, {results} qcb results, {refusals} refusals")
-    print(digest.hexdigest())
-    matrices, w_refusals = _williamson_stacks(digest)
-    rows, s_refusals = _sweeps(digest)
-    corners, c_refusals = _corners(digest)
-    print(f"then {matrices} williamson matrices ({w_refusals} stacks refused), {rows} qcb_sweep "
-          f"rows ({s_refusals} stacks refused), {corners} corner results ({c_refusals} refused)")
-    print(digest.hexdigest())
-    rows, a_refusals = _kappa_axes(digest)
-    print(f"then {rows} kappa-axis qcb_sweep rows ({a_refusals} stacks refused)")
-    print(digest.hexdigest())
-    results, b_refusals = _background_axes(digest)
-    print(f"then {results} n_b-axis results ({b_refusals} refused)")
-    print(digest.hexdigest())
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="PATH",
+                        help="also write every hashed value to PATH as JSON lines")
+    args = parser.parse_args(argv)
+    with contextlib.ExitStack() as stack:
+        digest = _Digest(stack.enter_context(open(args.dump, "w", encoding="utf-8"))
+                         if args.dump else None)
+        values = digest.run(_curves)
+        results, refusals = digest.run(_qcb_cases)
+        print(f"{values} curve values, {results} qcb results, {refusals} refusals")
+        print(digest.hexdigest())
+        matrices, w_refusals = digest.run(_williamson_stacks)
+        rows, s_refusals = digest.run(_sweeps)
+        corners, c_refusals = digest.run(_corners)
+        print(f"then {matrices} williamson matrices ({w_refusals} stacks refused), {rows} "
+              f"qcb_sweep rows ({s_refusals} stacks refused), {corners} corner results "
+              f"({c_refusals} refused)")
+        print(digest.hexdigest())
+        rows, a_refusals = digest.run(_kappa_axes)
+        print(f"then {rows} kappa-axis qcb_sweep rows ({a_refusals} stacks refused)")
+        print(digest.hexdigest())
+        results, b_refusals = digest.run(_background_axes)
+        print(f"then {results} n_b-axis results ({b_refusals} refused)")
+        print(digest.hexdigest())
 
 
 if __name__ == "__main__":
