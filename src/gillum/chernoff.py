@@ -318,14 +318,17 @@ def _search(pair: HypothesisPair, m_modes: float):
     minimum: averaging over all of them keeps round-off in the samples from
     selecting the result, and the cubic term keeps the skew of log Q across
     the bracket from biasing it.  An argmin on the bracket edge, a sample
-    that underflowed to 0, or a fit without a convex minimum inside the
-    bracket falls back to the sampled minimum.
+    that underflowed to 0 (beside a minimum that did not), or a fit without
+    a convex minimum inside the bracket falls back to the sampled minimum.
 
     M must be one whole number >= 1, as in ``ScenarioParams``.
     Rows of identical hypotheses are sampled with the rest and keep s* = 1/2,
-    exponent +0.0; a NaN overlap raises NumericalError.  A row's per-copy
-    exponent xi = -log Q(s*) carries a relative error near 64 eps / xi (module
-    docstring); where that exceeds _MAX_ERROR the search raises NumericalError.
+    exponent +0.0.  A sampled minimum that is NaN, or that underflowed to 0
+    (a per-copy exponent beyond about 745, which would read as inf), raises
+    NumericalError.  A row's per-copy exponent xi = -log Q(s*) carries a
+    relative error near 64 eps / xi (module docstring); where that exceeds
+    _MAX_ERROR the search raises NumericalError.  Each refusal names s and,
+    for a stack, the row: its index in the flattened stack.
     """
     _check_m_modes(m_modes)
     on, off = pair.on, pair.off
@@ -346,14 +349,18 @@ def _search(pair: HypothesisPair, m_modes: float):
         for r in retry:
             lo[r], hi[r] = start[r]
         s, q, argmin = _zoom(data, lo, hi)
+    row = " in row {}" if on.mean_q.ndim > 1 else ""
     s_star, exponent = [0.5] * len(live), [0.0] * len(live)  # kept by identical-hypothesis rows
     for r, i in enumerate(argmin):
         if not live[r]:
             continue
         q_r, s_r, t = q[r], float(s[r, i]), math.inf
-        if not q_r[i] >= 0:
-            raise NumericalError(f"Chernoff overlap Q_s is {q_r[i]} at s = {s_r:.6g}")
-        if 0 < i < _BRACKET - 1 and q_r[i] > 0:
+        if not q_r[i] > 0:  # nan, or an underflow that would read as exponent inf
+            raise NumericalError(
+                f"Chernoff overlap Q_s is {q_r[i]} at s = {s_r:.6g}{row.format(r)}"
+                + (": it underflowed, so the exponent is beyond the double range"
+                   if q_r[i] == 0 else ""))
+        if 0 < i < _BRACKET - 1:
             a3, a2, a1, a0 = _CUBIC_FIT @ np.log(q_r)
             disc = a2 * a2 - 3.0 * a3 * a1
             # the fit's stationary point with second derivative 2 sqrt(disc) > 0
@@ -363,13 +370,13 @@ def _search(pair: HypothesisPair, m_modes: float):
             s_r = float(lo[r] + 0.5 * (hi[r] - lo[r]) * (1.0 + t))
             log_q = float(((a3 * t + a2) * t + a1) * t + a0)
         else:
-            log_q = math.log(q_r[i]) if q_r[i] > 0 else -math.inf
+            log_q = math.log(q_r[i])
         xi = -log_q if log_q < 0 else 0.0
         if _ROUND_OFF > _MAX_ERROR * xi:
             raise NumericalError(
-                f"per-copy Chernoff exponent {xi:.3g} is below what double precision "
-                f"resolves (estimated relative error {_ROUND_OFF / xi if xi else math.inf:.2g}"
-                f" > {_MAX_ERROR:g})")
+                f"per-copy Chernoff exponent {xi:.3g}{row.format(r)} is below what double "
+                f"precision resolves (estimated relative error "
+                f"{_ROUND_OFF / xi if xi else math.inf:.2g} > {_MAX_ERROR:g})")
         s_star[r], exponent[r] = s_r, m_modes * xi
     return s_star, exponent
 

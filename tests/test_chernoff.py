@@ -593,10 +593,31 @@ def test_nan_overlap_is_refused_not_read_as_underflow():
     mean[1, 0] = math.nan
     bad = HypothesisPair(on=GaussianState(mean, good.on.cov_n), off=good.off)
     one = HypothesisPair(on=GaussianState(mean[1], good.on.cov_n[1]), off=make_vacuum(1))
-    with pytest.raises(NumericalError, match="overlap Q_s is nan"):
+    with pytest.raises(NumericalError, match=r"overlap Q_s is nan at s = [0-9.e-]+$"):
         qcb(one, 10)
-    with pytest.raises(NumericalError, match="overlap Q_s is nan"):  # one row of three
-        qcb_sweep(bad, 10)
+    with pytest.raises(NumericalError, match="overlap Q_s is nan at s = .* in row 1$"):
+        qcb_sweep(bad, 10)  # one row of three
+
+
+def test_an_overlap_that_underflows_is_refused_not_read_as_exponent_inf():
+    # the coherent pair at N_S = 1000, kappa 0.999, N_B 1e-3 has a per-copy
+    # exponent near 940, beyond the double range of Q_s: it used to return inf
+    p = ScenarioParams(kappa=0.999, n_s=np.array([1.0, 1000.0]), n_b=1e-3,
+                       noise_model=NoiseModel.NONCONSTANT)
+    probe = make_coherent(np.sqrt(p.n_s))
+    with pytest.raises(NumericalError, match=r"Q_s is 0.0 at s = [0-9.e-]+: it underflowed"):
+        qcb(hypothesis_pair(make_coherent(math.sqrt(1000.0)), replace(p, n_s=1000.0)), 1)
+    with pytest.raises(NumericalError, match="Q_s is 0.0 at s = .* in row 1: it underflowed"):
+        qcb_sweep(hypothesis_pair(probe, p), 1)
+    assert qcb(hypothesis_pair(make_coherent(1.0), replace(p, n_s=1.0)), 1).exponent > 0
+
+
+def test_a_stack_names_the_row_below_double_resolution():
+    # the refusal of test_qcb_refuses_exponents_below_double_resolution, as
+    # the second row of a stack
+    p = ScenarioParams(kappa=np.array([0.01, 1e-8]), n_s=0.01, n_i=0.01, n_b=30.0)
+    with pytest.raises(NumericalError, match=r"exponent [0-9.e-]+ in row 1 is below what double"):
+        qcb_sweep(hypothesis_pair(make_cct(p.n_s, p.n_i), p), 10**7)
 
 
 @contextlib.contextmanager
