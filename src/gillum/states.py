@@ -106,11 +106,16 @@ def make_coherent(amplitude) -> GaussianState:
 
 def _extremes(name: str, value):
     """(min, max) of a number or an array; nan if any entry is nan.  An empty
-    array is refused by ``name``."""
+    array is refused by ``name``.  A complex number or array raises TypeError,
+    as comparing a Python complex does: NumPy would order its complex values."""
     if not isinstance(value, np.ndarray):
+        if isinstance(value, complex):  # NumPy's complex scalars subclass it
+            raise TypeError(f"{name} is complex")
         return value, value
     if not value.size:
         raise ValueError(f"{name} must not be an empty array")
+    if value.dtype.kind == "c":
+        raise TypeError(f"{name} is complex")
     return value.min(), value.max()
 
 

@@ -19,6 +19,7 @@ from gillum import (
     hypothesis_pair,
     make_cct,
     make_coherent,
+    make_thermal,
     make_tmsv,
     obs_number,
     obs_quadrature,
@@ -250,6 +251,25 @@ def test_param_validation_refuses_sweep_fields_that_do_not_broadcast():
                    {"kappa": 0.1, "n_s": three, "n_i": three[:1]},
                    {"kappa": three, "n_s": 0.1, "n_b": two[:, None]}):
         ScenarioParams(**{"n_b": 30.0, **fields})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ScenarioParams(kappa=np.complex128(0.1), n_s=0.1, n_b=1.0), "kappa must be a real"),
+    (lambda: ScenarioParams(kappa=0.1, n_s=0.1, n_b=np.array([1 + 1j, 2])), "n_b must be a real"),
+    (lambda: ScenarioParams(kappa=0.1, n_s=np.complex128(0.1), n_b=1.0), "n_s must be a real"),
+    (lambda: ScenarioParams(kappa=np.array([0.1, 0.2]), n_s=0.1, n_i=np.array(1j), n_b=1.0),
+     "n_i must be a real"),
+    (lambda: ScenarioParams(kappa=0.1, n_s=0.1, n_b=1.0, m_modes=np.complex128(3 + 1j)),
+     "m_modes must be a whole number"),
+    (lambda: make_tmsv(np.complex128(1.0)), "n_s must be a real"),
+    (lambda: make_cct(1.0, np.array([2.0 + 0j])), "n_i must be a real"),
+    (lambda: make_thermal(np.complex128(1.0)), "n_mean must be a real"),
+], ids=["kappa", "n_b-axis", "n_s", "n_i-0d", "m_modes", "tmsv", "cct-axis", "thermal"])
+def test_complex_values_are_refused_by_name(build, message):
+    # before: NumPy orders complex numbers, so each built, and a complex
+    # n_b gave snr_nearly_bound a complex SNR; m_modes lost its imaginary part
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def _row(state: GaussianState, index: tuple) -> GaussianState:
