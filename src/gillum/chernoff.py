@@ -232,7 +232,8 @@ class _PairData:
 
     def overlap(self, s: np.ndarray) -> np.ndarray:
         """Single-copy Q_s as computed, row r of ``s`` (rows, k) sampling pair
-        r; a round-off Q_s above 1 reads as xi = 0 in ``_search``."""
+        r, or one row (1, k) sampling every pair; a round-off Q_s above 1
+        reads as xi = 0 in ``_search``."""
         s = s[..., None]
         g, lam = _g_lambda(self.log_ratio, self.half_sum, np.where(self.is_on, s, 1.0 - s))
         val = g.prod(axis=-1)
@@ -337,7 +338,7 @@ def _search(pair: HypothesisPair, m_modes: float):
     live = ((on.cov_n != off.cov_n).any(axis=(-2, -1))
             | (on.mean_q != off.mean_q).any(axis=-1)).ravel().tolist()
     data = _PairData(pair)
-    q = data.overlap(np.broadcast_to(_FIRST, (len(live), _BRACKET)))
+    q = data.overlap(_FIRST[None])  # one row of samples for every pair
     first = q.argmin(axis=1).tolist()
     start = [(_FIRST_S[max(i - 1, 0)], _FIRST_S[min(i + 1, _BRACKET - 1)]) for i in first]
     ends = [_walk(a, b, _guess(q[r], first[r])) for r, (a, b) in enumerate(start)]
