@@ -18,10 +18,10 @@ cubic through log Q.  Float arithmetic alone then narrows the bracket as a
 zoom into the neighbours of each round's argmin would, taking the sample
 nearest the prediction as the argmin, down to a bracket below 1e-3 wide,
 and the second call samples it.  Where the smallest of those samples is
-interior (or on the edge of the s range) the minimiser is inside, and a
-cubic fitted to log Q by least squares, which averages the round-off of the
-samples away, gives it; otherwise the row zooms on from its first bracket,
-up to three more calls.
+interior, the minimiser is inside, and a cubic fitted to log Q by least
+squares, which averages the round-off of the samples away, gives it (on
+the edge of the s range, that edge is the minimum); otherwise the row
+zooms on from its first bracket, up to three more calls.
 
 The search runs on a stack of pairs at once, since log-convexity holds for
 each of them: a sweep is one ``HypothesisPair`` of stacked states,
@@ -310,10 +310,10 @@ def _search(pair: HypothesisPair, m_modes: float):
     2 and 3 would, to a bracket at most _STOP_WIDTH wide, whose samples are
     the second call.  A row is done if the argmin of those samples is
     interior, so its minimiser lies inside, or sits on the global edge
-    _S_EDGE or 1 - _S_EDGE.  Any other row zooms on from its round-2 bracket
-    in ``_zoom`` (up to three more calls) while the done rows keep their brackets
-    and repeat their samples bit for bit, so every row has the bits of its
-    pair searched alone.
+    _S_EDGE or 1 - _S_EDGE.  Any other row zooms on from its round-2
+    bracket in ``_zoom`` (up to three more calls) while the done rows keep
+    their brackets and repeat their samples bit for bit, so every row has
+    the bits of its pair searched alone.
 
     Then a least-squares fit through log Q of a row's last samples gives its
     minimum: averaging over all of them keeps round-off in the samples from
