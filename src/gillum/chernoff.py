@@ -71,9 +71,8 @@ _TOP = 1.0 - _S_EDGE
 _BRACKET = 33  # overlaps per batched round of the s search
 _STOP_WIDTH = 1e-3  # bracket width of the fitted last round
 _UNIT = np.linspace(0.0, 1.0, _BRACKET)
-_UNIT_S = _UNIT.tolist()
 _FIRST = np.minimum(_S_EDGE + (_TOP - _S_EDGE) * _UNIT, _TOP)  # round 1's samples
-_FIRST_S = _FIRST.tolist()
+_UNIT_S, _FIRST_S = _UNIT.tolist(), _FIRST.tolist()  # as floats, for the per-row walk
 # least-squares coefficients (a3, a2, a1, a0) of a3 t^3 + a2 t^2 + a1 t + a0
 # through the bracket's samples, t running over [-1, 1]
 _CUBIC_FIT = np.linalg.pinv(np.vander(2.0 * _UNIT - 1.0, 4))
