@@ -87,8 +87,9 @@ def _check_m_modes(m_modes) -> None:
     """Refuse an M that is not one whole number >= 1 (nan, inf, arrays, complex
     numbers, strings and None fail)."""
     try:
-        valid = not (isinstance(m_modes, np.ndarray) and m_modes.ndim) and (
-            _extremes("m_modes", m_modes)[0] >= 1 and float(m_modes).is_integer())
+        valid = not (isinstance(m_modes, (complex, np.ndarray))
+                     and (np.iscomplexobj(m_modes) or np.ndim(m_modes))) and (
+            m_modes >= 1 and float(m_modes).is_integer())
     except TypeError:
         valid = False
     if not valid:
