@@ -15,6 +15,7 @@ from scipy.linalg import expm
 
 from gillum import (GaussianState, NoiseModel, QuadraticObservable, make_cct, make_coherent,
                     make_thermal, make_tmsv, symplectic_form, tensor)
+from gillum import chernoff as ch
 from gillum.states import beam_splitter_matrix
 
 
@@ -800,8 +801,6 @@ def zoom_qcb(pair, m_modes: float):
     its argmin until every bracket is at most 1e-3 wide, then the same
     least-squares cubic through log Q of the last samples.  Only the overlap
     (``_PairData``) and the constants are the library's."""
-    from gillum import chernoff as ch
-
     on, off = pair.on, pair.off
     live = ((on.cov_n != off.cov_n).any(axis=(-2, -1))
             | (on.mean_q != off.mean_q).any(axis=-1)).ravel().tolist()
