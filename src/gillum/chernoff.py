@@ -53,6 +53,8 @@ basis columns per mode: one x column each where both bases are O (x) I_2, read
 from the bases, as Sigma_s = Sigma_c (x) I_2 (Pirandola & Lloyd, PRA 78, 012331
 (2008)), n x n; x and p columns, 2n x 2n, otherwise.  In a stack the n x n basis
 is written over the general one on the rows it fits, so every row keeps its bits.
+One mode's Sigma_c is 1 x 1: its determinant and quadratic form are plain
+arithmetic on its entry.
 """
 
 from __future__ import annotations
@@ -207,6 +209,10 @@ class _PairData:
     Sigma_s = Sigma_c (x) I_2, so sqrt(det Sigma_s) = det Sigma_c; otherwise
     b is all of s (m = 2n, c = 2).  delta gives 2n / m right-hand sides of the
     m x m Sigma.  ``blocks`` holds (rows, projectors, n x n?, delta) per branch.
+    A one-mode n x n row (coherent and thermal pairs) has a 1 x 1 Sigma_c, so
+    ``overlap`` reads det Sigma_c as its entry and the quadratic form as
+    |delta|^2 / Sigma_c, with no LAPACK call (np.linalg.det would round the
+    entry through exp(log|a|)); m >= 2 takes np.linalg.det and solve.
     """
 
     def __init__(self, pair: HypothesisPair):
@@ -241,6 +247,12 @@ class _PairData:
             lam_r, m = lam[rows], self.n if orth else 2 * self.n
             # einsum, unlike a BLAS product, rounds a row alike for one s or many
             sig = np.einsum("rik,rkj->rij", lam_r, proj).reshape(lam_r.shape[:-1] + (m, m))
+            if m == 1:  # one mode's Sigma_c: det is its entry, the form |delta|^2 / Sigma_c
+                sig = sig[..., 0, 0]
+                val[rows] /= sig
+                if delta is not None:
+                    val[rows] *= np.exp(-0.5 * ((delta * delta).sum(axis=(-2, -1)) / sig))
+                continue
             det = np.linalg.det(sig)
             val[rows] /= det if orth else np.sqrt(det)
             if delta is not None:

@@ -2,13 +2,14 @@
 
 A preset is one row of ``_PRESETS``: a row function, the ``ScenarioParams``
 field it sweeps (``_AXES`` gives that field's x label and default range), the
-y label and the noise models it is defined for.  ``SweepConfig.params`` is
-the whole sweep, checked once before any row runs, and a row maps it to
-{curve label: values}.  Closed forms take the sweep as arrays.  Chernoff
-bounds along an N_S axis (fig5b's ``CCT QCB`` and, under nonconstant noise,
-the coherent ``Coh`` / ``Coh QCB``) are one ``qcb_sweep`` call per sweep, on
-the hypothesis pair of one probe stacked over the axis, and the
-nonconstant-noise ``OB`` of fig1 and fig3 is one optimizer call per sweep.
+y label, the noise models it is defined for and its curve labels.
+``SweepConfig`` checks the whole sweep, ``params``, and the selected labels
+once before any row runs, and a row maps the sweep to {curve label: values}.
+Closed forms take the sweep as arrays.  Chernoff bounds along an N_S axis
+(fig5b's ``CCT QCB`` and, under nonconstant noise, the coherent ``Coh`` /
+``Coh QCB``) are one ``qcb_sweep`` call per sweep, on the hypothesis pair of
+one probe stacked over the axis, and the nonconstant-noise ``OB`` of fig1 and
+fig3 is one optimizer call per sweep.
 fig4's moment engine, fig5a's ``qcb`` and s2's optimizer run once per point,
 on per-point probes, where the benchmark pins their calls per point.
 Defaults follow the canonical working point kappa = 0.01, N_B = 30, M = 1e7
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,8 +84,9 @@ class SweepConfig:
     has one background; an omitted sweep edge or noise model takes the
     preset's default.  ``params`` is the whole sweep:
     the checked scenario (n_s = 0) with the preset's axis field set to the
-    log-spaced sweep, so a bad value or a sweep that leaves the valid range
-    fails here, before any row runs."""
+    log-spaced sweep, so a bad value, a sweep that leaves the valid range or
+    a ``receivers`` label the preset does not draw fails here, before any
+    row runs."""
 
     figure: str
     kappa: float = 0.01
@@ -111,10 +114,12 @@ class SweepConfig:
                 isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf")
             if not (real or value is None and name.startswith("sweep")):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
-        if isinstance(self.receivers, str):
-            raise ConfigError(
-                f"receivers must be a sequence of labels, got the string {self.receivers!r}")
-        _, axis, _, models = _PRESETS[self.figure]
+        if isinstance(self.receivers, str) or not isinstance(self.receivers, Sequence):
+            raise ConfigError(f"receivers must be a sequence of labels, got {self.receivers!r}")
+        _, axis, _, models, labels = _PRESETS[self.figure]
+        unknown = [r for r in self.receivers if r not in labels]
+        if unknown:
+            raise ConfigError(f"unknown receivers {unknown}; available: {sorted(labels)}")
         noise = models[0] if self.noise is None else self.noise
         if noise not in models:
             raise ConfigError(f"{self.figure} is defined for {models[0].value} noise only")
@@ -213,18 +218,22 @@ _HETERODYNE = {
     "separate HTD": heterodyne(obs_bound(0.0, 0.0)),
     "HD product": obs_hd_product(0.0, 0.0),
 }
+_QI_LABELS = ("Coh", "OB", "nOB", "PC", "OPA", "DH")
 # preset -> (row, the ScenarioParams field it sweeps, y label, the noise
-# models the preset is defined for with its default first); the row maps the
-# whole sweep, SweepConfig.params, to {curve label: values}
+# models the preset is defined for with its default first, the curve labels
+# in the row's order); the row maps the whole sweep, SweepConfig.params, to
+# {curve label: values}
 _PRESETS = {
-    "fig1": (_qi_receiver_values, "n_s", "SNR", (_CONSTANT, _NONCONSTANT)),
-    "fig2": (_differences, "n_s", "SNR difference", (_CONSTANT,)),
-    "fig3": (_qi_receiver_values, "n_s", "SNR", (_NONCONSTANT, _CONSTANT)),
-    "fig4": (_heterodyne_snrs, "n_s", "SNR", (_CONSTANT,)),
-    "fig5a": (_cct_over_kappa, "kappa", "SNR", (_CONSTANT, _NONCONSTANT)),
-    "fig5b": (_cct_over_ns, "n_s", "SNR", (_CONSTANT, _NONCONSTANT)),
-    "s1": (_optimal_beta, "n_s", "|beta|", (_CONSTANT,)),
-    "s2": (_optimal_alpha_beta, "n_s", "optimal weight", (_NONCONSTANT,)),
+    "fig1": (_qi_receiver_values, "n_s", "SNR", (_CONSTANT, _NONCONSTANT), _QI_LABELS),
+    "fig2": (_differences, "n_s", "SNR difference", (_CONSTANT,), ("OB-Coh", "PC-Coh")),
+    "fig3": (_qi_receiver_values, "n_s", "SNR", (_NONCONSTANT, _CONSTANT), _QI_LABELS),
+    "fig4": (_heterodyne_snrs, "n_s", "SNR", (_CONSTANT,), ("Coh&HD", *_HETERODYNE)),
+    "fig5a": (_cct_over_kappa, "kappa", "SNR", (_CONSTANT, _NONCONSTANT),
+              ("QCB N_S=1 N_I=1", "O_off N_S=1 N_I=1", "QCB N_S=1 N_I=2", "O_off N_S=1 N_I=2")),
+    "fig5b": (_cct_over_ns, "n_s", "SNR", (_CONSTANT, _NONCONSTANT),
+              ("CCT QCB", "CCT O_off", "Coh QCB")),
+    "s1": (_optimal_beta, "n_s", "|beta|", (_CONSTANT,), ("|beta|",)),
+    "s2": (_optimal_alpha_beta, "n_s", "optimal weight", (_NONCONSTANT,), ("alpha", "beta")),
 }
 FIGURE_NAMES = tuple(_PRESETS)
 
@@ -232,13 +241,9 @@ FIGURE_NAMES = tuple(_PRESETS)
 def run_figure(config: SweepConfig) -> CurveSet:
     """Run one figure preset and return its deterministic curve set: the
     preset's row is called once on the whole sweep, ``config.params``, and
-    each selected label becomes a curve."""
-    row, axis, y_label, _ = _PRESETS[config.figure]
+    each selected label (``SweepConfig`` has checked them) becomes a curve."""
+    row, axis, y_label, _, _ = _PRESETS[config.figure]
     values = row(config.params)
-    if config.receivers:
-        unknown = [r for r in config.receivers if r not in values]
-        if unknown:
-            raise ConfigError(f"unknown receivers {unknown}; available: {sorted(values)}")
     return CurveSet(_AXES[axis][0], y_label, getattr(config.params, axis), {
         label: np.asarray(y, dtype=float) for label, y in values.items()
         if not config.receivers or label in config.receivers})

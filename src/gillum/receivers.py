@@ -217,10 +217,14 @@ def _path_search(g_on: np.ndarray, g_off: np.ndarray, d: np.ndarray) -> np.ndarr
     (1 - sigma) z^2 / w^2.  The optimum is the one sign change of g(lam) =
     lam^2 on - (1 - lam)^2 off on (0, 1): in t = lam / (1 - lam) each term of
     g has derivative 2 sigma (1 - sigma) (t + 1) / (sigma t + 1 - sigma)^3 >= 0,
-    and g'(lam) = 2 sum sigma (1 - sigma) z^2 / w^3 in closed form.  A Newton
-    step on g is taken where it stays inside the row's bracket, bisection
-    elsewhere, until |g| is at round-off level, which collapses the bracket,
-    or the bracket cannot be split.  No endpoint, where G_on or G_off may be
+    and g'(lam) = 2 sum sigma (1 - sigma) z^2 / w^3 in closed form.  The
+    search starts at lam = 1/2, where every w is 1/2, so on = sum sigma z^2,
+    off = sum (1 - sigma) z^2, g = sum (2 sigma - 1) z^2 and g' = 16 sum
+    sigma (1 - sigma) z^2 are plain sums: the first bracket split and Newton
+    step come from them, with no evaluation of the loop.  A Newton step on g
+    is taken where it stays inside the row's bracket, bisection elsewhere,
+    until |g| is at round-off level, which collapses the bracket, or the
+    bracket cannot be split.  No endpoint, where G_on or G_off may be
     singular and w vanish, is ever evaluated: the bracket starts at
     (eps^2, 1), and below eps^2 lam moves no w with sigma < 1 by more than a
     few ulps, nor the direction of x if some sigma is 1.
@@ -235,11 +239,13 @@ def _path_search(g_on: np.ndarray, g_off: np.ndarray, d: np.ndarray) -> np.ndarr
     zz_on, zz_off, zz_dg = sigma * zz, base * zz, 2.0 * sigma * base * zz
     lo, hi = np.full(sigma.shape[:-1], _EPS * _EPS), np.ones(sigma.shape[:-1])
     lam = np.full(sigma.shape[:-1], 0.5)
+    # every w is 1/2 at lam = 1/2, so on, off, g and g' there are plain sums;
+    # w itself is formed as the loop forms it, so a row that stops at 1/2 has
+    # the same bits in any stack
+    w = base + 0.5 * slope
+    on, off = zz_on.sum(-1), zz_off.sum(-1)
+    g, dg = on - off, 8.0 * zz_dg.sum(-1)
     while True:
-        w = base + lam[..., None] * slope
-        ww = w * w
-        on, off = lam * lam * (zz_on / ww).sum(-1), (1.0 - lam) ** 2 * (zz_off / ww).sum(-1)
-        g, dg = on - off, (zz_dg / (ww * w)).sum(-1)
         tol = 4.0 * _EPS * (on + off)  # |g| below this is round-off
         lo, hi = np.where(g > tol, lo, lam), np.where(g < -tol, hi, lam)
         mid = 0.5 * (lo + hi)
@@ -248,6 +254,10 @@ def _path_search(g_on: np.ndarray, g_off: np.ndarray, d: np.ndarray) -> np.ndarr
             break
         step = lam - g / np.where(dg > 0.0, dg, np.inf)  # g is flat if each sigma is 0 or 1
         lam = np.where(live, np.where((lo < step) & (step < hi), step, mid), lam)
+        w = base + lam[..., None] * slope
+        ww = w * w
+        on, off = lam * lam * (zz_on / ww).sum(-1), (1.0 - lam) ** 2 * (zz_off / ww).sum(-1)
+        g, dg = on - off, (zz_dg / (ww * w)).sum(-1)
     return np.linalg.solve(chol.swapaxes(-1, -2), u @ (z / w)[..., None])[..., 0]
 
 

@@ -842,3 +842,35 @@ def zoom_qcb(pair, m_modes: float):
                 f" > {ch._MAX_ERROR:g})")
         s_star[r], exponent[r] = s_r, m_modes * xi
     return s_star, exponent
+
+
+def loop_path_search(g_on: np.ndarray, g_off: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``gillum.receivers._path_search`` as it was before its first Newton
+    step came from closed forms, the reference of that step: the loop
+    evaluates g and g' at lam = 1/2 too, through w = 1 - sigma + lam (2 sigma
+    - 1), which is exactly 1/2 there unless 1 - sigma or 2 sigma - 1 rounds."""
+    eps = np.finfo(float).eps
+    chol = np.linalg.cholesky(g_on + g_off)
+    sigma, u = np.linalg.eigh(
+        np.linalg.solve(chol, np.linalg.solve(chol, g_on).swapaxes(-1, -2)))
+    sigma = np.clip(sigma, 0.0, 1.0)
+    z = (np.linalg.solve(chol, d[..., None]).swapaxes(-1, -2) @ u)[..., 0, :]
+    base, slope = 1.0 - sigma, 2.0 * sigma - 1.0
+    zz = z * z
+    zz_on, zz_off, zz_dg = sigma * zz, base * zz, 2.0 * sigma * base * zz
+    lo, hi = np.full(sigma.shape[:-1], eps * eps), np.ones(sigma.shape[:-1])
+    lam = np.full(sigma.shape[:-1], 0.5)
+    while True:
+        w = base + lam[..., None] * slope
+        ww = w * w
+        on, off = lam * lam * (zz_on / ww).sum(-1), (1.0 - lam) ** 2 * (zz_off / ww).sum(-1)
+        g, dg = on - off, (zz_dg / (ww * w)).sum(-1)
+        tol = 4.0 * eps * (on + off)
+        lo, hi = np.where(g > tol, lo, lam), np.where(g < -tol, hi, lam)
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        step = lam - g / np.where(dg > 0.0, dg, np.inf)
+        lam = np.where(live, np.where((lo < step) & (step < hi), step, mid), lam)
+    return np.linalg.solve(chol.swapaxes(-1, -2), u @ (z / w)[..., None])[..., 0]

@@ -15,7 +15,7 @@ import oracles as orc
 from gillum import (CurveSet, NoiseModel, ScenarioParams, SweepConfig, hypothesis_pair,
                     make_thermal, make_tmsv, qcb, run_figure, to_csv, to_json, to_svg)
 from gillum.emit import emit
-from gillum.figures import ConfigError, NumericalError
+from gillum.figures import _PRESETS, FIGURE_NAMES, ConfigError, NumericalError
 
 
 # child interpreters find the checkout's package without an install
@@ -269,6 +269,28 @@ def test_receiver_subset_selection():
         small("fig1", receivers=("never-heard-of-it",))
 
 
+@pytest.mark.parametrize("figure", FIGURE_NAMES)
+def test_every_preset_draws_its_declared_labels_in_order(figure):
+    *_, models, labels = _PRESETS[figure]
+    for model in models:
+        assert tuple(small(figure, points=3, noise=model).curves) == labels, model
+
+
+def test_cli_refuses_an_unknown_receiver_before_the_row_runs(monkeypatch, capsys):
+    # before: fig5a ran its whole per-point sweep, then exited 2
+    from gillum import cli as climod
+    import gillum.figures as figmod
+
+    def row(params):
+        raise AssertionError("the row ran")
+
+    monkeypatch.setitem(figmod._PRESETS, "fig5a", (row, *figmod._PRESETS["fig5a"][1:]))
+    assert climod.main(["figure", "fig5a", "--receivers", "QCB N_S=1 N_I=1,Nope"]) == 2
+    assert "unknown receivers ['Nope']" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="unknown receivers"):
+        SweepConfig(figure="fig1", receivers=("OB", "CCT QCB"))
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SweepConfig(figure="fig9")
@@ -291,11 +313,13 @@ def test_config_validation():
     ({"figure": "fig1", "points": 2.5}, r"points must be a whole number.*2\.5"),
     ({"figure": "fig1", "points": "5"}, r"points must be a whole number.*'5'"),
     ({"figure": "fig1", "receivers": "OB"}, r"receivers must be a sequence of labels.*'OB'"),
+    ({"figure": "fig1", "receivers": None}, r"receivers must be a sequence of labels.*None"),
 ], ids=["noise-value-string", "noise-bogus", "points-fraction", "points-string",
-        "receivers-string"])
+        "receivers-string", "receivers-none"])
 def test_config_refuses_mistyped_values_by_name(overrides, message):
     # before: a self-contradicting noise message, NumPy's TypeError for
-    # points, and a bare string read letter by letter as receiver labels
+    # points, a bare string read letter by letter as receiver labels, and
+    # receivers=None, which the label check would iterate
     with pytest.raises(ConfigError, match=message):
         SweepConfig(**overrides)
 

@@ -4,6 +4,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -407,6 +408,51 @@ def test_path_search_where_sigma_is_0_or_1():
     for k in range(3):
         assert np.array_equal(x[k], _path_search(g_on[k:k + 1], g_off[k:k + 1],
                                                  d[k:k + 1])[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_path_search_first_step_has_the_bits_of_the_loop_at_one_half():
+    # sigma = 0, 1/4, 1/2, 3/4 or 1 and diagonal Grams, so every w is exactly
+    # 1/2 at lam = 1/2 and the closed-form first step is the loop's own:
+    # g(1/2) within round-off of 0 (row 0: on = off up to an ulp of one z^2),
+    # every sigma 0 or 1 (row 1: g' = 0, bisection), a Newton step below the
+    # bracket (row 2: g = 9.5, g' = 3) and one above it (row 3), and a row
+    # that needs several steps (row 4)
+    g_on = np.array([np.diag([1.0, 0.0, 0.5]), np.diag([1.0, 0.0, 0.0]),
+                     np.diag([3.0, 0.75, 0.5]), np.diag([0.0, 0.25, 0.5]),
+                     np.diag([0.25, 0.75, 1.0])])
+    g_off = np.array([np.diag([0.0, 1.0, 0.5]), np.diag([0.0, 1.0, 1.0]),
+                      np.diag([0.0, 0.25, 0.5]), np.diag([3.0, 0.75, 0.5]),
+                      np.diag([0.75, 0.25, 1.0])])
+    d = np.array([[1.0, 1.0 + 2.0 ** -52, 1.0], [2.0, 1.0, 1.0], [3.0 * math.sqrt(3.0), 1.0, 0.0],
+                  [3.0 * math.sqrt(3.0), 1.0, 0.0], [0.3, 2.0, 1.0]])
+    x = _path_search(g_on, g_off, d)
+    assert x.tobytes() == orc.loop_path_search(g_on, g_off, d).tobytes()
+    # the round-off collapse stops at lam = 1/2: x = ((G_on + G_off) / 2)^-1 d
+    assert np.array_equal(x[0], 2.0 * d[0] / np.diag(g_on[0] + g_off[0]))
+    for k in range(len(d)):
+        assert np.array_equal(x[k], _path_search(g_on[k:k + 1], g_off[k:k + 1],
+                                                 d[k:k + 1])[0])
+
+
+def test_path_search_is_near_the_loop_at_one_half_where_w_rounds():
+    # where 1 - sigma or 2 sigma - 1 rounds, the loop's w at lam = 1/2 is
+    # 1/2 - 2^-54 and the closed-form first step can take another path to
+    # the same sign change: on a wide draw the SNR moves by a few ulps at
+    # most; fig3's sweeps keep every bit of the loop's outputs
+    from gillum import SweepConfig, receivers
+
+    rng = np.random.default_rng(7)
+    kappa, ns, nb = (10.0 ** rng.uniform(lo, hi, 400) for lo, hi in ((-3, 0), (-3, 2), (-3, 2)))
+    sweeps = [params_for(kappa, ns, nb, model=NoiseModel.NONCONSTANT)] + [
+        SweepConfig(figure="fig3", n_b=n_b, kappa=kappa).params for n_b, kappa in
+        ((30.0, 0.01), (100.0, 0.1), (1.0, 1e-3))]
+    got = [optimize_alpha_beta_nonconstant(p) for p in sweeps]
+    with mock.patch.object(receivers, "_path_search", orc.loop_path_search):
+        want = [optimize_alpha_beta_nonconstant(p) for p in sweeps]
+    assert np.all(np.abs(got[0][2] / want[0][2] - 1) <= 8 * np.finfo(float).eps)
+    for g, w in zip(got[1:], want[1:]):
+        assert np.array(g).tobytes() == np.array(w).tobytes()
 
 
 def _log_uniform(lo, hi):

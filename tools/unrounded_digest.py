@@ -51,8 +51,14 @@ used, so the script runs unchanged on any revision that has them:
 
 ``--dump PATH`` also writes every hashed value as one JSON line: its set,
 its index within the set, and ``float.hex()`` of a float or the text of a
-label or refusal.  The digests print as without it, and the dumps of two
-revisions can be compared line by line to list the values that moved.
+label or refusal.  The digests print as without it.
+
+``--diff OLD NEW`` computes no digest: it reads the dumps of two revisions
+and prints, per set, how many of its entries moved (differ in any bit, or
+exist in one dump only) out of the entries in either, and the largest
+relative change |new - old| / |old| among the moved floats:
+
+    python tools/unrounded_digest.py --diff OLD.jsonl NEW.jsonl
 """
 
 from __future__ import annotations
@@ -364,11 +370,48 @@ def _background_axes(digest) -> tuple:
     return results, refusals
 
 
+def _read_dump(path: str) -> dict:
+    """{(set, index): entry} of a ``--dump`` file, each entry its ``hex`` or
+    ``text`` field as written."""
+    with open(path, encoding="utf-8") as fh:
+        return {(e["set"], e["index"]): e for e in map(json.loads, fh)}
+
+
+def _relative_change(old: dict, new: dict) -> float:
+    """|new - old| / |old| of two dumped floats (inf from a zero to a
+    nonzero), or nan where either entry is missing or text."""
+    if "hex" not in old or "hex" not in new:
+        return math.nan
+    a, b = float.fromhex(old["hex"]), float.fromhex(new["hex"])
+    return abs(b - a) / abs(a) if a else (math.inf if b else 0.0)
+
+
+def diff(old_path: str, new_path: str) -> None:
+    """Print, per set of two ``--dump`` files, the moved entries out of all
+    and the largest relative change of a moved float."""
+    old, new = _read_dump(old_path), _read_dump(new_path)
+    keys = sorted(old.keys() | new.keys(), key=lambda key: key[1])
+    for name in dict.fromkeys(entry["set"] for entry in (*old.values(), *new.values())):
+        entries = [(old.get(key, {}), new.get(key, {})) for key in keys if key[0] == name]
+        moved = [pair for pair in entries if pair[0] != pair[1]]
+        changes = [_relative_change(*pair) for pair in moved]
+        floats = [c for c in changes if not math.isnan(c)]
+        print(f"{name}: {len(moved)}/{len(entries)} moved, largest relative change "
+              f"{max(floats, default=0.0):.3g}"
+              + (f", {len(changes) - len(floats)} moved text or unpaired"
+                 if len(floats) < len(changes) else ""))
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", metavar="PATH",
                         help="also write every hashed value to PATH as JSON lines")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --dump files set by set instead")
     args = parser.parse_args(argv)
+    if args.diff:
+        diff(*args.diff)
+        return
     with contextlib.ExitStack() as stack:
         digest = _Digest(stack.enter_context(open(args.dump, "w", encoding="utf-8"))
                          if args.dump else None)
