@@ -12,29 +12,38 @@ b_j^(1-s) with c_ij = |<a_i|b_j>|^2 >= 0 (Audenaert et al., PRL 98, 160501
 (2007); Nussbaum & Szkola, Ann. Stat. 37, 1040 (2009)).  Each term is
 log-linear in s, so Q_s is log-convex and strictly quasi-convex on (0, 1):
 the neighbours of the smallest of a row of evenly spaced samples bracket
-the minimiser.  The search evaluates whole rows of s in one batched call:
-33 samples of (0, 1) first, whose 5 around the smallest predict s* by a
-cubic through log Q.  Float arithmetic alone then narrows the bracket as a
-zoom into the neighbours of each round's argmin would, taking the sample
-nearest the prediction as the argmin, down to a bracket below 1e-3 wide,
-and the second call samples it.  Where the smallest of those samples is
-interior, the minimiser is inside, and a cubic fitted to log Q by least
-squares, which averages the round-off of the samples away, gives it (on
-the edge of the s range, that edge is the minimum); otherwise the row
-zooms on from its first bracket, up to three more calls.
+the minimiser.  The search samples 33 points of s per row in each batched
+overlap call, two calls in the common case:
+
+- Round 1 samples [1e-6, 1 - 1e-6]; a cubic through log Q at the 5
+  samples around the argmin predicts s*.
+- Float arithmetic alone then narrows the bracket of the argmin's
+  neighbours as a zoom into the neighbours of each round's argmin would,
+  taking the sample nearest the prediction as that argmin, down to a
+  bracket below 1e-3 wide; the second call samples it.
+- A row is done where the argmin of those samples is interior, so the
+  minimiser is inside, or sits on the edge of the s range, which is then
+  the minimum.  Any other row zooms on from its round-1 bracket, up to
+  three more calls, while the done rows repeat their samples bit for bit.
+- A cubic fitted by least squares to log Q of a row's last samples gives
+  s* and log Q(s*): averaging over all of them keeps their round-off from
+  selecting the result, and the cubic term keeps the skew of log Q across
+  the bracket from biasing it.  An argmin on the bracket's edge, a sample
+  that underflowed to 0, or a fit without a convex minimum inside the
+  bracket falls back to the sampled minimum.
 
 The search runs on a stack of pairs at once, since log-convexity holds for
 each of them: a sweep is one ``HypothesisPair`` of stacked states,
 ``williamson`` decomposes each of its matrices, ``_PairData`` holds one pair
 per row, each round is one overlap call for all rows on their own brackets,
-and one pass over the rows fits, checks and scales each (identical
-hypotheses give s* = 1/2, exponent 0).  Every step acts on each row alone,
-so a row has the bits of its pair searched alone: ``qcb`` (one pair, floats)
-and ``qcb_sweep`` (a stack, arrays) both call ``_search(pair, m_modes)``, which
-checks the pair, marks its identical rows and builds its ``_PairData`` itself.
-A double Q_s near 1 resolves log Q to a few eps
-only, so a per-copy exponent xi = -log Q(s*) is good to about 64 eps / xi
-relative; where that exceeds 1e-4 the search raises NumericalError.
+and one pass over the rows fits, checks and scales each.  Every step acts on
+each row alone, so a row has the bits of its pair searched alone: ``qcb``
+(one pair, floats) and ``qcb_sweep`` (a stack, arrays) both call ``_search``.
+Rows of identical hypotheses are sampled with the rest and keep s* = 1/2,
+exponent +0.0.  A double Q_s near 1 resolves log Q to a few eps only, so a
+per-copy exponent xi = -log Q(s*) is good to about 64 eps / xi relative;
+where that exceeds 1e-4, or where a sampled minimum is NaN or underflowed to
+0 (a per-copy exponent beyond about 745), the search raises NumericalError.
 
 Williamson bases come from one eigh of the Hermitian i K, K = sqrt(V) Omega
 sqrt(V): an eigenvector x + i y of +nu is orthogonal to its conjugate, so
@@ -263,14 +272,12 @@ class _PairData:
 
 
 def _zoom(data: _PairData, lo: list, hi: list):
-    """Sample _BRACKET evenly spaced points of every row's bracket [lo, hi]
-    in one overlap call, narrow each bracket wider than _STOP_WIDTH to the
-    neighbours of its row's argmin, which bracket the minimiser, and repeat
-    until none is wider; a narrow row keeps its bracket, so its samples
-    repeat.  Returns the last round's samples, overlaps and argmins.
-    Brackets stay per-row Python floats, and each row's samples are formed
-    from them as in a scalar search: broadcasting against bracket columns
-    would cost a one-row search more than the per-row loop costs a sweep."""
+    """The zoom of the search (module docstring) on every row's bracket
+    [lo, hi] until none is wider than _STOP_WIDTH; returns the last round's
+    samples, overlaps and argmins.  Brackets stay per-row Python floats, and
+    each row's samples are formed from them as in a scalar search:
+    broadcasting against bracket columns would cost a one-row search more
+    than the per-row loop costs a sweep."""
     while True:
         s = np.array([np.minimum(a + (b - a) * _UNIT, b) for a, b in zip(lo, hi)])
         q = data.overlap(s)
@@ -284,9 +291,7 @@ def _zoom(data: _PairData, lo: list, hi: list):
 
 
 def _guess(q_r: np.ndarray, i: int) -> float:
-    """s* of a row predicted from its round-1 overlaps ``q_r``, argmin ``i``:
-    the convex stationary point of a least-squares cubic through log Q at the
-    5 samples around i, if it lies within 2 steps of i; else i's own s."""
+    """s* of a row predicted from its round-1 overlaps ``q_r`` and argmin ``i``."""
     if 2 <= i <= _BRACKET - 3 and q_r[i] > 0:
         a3, a2, a1, _ = _GUESS_FIT @ np.log(q_r[i - 2:i + 3])
         disc = a2 * a2 - 3.0 * a3 * a1
@@ -299,9 +304,8 @@ def _guess(q_r: np.ndarray, i: int) -> float:
 
 def _walk(a: float, b: float, guess: float) -> tuple:
     """The bracket ``_zoom`` reaches from [a, b] where each round's argmin is
-    the sample nearest ``guess``, in float arithmetic: each end is formed as
-    ``_zoom`` forms that sample, so it has the zoom's bits where the guess
-    picks the zoom's argmins."""
+    the sample nearest ``guess``: each end is formed as ``_zoom`` forms that
+    sample, so it has the zoom's bits where the guess picks its argmins."""
     while b - a > _STOP_WIDTH:
         k = min(max(round((guess - a) / (b - a) * (_BRACKET - 1)), 0), _BRACKET - 1)
         u, v = _UNIT_S[max(k - 1, 0)], _UNIT_S[min(k + 1, _BRACKET - 1)]
@@ -311,36 +315,10 @@ def _walk(a: float, b: float, guess: float) -> tuple:
 
 def _search(pair: HypothesisPair, m_modes: float):
     """s* and the M-copy exponent -M log min_s Q_s of each pair of the
-    (stacked) ``pair``, as two flat lists; on and off must stack alike.
-
-    Two overlap calls in the common case.  Round 1 samples _BRACKET evenly
-    spaced points of [_S_EDGE, 1 - _S_EDGE] for every row; the neighbours of
-    a row's argmin bracket its minimiser (round 2's bracket of ``_zoom``).  A
-    cubic through log Q at the 5 samples around the argmin predicts s*, and
-    ``_walk`` narrows the bracket around the prediction as the zoom's rounds
-    2 and 3 would, to a bracket at most _STOP_WIDTH wide, whose samples are
-    the second call.  A row is done if the argmin of those samples is
-    interior, so its minimiser lies inside, or sits on the global edge
-    _S_EDGE or 1 - _S_EDGE.  Any other row zooms on from its round-2
-    bracket in ``_zoom`` (up to three more calls) while the done rows keep
-    their brackets and repeat their samples bit for bit, so every row has
-    the bits of its pair searched alone.
-
-    Then a least-squares fit through log Q of a row's last samples gives its
-    minimum: averaging over all of them keeps round-off in the samples from
-    selecting the result, and the cubic term keeps the skew of log Q across
-    the bracket from biasing it.  An argmin on the bracket edge, a sample
-    that underflowed to 0 (beside a minimum that did not), or a fit without
-    a convex minimum inside the bracket falls back to the sampled minimum.
-
-    M must be one whole number >= 1, as in ``ScenarioParams``.
-    Rows of identical hypotheses are sampled with the rest and keep s* = 1/2,
-    exponent +0.0.  A sampled minimum that is NaN, or that underflowed to 0
-    (a per-copy exponent beyond about 745, which would read as inf), raises
-    NumericalError.  A row's per-copy exponent xi = -log Q(s*) carries a
-    relative error near 64 eps / xi (module docstring); where that exceeds
-    _MAX_ERROR the search raises NumericalError.  Each refusal names s and,
-    for a stack, the row: its index in the flattened stack.
+    (stacked) ``pair``, as two flat lists.  On and off must stack alike, and
+    M must be one whole number >= 1, as in ``ScenarioParams``.  Raises
+    NumericalError as the module docstring says, naming s and, for a stack,
+    the row: its index in the flattened stack.
     """
     _check_m_modes(m_modes)
     on, off = pair.on, pair.off
@@ -395,18 +373,9 @@ def _search(pair: HypothesisPair, m_modes: float):
 
 def qcb_sweep(pair: HypothesisPair, m_modes: float) -> QcbResult:
     """Quantum Chernoff bound of every pair of a stacked hypothesis pair, as
-    arrays of the stack's shape, each pair with the bits it has searched alone.
-
-    Q_s is log-convex in s (module docstring), so two batched rounds of 33
-    overlaps find the minimiser: round 1 over [1e-6, 1 - 1e-6] predicts it,
-    and round 2 samples the bracket below 1e-3 wide that zooming around the
-    prediction reaches.  A row whose round-2 argmin is on its bracket's edge
-    (not the range's) zooms on from its round-1 bracket in up to three
-    more rounds, the other rows repeating their samples.  A least-squares
-    cubic through log Q of the last round's samples gives s* and log Q(s*).
-    Rows of identical hypotheses (Q = 1 exactly) go through the same pass
-    and return s* = 1/2 and exponent 0.  Raises NumericalError where double
-    precision cannot resolve an exponent.
+    arrays of the stack's shape, each pair with the bits it has searched
+    alone.  Identical hypotheses give s* = 1/2 and exponent 0; raises
+    NumericalError where double precision cannot resolve an exponent.
     """
     s_star, exponent = _search(pair, m_modes)
     shape = pair.on.mean_q.shape[:-1]
@@ -414,10 +383,8 @@ def qcb_sweep(pair: HypothesisPair, m_modes: float) -> QcbResult:
 
 
 def qcb(pair: HypothesisPair, m_modes: float) -> QcbResult:
-    """Quantum Chernoff bound of one Gaussian hypothesis pair, as floats.
-
-    Like ``qcb_sweep``, it calls ``_search``, here on the pair's one row, so
-    the pair has the bits it has as a row of a sweep."""
+    """Quantum Chernoff bound of one Gaussian hypothesis pair, as floats, with
+    the bits it has as a row of ``qcb_sweep``; a stacked pair is refused."""
     if pair.on.mean_q.ndim != 1:
         raise ValueError("qcb takes one pair; qcb_sweep takes a stack")
     (s_star,), (exponent,) = _search(pair, m_modes)

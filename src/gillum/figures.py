@@ -2,9 +2,10 @@
 
 A preset is one row of ``_PRESETS``: a row function, the ``ScenarioParams``
 field it sweeps (``_AXES`` gives that field's x label and default range), the
-y label, the noise models it is defined for and its curve labels.
-``SweepConfig`` checks the whole sweep, ``params``, and the selected labels
-once before any row runs, and a row maps the sweep to {curve label: values}.
+y label, the noise models it is defined for and its curve labels, the only
+place a curve is named.  ``SweepConfig`` checks the whole sweep, ``params``,
+and the selected labels once before any row runs, and a row maps the sweep
+to its curves' values in label order.
 Closed forms take the sweep as arrays.  Chernoff bounds along an N_S axis
 (fig5b's ``CCT QCB`` and, under nonconstant noise, the coherent ``Coh`` /
 ``Coh QCB``) are one ``qcb_sweep`` call per sweep, on the hypothesis pair of
@@ -152,57 +153,51 @@ def _coherent_baseline_snr(params: ScenarioParams):
     return qcb_sweep(pair, params.m_modes).exponent
 
 
-def _qi_receiver_values(params: ScenarioParams) -> dict:
+def _qi_receiver_values(params: ScenarioParams) -> tuple:
     coh = _coherent_baseline_snr(params)  # first: a sweep it refuses skips the optimizer
     if params.noise_model is NoiseModel.CONSTANT:
         ob = snr_bound_constant(params)
     else:
         ob = optimize_alpha_beta_nonconstant(params)[2]
-    return {"Coh": coh, "OB": ob,
-            "nOB": snr_nearly_bound(params), "PC": snr_closed_pc(params),
-            "OPA": snr_closed_opa(params), "DH": snr_closed_dh(params)}
+    return (coh, ob, snr_nearly_bound(params), snr_closed_pc(params),
+            snr_closed_opa(params), snr_closed_dh(params))
 
 
-def _differences(params: ScenarioParams) -> dict:
-    vals = _qi_receiver_values(params)
-    return {"OB-Coh": vals["OB"] - vals["Coh"], "PC-Coh": vals["PC"] - vals["Coh"]}
+def _differences(params: ScenarioParams) -> tuple:
+    coh = coherent_qcb_closed(params).exponent  # fig2 is constant noise only
+    return snr_bound_constant(params) - coh, snr_closed_pc(params) - coh
 
 
-def _heterodyne_snrs(params: ScenarioParams) -> dict:
+def _heterodyne_snrs(params: ScenarioParams) -> list:
     pairs = [hypothesis_pair(make_tmsv(n), params) for n in params.n_s]
-    return {"Coh&HD": snr_coherent_hd(params), **{
-        label: np.array([snr_generic(obs, pair, params.m_modes) for pair in pairs])
-        for label, obs in _HETERODYNE.items()}}
+    return [snr_coherent_hd(params), *(
+        np.array([snr_generic(obs, pair, params.m_modes) for pair in pairs])
+        for obs in _HETERODYNE.values())]
 
 
-def _cct_over_kappa(params: ScenarioParams) -> dict:
+def _cct_over_kappa(params: ScenarioParams) -> list:
     points = _points(params)
-    out = {}
+    curves = []
     for ns, ni in ((1.0, 1.0), (1.0, 2.0)):
         probe = make_cct(ns, ni)  # fixed along the kappa axis
-        out[f"QCB N_S={ns:g} N_I={ni:g}"] = np.array(
-            [qcb(hypothesis_pair(probe, p), p.m_modes).exponent for p in points])
-        out[f"O_off N_S={ns:g} N_I={ni:g}"] = snr_cct(replace(params, n_s=ns, n_i=ni))
-    return out
+        curves += (np.array([qcb(hypothesis_pair(probe, p), p.m_modes).exponent for p in points]),
+                   snr_cct(replace(params, n_s=ns, n_i=ni)))
+    return curves
 
 
-def _cct_over_ns(params: ScenarioParams) -> dict:
-    return {
-        "CCT QCB": qcb_sweep(hypothesis_pair(make_cct(params.n_s, params.n_s), params),
-                             params.m_modes).exponent,
-        "CCT O_off": snr_cct(replace(params, n_i=params.n_s)),
-        "Coh QCB": _coherent_baseline_snr(params),
-    }
+def _cct_over_ns(params: ScenarioParams) -> tuple:
+    return (qcb_sweep(hypothesis_pair(make_cct(params.n_s, params.n_s), params),
+                      params.m_modes).exponent,
+            snr_cct(replace(params, n_i=params.n_s)), _coherent_baseline_snr(params))
 
 
-def _optimal_beta(params: ScenarioParams) -> dict:
-    return {"|beta|": optimal_beta_closed(params)}
+def _optimal_beta(params: ScenarioParams) -> tuple:
+    return (optimal_beta_closed(params),)
 
 
-def _optimal_alpha_beta(params: ScenarioParams) -> dict:
+def _optimal_alpha_beta(params: ScenarioParams) -> np.ndarray:
     # one optimizer call per point, which the benchmark pins for s2
-    weights = np.array([optimize_alpha_beta_nonconstant(p)[:2] for p in _points(params)])
-    return {"alpha": weights[:, 0], "beta": weights[:, 1]}
+    return np.array([optimize_alpha_beta_nonconstant(p)[:2] for p in _points(params)]).T
 
 
 _CONSTANT, _NONCONSTANT = NoiseModel.CONSTANT, NoiseModel.NONCONSTANT
@@ -220,9 +215,9 @@ _HETERODYNE = {
 }
 _QI_LABELS = ("Coh", "OB", "nOB", "PC", "OPA", "DH")
 # preset -> (row, the ScenarioParams field it sweeps, y label, the noise
-# models the preset is defined for with its default first, the curve labels
-# in the row's order); the row maps the whole sweep, SweepConfig.params, to
-# {curve label: values}
+# models the preset is defined for with its default first, the curve labels);
+# the row maps the whole sweep, SweepConfig.params, to its curves' values in
+# label order, and these labels are the only place a curve is named
 _PRESETS = {
     "fig1": (_qi_receiver_values, "n_s", "SNR", (_CONSTANT, _NONCONSTANT), _QI_LABELS),
     "fig2": (_differences, "n_s", "SNR difference", (_CONSTANT,), ("OB-Coh", "PC-Coh")),
@@ -240,10 +235,12 @@ FIGURE_NAMES = tuple(_PRESETS)
 
 def run_figure(config: SweepConfig) -> CurveSet:
     """Run one figure preset and return its deterministic curve set: the
-    preset's row is called once on the whole sweep, ``config.params``, and
-    each selected label (``SweepConfig`` has checked them) becomes a curve."""
-    row, axis, y_label, _, _ = _PRESETS[config.figure]
-    values = row(config.params)
+    preset's row is called once on the whole sweep, ``config.params``, its
+    values are paired with the preset's labels in order (a row that returns
+    one curve too many or too few raises ValueError), and each selected label
+    (``SweepConfig`` has checked them) becomes a curve."""
+    row, axis, y_label, _, labels = _PRESETS[config.figure]
+    curves = zip(labels, row(config.params), strict=True)
     return CurveSet(_AXES[axis][0], y_label, getattr(config.params, axis), {
-        label: np.asarray(y, dtype=float) for label, y in values.items()
+        label: np.asarray(y, dtype=float) for label, y in curves
         if not config.receivers or label in config.receivers})

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,7 @@ class GaussianState:
 
 def make_vacuum(n_modes: int) -> GaussianState:
     """Vacuum state of ``n_modes >= 1`` modes."""
+    _check_whole(n_modes=n_modes)
     return GaussianState(np.zeros(2 * n_modes), np.zeros((2 * n_modes, 2 * n_modes)))
 
 
@@ -138,8 +140,18 @@ def _check_photons(subject: str, **values) -> None:
             raise ValueError(f"{subject} must be finite and >= 0")
 
 
+def _check_whole(**values) -> None:
+    """Refuse mode indices and counts (by keyword) that are not whole numbers,
+    by name; NumPy integers pass."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _check_mode(mode: int, n_modes: int) -> None:
-    """Refuse a mode index outside 0 <= mode < n_modes (no wrap-around)."""
+    """Refuse a mode index or count that is not a whole number, or an index
+    outside 0 <= mode < n_modes (no wrap-around)."""
+    _check_whole(mode=mode, n_modes=n_modes)
     if not 0 <= mode < n_modes:
         raise ValueError(f"mode {mode} is out of range for {n_modes} mode(s)")
 
@@ -202,11 +214,13 @@ def beam_splitter_matrix(n: int, mode_i: int, mode_j: int, t: float, r: float,
                          phase: float) -> np.ndarray:
     """Real orthogonal symplectic S with r -> S r for the substitution
     a_i -> t a_i + i e^{i phase} r a_j, a_j -> t a_j + i e^{-i phase} r a_i.
-    A NaN or infinite t, r or phase is refused."""
+    A NaN or infinite t, r or phase, or a mode count or index that is not a
+    whole number, is refused."""
     if not abs(t * t + r * r - 1.0) <= 1e-12:  # nan fails too
         raise ValueError("beam splitter requires t^2 + r^2 = 1")
     if not math.isfinite(phase):
         raise ValueError(f"beam splitter phase must be finite, got {phase!r}")
+    _check_whole(n=n, mode_i=mode_i, mode_j=mode_j)
     if mode_i == mode_j or not (0 <= mode_i < n and 0 <= mode_j < n):
         raise ValueError("mode indices must be distinct and in range")
     # i e^{+-i phase} r = -+r sin(phase) + i r cos(phase), as a 2x2 rotation on (x, p)

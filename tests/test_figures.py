@@ -42,6 +42,14 @@ def test_fig2_difference_curves():
     assert np.all(cs.curves["OB-Coh"] >= cs.curves["PC-Coh"] - 1e-9)
 
 
+@pytest.mark.parametrize("n_b, kappa", [(30.0, 0.01), (100.0, 0.1), (1.0, 1e-3)])
+def test_fig2_curves_are_fig1_differences_byte_for_byte(n_b, kappa):
+    fig1 = small("fig1", points=25, n_b=n_b, kappa=kappa).curves
+    fig2 = small("fig2", points=25, n_b=n_b, kappa=kappa).curves
+    assert fig2["OB-Coh"].tobytes() == (fig1["OB"] - fig1["Coh"]).tobytes()
+    assert fig2["PC-Coh"].tobytes() == (fig1["PC"] - fig1["Coh"]).tobytes()
+
+
 def test_fig2_gap_values_at_bright_signal():
     # a sweep whose first point sits exactly at N_S = 7
     cs = run_figure(SweepConfig(figure="fig2", points=2,
@@ -274,6 +282,20 @@ def test_every_preset_draws_its_declared_labels_in_order(figure):
     *_, models, labels = _PRESETS[figure]
     for model in models:
         assert tuple(small(figure, points=3, noise=model).curves) == labels, model
+
+
+@pytest.mark.parametrize("change", [lambda curves: curves[:-1],
+                                    lambda curves: [*curves, curves[-1]]],
+                         ids=["one-too-few", "one-too-many"])
+def test_a_row_that_returns_the_wrong_number_of_curves_raises(monkeypatch, change):
+    # labels and values are paired strictly: a short row no longer drops its
+    # last label, and a long one no longer drops its last curve
+    import gillum.figures as figmod
+
+    row, *rest = figmod._PRESETS["fig1"]
+    monkeypatch.setitem(figmod._PRESETS, "fig1", (lambda p: change(list(row(p))), *rest))
+    with pytest.raises(ValueError, match="zip"):
+        small("fig1", points=3)
 
 
 def test_cli_refuses_an_unknown_receiver_before_the_row_runs(monkeypatch, capsys):

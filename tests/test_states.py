@@ -16,6 +16,7 @@ from gillum import (
     tensor,
     williamson,
 )
+from gillum.observables import obs_number, obs_quadrature
 from gillum.states import beam_splitter_matrix
 
 
@@ -300,6 +301,30 @@ def test_constructors_refuse_non_finite_inputs(bad):
 def test_beam_splitter_matrix_refuses_equal_or_out_of_range_modes(mode_i, mode_j):
     with pytest.raises(ValueError, match="mode indices must be distinct and in range"):
         beam_splitter_matrix(2, mode_i, mode_j, 0.6, 0.8, 0.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: obs_number(0.5, 2), "mode must be a whole number, got 0.5"),
+    (lambda: make_tmsv(0.1).mean_photon(1.0), "mode must be a whole number, got 1.0"),
+    (lambda: obs_quadrature(1.0, 0.3, 2), "mode must be a whole number, got 1.0"),
+    (lambda: obs_number(0, 1.5), "n_modes must be a whole number, got 1.5"),
+    (lambda: obs_number("0", 2), "mode must be a whole number, got '0'"),
+    (lambda: make_vacuum(1.5), "n_modes must be a whole number, got 1.5"),
+    (lambda: beam_splitter_matrix(2, 0.0, 1, 0.6, 0.8, 0.0),
+     "mode_i must be a whole number, got 0.0"),
+], ids=["obs_number-mode", "mean_photon", "obs_quadrature", "obs_number-n_modes",
+        "obs_number-string", "make_vacuum", "beam_splitter_matrix"])
+def test_mode_indices_and_counts_must_be_whole_numbers(call, message):
+    # before: NumPy's IndexError, or a bare TypeError from slicing, shapes or
+    # comparing a string, none of which names the value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integer_modes_pass():
+    assert make_vacuum(np.int64(2)).n_modes == 2
+    assert make_tmsv(0.5).mean_photon(np.int32(1)) == 0.5
+    assert beam_splitter_matrix(np.int64(2), np.int8(0), np.uint8(1), 0.6, 0.8, 0.0).shape == (4, 4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -56,9 +56,10 @@ label or refusal.  The digests print as without it.
 ``--diff OLD NEW`` computes no digest: it reads the dumps of two revisions
 and prints, per set, how many of its entries moved (differ in any bit, or
 exist in one dump only) out of the entries in either, and the largest
-relative change |new - old| / |old| among the moved floats:
+relative change |new - old| / |old| among the moved floats.  It exits 1 if
+any entry moved and 0 if none did, so "no bit moved" is its exit status:
 
-    python tools/unrounded_digest.py --diff OLD.jsonl NEW.jsonl
+    PYTHONPATH=src python tools/unrounded_digest.py --diff OLD.jsonl NEW.jsonl
 """
 
 from __future__ import annotations
@@ -386,23 +387,28 @@ def _relative_change(old: dict, new: dict) -> float:
     return abs(b - a) / abs(a) if a else (math.inf if b else 0.0)
 
 
-def diff(old_path: str, new_path: str) -> None:
+def diff(old_path: str, new_path: str) -> int:
     """Print, per set of two ``--dump`` files, the moved entries out of all
-    and the largest relative change of a moved float."""
+    and the largest relative change of a moved float; return the count of
+    moved entries."""
     old, new = _read_dump(old_path), _read_dump(new_path)
     keys = sorted(old.keys() | new.keys(), key=lambda key: key[1])
+    total = 0
     for name in dict.fromkeys(entry["set"] for entry in (*old.values(), *new.values())):
         entries = [(old.get(key, {}), new.get(key, {})) for key in keys if key[0] == name]
         moved = [pair for pair in entries if pair[0] != pair[1]]
+        total += len(moved)
         changes = [_relative_change(*pair) for pair in moved]
         floats = [c for c in changes if not math.isnan(c)]
         print(f"{name}: {len(moved)}/{len(entries)} moved, largest relative change "
               f"{max(floats, default=0.0):.3g}"
               + (f", {len(changes) - len(floats)} moved text or unpaired"
                  if len(floats) < len(changes) else ""))
+    return total
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
+    """Run the command line; return its exit status."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", metavar="PATH",
                         help="also write every hashed value to PATH as JSON lines")
@@ -410,8 +416,7 @@ def main(argv=None) -> None:
                         help="compare two --dump files set by set instead")
     args = parser.parse_args(argv)
     if args.diff:
-        diff(*args.diff)
-        return
+        return 1 if diff(*args.diff) else 0
     with contextlib.ExitStack() as stack:
         digest = _Digest(stack.enter_context(open(args.dump, "w", encoding="utf-8"))
                          if args.dump else None)
@@ -432,7 +437,8 @@ def main(argv=None) -> None:
         results, b_refusals = digest.run(_background_axes)
         print(f"then {results} n_b-axis results ({b_refusals} refused)")
         print(digest.hexdigest())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
