@@ -56,9 +56,11 @@ class GaussianState:
         if not mean_q.size:
             raise ValueError("mean_q and cov_n must not be an empty stack of states")
         asym = np.abs(cov_n - cov_n.swapaxes(-1, -2))  # per matrix, relative to its top entry
-        if asym.max() > _SYM_TOL and (asym.max(axis=(-2, -1)) > _SYM_TOL * np.maximum(
-                np.abs(cov_n).max(axis=(-2, -1)), 1.0)).any():
-            raise ValueError("cov_n is not symmetric")
+        if asym.max() > _SYM_TOL:
+            worst = asym.max(axis=(-2, -1))  # an infinite one counts, though its bound is inf too
+            if ((worst > _SYM_TOL * np.maximum(np.abs(cov_n).max(axis=(-2, -1)), 1.0))
+                    | (worst == math.inf)).any():
+                raise ValueError("cov_n is not symmetric")
         mean_q.setflags(write=False)
         cov_n.setflags(write=False)
         object.__setattr__(self, "mean_q", mean_q)
@@ -86,6 +88,8 @@ class GaussianState:
 def make_vacuum(n_modes: int) -> GaussianState:
     """Vacuum state of ``n_modes >= 1`` modes."""
     _check_whole(n_modes=n_modes)
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be a whole number >= 1, got {n_modes!r}")
     return GaussianState(np.zeros(2 * n_modes), np.zeros((2 * n_modes, 2 * n_modes)))
 
 

@@ -244,6 +244,16 @@ def test_symmetry_check_is_per_matrix_in_a_stack():
             GaussianState(np.zeros(stack.shape[:-1]), stack)
 
 
+def test_an_infinite_asymmetry_is_not_symmetric():
+    # before: the per-matrix bound, 1e-10 times an infinite top entry, was
+    # infinite too, so this cov_n built silently, alone or inside a stack
+    lopsided = np.array([[1.0, np.inf], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        GaussianState(np.zeros(2), lopsided)
+    with pytest.raises(ValueError, match="not symmetric"):
+        GaussianState(np.zeros((2, 2)), np.stack([np.eye(2), lopsided]))
+
+
 def test_stack_shapes_are_checked():
     GaussianState(np.zeros((3, 4)), np.zeros((3, 4, 4)))
     for mean_q, cov_n in ((np.zeros((3, 4)), np.zeros((2, 4, 4))),
@@ -319,6 +329,14 @@ def test_mode_indices_and_counts_must_be_whole_numbers(call, message):
     # comparing a string, none of which names the value
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("n_modes", [-1, 0])
+def test_make_vacuum_refuses_a_mode_count_below_one_by_name(n_modes):
+    # before: NumPy's "negative dimensions are not allowed" for -1, and the
+    # GaussianState shape message for 0
+    with pytest.raises(ValueError, match=f"^n_modes must be a whole number >= 1, got {n_modes}$"):
+        make_vacuum(n_modes)
 
 
 def test_numpy_integer_modes_pass():

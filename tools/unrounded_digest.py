@@ -44,8 +44,13 @@ background axis:
   TMSV, CCT or coherent probe, single or stacked one row per entry.  A
   revision whose ``ScenarioParams`` takes one scalar n_b refuses them all.
 
-A refusal enters as its exception type and message.  Only public names are
-used, so the script runs unchanged on any revision that has them:
+Each set is a generator of seeded cases, each case a call that returns the
+values to feed and the count they add; ``DIGESTS`` lists the sets of each
+digest in feed order, and a new set is one generator and one entry there.
+A case that raises one of its set's refusal types enters as the exception
+type and message.  One line per set reports its count and refusals, and
+each digest follows its sets.  Only public names are used, so the script
+runs unchanged on any revision that has them:
 
     PYTHONPATH=src python tools/unrounded_digest.py [--dump PATH]
 
@@ -92,24 +97,40 @@ AXES = 60
 class _Digest:
     """One SHA-256 over the values fed to it: the raw bytes of float64s, and
     text (labels, refusals) as UTF-8.  With a ``dump`` file it also writes
-    each value as one JSON line: its set (the function that fed it), its
-    index within the set, and ``float.hex()`` or the text."""
+    each value as one JSON line: its set, its index within the set, and
+    ``float.hex()`` or the text."""
 
     def __init__(self, dump=None):
         self._sha, self._dump, self._set, self._index = hashlib.sha256(), dump, "", 0
 
-    def run(self, feed):
-        """``feed(self)``, its values dumped under the set ``feed``'s name."""
-        self._set, self._index = feed.__name__.lstrip("_"), 0
-        return feed(self)
+    def feed(self, name: str, cases, refusals: tuple) -> tuple:
+        """Feed the set ``name``.  Each case is called before the next is
+        drawn and returns its values (text, or floats and arrays of them) and
+        the count they add; a case that raises one of ``refusals`` is fed as
+        the exception's type and message instead.  Return the count and the
+        number of refusals."""
+        self._set, self._index = name, 0
+        count = refused = 0
+        for case in cases:
+            try:
+                values, added = case()
+            except refusals as exc:
+                values, added, refused = [f"{type(exc).__name__}: {exc}"], 0, refused + 1
+            for value in values:
+                if isinstance(value, str):
+                    self._text(value)
+                else:
+                    self._floats(value)
+            count += added
+        return count, refused
 
-    def floats(self, values) -> None:
+    def _floats(self, values) -> None:
         values = np.asarray(values, dtype=float)
         self._sha.update(values.tobytes())
         for value in values.ravel().tolist() if self._dump else ():
             self._write("hex", value.hex())
 
-    def text(self, text: str) -> None:
+    def _text(self, text: str) -> None:
         self._sha.update(text.encode())
         if self._dump:
             self._write("text", text)
@@ -122,35 +143,35 @@ class _Digest:
         return self._sha.hexdigest()
 
 
-def _curves(digest) -> int:
-    """Feed every preset curve to ``digest``; return the count of values."""
-    count = 0
+def _curves():
+    """Every preset's curves, one case per preset, noise model and scenario,
+    counting curve values."""
     for figure in FIGURE_NAMES:
         for model in NoiseModel:
             for overrides in SCENARIOS:
-                try:
+                header = f"{figure} {model.value} {sorted(overrides.items())}"
+                with contextlib.suppress(ConfigError):  # a noise model the preset lacks
                     config = SweepConfig(figure, points=25, noise=model, **overrides)
-                except ConfigError:  # a noise model the preset is not defined for
-                    continue
-                curves = run_figure(config)
-                digest.text(f"{figure} {model.value} {sorted(overrides.items())}")
-                digest.floats(curves.x)
-                for label, y in curves.curves.items():
-                    digest.text(label)
-                    digest.floats(y)
-                    count += y.size
-    return count
+                    yield lambda: _curve_values(run_figure(config), header)
+
+
+def _curve_values(curves, header: str) -> tuple:
+    """The header, x, and each label and its curve; the count of curve values."""
+    return ([header, curves.x, *(value for item in curves.curves.items() for value in item)],
+            sum(y.size for y in curves.curves.values()))
 
 
 def _log_uniform(rng, lo: float, hi: float) -> float:
     return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
-def _qcb_cases(digest) -> tuple:
-    """Feed QCB_CASES seeded one-pair ``qcb`` results to ``digest``; return
-    the counts of results and refusals."""
+def _bound_values(result) -> tuple:
+    return result.s_star, result.exponent
+
+
+def _qcb_cases():
+    """QCB_CASES seeded one-pair ``qcb`` results."""
     rng = np.random.default_rng(SEED)
-    results = refusals = 0
     for case in range(QCB_CASES):
         n_s, n_i, n_b = (_log_uniform(rng, 1e-3, 1e2) for _ in range(3))
         params = ScenarioParams(kappa=_log_uniform(rng, 1e-6, 0.9), n_s=n_s, n_i=n_i, n_b=n_b,
@@ -162,24 +183,11 @@ def _qcb_cases(digest) -> tuple:
             probe = make_cct(n_s, n_i)
         else:
             probe = make_coherent(math.sqrt(n_s) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-        try:
-            result = qcb(hypothesis_pair(probe, params), m_modes)
-        except NumericalError as exc:
-            digest.text(f"{type(exc).__name__}: {exc}")
-            refusals += 1
-            continue
-        digest.floats([result.s_star, result.exponent])
-        results += 1
-    return results, refusals
+        yield lambda: (_bound_values(qcb(hypothesis_pair(probe, params), m_modes)), 1)
 
 
 def _stack(states: list) -> GaussianState:
     return GaussianState(np.stack([s.mean_q for s in states]), np.stack([s.cov_n for s in states]))
-
-
-def _refusal(digest, exc: Exception) -> int:
-    digest.text(f"{type(exc).__name__}: {exc}")
-    return 1
 
 
 def _two_mode_row(rng):
@@ -207,11 +215,9 @@ def _one_mode_row(rng) -> GaussianState:
     return GaussianState(np.zeros(2), np.diag([np.expm1(2 * r) / 2, np.expm1(-2 * r) / 2]))
 
 
-def _williamson_stacks(digest) -> tuple:
-    """Feed STACKS seeded mixed-route ``williamson`` stacks to ``digest``;
-    return the counts of decomposed matrices and refusals."""
+def _williamson_stacks():
+    """STACKS seeded mixed-route ``williamson`` stacks, counting matrices."""
     rng = np.random.default_rng(SEED + 1)
-    matrices = refusals = 0
     for case in range(STACKS):
         rows = int(rng.integers(2, 8))
         if case % 3 == 2:
@@ -222,41 +228,23 @@ def _williamson_stacks(digest) -> tuple:
                 probe, params = _two_mode_row(rng)
                 pair = hypothesis_pair(probe, params)
                 states.append((probe, pair.on, pair.off)[int(rng.choice(3, p=[0.3, 0.5, 0.2]))])
-        try:
-            nu, s = williamson(_stack(states))
-        except ValueError as exc:
-            refusals += _refusal(digest, exc)
-            continue
-        digest.floats(nu)
-        digest.floats(s)
-        matrices += rows
-    return matrices, refusals
+        yield lambda: (williamson(_stack(states)), rows)
 
 
-def _sweeps(digest) -> tuple:
-    """Feed STACKS seeded ``qcb_sweep`` results of mixed-route pair stacks to
-    ``digest``; return the counts of rows and refused stacks."""
+def _sweeps():
+    """STACKS seeded ``qcb_sweep`` results of mixed-route pair stacks,
+    counting rows."""
     rng = np.random.default_rng(SEED + 2)
-    results = refusals = 0
     for _ in range(STACKS):
         pairs = [hypothesis_pair(*_two_mode_row(rng)) for _ in range(int(rng.integers(2, 8)))]
         stacked = HypothesisPair(_stack([p.on for p in pairs]), _stack([p.off for p in pairs]))
-        try:
-            result = qcb_sweep(stacked, int(rng.integers(1, 10 ** 6)))
-        except NumericalError as exc:
-            refusals += _refusal(digest, exc)
-            continue
-        digest.floats(result.s_star)
-        digest.floats(result.exponent)
-        results += len(pairs)
-    return results, refusals
+        m_modes = int(rng.integers(1, 10 ** 6))
+        yield lambda: (_bound_values(qcb_sweep(stacked, m_modes)), len(pairs))
 
 
-def _corners(digest) -> tuple:
-    """Feed CORNERS seeded near-pure one-pair ``qcb`` results to ``digest``;
-    return the counts of results and refusals."""
+def _corners():
+    """CORNERS seeded near-pure one-pair ``qcb`` results."""
     rng = np.random.default_rng(SEED + 3)
-    results = refusals = 0
     for case in range(CORNERS):
         model = list(NoiseModel)[int(rng.integers(2))]
         n_b = 0.0 if rng.uniform() < 0.25 else _log_uniform(rng, 1e-9, 1e-3)
@@ -268,21 +256,13 @@ def _corners(digest) -> tuple:
         params = ScenarioParams(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b, noise_model=model)
         probe = (make_tmsv(n_s), make_cct(n_s, n_i),
                  make_coherent(math.sqrt(n_s) * np.exp(1j * rng.uniform(0, 2 * math.pi))))[case % 3]
-        try:
-            result = qcb(hypothesis_pair(probe, params), int(rng.integers(1, 1000)))
-        except NumericalError as exc:
-            refusals += _refusal(digest, exc)
-            continue
-        digest.floats([result.s_star, result.exponent])
-        results += 1
-    return results, refusals
+        m_modes = int(rng.integers(1, 1000))
+        yield lambda: (_bound_values(qcb(hypothesis_pair(probe, params), m_modes)), 1)
 
 
-def _kappa_axes(digest) -> tuple:
-    """Feed AXES seeded kappa-axis ``qcb_sweep`` results to ``digest``; return
-    the counts of rows and refused stacks."""
+def _kappa_axes():
+    """AXES seeded kappa-axis ``qcb_sweep`` results, counting rows."""
     rng = np.random.default_rng(SEED + 4)
-    results = refusals = 0
     for case in range(AXES):
         model = list(NoiseModel)[int(rng.integers(2))]
         top = 1.0 if model is NoiseModel.NONCONSTANT else 0.0  # constant noise: no kappa = 1
@@ -296,15 +276,9 @@ def _kappa_axes(digest) -> tuple:
                  make_coherent(np.sqrt(n_s) * np.exp(1j * rng.uniform(0, 2 * math.pi))))[case % 3]
         params = ScenarioParams(kappa=kappa, n_s=n_s, n_b=_log_uniform(rng, 1e-3, 1e2),
                                 noise_model=model)
-        try:
-            result = qcb_sweep(hypothesis_pair(probe, params), int(rng.integers(1, 10 ** 6)))
-        except (ValueError, NumericalError) as exc:
-            refusals += _refusal(digest, exc)
-            continue
-        digest.floats(result.s_star)
-        digest.floats(result.exponent)
-        results += kappa.size
-    return results, refusals
+        m_modes = int(rng.integers(1, 10 ** 6))
+        yield lambda: (_bound_values(qcb_sweep(hypothesis_pair(probe, params), m_modes)),
+                       kappa.size)
 
 
 def _closed_forms(model: NoiseModel) -> list:
@@ -317,26 +291,10 @@ def _closed_forms(model: NoiseModel) -> list:
                     lambda p: _bound_values(coherent_qcb_closed(p))]
 
 
-def _bound_values(result) -> tuple:
-    return result.s_star, result.exponent
-
-
-def _result(digest, form, params) -> int:
-    """Feed the float64 bytes of ``form(params)`` to ``digest``, or its
-    refusal; return 1 for a refusal and 0 otherwise."""
-    try:
-        result = form(params)
-    except (ValueError, NumericalError) as exc:
-        return _refusal(digest, exc)
-    digest.floats(result)
-    return 0
-
-
-def _background_axes(digest) -> tuple:
-    """Feed AXES seeded n_b-axis scenarios to ``digest``: each closed form and
-    one ``qcb_sweep``; return the counts of results and refusals."""
+def _background_axes():
+    """AXES seeded n_b-axis scenarios, one result per closed form and one
+    ``qcb_sweep``; each case builds its own ``ScenarioParams``."""
     rng = np.random.default_rng(SEED + 5)
-    results = refusals = 0
     for case in range(AXES):
         model = list(NoiseModel)[int(rng.integers(2))]
         n_b = np.array([0.0 if rng.uniform() < 0.2 else _log_uniform(rng, 1e-3, 1e2)
@@ -358,17 +316,10 @@ def _background_axes(digest) -> tuple:
         phase = rng.uniform(0, 2 * math.pi)
         probe = (make_tmsv, lambda x: make_cct(x, n_i),
                  lambda x: make_coherent(np.sqrt(x) * np.exp(1j * phase)))[case // 3 % 3]
-        try:
-            params = ScenarioParams(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b, m_modes=m_modes,
-                                    noise_model=model)
-        except ValueError as exc:
-            refusals += _refusal(digest, exc)
-            continue
+        fields = dict(kappa=kappa, n_s=n_s, n_i=n_i, n_b=n_b, m_modes=m_modes, noise_model=model)
         for form in _closed_forms(model) + [
                 lambda p: _bound_values(qcb_sweep(hypothesis_pair(probe(n), p), p.m_modes))]:
-            refused = _result(digest, form, params)
-            results, refusals = results + 1 - refused, refusals + refused
-    return results, refusals
+            yield lambda: ([form(ScenarioParams(**fields))], 1)
 
 
 def _read_dump(path: str) -> dict:
@@ -407,6 +358,17 @@ def diff(old_path: str, new_path: str) -> int:
     return total
 
 
+# Each chained digest's sets in feed order: (cases, the exception types fed as
+# refusals, what the count counts).
+DIGESTS = (
+    ((_curves, (), "values"), (_qcb_cases, (NumericalError,), "results")),
+    ((_williamson_stacks, (ValueError,), "matrices"), (_sweeps, (NumericalError,), "rows"),
+     (_corners, (NumericalError,), "results")),
+    ((_kappa_axes, (ValueError, NumericalError), "rows"),),
+    ((_background_axes, (ValueError, NumericalError), "results"),),
+)
+
+
 def main(argv=None) -> int:
     """Run the command line; return its exit status."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -417,26 +379,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.diff:
         return 1 if diff(*args.diff) else 0
-    with contextlib.ExitStack() as stack:
-        digest = _Digest(stack.enter_context(open(args.dump, "w", encoding="utf-8"))
-                         if args.dump else None)
-        values = digest.run(_curves)
-        results, refusals = digest.run(_qcb_cases)
-        print(f"{values} curve values, {results} qcb results, {refusals} refusals")
-        print(digest.hexdigest())
-        matrices, w_refusals = digest.run(_williamson_stacks)
-        rows, s_refusals = digest.run(_sweeps)
-        corners, c_refusals = digest.run(_corners)
-        print(f"then {matrices} williamson matrices ({w_refusals} stacks refused), {rows} "
-              f"qcb_sweep rows ({s_refusals} stacks refused), {corners} corner results "
-              f"({c_refusals} refused)")
-        print(digest.hexdigest())
-        rows, a_refusals = digest.run(_kappa_axes)
-        print(f"then {rows} kappa-axis qcb_sweep rows ({a_refusals} stacks refused)")
-        print(digest.hexdigest())
-        results, b_refusals = digest.run(_background_axes)
-        print(f"then {results} n_b-axis results ({b_refusals} refused)")
-        print(digest.hexdigest())
+    with open(args.dump, "w", encoding="utf-8") if args.dump else contextlib.nullcontext() as dump:
+        digest = _Digest(dump)
+        for sets in DIGESTS:
+            for cases, refusals, unit in sets:
+                name = cases.__name__.lstrip("_")
+                count, refused = digest.feed(name, cases(), refusals)
+                print(f"{name}: {count} {unit}, {refused} refused")
+            print(digest.hexdigest())
     return 0
 
 
