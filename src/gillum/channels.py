@@ -98,10 +98,15 @@ def _check_m_modes(m_modes) -> None:
 
 @dataclass(frozen=True)
 class HypothesisPair:
-    """Output states under target present (on) and absent (off)."""
+    """Output states under target present (on) and absent (off), of one mode
+    count and stack shape."""
 
     on: GaussianState
     off: GaussianState
+
+    def __post_init__(self):
+        if self.on.mean_q.shape != self.off.mean_q.shape:
+            raise ValueError("hypotheses must have the same mode count and stack shape")
 
 
 def _received_noise(params: ScenarioParams, kappa: float) -> float:

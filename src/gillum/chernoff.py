@@ -123,8 +123,9 @@ def williamson(state: GaussianState):
     It is the package's one purity test: an error E ~ eps lambda_max(cov_q)
     moves 2 nu_k by up to 2 |E| tr(s P_k s^T), P_k the projector on mode k;
     2 nu_k that close to 1 is returned as 1/2 (s unchanged), below that raises.
-    A non-finite entry raises too.  A stack of states gives nu (..., n) and
-    s (..., 2n, 2n), every matrix with the bits of its own call.
+    A state's cov_n is finite, as ``GaussianState`` checks when it is built.
+    A stack of states gives nu (..., n) and s (..., 2n, 2n), every matrix
+    with the bits of its own call.
 
     An ``lru_cache`` of ``(cov_n.shape, cov_n.tobytes())`` keeps the last
     _MEMO_SIZE (8) distinct ``cov_n``: a hit returns the bits a fresh call
@@ -142,11 +143,9 @@ def _decompose_bytes(shape: tuple, data: bytes):
 
 
 def _decompose(cov_q: np.ndarray):
-    """``williamson`` without its memo on a finite covariance or a stack, then the
+    """``williamson`` without its memo on a covariance or a stack, then the
     purity rule: ``_symplectic_basis`` fits any matrix, and ``_orthogonal_basis``
     is written over the phase-insensitive ones (alone if all of them are)."""
-    if not np.isfinite(cov_q).all():
-        raise ValueError("covariance must be finite")
     plain = _phase_insensitive(cov_q)
     nus, s, top = (_orthogonal_basis if plain.all() else _symplectic_basis)(cov_q)
     if plain.any() and not plain.all():
@@ -315,15 +314,14 @@ def _walk(a: float, b: float, guess: float) -> tuple:
 
 def _search(pair: HypothesisPair, m_modes: float):
     """s* and the M-copy exponent -M log min_s Q_s of each pair of the
-    (stacked) ``pair``, as two flat lists.  On and off must stack alike, and
-    M must be one whole number >= 1, as in ``ScenarioParams``.  Raises
-    NumericalError as the module docstring says, naming s and, for a stack,
-    the row: its index in the flattened stack.
+    (stacked) ``pair``, as two flat lists.  On and off stack alike, as
+    ``HypothesisPair`` checks when it is built, and M must be one whole
+    number >= 1, as in ``ScenarioParams``.  Raises NumericalError as the
+    module docstring says, naming s and, for a stack, the row: its index in
+    the flattened stack.
     """
     _check_m_modes(m_modes)
     on, off = pair.on, pair.off
-    if on.mean_q.shape != off.mean_q.shape:
-        raise ValueError("hypotheses must have the same mode count and stack shape")
     live = ((on.cov_n != off.cov_n).any(axis=(-2, -1))
             | (on.mean_q != off.mean_q).any(axis=-1)).ravel().tolist()
     data = _PairData(pair)

@@ -19,6 +19,7 @@ settings (``PC_MU``/``PC_NU``, ``OPA_GAIN``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,8 @@ class QuadraticObservable:
     _has_lin: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.c0, numbers.Real):  # float() would read "1.5"
+            raise ValueError(f"c0 must be a real number, got {self.c0!r}")
         if np.iscomplexobj(self.h) or np.iscomplexobj(self.lin):
             raise ValueError("h and lin must be real")
         c0 = float(self.c0)

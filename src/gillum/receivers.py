@@ -162,8 +162,11 @@ def optimal_beta_closed(params: ScenarioParams) -> float:
     (N_S + 1) sqrt(g N_S) without ``**`` (pow for a scalar, not for an
     array), so a sweep entry has the bits of its point call; converges to
     sqrt(kappa) for large N_S.  Singular at kappa N_S = 0, where callers
-    fall back to beta = 0.
+    fall back to beta = 0.  A nonconstant-noise scenario is refused: its
+    weights are ``optimize_alpha_beta_nonconstant``'s.
     """
+    if params.noise_model is not NoiseModel.CONSTANT:
+        raise ValueError("optimal_beta_closed requires the constant noise model")
     ns, nb, kappa = params.n_s, params.n_b, params.kappa
     if np.any(kappa * ns <= 0.0):
         raise ValueError("optimal beta is singular at kappa * n_s = 0")

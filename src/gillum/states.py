@@ -7,7 +7,8 @@ ordered covariance ``cov_n = cov_q - I/2``, cov_q the symmetrized covariance:
 0 for vacuum and ``n I`` for a thermal mode of mean n, so photon numbers are
 stored as written, without a round trip through n + 1/2.  Any real
 symmetric cov_n gives Hermitian quadrature moments with [x, p] = i, so
-construction checks shape and symmetry only; physicality (symplectic
+construction checks shape and that cov_n is finite and symmetric only (one
+test: a NaN or infinite entry fails the symmetry test); physicality (symplectic
 eigenvalues >= 1/2) is tested by :func:`gillum.chernoff.williamson` alone.
 Observables read these arrays directly; no mode-operator moments are derived.
 
@@ -55,12 +56,14 @@ class GaussianState:
             raise ValueError("mean_q must have shape (..., 2n), n >= 1, and cov_n (..., 2n, 2n)")
         if not mean_q.size:
             raise ValueError("mean_q and cov_n must not be an empty stack of states")
-        asym = np.abs(cov_n - cov_n.swapaxes(-1, -2))  # per matrix, relative to its top entry
-        if asym.max() > _SYM_TOL:
-            worst = asym.max(axis=(-2, -1))  # an infinite one counts, though its bound is inf too
-            if ((worst > _SYM_TOL * np.maximum(np.abs(cov_n).max(axis=(-2, -1)), 1.0))
-                    | (worst == math.inf)).any():
-                raise ValueError("cov_n is not symmetric")
+        # per matrix, relative to its top entry; a NaN or infinite entry of
+        # cov_n gives a NaN or infinite asymmetry there, which fails both stages
+        asym = np.abs(cov_n - cov_n.swapaxes(-1, -2))
+        if not asym.max() <= _SYM_TOL:
+            worst = asym.max(axis=(-2, -1))  # an infinite one fails, though its bound is inf too
+            if not ((worst <= _SYM_TOL * np.maximum(np.abs(cov_n).max(axis=(-2, -1)), 1.0))
+                    & (worst < math.inf)).all():
+                raise ValueError("cov_n is not symmetric or not finite")
         mean_q.setflags(write=False)
         cov_n.setflags(write=False)
         object.__setattr__(self, "mean_q", mean_q)
@@ -76,13 +79,18 @@ class GaussianState:
         return self.cov_n + 0.5 * np.eye(self.mean_q.shape[-1])
 
     def mean_photon(self, mode: int) -> float:
-        """Total <a^dag a> of one mode, including the first-moment part."""
+        """Total <a^dag a> of one mode, including the first-moment part; a
+        non-finite one (from a NaN or infinite mean_q, which construction does
+        not check) is refused."""
         if self.mean_q.ndim != 1:
             raise ValueError("mean_photon takes one state, not a stack of states")
         _check_mode(mode, self.n_modes)
         c, x, p = self.cov_n, self.mean_q[2 * mode], self.mean_q[2 * mode + 1]
-        return float(0.5 * (c[2 * mode, 2 * mode] + c[2 * mode + 1, 2 * mode + 1]
-                            + x * x + p * p))
+        n = float(0.5 * (c[2 * mode, 2 * mode] + c[2 * mode + 1, 2 * mode + 1]
+                         + x * x + p * p))
+        if not math.isfinite(n):
+            raise ValueError(f"mean photon number of mode {mode} is not finite, got {n}")
+        return n
 
 
 def make_vacuum(n_modes: int) -> GaussianState:

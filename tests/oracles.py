@@ -46,17 +46,6 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
-def thermal_dm(n_mean: float, dim: int) -> np.ndarray:
-    if n_mean == 0:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
-    n = np.arange(dim)
-    p = (n_mean / (1.0 + n_mean)) ** n / (1.0 + n_mean)
-    rho = np.diag(p).astype(complex)
-    return rho / np.trace(rho).real
-
-
 def coherent_vec(alpha: complex, dim: int) -> np.ndarray:
     n = np.arange(dim)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
@@ -66,15 +55,6 @@ def coherent_vec(alpha: complex, dim: int) -> np.ndarray:
         vec = np.zeros(dim, dtype=complex)
         vec[0] = 1.0
     return vec
-
-
-def tmsv_vec(n_s: float, dim: int) -> np.ndarray:
-    """Two-mode squeezed vacuum Schmidt vector on a dim x dim grid."""
-    n = np.arange(dim)
-    coeff = np.sqrt(n_s**n / (1.0 + n_s) ** (n + 1))
-    vec = np.zeros((dim, dim), dtype=complex)
-    vec[n, n] = coeff
-    return vec.reshape(-1)
 
 
 def beam_splitter_blocks(theta: float, phase: float, n_total_max: int):
@@ -96,21 +76,6 @@ def beam_splitter_blocks(theta: float, phase: float, n_total_max: int):
             h[k, k + 1] += np.exp(-1j * phase) * amp
         blocks.append(expm(1j * theta * h))
     return blocks
-
-
-def bs_unitary(dim_i: int, dim_j: int, theta: float, phase: float) -> np.ndarray:
-    """Dense two-mode beam-splitter unitary (states outside the grid dropped)."""
-    blocks = beam_splitter_blocks(theta, phase, dim_i + dim_j - 2)
-    u = np.zeros((dim_i * dim_j, dim_i * dim_j), dtype=complex)
-    for ki in range(dim_i):
-        for kj in range(dim_j):
-            total = ki + kj
-            for ko in range(total + 1):
-                jo = total - ko
-                if ko >= dim_i or jo >= dim_j:
-                    continue
-                u[ko * dim_j + jo, ki * dim_j + kj] = blocks[total][ko, ki]
-    return u
 
 
 def loss_channel_kraus(dim: int, kappa: float, env_mean: float,

@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import oracles as orc
 from gillum import (
     GaussianState,
+    HypothesisPair,
     NoiseModel,
     ScenarioParams,
     apply_target,
@@ -21,9 +22,11 @@ from gillum import (
     make_coherent,
     make_thermal,
     make_tmsv,
+    make_vacuum,
     obs_number,
     obs_quadrature,
     stats,
+    tensor,
     williamson,
 )
 
@@ -333,6 +336,17 @@ def test_apply_target_bits_equal_the_outer_product_formula(model):
                     ref = orc.target_channel_formula(probe, params, present)
                     assert got.mean_q.tobytes() == ref.mean_q.tobytes()
                     assert got.cov_n.tobytes() == ref.cov_n.tobytes()
+
+
+def test_hypothesis_pair_refuses_hypotheses_that_do_not_match():
+    # before: only the Chernoff search checked, so snr_generic of a one-mode
+    # on state against a two-mode off state silently returned 0.335
+    one, two = make_thermal(2.0), tensor(make_thermal(1.0), make_vacuum(1))
+    stack = make_thermal(np.array([1.0, 2.0]))
+    for on, off in ((one, two), (two, one), (one, stack), (stack, make_thermal(np.ones(3)))):
+        with pytest.raises(ValueError, match="same mode count and stack shape"):
+            HypothesisPair(on, off)
+    HypothesisPair(stack, stack)
 
 
 def test_hypothesis_pair_accepts_a_zero_d_kappa():

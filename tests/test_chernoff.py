@@ -193,17 +193,24 @@ def test_williamson_memo_stays_bounded_and_keeps_a_repeated_matrix():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_williamson_refuses_non_finite_covariances(bad):
-    # before: inf gave nu = [nan] and a NaN in a 4x4 raised LinAlgError
+    # before: inf gave nu = [nan] and a NaN in a 4x4 raised LinAlgError; now
+    # no such state is built, so williamson never sees one
     cov = np.diag([1.0, 1.0, 2.0, 2.0])
     cov[2, 2] = bad
-    with np.errstate(invalid="ignore"):  # the symmetry check's inf - inf
-        states = (GaussianState(np.zeros(4), cov),
-                  GaussianState(np.zeros((2, 4)), np.stack([np.eye(4), cov])),
-                  GaussianState(np.zeros(2), np.diag([bad, 1.0])))
-    for state in states:
+    for mean_q, cov_n in ((np.zeros(4), cov), (np.zeros((2, 4)), np.stack([np.eye(4), cov])),
+                          (np.zeros(2), np.diag([bad, 1.0]))):
+        with np.errstate(invalid="ignore"):  # the symmetry check's inf - inf
+            with pytest.raises(ValueError, match="finite"):
+                GaussianState(mean_q, cov_n)
+
+
+def test_williamson_keeps_no_refusal():
+    unphysical = (GaussianState(np.zeros(4), -0.3 * np.eye(4)),
+                  GaussianState(np.zeros((2, 4)), np.stack([np.eye(4), -0.3 * np.eye(4)])))
+    for state in unphysical:
         size = _decompose_bytes.cache_info().currsize
         for _ in range(2):  # a refusal is not kept: the second call refuses too
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="not physical"):
                 williamson(state)
         assert _decompose_bytes.cache_info().currsize == size
 
@@ -428,9 +435,9 @@ def test_qcb_sweep_rejects_on_off_mode_count_mismatch():
     p = ScenarioParams(kappa=0.05, n_s=1.0, n_b=2.0)
     tmsv = hypothesis_pair(make_tmsv(np.ones(3)), p)
     coh = hypothesis_pair(make_coherent(np.ones(3)), p)
-    for pair in (HypothesisPair(on=tmsv.on, off=coh.off), HypothesisPair(on=coh.on, off=tmsv.off)):
+    for on, off in ((tmsv.on, coh.off), (coh.on, tmsv.off)):
         with pytest.raises(ValueError, match="same mode count"):
-            qcb_sweep(pair, 1)
+            qcb_sweep(HypothesisPair(on=on, off=off), 1)
 
 
 def test_qcb_takes_one_pair_and_returns_floats():

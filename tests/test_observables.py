@@ -457,10 +457,13 @@ def test_nan_variance_is_refused_not_clamped():
     # max(0.0, nan) is 0.0: before, a NaN variance read as an exact zero
     with pytest.raises(ValueError, match="NaN"):
         ObservableStats(1.0, float("nan"))
-    with np.errstate(invalid="ignore"):  # inf - inf in the symmetry check and in h N
-        state = GaussianState(np.zeros(4), np.diag([1.0, 1.0, np.inf, np.inf]))
-        with pytest.raises(ValueError, match="NaN"):
-            stats(obs_bound(0.0, 0.0), state)
+    # an infinite cov_n no longer builds; a NaN mean_q, which construction
+    # does not check, still reaches stats as a NaN variance
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        GaussianState(np.zeros(4), np.diag([1.0, 1.0, np.inf, np.inf]))  # inf - inf
+    state = GaussianState(np.array([np.nan, 0.0, 0.0, 0.0]), 0.1 * np.eye(4))
+    with pytest.raises(ValueError, match="NaN"):
+        stats(obs_bound(0.0, 0.0), state)
     # the clamp window itself stays: -1e-10 reads as 0, below it raises
     assert ObservableStats(1.0, -1e-10).variance == 0.0
     with pytest.raises(ValueError, match="clamp window"):
@@ -480,6 +483,16 @@ def test_invalid_coefficient_blocks_rejected():
                    (np.zeros((1, 1)), np.zeros(1)), (np.zeros((2, 2)), np.zeros((2, 1)))):
         with pytest.raises(ValueError, match="shape"):
             QuadraticObservable(0.0, h, lin)
+
+
+@pytest.mark.parametrize("c0", [1j, np.complex128(1.0), "1.5", None, np.array([1.0])],
+                         ids=["complex", "numpy-complex", "string", "None", "array"])
+def test_c0_must_be_a_real_number(c0):
+    # before: 1j raised float()'s TypeError and "1.5" built with c0 = 1.5
+    with pytest.raises(ValueError, match="c0 must be a real number"):
+        QuadraticObservable(c0, np.eye(2), np.zeros(2))
+    for real in (2, np.int64(2), np.float32(2.0), True):
+        assert QuadraticObservable(real, np.eye(2), np.zeros(2)).c0 == float(real)
 
 
 def _squeeze(a, d):

@@ -760,6 +760,15 @@ def test_bound_receivers_refuse_the_other_noise_model():
         optimize_alpha_beta_nonconstant(p)
 
 
+def test_optimal_beta_closed_refuses_nonconstant_noise():
+    # before: it returned the constant-noise formula's weight for any model
+    p = ScenarioParams(kappa=0.05, n_s=0.1, n_b=2.0, noise_model=NoiseModel.NONCONSTANT)
+    for params in (p, replace(p, n_s=np.array([0.1, 1.0]))):
+        with pytest.raises(ValueError,
+                           match="optimal_beta_closed requires the constant noise model"):
+            optimal_beta_closed(params)
+
+
 def test_zero_noise_snr_is_zero_without_a_gap_and_inf_with_one():
     zero = ScenarioParams(kappa=0.5, n_s=0.0, n_i=0.0, n_b=0.0)
     assert snr_cct(zero) == 0.0

@@ -254,6 +254,45 @@ def test_an_infinite_asymmetry_is_not_symmetric():
         GaussianState(np.zeros((2, 2)), np.stack([np.eye(2), lopsided]))
 
 
+def test_a_non_finite_row_does_not_hide_an_asymmetric_neighbour():
+    # before: a NaN anywhere made the whole-stack maximum NaN, and NaN > tol is
+    # False, so the asymmetric neighbour built silently; a diagonal inf does
+    # the same through its inf - inf
+    for bad, neighbour in ((np.diag([np.nan, 1.0]), [[1.0, 5.0], [0.0, 1.0]]),
+                           (np.diag([np.inf, 1.0]), [[1.0, np.inf], [0.0, 1.0]])):
+        stack = np.stack([bad, neighbour])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not symmetric"):
+            GaussianState(np.zeros((2, 2)), stack)
+        with pytest.raises(ValueError, match="not symmetric"):
+            GaussianState(np.zeros(2), np.array(neighbour))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (2, 3)])
+def test_non_finite_cov_n_is_refused(bad, entry):
+    # before: a NaN cov_n, or a symmetric inf, built silently and was refused
+    # only by williamson (ObservableStats read its variance as NaN)
+    cov = np.diag([1.0, 1.0, 2.0, 2.0])
+    cov[entry] = bad
+    symmetric = cov.copy()
+    symmetric[entry[::-1]] = bad
+    for c in (cov, symmetric):
+        stack = np.stack([np.eye(4), c, np.eye(4)])
+        for mean_q, cov_n in ((np.zeros(4), c), (np.zeros((3, 4)), stack)):
+            with np.errstate(invalid="ignore"):  # the symmetry check's inf - inf
+                with pytest.raises(ValueError, match="cov_n is not symmetric or not finite"):
+                    GaussianState(mean_q, cov_n)
+
+
+def test_mean_photon_refuses_a_non_finite_mean():
+    # before: a NaN mean_q, which construction does not check, gave nan
+    for bad in (np.nan, np.inf, -np.inf):
+        state = GaussianState(np.array([bad, 0.0, 0.0, 0.0]), 0.1 * np.eye(4))
+        with pytest.raises(ValueError, match="mean photon number of mode 0 is not finite"):
+            state.mean_photon(0)
+        assert state.mean_photon(1) == 0.1
+
+
 def test_stack_shapes_are_checked():
     GaussianState(np.zeros((3, 4)), np.zeros((3, 4, 4)))
     for mean_q, cov_n in ((np.zeros((3, 4)), np.zeros((2, 4, 4))),
