@@ -75,14 +75,16 @@ class QuadraticObservable:
 
 @dataclass(frozen=True)
 class ObservableStats:
-    """Exact mean and variance of an observable on one state."""
+    """Exact mean and variance of an observable on one state: both finite,
+    and a variance below 0 only by round-off (the clamp window), read as 0."""
 
     mean: float
     variance: float
 
     def __post_init__(self):
-        if not self.variance >= -_VAR_CLAMP:  # NaN fails it too
-            raise ValueError(f"variance {self.variance} is NaN or below the clamp window")
+        if not (-_VAR_CLAMP <= self.variance < math.inf and abs(self.mean) < math.inf):
+            raise ValueError(f"mean {self.mean} or variance {self.variance} is NaN, "
+                             "infinite or below the clamp window")
         object.__setattr__(self, "variance", max(0.0, float(self.variance)))
         object.__setattr__(self, "mean", float(self.mean))
 

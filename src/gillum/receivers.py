@@ -65,7 +65,16 @@ def p_err(snr: float | np.ndarray) -> float | np.ndarray:
 
 def _snr(gap: float, var_on: float, var_off: float, m_modes: float) -> float:
     """M-mode SNR from per-mode statistics; callers form ``gap`` = <O>_on -
-    <O>_off without cancellation where they can.  Elementwise over arrays."""
+    <O>_off without cancellation where they can.  Elementwise over arrays.
+
+    Two float variances (NumPy scalars too) with noise are one point: it is
+    computed in Python floats by the same IEEE operations, so it has the bits
+    of its sweep entry.  Arrays and zero noise take the NumPy path."""
+    if isinstance(var_on, float) and isinstance(var_off, float):
+        s_sum = math.sqrt(max(var_on, 0.0)) + math.sqrt(max(var_off, 0.0))
+        denom = 2.0 * s_sum * s_sum
+        if denom > 0.0:
+            return m_modes * gap * gap / denom
     s_on = np.sqrt(np.maximum(var_on, 0.0))
     s_off = np.sqrt(np.maximum(var_off, 0.0))
     s_sum = s_on + s_off
@@ -81,7 +90,9 @@ def snr_generic(obs: QuadraticObservable, pair: HypothesisPair, m_modes: float) 
     """SNR of measuring ``obs`` on every mode pair, through the moment engine.
 
     Modes of ``obs`` beyond the pair's are vacuum ancillas (see ``stats``);
-    M must be one whole number >= 1, as in ``ScenarioParams``.
+    M must be one whole number >= 1, as in ``ScenarioParams``.  The SNR is
+    computed in Python floats (``_snr``), with the bits of the same
+    statistics' entry in an array, and returned as a float.
     """
     _check_m_modes(m_modes)
     on, off = stats(obs, pair.on), stats(obs, pair.off)
@@ -274,29 +285,33 @@ def optimize_alpha_beta_nonconstant(params: ScenarioParams):
     alpha = x_0 / x_2, beta = x_1 / x_2.  A point with kappa = 0 carries no
     signal and gets (0, 0) with SNR 0.  N_S = 0 at any other point raises
     ValueError: the supremum there lies at |alpha| -> infinity.  Returns
-    (alpha, beta, SNR): floats for one point, arrays over a sweep.
+    (alpha, beta, SNR): floats for one point, arrays over a sweep.  One
+    point is one row of the same search, and from its row on it is computed
+    in Python floats, with the bits of its sweep entry.
     """
     if params.noise_model is not NoiseModel.NONCONSTANT:
         raise ValueError("optimizer applies to the nonconstant noise model")
-    kappa, n_s, _ = np.broadcast_arrays(params.kappa, params.n_s, params.n_b)
-    live = kappa.ravel() != 0.0
-    if (n_s.ravel()[live] == 0.0).any():
+    if np.any((params.kappa != 0.0) & (params.n_s == 0.0)):
         raise ValueError("optimal weights are singular at n_s = 0: "
                          "the SNR supremum lies at |alpha| -> infinity")
+    point = not (np.ndim(params.kappa) or np.ndim(params.n_s) or np.ndim(params.n_b))
+    kappa = params.kappa if point else np.broadcast_arrays(params.kappa, params.n_s, params.n_b)[0]
+    live = [kappa != 0.0] if point else kappa.ravel() != 0.0
     g_on, g_off, d = _gram(params, params.kappa), _gram(params, 0.0), _gap(params)
     entries = (*g_on[0], *g_on[1], *g_on[2], *g_off[0], *g_off[1], *g_off[2], *d)
-    # a point's entries are all scalars; broadcasting them would cost it a tenth
-    rows = np.array(np.broadcast_arrays(*entries) if kappa.ndim else entries)
+    rows = np.array(entries if point else np.broadcast_arrays(*entries))
     rows = rows.reshape(21, -1).T[live]  # one row of G_on, G_off and d per point
     x = _path_search(rows[:, :9].reshape(-1, 3, 3), rows[:, 9:18].reshape(-1, 3, 3),
                      rows[:, 18:])
-    weights = np.zeros((live.size, 2))
-    weights[live] = x[:, :2] / x[:, 2:]
-    alpha, beta = weights.T.reshape((2,) + kappa.shape)
+    if point:  # Python floats from the one row on; kappa = 0 gives (0, 0)
+        x0, x1, x2 = x[0].tolist() if live[0] else (0.0, 0.0, 1.0)
+        alpha, beta = x0 / x2, x1 / x2
+    else:
+        weights = np.zeros((live.size, 2))
+        weights[live] = x[:, :2] / x[:, 2:]
+        alpha, beta = weights.T.reshape((2,) + kappa.shape)
     snr = _snr(*_family_moments(g_on, g_off, d, alpha, beta), params.m_modes)
-    if kappa.ndim:
-        return alpha, beta, snr
-    return float(alpha), float(beta), float(snr)
+    return (alpha, beta, float(snr)) if point else (alpha, beta, snr)
 
 
 def snr_closed_pc(params: ScenarioParams) -> float:

@@ -470,6 +470,21 @@ def test_nan_variance_is_refused_not_clamped():
         ObservableStats(1.0, -2e-10)
 
 
+def test_non_finite_statistics_are_refused():
+    # before: a finite state whose variance overflows in the BLAS products
+    # gave variance inf, which snr_generic read as SNR 0
+    state = GaussianState(np.zeros(4), np.diag([1.0, 1.0, 1.7e308, 1.7e308]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infinite"):
+        stats(obs_bound(0.0, 0.0), state)
+    for mean, variance in ((1.0, np.inf), (np.inf, 1.0), (-np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="NaN, infinite or below the clamp window"):
+            ObservableStats(mean, variance)
+    # the largest finite values are kept
+    top = float(np.finfo(float).max)
+    assert ObservableStats(-top, top) == ObservableStats(mean=-top, variance=top)
+    assert ObservableStats(-top, top).variance == top
+
+
 def test_invalid_coefficient_blocks_rejected():
     with pytest.raises(ValueError, match="real"):  # would be cast to [[0, 0], [0, 0]]
         QuadraticObservable(0.0, np.array([[1j, 0], [0, 0]]), np.zeros(2))

@@ -15,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles as orc
 from gillum import (
+    HypothesisPair,
     NoiseModel,
     OPA_GAIN,
     QuadraticObservable,
@@ -24,6 +25,7 @@ from gillum import (
     make_cct,
     make_coherent,
     make_tmsv,
+    make_vacuum,
     obs_bound,
     obs_dh,
     obs_number_difference,
@@ -45,6 +47,7 @@ from gillum import (
     snr_coherent_hd,
     snr_generic,
     snr_nearly_bound,
+    tensor,
     transform_by_beam_splitter,
 )
 from gillum.figures import _HETERODYNE
@@ -375,8 +378,12 @@ def test_optimizer_sweep_with_no_target_rows():
     sweep = params_for(kappa, ns, model=NoiseModel.NONCONSTANT)
     rows = optimize_alpha_beta_nonconstant(sweep)
     for k in range(kappa.size):
-        point = replace(sweep, kappa=float(kappa[k]), n_s=float(ns[k]))
-        assert optimize_alpha_beta_nonconstant(point) == tuple(float(r[k]) for r in rows)
+        for box in (float, np.array):  # a 0-d array is one point too
+            point = optimize_alpha_beta_nonconstant(
+                replace(sweep, kappa=box(kappa[k]), n_s=box(ns[k])))
+            # Python floats with the bits of the sweep entry, +0.0 where kappa = 0
+            assert all(type(v) is float for v in point)
+            assert [v.hex() for v in point] == [float(r[k]).hex() for r in rows]
     assert all(np.array_equal(r[::2], [0.0, 0.0]) for r in rows)
     none = optimize_alpha_beta_nonconstant(
         params_for(0.0, np.array([0.1, 1.0]), model=NoiseModel.NONCONSTANT))
@@ -785,3 +792,64 @@ def test_snr_generic_refuses_an_m_that_is_not_a_whole_number(m_modes):
                                                               n_b=30.0))
     with pytest.raises(ValueError, match="m_modes must be a whole number >= 1"):
         snr_generic(obs_off(), pair, m_modes)
+
+
+def _hex(value) -> str:
+    return float(value).hex()
+
+
+def test_snr_point_path_has_the_bits_of_the_array_path():
+    # two float variances run in Python floats; each value keeps the bits of
+    # its entry in an array, alone and in one stack with every other case
+    # (whose zero-noise entries send the stack through np.where)
+    rng = np.random.default_rng(36)
+    edges = (0.0, -0.0, -1e-15, -3e-16, 5e-324, 1e300, 0.7)
+    cases = [(gap, v_on, v_off, m) for gap in (0.0, -2.5e-3, 1.0) for v_on in edges
+             for v_off in edges for m in (1, M)]
+    cases += [(float(rng.normal()), float(v_on), float(v_off), M)
+              for v_on, v_off in np.exp(rng.uniform(-30.0, 30.0, size=(50, 2)))]
+    gaps, ons, offs, ms = (np.array(column) for column in zip(*cases))
+    with np.errstate(over="ignore"):  # 1 / 5e-324 is inf on either path
+        stacked = [_snr(gaps[ms == m], ons[ms == m], offs[ms == m], m) for m in (1, M)]
+        for gap, v_on, v_off, m in cases:
+            point = _snr(gap, v_on, v_off, m)
+            alone = _snr(np.array([gap]), np.array([v_on]), np.array([v_off]), m)[0]
+            assert _hex(point) == _hex(alone), (gap, v_on, v_off, m)
+            if v_on > 0.0 or v_off > 0.0:
+                assert type(point) is float  # the float path ran
+    points = [[_hex(_snr(*case)) for case in cases if case[3] == m] for m in (1, M)]
+    assert points == [[_hex(v) for v in column] for column in stacked]
+    # zero noise: SNR 0 without a gap and inf with one
+    assert _snr(0.0, 0.0, -0.0, M) == 0.0 and _snr(1.0, -0.0, 0.0, 1) == math.inf
+
+
+def test_snr_generic_returns_a_python_float():
+    pair = hypothesis_pair(make_tmsv(0.3), params_for(0.05, 0.3, 2.0))
+    for m_modes in (1, M, 1e7):
+        assert type(snr_generic(NEARLY_BOUND, pair, m_modes)) is float
+
+
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_snr_generic_is_the_same_in_either_picture_of_a_beam_splitter(model):
+    # measuring O after a splitter U on both hypotheses is measuring U^dag O U
+    # before it (transform_by_beam_splitter); the one-mode coherent probe gets
+    # a vacuum second mode, which stats supplies on the untransformed side
+    rng = np.random.RandomState(36)
+    params = ScenarioParams(kappa=0.2, n_s=0.7, n_i=1.3, n_b=2.5, m_modes=M, noise_model=model)
+    pairs = [hypothesis_pair(make_tmsv(0.7), params), hypothesis_pair(make_cct(0.7, 1.3), params),
+             hypothesis_pair(make_coherent(0.6 + 0.5j), params)]
+    worst = 0.0
+    for pair in pairs:
+        two_mode = [s if s.n_modes == 2 else tensor(s, make_vacuum(1)) for s in (pair.on, pair.off)]
+        for linear in (False, True):
+            for _ in range(4):
+                hr = rng.randn(4, 4)
+                obs = QuadraticObservable(float(rng.randn()), 0.5 * (hr + hr.T),
+                                          rng.randn(4) if linear else np.zeros(4))
+                t = math.cos(rng.uniform(0.0, math.pi / 2))
+                r, phase = math.sqrt(1.0 - t * t), rng.uniform(0.0, 2.0 * math.pi)
+                split = HypothesisPair(*(orc.beam_split(s, 0, 1, t, r, phase) for s in two_mode))
+                after = snr_generic(obs, split, M)
+                before = snr_generic(transform_by_beam_splitter(obs, t, r, phase), pair, M)
+                worst = max(worst, abs(after - before) / after)
+    assert worst <= 1e-12
